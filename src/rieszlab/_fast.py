@@ -1,21 +1,26 @@
 """Hot numeric loops: pairwise kernel sums and tent-weighted pair binning.
 
-Each operation has a numba ``@njit`` implementation and a vectorized numpy
-fallback.  The active one is picked at import time (see ``_accel``); both are
-kept importable so the benchmark and the backend tests can compare them.
+All three kernels walk the unordered pairs i < j through ``_upper_pairs``,
+which hands out the differences ``pts[j] - pts[i]`` in row blocks of about
+``_PAIR_BUDGET`` pairs, so each block is a few vectorized numpy calls and
+memory stays bounded for any number of points.  The order of summation
+depends only on the number of points, so results are reproducible.
 Family codes: 0 = logarithmic kernel, 1 = Riesz kernel with exponent ``s``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
+from collections.abc import Iterator
 
-from ._accel import HAVE_NUMBA, njit
+import numpy as np
 
 FAMILY_LOG = 0
 FAMILY_RIESZ = 1
 
-_CHUNK = 256  # rows per block in the numpy fallbacks
+# pairs per block handed out by _upper_pairs; chosen by timing 2**12..2**16
+# at n = 64..2048 in d = 1 and n = 1024 in d = 2
+_PAIR_BUDGET = 2**14
 
 
 def _g_of_sq(r2: np.ndarray, family: int, s: float) -> np.ndarray:
@@ -25,142 +30,82 @@ def _g_of_sq(r2: np.ndarray, family: int, s: float) -> np.ndarray:
     return r2 ** (-0.5 * s)
 
 
-def pair_sum_numpy(pts: np.ndarray, family: int, s: float) -> tuple[float, float]:
-    """Sum of g over unordered pairs and the minimal squared pair distance."""
+@functools.lru_cache(maxsize=None)
+def _triangle(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    # index pairs i < j within a block, shared read-only by every call;
+    # _upper_pairs never asks for more than sqrt(_PAIR_BUDGET) rows, so the
+    # whole cache stays below a few MB
+    i, j = np.triu_indices(rows, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _upper_pairs(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """Flat differences ``pts[j] - pts[i]`` over all i < j, block by block.
+
+    A block of rows ``i0:i1`` yields its in-block triangle, then its
+    rectangle against the rows ``i1:``; empty pieces are skipped.  ``pts``
+    is ``(n,)`` or ``(n, d)``; the yielded arrays have the same trailing
+    shape.
+    """
     n = pts.shape[0]
+    i0 = 0
+    while i0 < n - 1:
+        rows = min(n - i0, max(1, _PAIR_BUDGET // (n - i0)))
+        i1 = i0 + rows
+        block = pts[i0:i1]
+        if rows > 1:
+            i, j = _triangle(rows)
+            yield block[j] - block[i]
+        if i1 < n:
+            yield (pts[None, i1:] - block[:, None]).reshape(-1, *pts.shape[1:])
+        i0 = i1
+
+
+def _sq_norms(diff: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+def pair_sum(pts: np.ndarray, family: int, s: float) -> tuple[float, float]:
+    """Sum of g over unordered pairs and the minimal squared pair distance.
+
+    Coincident pairs (distance 0) are left out of the sum and show up as a
+    minimal squared distance of 0.
+    """
     total = 0.0
     min_r2 = np.inf
-    for i0 in range(0, n - 1, _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        for i in range(i0, i1):
-            diff = pts[i + 1 :] - pts[i]
-            r2 = np.einsum("ij,ij->i", diff, diff)
-            m = r2.min() if r2.size else np.inf
-            if m < min_r2:
-                min_r2 = m
-            if m > 0.0:
-                total += float(_g_of_sq(r2, family, s).sum())
-            elif r2.size:
-                good = r2 > 0.0
-                total += float(_g_of_sq(r2[good], family, s).sum())
+    for diff in _upper_pairs(pts):
+        r2 = _sq_norms(diff)
+        m = r2.min()
+        if m == 0.0:
+            r2 = r2[r2 > 0.0]
+        min_r2 = min(min_r2, m)
+        total += float(_g_of_sq(r2, family, s).sum())
     return total, float(min_r2)
 
 
-@njit(cache=True)
-def pair_sum_numba(pts, family, s):  # pragma: no cover - exercised via dispatch
-    n = pts.shape[0]
-    d = pts.shape[1]
-    total = 0.0
-    min_r2 = np.inf
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            for a in range(d):
-                diff = pts[i, a] - pts[j, a]
-                r2 += diff * diff
-            if r2 < min_r2:
-                min_r2 = r2
-            if r2 > 0.0:
-                if family == FAMILY_LOG:
-                    total += -0.5 * np.log(r2)
-                else:
-                    total += r2 ** (-0.5 * s)
-    return total, min_r2
-
-
-def bin_pairs_signed_numpy(x: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
+def bin_pairs_signed(x: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
     """Tent-corrected weights of signed 1d separations, both pair orders."""
     acc = np.zeros(n_bins)
     bw = 2.0 * v_max / n_bins
-    n = x.shape[0]
-    for i0 in range(0, n - 1, _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        for i in range(i0, i1):
-            v = x[i + 1 :] - x[i]
-            a = np.abs(v)
-            keep = a < v_max
-            if not keep.any():
-                continue
-            v = v[keep]
-            w = 1.0 / (R - np.abs(v))
-            idx = np.floor((v + v_max) / bw).astype(np.int64)
-            np.clip(idx, 0, n_bins - 1, out=idx)
-            np.add.at(acc, idx, w)
-            np.add.at(acc, n_bins - 1 - idx, w)
-    return acc
+    for v in _upper_pairs(x):
+        v = v[np.abs(v) < v_max]
+        idx = np.floor((v + v_max) / bw).astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        acc += np.bincount(idx, 1.0 / (R - np.abs(v)), minlength=n_bins)
+    # the pair order j, i has separation -v and lands in the mirrored bin
+    return acc + acc[::-1]
 
 
-@njit(cache=True)
-def bin_pairs_signed_numba(x, v_max, n_bins, R):  # pragma: no cover
-    acc = np.zeros(n_bins)
-    bw = 2.0 * v_max / n_bins
-    n = x.shape[0]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            v = x[j] - x[i]
-            a = abs(v)
-            if a >= v_max:
-                continue
-            w = 1.0 / (R - a)
-            idx = int((v + v_max) / bw)
-            if idx < 0:
-                idx = 0
-            elif idx >= n_bins:
-                idx = n_bins - 1
-            acc[idx] += w
-            acc[n_bins - 1 - idx] += w
-    return acc
-
-
-def bin_pairs_radial_numpy(pts: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
+def bin_pairs_radial(pts: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
     """Tent-corrected radial pair weights for d >= 2 (ordered pairs)."""
     acc = np.zeros(n_bins)
     bw = v_max / n_bins
-    n = pts.shape[0]
-    for i0 in range(0, n - 1, _CHUNK):
-        i1 = min(i0 + _CHUNK, n - 1)
-        for i in range(i0, i1):
-            diff = pts[i + 1 :] - pts[i]
-            r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-            keep = (r < v_max) & (r > 0.0)
-            if not keep.any():
-                continue
-            tent = np.prod(R - np.abs(diff[keep]), axis=1)
-            idx = np.floor(r[keep] / bw).astype(np.int64)
-            np.clip(idx, 0, n_bins - 1, out=idx)
-            np.add.at(acc, idx, 2.0 / tent)
+    for diff in _upper_pairs(pts):
+        r = np.sqrt(_sq_norms(diff))
+        keep = (r < v_max) & (r > 0.0)
+        tent = np.prod(R - np.abs(diff[keep]), axis=1)
+        idx = np.floor(r[keep] / bw).astype(np.int64)
+        np.clip(idx, 0, n_bins - 1, out=idx)
+        acc += np.bincount(idx, 2.0 / tent, minlength=n_bins)
     return acc
-
-
-@njit(cache=True)
-def bin_pairs_radial_numba(pts, v_max, n_bins, R):  # pragma: no cover
-    acc = np.zeros(n_bins)
-    bw = v_max / n_bins
-    n = pts.shape[0]
-    d = pts.shape[1]
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            r2 = 0.0
-            tent = 1.0
-            for a in range(d):
-                diff = pts[i, a] - pts[j, a]
-                r2 += diff * diff
-                tent *= R - abs(diff)
-            r = np.sqrt(r2)
-            if r >= v_max or r <= 0.0:
-                continue
-            idx = int(r / bw)
-            if idx >= n_bins:
-                idx = n_bins - 1
-            acc[idx] += 2.0 / tent
-    return acc
-
-
-if HAVE_NUMBA:
-    pair_sum = pair_sum_numba
-    bin_pairs_signed = bin_pairs_signed_numba
-    bin_pairs_radial = bin_pairs_radial_numba
-else:
-    pair_sum = pair_sum_numpy
-    bin_pairs_signed = bin_pairs_signed_numpy
-    bin_pairs_radial = bin_pairs_radial_numpy

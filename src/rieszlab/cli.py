@@ -2,8 +2,9 @@
 CSV/JSON reports plus a manifest with content digests.
 
 Exit codes: 0 success, 2 validation error, 3 numerical divergence
-diagnostic, 4 I/O failure.  Results are byte-identical across reruns and
-thread counts; the manifest records digests of every output file.
+diagnostic or Monte Carlo abort on too many discarded replicas, 4 I/O
+failure.  Results are byte-identical across reruns; the manifest records
+digests of every output file.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .core import (
     Kernel,
     KernelFamily,
     NotApplicableError,
+    SingularConfigurationError,
     Window,
 )
 from .generators import (
@@ -388,31 +390,22 @@ def _common_options(fn):
     fn = click.option("--config", "config_path", type=click.Path(), default=None,
                       help="JSON experiment config")(fn)
     fn = click.option("--seed", type=int, default=None, help="master seed override")(fn)
-    fn = click.option("--threads", type=int, default=None,
-                      help="cap worker threads (results are independent of this)")(fn)
     fn = click.option("--out", type=click.Path(), default=None,
                       help="output directory override")(fn)
     return fn
 
 
-def _execute(command: str, config_path, seed, threads, out) -> None:
-    if threads is not None and threads >= 1:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, int(threads)))
-        except (ImportError, ValueError):
-            pass
+def _execute(command: str, config_path, seed, out) -> None:
     try:
         spec = _load_spec(command, config_path, seed, out)
         run(spec)
+    except (DivergenceError, SingularConfigurationError) as exc:
+        click.echo(f"numerical divergence: {exc}", err=True)
+        sys.exit(3)
     except (ValidationFailure, ArgumentError, DomainError, NotApplicableError,
             KeyError, TypeError, ValueError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(2)
-    except DivergenceError as exc:
-        click.echo(f"numerical divergence: {exc}", err=True)
-        sys.exit(3)
     except OSError as exc:
         click.echo(f"i/o error: {exc}", err=True)
         sys.exit(4)
@@ -427,8 +420,8 @@ def main() -> None:
 def _register(command: str, help_text: str) -> None:
     @main.command(name=command, help=help_text)
     @_common_options
-    def _cmd(config_path, seed, threads, out, _command=command):
-        _execute(_command, config_path, seed, threads, out)
+    def _cmd(config_path, seed, out, _command=command):
+        _execute(_command, config_path, seed, out)
 
 
 _register("generate", "Sample configurations and write them as CSV.")

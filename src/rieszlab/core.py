@@ -134,8 +134,9 @@ class PointConfiguration:
 
     Points are stored as an ``(n, d)`` float64 array.  Window membership is
     checked with closed intervals and exact comparison; duplicate points are
-    permitted at construction but make any pair energy infinite, so they are
-    detected lazily by :meth:`has_coincident`.
+    permitted at construction but make any pair energy infinite, so the
+    energy routes reject them (``energy.hint_R`` raises
+    ``SingularConfigurationError``).
     """
 
     __slots__ = ("window", "points")
@@ -185,13 +186,6 @@ class PointConfiguration:
         return PointConfiguration(
             self.points + shift, Window(self.window.R, self.d, new_center)
         )
-
-    def has_coincident(self) -> bool:
-        if self.n < 2:
-            return False
-        order = np.lexsort(self.points.T)
-        diffs = np.diff(self.points[order], axis=0)
-        return bool(np.any(np.all(diffs == 0.0, axis=1)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointConfiguration(n={self.n}, d={self.d}, R={self.window.R})"

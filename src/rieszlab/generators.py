@@ -397,12 +397,6 @@ class Rho2Analytic:
             atoms = atoms[(atoms[:, 0] > 0.0) & (atoms[:, 0] <= limit)]
         return atoms
 
-    @property
-    def atoms(self) -> list[tuple[float, float]]:
-        if not math.isfinite(self.support_radius):
-            raise ArgumentError("atom list is unbounded; use atoms_upto(limit)")
-        return [tuple(row) for row in self.atoms_upto(self.support_radius)]
-
 
 def _rho2_poisson() -> Rho2Analytic:
     return Rho2Analytic(

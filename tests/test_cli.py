@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from rieszlab.cli import main, run, _load_spec
+from rieszlab.core import SingularConfigurationError
 from rieszlab.generators import config_from_csv
 
 
@@ -70,6 +71,26 @@ class TestValidation:
             "R_list": [64, 128, 256], "route": "rho2"})
         res = runner.invoke(main, ["energy", "--config", cfg, "--out", str(tmp_path / "d")])
         assert res.exit_code == 3
+
+    def test_monte_carlo_discard_abort_exits_3(self, tmp_path, runner, monkeypatch):
+        def abort(*args, **kwargs):
+            raise SingularConfigurationError("coincident points inside the energy window")
+
+        monkeypatch.setattr("rieszlab.cli.energy_mod.wint_monte_carlo", abort)
+        cfg = _write(tmp_path, "c.json", {
+            "model": {"variant": "poisson"}, "kernel": {"family": "log1d"},
+            "R_list": [8, 16, 32], "n_replicas": 40, "route": "mc", "seed": 1})
+        res = runner.invoke(main, ["energy", "--config", cfg, "--out", str(tmp_path / "m")])
+        assert res.exit_code == 3
+        assert "validation error" not in res.output
+
+    def test_threads_option_removed(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.json", {
+            "model": {"variant": "poisson"}, "kernel": {"family": "log1d"},
+            "R_list": [8, 16, 32], "n_replicas": 40, "route": "mc", "seed": 1})
+        res = runner.invoke(main, ["energy", "--config", cfg, "--threads", "1"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output
 
 
 class TestCommands:
@@ -165,16 +186,14 @@ class TestCommands:
 
 
 class TestDeterminism:
-    def test_byte_identical_across_runs_and_threads(self, tmp_path, runner):
+    def test_byte_identical_across_runs(self, tmp_path, runner):
         cfg = _write(tmp_path, "e.json", {
             "model": {"variant": "poisson"},
             "kernel": {"family": "log1d"},
             "R_list": [8, 16, 32], "n_replicas": 40, "route": "mc", "seed": 1})
         outs = []
-        for name, threads in (("a", None), ("b", None), ("c", 1)):
+        for name in ("a", "b", "c"):
             args = ["energy", "--config", cfg, "--out", str(tmp_path / name)]
-            if threads is not None:
-                args += ["--threads", str(threads)]
             assert runner.invoke(main, args).exit_code == 0
             outs.append(_read_outputs(tmp_path / name))
         for key in ("energy.csv", "energy.json"):
