@@ -182,6 +182,7 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
     entries = []
     stderrs = []
     discarded = 0
+    planned = n_replicas * len(R_list)
     for i, R in enumerate(R_list):
         window = Window(R, model.d)
         vals = []
@@ -189,10 +190,14 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
             cfg = sample(model, window, Seed(seed.master, seed.replica + i * n_replicas + j))
             try:
                 vals.append(hint_R(cfg, R, kernel) / R**model.d)
-            except SingularConfigurationError:
+            except SingularConfigurationError as exc:
                 discarded += 1
-                if discarded > 0.01 * n_replicas * len(R_list):
-                    raise
+                if discarded > 0.01 * planned:
+                    raise SingularConfigurationError(
+                        f"Monte Carlo aborted: {discarded} of {i * n_replicas + j + 1} "
+                        f"replicas attempted so far were discarded ({exc}), more than "
+                        f"the 1% threshold of {0.01 * planned:g} of {planned} planned"
+                    ) from exc
         vals = np.asarray(vals)
         entries.append((R, float(vals.mean()),
                         float(vals.std(ddof=1) / math.sqrt(vals.size))))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from rieszlab import quadrature
 from rieszlab import (
     ArgumentError,
     DivergenceError,
@@ -277,6 +278,146 @@ class TestMonteCarloRoute:
         monkeypatch.setattr(energy_mod, "sample", bad_sample)
         with pytest.raises(SingularConfigurationError):
             wint_monte_carlo(ProcessModel.poisson(1), K_RSZ, [8.0], 50, Seed(0))
+
+    def test_abort_message_counts(self, monkeypatch):
+        # every fifth replica is singular: 200 planned replicas allow 2
+        # discards, so the third (replica 15, on the first rung) aborts
+        from rieszlab import energy as energy_mod
+
+        calls = []
+
+        def flaky_hint(cfg, R, kernel):
+            calls.append(R)
+            if len(calls) % 5 == 0:
+                raise SingularConfigurationError("coincident points inside the energy window")
+            return 0.0
+
+        monkeypatch.setattr(energy_mod, "hint_R", flaky_hint)
+        with pytest.raises(SingularConfigurationError) as info:
+            wint_monte_carlo(ProcessModel.poisson(1), K_RSZ, [4.0, 8.0], 100, Seed(0))
+        msg = str(info.value)
+        assert len(calls) == 15
+        assert "3 of 15 replicas attempted" in msg
+        assert "1% threshold of 2 of 200 planned" in msg
+        assert isinstance(info.value.__cause__, SingularConfigurationError)
+
+
+class TestPointBackgroundBatched:
+    """The batched point-background integral against the per-point
+    corner-split quadrature it reorders, and against independent references."""
+
+    @staticmethod
+    def _points(d, R, n, seed):
+        rng = np.random.default_rng(seed)
+        special = [np.zeros(d), np.r_[R / 2, np.zeros(d - 1)],
+                   np.full(d, -R / 2)]
+        if d == 3:
+            special.append(np.array([R / 2, -R / 2, 0.3]))
+        return np.vstack([rng.uniform(-R / 2, R / 2, (n, d))] + special)
+
+    @pytest.mark.parametrize("s, d, R", [(0.8, 2, 5.0), (1.0, 2, 16.0), (1.5, 3, 3.0)])
+    def test_riesz_matches_per_point(self, s, d, R):
+        kernel = riesz_kernel(s, d)
+        pts = self._points(d, R, 20, 7)
+        got = quadrature.point_background(kernel, pts, R)
+        ref = [quadrature.box_kernel_integral(kernel, -R / 2 - p, R / 2 - p) for p in pts]
+        assert got.shape == (pts.shape[0],)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_log2d_matches_per_point(self):
+        R = 16.0
+        pts = self._points(2, R, 30, 8)
+        got = quadrature.point_background(log_kernel(2), pts, R)
+        ref = [-quadrature.log_box_integral_2d(-R / 2 - p, R / 2 - p) for p in pts]
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_log2d_vs_adaptive(self):
+        # adaptive quadrature on the four boxes with p at a corner
+        R = 4.0
+        pts = np.array([[0.7, -1.1], [R / 2, 0.5]])
+        got = quadrature.point_background(log_kernel(2), pts, R)
+        for p, val in zip(pts, got):
+            ref = 0.0
+            for x0, x1 in ((-R / 2, p[0]), (p[0], R / 2)):
+                for y0, y1 in ((-R / 2, p[1]), (p[1], R / 2)):
+                    if x1 > x0 and y1 > y0:
+                        ref += integrate.dblquad(
+                            lambda y, x: -0.5 * math.log((x - p[0]) ** 2 + (y - p[1]) ** 2),
+                            x0, x1, y0, y1, epsabs=1e-12)[0]
+            assert val == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("kernel", [riesz_kernel(1.0, 2), log_kernel(2),
+                                        riesz_kernel(1.5, 3)], ids=["riesz2", "log2d", "riesz3"])
+    def test_no_points(self, kernel):
+        out = quadrature.point_background(kernel, np.empty((0, kernel.d)), 4.0)
+        assert out.shape == (0,)
+
+    def test_several_chunks(self):
+        # 2**3 orthants per point and 32**2 angular nodes per orthant, so 40
+        # points span about ten chunks of _NODE_BUDGET nodes
+        kernel = riesz_kernel(1.5, 3)
+        R = 4.0
+        pts = self._points(3, R, 36, 9)
+        nodes = 8 * pts.shape[0] * 32**2
+        assert nodes >= 8 * quadrature._NODE_BUDGET
+        got = quadrature.point_background(kernel, pts, R)
+        ref = [quadrature.box_kernel_integral(kernel, -R / 2 - p, R / 2 - p) for p in pts]
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_outside_window_rejected(self):
+        with pytest.raises(ArgumentError):
+            quadrature.point_background(riesz_kernel(1.0, 2), np.array([[2.5, 0.0]]), 4.0)
+
+    def test_3d_riesz_vs_radial_reduction(self):
+        # each orthant pyramid with major edge a integrates in t exactly:
+        # abc / (d - s) * iint (a^2 + (b u)^2 + (c v)^2)^(-s/2) du dv
+        s, R = 1.5, 3.0
+        pts = np.array([[0.4, -0.9, 0.2], [R / 2, 0.1, -0.6]])
+        got = quadrature.point_background(riesz_kernel(s, 3), pts, R)
+        for p, val in zip(pts, got):
+            ref = 0.0
+            for sg in np.ndindex(2, 2, 2):
+                e = R / 2 + np.where(np.array(sg) == 0, 1.0, -1.0) * p
+                if np.any(e <= 0.0):
+                    continue
+                for k in range(3):
+                    a, b, c = e[k], e[(k + 1) % 3], e[(k + 2) % 3]
+                    inner, _ = integrate.dblquad(
+                        lambda v, u: (a * a + (b * u) ** 2 + (c * v) ** 2) ** (-0.5 * s),
+                        0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+                    ref += a * b * c / (3.0 - s) * inner
+            assert val == pytest.approx(ref, rel=1e-11)
+
+    def test_no_per_point_box_integrals(self, monkeypatch):
+        # guard against the per-point loop coming back
+        calls = []
+        real = quadrature.box_kernel_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "box_kernel_integral", counting)
+        pts = self._points(3, 4.0, 46, 10)
+        quadrature.point_background(riesz_kernel(1.5, 3), pts, 4.0)
+        assert pts.shape[0] == 50
+        assert calls == []
+
+
+class TestMonteCarloMultiD:
+    """c01 in d >= 2: Poisson energy is 0 within 3 stderr plus the
+    extrapolation error.  Seeds were fixed before the first run."""
+
+    @pytest.mark.parametrize("kernel, d, R_list, master", [
+        (riesz_kernel(1.0, 2), 2, [8.0, 16.0, 32.0], 311),
+        (log_kernel(2), 2, [8.0, 16.0, 32.0], 312),
+        (riesz_kernel(1.5, 3), 3, [2.0, 3.0, 4.0], 313),
+    ], ids=["riesz2", "log2d", "riesz3"])
+    def test_poisson_zero_energy(self, kernel, d, R_list, master):
+        rep = wint_monte_carlo(ProcessModel.poisson(d), kernel, R_list, 100, Seed(master))
+        assert rep.n_discarded == 0
+        band = 3.0 * rep.extrapolated_stderr + rep.extrapolation_error
+        assert abs(rep.extrapolated) <= band
 
 
 class TestPlainEnergy:
