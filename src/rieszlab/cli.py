@@ -1,10 +1,20 @@
 """Experiment runner: one JSON config per experiment, seeded execution,
 CSV/JSON reports plus a manifest with content digests.
 
-Exit codes: 0 success, 2 validation error, 3 numerical divergence
-diagnostic or Monte Carlo abort on too many discarded replicas, 4 I/O
-failure.  Results are byte-identical across reruns; the manifest records
-digests of every output file.
+``COMMANDS`` holds each command's help, handler and keys.  Model, kernel and
+gap-law descriptors are tables keyed by their tag (``variant``, ``family``,
+``law``) mapping each entry's keys to a library constructor; the energy
+``route`` picks its keys the same way.  One recursive checker rejects, at any
+depth, unknown keys (also keys the chosen variant or route does not use),
+missing keys and wrong types (an int key takes only a JSON integer, a count a
+positive one), naming the key path.  ``run`` validates, fills in defaults,
+builds the descriptors and runs the cross-field checks before it writes
+anything; ``manifest.json`` echoes the resolved spec.
+
+Exit codes: 0 success, 1 internal error (with a traceback), 2 validation
+error, 3 numerical divergence diagnostic or Monte Carlo abort on too many
+discarded replicas, 4 I/O failure.  Results are byte-identical across
+reruns; the manifest records digests of every output file.
 """
 
 from __future__ import annotations
@@ -13,31 +23,18 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
 from . import __version__
 from ._io import fmt, sha256_file, write_json
-from .core import (
-    ArgumentError,
-    DivergenceError,
-    DomainError,
-    Kernel,
-    KernelFamily,
-    NotApplicableError,
-    SingularConfigurationError,
-    Window,
-)
-from .generators import (
-    GapLaw,
-    ProcessModel,
-    Seed,
-    Variant,
-    config_to_csv,
-    rho2_analytic,
-    sample,
-)
+from .core import (ArgumentError, DivergenceError, DomainError, NotApplicableError,
+                   SingularConfigurationError, Window, log_kernel, riesz_kernel)
+from .generators import (GapLaw, ProcessModel, Seed, Variant, config_to_csv,
+                         rho2_analytic, sample)
 from . import energy as energy_mod
 from . import estimators as est_mod
 from . import lpx as lpx_mod
@@ -48,262 +45,306 @@ class ValidationFailure(ValueError):
     pass
 
 
-def _parse_gap(spec: dict) -> GapLaw:
-    law = spec.get("law")
-    if law == "exponential":
-        return GapLaw.exponential()
-    if law == "gamma":
-        return GapLaw.gamma(float(spec["theta"]))
-    if law == "uniform_hat":
-        return GapLaw.uniform_hat(int(spec["k"]))
-    raise ValidationFailure(f"unknown gap law {law!r}")
+# ---------------------------------------------------------------------------
+# schemas: {key: (type, default)}.  A callable default is computed from the
+# keys resolved before it; a default of None leaves an absent key out.
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()
+FLOATS = "a non-empty list of numbers"
+COUNT = "a positive integer"
 
 
-def _parse_model(spec: dict) -> ProcessModel:
-    if not isinstance(spec, dict) or "variant" not in spec:
-        raise ValidationFailure("model descriptor must be an object with a 'variant'")
-    variant = spec["variant"]
-    d = int(spec.get("d", 1))
-    if variant == "poisson":
-        return ProcessModel.poisson(d)
-    if variant == "lattice":
-        return ProcessModel.lattice(d)
-    if variant == "bernoulli_block":
-        return ProcessModel.bernoulli_block(int(spec["k"]), d)
-    if variant == "vibrating_lattice":
-        return ProcessModel.vibrating_lattice(int(spec["k"]))
-    if variant == "renewal":
-        return ProcessModel.renewal(_parse_gap(spec.get("gap", {})))
-    raise ValidationFailure(f"unknown model variant {variant!r}")
+class Tag(dict):
+    """Type of the key that picks an object's case, ``{value: (keys, build)}``:
+    the case's keys join the object's, and ``build(**keys)`` (if not None)
+    turns the resolved object into a library value."""
 
 
-def _parse_kernel(spec: dict) -> Kernel:
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValidationFailure("kernel descriptor must be an object with a 'family'")
-    fam = spec["family"]
-    if fam == "log1d":
-        return Kernel(KernelFamily.LOG1D, 1)
-    if fam == "log2d":
-        return Kernel(KernelFamily.LOG2D, 2)
-    if fam == "riesz":
-        return Kernel(KernelFamily.RIESZ, int(spec.get("d", 1)), float(spec["s"]))
-    raise ValidationFailure(f"unknown kernel family {fam!r}")
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-_ALLOWED_KEYS = {
-    "generate": {"command", "model", "R", "n_replicas", "seed", "out"},
-    "rho2": {"command", "model", "R", "n_replicas", "seed", "out", "v_max", "n_bins"},
-    "variance": {"command", "model", "R_list", "n_replicas", "seed", "out", "c_log"},
-    "energy": {"command", "model", "kernel", "R_list", "n_replicas", "seed", "out",
-               "route", "v_max"},
-    "neighbors": {"command", "model", "L", "n_replicas", "seed", "out", "k_max",
-                  "x_max", "step"},
-    "crystal": {"command", "model", "L", "n_replicas", "seed", "out", "k_max",
-                "x_max", "s_exponent", "step"},
-    "freemin": {"command", "kernel", "beta", "theta_grid", "seed", "out", "R_list"},
-    "lp": {"command", "kernel", "v_max", "step", "R", "iterations", "seed", "out"},
-    "pinsker": {"command", "model", "R_list", "n_replicas", "tile_count", "seed",
-                "out"},
+_TYPES = {
+    int: ("an integer", lambda x: isinstance(x, int) and not isinstance(x, bool)),
+    float: ("a number", _is_number),
+    str: ("a string", lambda x: isinstance(x, str)),
+    FLOATS: (FLOATS, lambda x: isinstance(x, list) and x and all(map(_is_number, x))),
+    COUNT: (COUNT, lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 1),
 }
+
+GAP_LAW = {"law": (Tag({
+    "exponential": ({}, GapLaw.exponential),
+    "gamma": ({"theta": (float, REQUIRED)}, GapLaw.gamma),
+    "uniform_hat": ({"k": (int, REQUIRED)}, GapLaw.uniform_hat),
+}), REQUIRED)}
+
+MODEL = {"variant": (Tag({
+    "poisson": ({"d": (int, 1)}, ProcessModel.poisson),
+    "lattice": ({"d": (int, 1)}, ProcessModel.lattice),
+    "bernoulli_block": ({"k": (int, REQUIRED), "d": (int, 1)}, ProcessModel.bernoulli_block),
+    "vibrating_lattice": ({"k": (int, REQUIRED)}, ProcessModel.vibrating_lattice),
+    "renewal": ({"gap": (GAP_LAW, REQUIRED)}, ProcessModel.renewal),
+}), REQUIRED)}
+
+KERNEL = {"family": (Tag({
+    "log1d": ({}, lambda: log_kernel(1)),
+    "log2d": ({}, lambda: log_kernel(2)),
+    "riesz": ({"s": (float, REQUIRED), "d": (int, 1)}, riesz_kernel),
+}), REQUIRED)}
+
+
+# handlers: (resolved keys with built descriptors, outfile) -> error counters
+
+def _generate(a: dict, outfile) -> None:
+    window = Window(a["R"], a["model"].d)
+    for j in range(a["n_replicas"]):
+        cfg = sample(a["model"], window, Seed(a["seed"], j))
+        config_to_csv(cfg, outfile(f"config_{j:04d}.csv"),
+                      model=a["model"].describe(), seed=f"{a['seed']}:{j}")
+
+
+def _rho2(a: dict, outfile) -> None:
+    window = Window(a["R"], a["model"].d)
+    samples = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(a["n_replicas"])]
+    grid = est_mod.GridSpec(a["v_max"], a["n_bins"])
+    est_mod.estimate_rho2(samples, grid).to_csv(outfile("rho2.csv"))
+
+
+def _variance(a: dict, outfile) -> None:
+    model, R_list, n, seed = a["model"], a["R_list"], a["n_replicas"], Seed(a["seed"])
+    curve = est_mod.number_variance_curve(model, R_list, n, seed)
+    curve.to_csv(outfile("variance.csv"))
+    summary = {"fitted_exponent": curve.fitted_exponent, "exponent_ci": list(curve.exponent_ci)}
+    if "c_log" in a:
+        dcurve = est_mod.dlog_estimate(model, log_kernel(model.d), R_list, n, seed,
+                                       c_log=a["c_log"])
+        dcurve.to_csv(outfile("dlog.csv"))
+        summary["dlog_trend"] = dcurve.trend
+    write_json(outfile("variance.json"), summary)
+
+
+def _energy(a: dict, outfile) -> dict:
+    if a["route"] == "mc":
+        rep = energy_mod.wint_monte_carlo(a["model"], a["kernel"], a["R_list"],
+                                          a["n_replicas"], Seed(a["seed"]))
+    elif a["route"] == "rho2":
+        rep = energy_mod.wint_from_rho2(rho2_analytic(a["model"]), a["kernel"], a["R_list"])
+    else:
+        rep = energy_mod.wint_lattice_series(a["kernel"], a["R_list"])
+    rep.to_csv(outfile("energy.csv"))
+    write_json(outfile("energy.json"), rep.to_json_dict())
+    return {"discarded_replicas": rep.n_discarded}
+
+
+def _neighbor_densities(a: dict) -> list:
+    window = Window(a["L"], 1)
+    samples = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(a["n_replicas"])]
+    return [onedim_mod.kth_neighbor_density(samples, k, a["L"], a["x_max"], a["step"])
+            for k in range(1, a["k_max"] + 1)]
+
+
+def _neighbors(a: dict, outfile) -> None:
+    masses = {}
+    for k, nd in enumerate(_neighbor_densities(a), start=1):
+        nd.to_csv(outfile(f"neighbors_k{k:02d}.csv"))
+        masses[str(k)] = nd.total_mass
+    write_json(outfile("neighbors.json"), {"total_mass": masses})
+
+
+def _crystal(a: dict, outfile) -> None:
+    gap = onedim_mod.crystallization_gap(_neighbor_densities(a), a["s_exponent"], a["k_max"])
+    write_json(outfile("crystal.json"), {
+        "s_exponent": gap.s_exponent, "k_max": gap.k_max,
+        "value": gap.value, "truncation_bound": gap.truncation_bound})
+
+
+def _freemin(a: dict, outfile) -> None:
+    scan = onedim_mod.free_energy_scan(a["beta"], a["kernel"], a["theta_grid"],
+                                       onedim_mod.ScanOptions(R_list=tuple(a["R_list"])))
+    scan.to_csv(outfile("freemin.csv"))
+    write_json(outfile("freemin.json"), scan.to_json_dict())
+
+
+def _lp(a: dict, outfile) -> None:
+    disc = lpx_mod.Discretization(v_max=a["v_max"], step=a["step"], R=a["R"])
+    best = lpx_mod.minimize_t2(disc, a["kernel"], a["iterations"])
+    hc = lpx_mod.evaluate_candidate(lpx_mod.hardcore_candidate(disc), disc, a["kernel"])
+    best.to_csv(disc, outfile("lp_candidate.csv"))
+    write_json(outfile("lp.json"), {**best.to_json_dict(), "hardcore_objective": hc.objective})
+
+
+def _pinsker(a: dict, outfile) -> None:
+    ers = onedim_mod.renewal_entropy_rate(a["model"].gap)
+    window, n = Window(max(a["R_list"]), 1), a["n_replicas"]
+    samples_p = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(n)]
+    samples_q = [sample(ProcessModel.poisson(1), window, Seed(a["seed"] + 1, j))
+                 for j in range(n)]
+    reports = [est_mod.pinsker_check(
+        ers, est_mod.tv_lower_bound(samples_p, samples_q, R, a["tile_count"]), R).to_json_dict()
+        for R in a["R_list"]]
+    write_json(outfile("pinsker.json"), {"ers": ers, "reports": reports})
+
+
+class Command(NamedTuple):
+    help: str
+    handler: object
+    keys: dict
+    check: tuple = ()  # (predicate on the built keys, message when it fails)
+
+
+def _one_dimensional(key: str) -> tuple:
+    return (lambda a: a[key].d == 1, f"config.{key} must be one-dimensional")
+
+
+_NEIGHBOR_KEYS = {
+    "model": (MODEL, REQUIRED), "L": (float, REQUIRED), "n_replicas": (COUNT, 200),
+    "x_max": (float, lambda a: min(a["L"] / 4.0, 64.0)), "step": (float, 1.0 / 32.0),
+    "k_max": (COUNT, lambda a: math.ceil(a["x_max"]) + 10),
+}
+
+COMMANDS = {
+    "generate": Command("Sample configurations and write them as CSV.", _generate, {
+        "model": (MODEL, REQUIRED), "R": (float, REQUIRED), "n_replicas": (COUNT, 1)}),
+    "rho2": Command("Estimate the pair correlation deficit from replicas.", _rho2, {
+        "model": (MODEL, REQUIRED), "R": (float, REQUIRED), "n_replicas": (COUNT, 100),
+        "v_max": (float, lambda a: a["R"] / 4.0), "n_bins": (COUNT, 128)}),
+    "variance": Command("Number-variance curve with fitted growth exponent.", _variance, {
+        "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
+        "n_replicas": (COUNT, 200), "c_log": (float, None)},
+        (lambda a: "c_log" not in a or a["model"].d <= 2,
+         "config.c_log: the logarithmic term needs a model in d = 1 or 2")),
+    "energy": Command("Energy ladder via mc | rho2 | series route.", _energy, {
+        "kernel": (KERNEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
+        "route": (Tag({
+            "mc": ({"model": (MODEL, REQUIRED), "n_replicas": (COUNT, 100)}, None),
+            "rho2": ({"model": (MODEL, REQUIRED)}, None),
+            "series": ({}, None)}), "mc")},
+        (lambda a: a["kernel"].d == (a["model"].d if "model" in a else 1),
+         "config.kernel must have the dimension of config.model (d = 1 on route series)")),
+    "neighbors": Command("k-th neighbor distance densities.", _neighbors,
+                         _NEIGHBOR_KEYS, _one_dimensional("model")),
+    "crystal": Command("Crystallization gap functional from neighbor densities.", _crystal,
+                       {**_NEIGHBOR_KEYS, "s_exponent": (float, 0.0)},
+                       _one_dimensional("model")),
+    "freemin": Command("Free-energy scan over Gamma gap shapes.", _freemin, {
+        "kernel": (KERNEL, REQUIRED), "beta": (float, REQUIRED),
+        "theta_grid": (FLOATS, [0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]),
+        "R_list": (FLOATS, list(onedim_mod.ScanOptions.R_list))},
+        _one_dimensional("kernel")),
+    "lp": Command("Minimize the tent-weighted energy over admissible deficits.", _lp, {
+        "kernel": (KERNEL, REQUIRED), "v_max": (float, 4.0), "step": (float, 2.0**-8),
+        "R": (float, lambda a: a["v_max"]), "iterations": (COUNT, 200)},
+        _one_dimensional("kernel")),
+    "pinsker": Command("Total-variation lower bounds against the Pinsker bound.", _pinsker, {
+        "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
+        "n_replicas": (COUNT, 2000), "tile_count": (COUNT, 2)},
+        (lambda a: a["model"].variant is Variant.RENEWAL,
+         "config.model: pinsker compares a renewal model against the memoryless baseline")),
+}
+
+SPEC = {"command": (Tag({name: (c.keys, None) for name, c in COMMANDS.items()}), REQUIRED),
+        "seed": (int, 0), "out": (str, ".")}
+
+
+def _resolve(value, typ, path: str) -> tuple[object, object]:
+    """``value`` checked against ``typ``, as resolved JSON (defaults filled in, float
+    keys as floats) and as handler input (descriptors built into library objects)."""
+    if not isinstance(typ, dict):
+        name, ok = _TYPES[typ]
+        if not ok(value):
+            raise ValidationFailure(f"{path} must be {name}, got {value!r}")
+        value = float(value) if typ is float else \
+            [float(x) for x in value] if typ is FLOATS else value
+        return value, value
+    if not isinstance(value, dict):
+        raise ValidationFailure(f"{path} must be an object, got {value!r}")
+    keys, names, build = dict(typ), list(typ), None
+    for key in names:  # grows by the keys of each case picked on the way
+        t, default = keys[key]
+        if isinstance(t, Tag):
+            tag = value.get(key, default)
+            if tag is REQUIRED:
+                raise ValidationFailure(f"{path} is missing {key!r}")
+            if not isinstance(tag, str) or tag not in t:
+                raise ValidationFailure(f"{path}.{key} must be one of {', '.join(t)}, "
+                                        f"got {tag!r}")
+            keys.update(t[tag][0])
+            names += t[tag][0]
+            build = t[tag][1] or build
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValidationFailure(f"{path} has unknown keys: {', '.join(unknown)}")
+    resolved, built = {}, {}
+    for key, (t, default) in keys.items():
+        if key in value and isinstance(t, Tag):
+            resolved[key] = built[key] = value[key]
+        elif key in value:
+            resolved[key], built[key] = _resolve(value[key], t, f"{path}.{key}")
+        elif default is REQUIRED:
+            raise ValidationFailure(f"{path} is missing {key!r}")
+        elif default is not None:
+            resolved[key] = built[key] = default(resolved) if callable(default) else default
+    if build is None:
+        return resolved, built
+    try:
+        return resolved, build(**{k: v for k, v in built.items()
+                                  if not isinstance(keys[k][0], Tag)})
+    except (ArgumentError, DomainError) as exc:
+        raise ValidationFailure(f"{path}: {exc}") from exc
+
+
+def _validate(spec) -> tuple[dict, dict]:
+    """The resolved spec and the handler's keys, after every check."""
+    resolved, args = _resolve(spec, SPEC, "config")
+    check = COMMANDS[args["command"]].check
+    if check and not check[0](args):
+        raise ValidationFailure(check[1])
+    return resolved, args
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationFailure(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _load_spec(command: str, config_path: str | None, seed: int | None,
                out: str | None) -> dict:
-    spec: dict = {}
-    if config_path is not None:
-        try:
-            spec = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise OSError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ValidationFailure(f"config is not valid JSON: {exc}") from exc
+    """The spec as written plus the flag overrides (flag > file > default),
+    validated but without the defaults filled in."""
+    spec = {} if config_path is None else _read_json(config_path)
     if not isinstance(spec, dict):
         raise ValidationFailure("config must be a JSON object")
     spec.setdefault("command", command)
     if spec["command"] != command:
-        raise ValidationFailure(
-            f"config command {spec['command']!r} does not match {command!r}"
-        )
-    # flag > file > default
+        raise ValidationFailure(f"config command {spec['command']!r} does not match {command!r}")
     if seed is not None:
         spec["seed"] = int(seed)
     if out is not None:
         spec["out"] = out
-    unknown = sorted(set(spec) - _ALLOWED_KEYS[command])
-    if unknown:
-        raise ValidationFailure(f"unknown config keys: {', '.join(unknown)}")
-    spec.setdefault("seed", 0)
-    spec.setdefault("out", ".")
+    _validate(spec)
     return spec
 
 
 def run(spec: dict) -> dict:
-    """Execute a validated experiment spec; returns the manifest dict."""
+    """Validate and execute an experiment spec; returns the manifest dict."""
     t0 = time.monotonic()
-    command = spec["command"]
-    outdir = Path(spec["out"])
+    resolved, args = _validate(spec)
+    outdir = Path(args["out"])
     outdir.mkdir(parents=True, exist_ok=True)
-    seed = Seed(int(spec["seed"]))
     outputs: list[Path] = []
-    counters = {"discarded_replicas": 0}
 
     def outfile(name: str) -> Path:
-        p = outdir / name
-        outputs.append(p)
-        return p
+        outputs.append(outdir / name)
+        return outputs[-1]
 
-    if command == "generate":
-        model = _parse_model(spec["model"])
-        window = Window(float(spec["R"]), model.d)
-        n = int(spec.get("n_replicas", 1))
-        for j in range(n):
-            cfg = sample(model, window, Seed(seed.master, j))
-            config_to_csv(cfg, outfile(f"config_{j:04d}.csv"),
-                          model=model.describe(), seed=f"{seed.master}:{j}")
-
-    elif command == "rho2":
-        model = _parse_model(spec["model"])
-        R = float(spec["R"])
-        n = int(spec.get("n_replicas", 100))
-        window = Window(R, model.d)
-        samples = [sample(model, window, Seed(seed.master, j)) for j in range(n)]
-        grid = est_mod.GridSpec(float(spec.get("v_max", R / 4.0)),
-                                int(spec.get("n_bins", 128)))
-        est = est_mod.estimate_rho2(samples, grid)
-        est.to_csv(outfile("rho2.csv"))
-
-    elif command == "variance":
-        model = _parse_model(spec["model"])
-        R_list = [float(r) for r in spec["R_list"]]
-        n = int(spec.get("n_replicas", 200))
-        curve = est_mod.number_variance_curve(model, R_list, n, seed)
-        curve.to_csv(outfile("variance.csv"))
-        summary = {
-            "fitted_exponent": curve.fitted_exponent,
-            "exponent_ci": list(curve.exponent_ci),
-        }
-        if "c_log" in spec:
-            if model.d > 2:
-                raise ValidationFailure("the logarithmic term needs d = 1 or 2")
-            kernel = Kernel(KernelFamily.LOG1D if model.d == 1 else KernelFamily.LOG2D,
-                            model.d)
-            dcurve = est_mod.dlog_estimate(model, kernel, R_list, n, seed,
-                                           c_log=float(spec["c_log"]))
-            dcurve.to_csv(outfile("dlog.csv"))
-            summary["dlog_trend"] = dcurve.trend
-        write_json(outfile("variance.json"), summary)
-
-    elif command == "energy":
-        kernel = _parse_kernel(spec["kernel"])
-        route = spec.get("route", "mc")
-        R_list = [float(r) for r in spec["R_list"]]
-        if route == "mc":
-            model = _parse_model(spec["model"])
-            rep = energy_mod.wint_monte_carlo(
-                model, kernel, R_list, int(spec.get("n_replicas", 100)), seed)
-            counters["discarded_replicas"] = rep.n_discarded
-        elif route == "rho2":
-            model = _parse_model(spec["model"])
-            rep = energy_mod.wint_from_rho2(rho2_analytic(model), kernel, R_list)
-        elif route == "series":
-            rep = energy_mod.wint_lattice_series(kernel, R_list)
-        else:
-            raise ValidationFailure(f"unknown energy route {route!r}")
-        rep.to_csv(outfile("energy.csv"))
-        write_json(outfile("energy.json"), rep.to_json_dict())
-
-    elif command == "neighbors":
-        model = _parse_model(spec["model"])
-        L = float(spec["L"])
-        n = int(spec.get("n_replicas", 200))
-        samples = [sample(model, Window(L, 1), Seed(seed.master, j)) for j in range(n)]
-        x_max = float(spec.get("x_max", min(L / 4.0, 64.0)))
-        step = float(spec.get("step", 1.0 / 32.0))
-        k_max = int(spec.get("k_max", math.ceil(x_max) + 10))
-        masses = {}
-        for k in range(1, k_max + 1):
-            nd = onedim_mod.kth_neighbor_density(samples, k, L, x_max, step)
-            nd.to_csv(outfile(f"neighbors_k{k:02d}.csv"))
-            masses[str(k)] = nd.total_mass
-        write_json(outfile("neighbors.json"), {"total_mass": masses})
-
-    elif command == "crystal":
-        model = _parse_model(spec["model"])
-        L = float(spec["L"])
-        n = int(spec.get("n_replicas", 200))
-        samples = [sample(model, Window(L, 1), Seed(seed.master, j)) for j in range(n)]
-        x_max = float(spec.get("x_max", min(L / 4.0, 64.0)))
-        step = float(spec.get("step", 1.0 / 32.0))
-        k_max = int(spec.get("k_max", math.ceil(x_max) + 10))
-        densities = [onedim_mod.kth_neighbor_density(samples, k, L, x_max, step)
-                     for k in range(1, k_max + 1)]
-        gap_val = onedim_mod.crystallization_gap(
-            densities, float(spec.get("s_exponent", 0.0)), k_max)
-        write_json(outfile("crystal.json"), {
-            "s_exponent": gap_val.s_exponent,
-            "k_max": gap_val.k_max,
-            "value": gap_val.value,
-            "truncation_bound": gap_val.truncation_bound,
-        })
-
-    elif command == "freemin":
-        kernel = _parse_kernel(spec["kernel"])
-        opts = onedim_mod.ScanOptions()
-        if "R_list" in spec:
-            opts = onedim_mod.ScanOptions(R_list=tuple(float(r) for r in spec["R_list"]))
-        scan = onedim_mod.free_energy_scan(
-            float(spec["beta"]), kernel,
-            [float(t) for t in spec.get("theta_grid",
-                                        (0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0,
-                                         8.0, 12.0, 16.0, 24.0, 32.0))],
-            opts)
-        scan.to_csv(outfile("freemin.csv"))
-        write_json(outfile("freemin.json"), scan.to_json_dict())
-
-    elif command == "lp":
-        kernel = _parse_kernel(spec["kernel"])
-        disc = lpx_mod.Discretization(
-            v_max=float(spec.get("v_max", 4.0)),
-            step=float(spec.get("step", 2.0**-8)),
-            R=float(spec["R"]) if "R" in spec else None)
-        best = lpx_mod.minimize_t2(disc, kernel, int(spec.get("iterations", 200)))
-        hc = lpx_mod.evaluate_candidate(lpx_mod.hardcore_candidate(disc), disc, kernel)
-        best.to_csv(disc, outfile("lp_candidate.csv"))
-        summary = best.to_json_dict()
-        summary["hardcore_objective"] = hc.objective
-        write_json(outfile("lp.json"), summary)
-
-    elif command == "pinsker":
-        model = _parse_model(spec["model"])
-        if model.variant is not Variant.RENEWAL:
-            raise ValidationFailure("pinsker experiments compare a renewal model "
-                                    "against the memoryless baseline")
-        ers = onedim_mod.renewal_entropy_rate(model.gap)
-        n = int(spec.get("n_replicas", 2000))
-        tiles = int(spec.get("tile_count", 2))
-        reports = []
-        R_list = [float(r) for r in spec["R_list"]]
-        Rmax = max(R_list)
-        samples_p = [sample(model, Window(Rmax, 1), Seed(seed.master, j))
-                     for j in range(n)]
-        base = ProcessModel.poisson(1)
-        samples_q = [sample(base, Window(Rmax, 1), Seed(seed.master + 1, j))
-                     for j in range(n)]
-        for R in R_list:
-            tv = est_mod.tv_lower_bound(samples_p, samples_q, R, tiles)
-            reports.append(est_mod.pinsker_check(ers, tv, R).to_json_dict())
-        write_json(outfile("pinsker.json"), {"ers": ers, "reports": reports})
-
-    else:  # pragma: no cover - guarded by the CLI layer
-        raise ValidationFailure(f"unknown command {command!r}")
-
-    manifest = {
-        "spec": spec,
-        "version": __version__,
-        "wall_time_s": time.monotonic() - t0,
-        "error_counters": counters,
-        "outputs": {p.name: sha256_file(p) for p in outputs},
-    }
+    counters = {"discarded_replicas": 0}
+    counters.update(COMMANDS[args["command"]].handler(args, outfile) or {})
+    manifest = {"spec": resolved, "version": __version__,
+                "wall_time_s": time.monotonic() - t0, "error_counters": counters,
+                "outputs": {p.name: sha256_file(p) for p in outputs}}
     write_json(outdir / "manifest.json", manifest)
     return manifest
 
@@ -312,71 +353,56 @@ def run(spec: dict) -> dict:
 # plot script emission
 # ---------------------------------------------------------------------------
 
-_PLOT_KINDS = ("variance", "rho2", "energy", "freemin")
-
-
-def _csv_header(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        body = fh.readline().strip()
-    if not first or not body:
-        raise ValidationFailure(f"{path}: empty CSV")
-    return first.split(",")
+_PLOT_HEADERS = {"variance": ["R", "var", "stderr"], "rho2": ["bin_center", "value", "stderr"],
+                 "energy": ["R", "value", "stderr"], "freemin": ["theta", "wint", "ers", "f"]}
 
 
 def emit_plot_script(csv_path, kind: str, out_path, extra: dict | None = None) -> Path:
-    """Write a gnuplot script reproducing the standard figure for ``kind``."""
-    if kind not in _PLOT_KINDS:
+    """Write a gnuplot script reproducing the standard figure for ``kind``;
+    ``extra`` is the companion JSON report (slope and asymptote labels)."""
+    if kind not in _PLOT_HEADERS:
         raise ValidationFailure(f"unknown plot kind {kind!r}")
+    extra = {} if extra is None else extra
+    if not isinstance(extra, dict):
+        raise ValidationFailure("the companion JSON must be an object")
+    for key in ("fitted_exponent", "extrapolated"):
+        if extra.get(key) is not None and not _is_number(extra[key]):
+            raise ValidationFailure(f"companion JSON {key!r} must be a number, "
+                                    f"got {extra[key]!r}")
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise ValidationFailure(f"{csv_path}: no such CSV")
-    header = _csv_header(csv_path)
-    expected = {
-        "variance": ["R", "var", "stderr"],
-        "rho2": ["bin_center", "value", "stderr"],
-        "energy": ["R", "value", "stderr"],
-        "freemin": ["theta", "wint", "ers", "f"],
-    }[kind]
-    if header != expected:
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        first, body = fh.readline().strip(), fh.readline().strip()
+    if not first or not body:
+        raise ValidationFailure(f"{csv_path}: empty CSV")
+    header = first.split(",")
+    if header != _PLOT_HEADERS[kind]:
         raise ValidationFailure(
-            f"{csv_path}: header {header} does not match {expected}")
-    extra = extra or {}
+            f"{csv_path}: header {header} does not match {_PLOT_HEADERS[kind]}")
+    name = csv_path.name
     lines = ["set datafile separator ','", f"# kind: {kind}"]
     if kind == "variance":
-        slope = extra.get("fitted_exponent")
-        lines += [
-            "set logscale xy",
-            "set xlabel 'R'",
-            "set ylabel 'mean squared discrepancy'",
-        ]
-        if slope is not None:
-            lines.append(f"set label 'fitted slope {fmt(slope)}' at graph 0.1, 0.9")
-        lines.append(
-            f"plot '{csv_path.name}' skip 1 using 1:2:3 with yerrorlines title 'variance'"
-        )
+        lines += ["set logscale xy", "set xlabel 'R'", "set ylabel 'mean squared discrepancy'"]
+        if extra.get("fitted_exponent") is not None:
+            lines.append(f"set label 'fitted slope {fmt(extra['fitted_exponent'])}' "
+                         "at graph 0.1, 0.9")
+        lines.append(f"plot '{name}' skip 1 using 1:2:3 with yerrorlines title 'variance'")
     elif kind == "rho2":
-        lines += [
-            "set xlabel 'v'",
-            "set ylabel 'pair correlation minus one'",
-            f"plot '{csv_path.name}' skip 1 using 1:2:3 with yerrorlines title 'rho2 - 1'",
-        ]
+        lines += ["set xlabel 'v'", "set ylabel 'pair correlation minus one'",
+                  f"plot '{name}' skip 1 using 1:2:3 with yerrorlines title 'rho2 - 1'"]
     elif kind == "energy":
         lines += ["set xlabel 'R'", "set ylabel 'energy per volume'", "set logscale x"]
-        asym = extra.get("extrapolated")
-        pieces = [f"'{csv_path.name}' skip 1 using 1:2:3 with yerrorlines title 'ladder'"]
-        if asym is not None:
-            pieces.append(f"{fmt(asym)} with lines dashtype 2 title 'extrapolated'")
+        pieces = [f"'{name}' skip 1 using 1:2:3 with yerrorlines title 'ladder'"]
+        if extra.get("extrapolated") is not None:
+            pieces.append(f"{fmt(extra['extrapolated'])} with lines dashtype 2 "
+                          "title 'extrapolated'")
         lines.append("plot " + ", ".join(pieces))
     else:
-        lines += [
-            "set xlabel 'theta'",
-            "set ylabel 'free energy'",
-            "set logscale x",
-            f"plot '{csv_path.name}' skip 1 using 1:4 with linespoints title 'f',"
-            f" '{csv_path.name}' skip 1 using 1:2 with linespoints title 'energy',"
-            f" '{csv_path.name}' skip 1 using 1:3 with linespoints title 'entropy rate'",
-        ]
+        lines += ["set xlabel 'theta'", "set ylabel 'free energy'", "set logscale x",
+                  f"plot '{name}' skip 1 using 1:4 with linespoints title 'f',"
+                  f" '{name}' skip 1 using 1:2 with linespoints title 'energy',"
+                  f" '{name}' skip 1 using 1:3 with linespoints title 'entropy rate'"]
     out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return out_path
@@ -386,24 +412,15 @@ def emit_plot_script(csv_path, kind: str, out_path, extra: dict | None = None) -
 # click surface
 # ---------------------------------------------------------------------------
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="JSON experiment config")(fn)
-    fn = click.option("--seed", type=int, default=None, help="master seed override")(fn)
-    fn = click.option("--out", type=click.Path(), default=None,
-                      help="output directory override")(fn)
-    return fn
-
-
-def _execute(command: str, config_path, seed, out) -> None:
+@contextmanager
+def _exit_codes():
+    """Exit 2, 3 or 4 on a user-facing failure; anything else propagates (exit 1)."""
     try:
-        spec = _load_spec(command, config_path, seed, out)
-        run(spec)
+        yield
     except (DivergenceError, SingularConfigurationError) as exc:
         click.echo(f"numerical divergence: {exc}", err=True)
         sys.exit(3)
-    except (ValidationFailure, ArgumentError, DomainError, NotApplicableError,
-            KeyError, TypeError, ValueError) as exc:
+    except (ValidationFailure, ArgumentError, DomainError, NotApplicableError) as exc:
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(2)
     except OSError as exc:
@@ -417,46 +434,27 @@ def main() -> None:
     """Numerical laboratory for pair-interaction energies of point processes."""
 
 
-def _register(command: str, help_text: str) -> None:
-    @main.command(name=command, help=help_text)
-    @_common_options
-    def _cmd(config_path, seed, out, _command=command):
-        _execute(_command, config_path, seed, out)
-
-
-_register("generate", "Sample configurations and write them as CSV.")
-_register("rho2", "Estimate the pair correlation deficit from replicas.")
-_register("variance", "Number-variance curve with fitted growth exponent.")
-_register("energy", "Energy ladder via mc | rho2 | series route.")
-_register("neighbors", "k-th neighbor distance densities.")
-_register("crystal", "Crystallization gap functional from neighbor densities.")
-_register("freemin", "Free-energy scan over Gamma gap shapes.")
-_register("lp", "Minimize the tent-weighted energy over admissible deficits.")
-_register("pinsker", "Total-variation lower bounds against the Pinsker bound.")
+for _name, _command in COMMANDS.items():
+    @main.command(name=_name, help=_command.help)
+    @click.option("--config", "config_path", type=click.Path(), default=None,
+                  help="JSON experiment config")
+    @click.option("--seed", type=int, default=None, help="master seed override")
+    @click.option("--out", type=click.Path(), default=None, help="output directory override")
+    def _experiment(config_path, seed, out, _name=_name):
+        with _exit_codes():
+            run(_load_spec(_name, config_path, seed, out))
 
 
 @main.command(name="plot", help="Emit a gnuplot script for a result CSV.")
 @click.option("--csv", "csv_path", type=click.Path(), required=True)
-@click.option("--kind", type=click.Choice(_PLOT_KINDS), required=True)
+@click.option("--kind", type=click.Choice(list(_PLOT_HEADERS)), required=True)
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="companion JSON report (adds asymptote/slope annotations)")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 def _plot(csv_path, kind, json_path, out_path):
-    extra = {}
-    if json_path is not None:
-        try:
-            extra = json.loads(Path(json_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(2)
-    try:
-        emit_plot_script(csv_path, kind, out_path, extra)
-    except ValidationFailure as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        sys.exit(2)
-    except OSError as exc:
-        click.echo(f"i/o error: {exc}", err=True)
-        sys.exit(4)
+    with _exit_codes():
+        emit_plot_script(csv_path, kind, out_path,
+                         None if json_path is None else _read_json(json_path))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,6 +20,12 @@ from scipy import fft as sfft
 from .core import ArgumentError, DivergenceError, DomainError, Kernel
 from .quadrature import g_moments
 
+# subgradient step t is _STEP_SCALE / (max|w| n_half sqrt(t + 1)); a Dykstra
+# projection stops after _DYKSTRA_ROUNDS rounds or at violation <= _DYKSTRA_TOL
+_STEP_SCALE = 0.5
+_DYKSTRA_ROUNDS = 64
+_DYKSTRA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class Discretization:
@@ -172,21 +178,20 @@ def _project_band(disc: Discretization, half: np.ndarray) -> np.ndarray:
     return inverse_cosine_transform(disc, that)
 
 
-def _dykstra(disc: Discretization, half: np.ndarray, rounds: int = 64,
-             tol: float = 1e-10) -> tuple[np.ndarray, float, list[float]]:
+def _dykstra(disc: Discretization, half: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
     """Alternating clipped projections with Dykstra correction terms."""
     x = half.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
     trace: list[float] = []
-    for _ in range(rounds):
+    for _ in range(_DYKSTRA_ROUNDS):
         y = np.maximum(x + p, -1.0)
         p = x + p - y
         x = _project_band(disc, y + q)
         q = y + q - x
         viol = max(0.0, -1.0 - float(np.min(x)))
         trace.append(viol)
-        if viol <= tol:
+        if viol <= _DYKSTRA_TOL:
             break
     that = cosine_transform(disc, x)
     total = max(max(0.0, -1.0 - float(np.min(x))),
@@ -194,22 +199,14 @@ def _dykstra(disc: Discretization, half: np.ndarray, rounds: int = 64,
     return x, total, trace
 
 
-def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int = 400,
-                step0: float | None = None, step_schedule=None) -> CandidateT2:
+def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int = 400) -> CandidateT2:
     """Projected subgradient descent on the linear objective over the two
     constraint sets, warm-started at the hardcore profile; the best feasible
-    iterate is tracked so the result can only improve on the references.
-
-    ``step_schedule(t)`` overrides the default ``step0 / sqrt(t + 1)``.
-    """
+    iterate is tracked so the result can only improve on the references."""
     if iterations < 1:
         raise ArgumentError("at least one iteration is required")
     w = objective_weights(disc, kernel)
-    if step0 is None:
-        step0 = 0.5 / float(np.max(np.abs(w)) * disc.n_half)
-    if step_schedule is None:
-        def step_schedule(t: int) -> float:
-            return step0 / math.sqrt(t + 1.0)
+    step0 = _STEP_SCALE / float(np.max(np.abs(w)) * disc.n_half)
 
     def full_from_half(half: np.ndarray) -> np.ndarray:
         return np.concatenate([half[::-1], half[1:]])
@@ -224,7 +221,7 @@ def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int = 400,
     best_obj = float(w @ half)
     x = half.copy()
     for t in range(iterations):
-        x = x - step_schedule(t) * w
+        x = x - step0 / math.sqrt(t + 1.0) * w
         x, viol, trace = _dykstra(disc, x)
         if viol > 1e-6:
             raise DivergenceError(

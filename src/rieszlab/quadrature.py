@@ -278,21 +278,25 @@ def box_kernel_integral(kernel: Kernel, lo, hi, weight=None, order: int = 32) ->
 
 def background_pair_integral(kernel: Kernel, R: float, order: int = 48) -> float:
     """``iint_{C_R^2} g(x - y) dx dy``, computed as the tent-weighted integral
-    ``int_{[-R, R]^d} g(v) prod_i (R - |v_i|) dv``."""
+    ``int_{[-R, R]^d} g(v) prod_i (R - |v_i|) dv``; in d = 2, 3 by scaling the
+    cached R = 1 value (v = R w): ``R^(2d-s) bb(1)`` for Riesz kernels and
+    ``R^(2d) (bb(1) - log R)`` for the log kernel, whose unit tent has mass 1."""
     d = kernel.d
     if d == 1:
         return tent_kernel_integral_1d(kernel, R)
+    unit = _unit_background_pair_integral(kernel, order)
+    if kernel.is_log:
+        return R ** (2 * d) * (unit - float(np.log(R)))
+    return R ** (2 * d - kernel.s) * unit
 
-    if d == 2:
-        def tent(vx, vy):
-            return (R - np.abs(vx)) * (R - np.abs(vy))
-    else:
-        def tent(vx, vy, vz):
-            return (R - np.abs(vx)) * (R - np.abs(vy)) * (R - np.abs(vz))
 
-    lo = np.full(d, -R)
-    hi = np.full(d, R)
-    return box_kernel_integral(kernel, lo, hi, weight=tent, order=order)
+@functools.lru_cache(maxsize=64)
+def _unit_background_pair_integral(kernel: Kernel, order: int) -> float:
+    def tent(*coords):
+        return functools.reduce(np.multiply, [1.0 - np.abs(c) for c in coords])
+
+    return box_kernel_integral(kernel, -np.ones(kernel.d), np.ones(kernel.d),
+                               weight=tent, order=order)
 
 
 def _riesz_orthants(kernel: Kernel, edges: np.ndarray, order: int) -> np.ndarray:

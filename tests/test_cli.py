@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -213,3 +214,149 @@ class TestDeterminism:
         spec["out"] = str(tmp_path / "y")
         m2 = run(dict(spec))
         assert m1["outputs"] == m2["outputs"]
+
+
+ENERGY_MC = {"model": {"variant": "poisson"}, "kernel": {"family": "log1d"},
+             "R_list": [8, 16, 32], "n_replicas": 30, "route": "mc"}
+
+
+def _reject(runner, tmp_path, command, spec, *needles):
+    out = tmp_path / "out"
+    res = runner.invoke(main, [command, "--config", _write(tmp_path, "c.json", spec),
+                               "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert "validation error" in res.output
+    for needle in needles:
+        assert needle in res.output
+    assert not out.exists() or not any(out.iterdir())
+    return res
+
+
+class TestSpecLayer:
+    def test_top_level_wrong_type(self, tmp_path, runner):
+        _reject(runner, tmp_path, "energy", {**ENERGY_MC, "R_list": "8,16"},
+                "config.R_list must be a non-empty list of numbers")
+
+    def test_model_level_unknown_keys(self, tmp_path, runner):
+        spec = {**ENERGY_MC, "model": {"variant": "poisson", "dd": 3, "typo": True}}
+        _reject(runner, tmp_path, "energy", spec, "config.model has unknown keys: dd, typo")
+
+    def test_gap_law_level_missing_key(self, tmp_path, runner):
+        spec = {"model": {"variant": "renewal", "gap": {"law": "gamma"}},
+                "kernel": {"family": "log1d"}, "R_list": [8, 16, 32], "route": "rho2"}
+        _reject(runner, tmp_path, "energy", spec, "config.model.gap is missing 'theta'")
+
+    def test_kernel_level_unknown_keys(self, tmp_path, runner):
+        spec = {**ENERGY_MC, "kernel": {"family": "log1d", "s": 0.5, "d": 7}}
+        _reject(runner, tmp_path, "energy", spec, "config.kernel has unknown keys: d, s")
+
+    def test_non_integer_replica_count(self, tmp_path, runner):
+        _reject(runner, tmp_path, "energy", {**ENERGY_MC, "n_replicas": 2.7},
+                "config.n_replicas must be a positive integer")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_replicas": 0}, "config.n_replicas must be a positive integer, got 0"),
+        ({"n_replicas": True}, "config.n_replicas must be a positive integer, got True"),
+        ({"model": {"variant": "poisson", "d": 1.0}}, "config.model.d must be an integer"),
+        ({"model": {}}, "config.model is missing 'variant'"),
+        ({"kernel": {"family": "riesz", "s": "0.5"}}, "config.kernel.s must be a number"),
+    ])
+    def test_strict_types(self, tmp_path, runner, change, message):
+        _reject(runner, tmp_path, "energy", {**ENERGY_MC, **change}, message)
+
+    def test_vibrating_lattice_takes_no_dimension(self, tmp_path, runner):
+        spec = {"model": {"variant": "vibrating_lattice", "k": 4, "d": 2}, "R": 8}
+        _reject(runner, tmp_path, "generate", spec, "config.model has unknown keys: d")
+
+    def test_energy_rejects_v_max(self, tmp_path, runner):
+        _reject(runner, tmp_path, "energy", {**ENERGY_MC, "v_max": 3},
+                "config has unknown keys: v_max")
+
+    def test_series_route_rejects_model(self, tmp_path, runner):
+        spec = {**ENERGY_MC, "route": "series"}
+        del spec["n_replicas"]
+        _reject(runner, tmp_path, "energy", spec, "config has unknown keys: model")
+
+    def test_rho2_route_rejects_replica_count(self, tmp_path, runner):
+        _reject(runner, tmp_path, "energy", {**ENERGY_MC, "route": "rho2"},
+                "config has unknown keys: n_replicas")
+
+    def test_c_log_in_three_dimensions_writes_nothing(self, tmp_path, runner):
+        spec = {"model": {"variant": "poisson", "d": 3}, "R_list": [2, 4, 8, 16, 32],
+                "n_replicas": 30, "c_log": 1.0}
+        _reject(runner, tmp_path, "variance", spec, "config.c_log")
+        assert not (tmp_path / "out").exists()
+
+    def test_internal_error_exits_1(self, tmp_path, runner, monkeypatch):
+        import rieszlab.cli as cli
+
+        def broken(a, outfile):
+            raise TypeError("internal bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "generate",
+                            cli.COMMANDS["generate"]._replace(handler=broken))
+        cfg = _write(tmp_path, "c.json", {"model": {"variant": "poisson"}, "R": 4})
+        res = runner.invoke(main, ["generate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, TypeError)
+        assert "validation error" not in res.output
+
+    def test_manifest_echoes_resolved_spec(self, tmp_path):
+        manifest = run({"command": "neighbors", "model": {"variant": "poisson"}, "L": 24,
+                        "n_replicas": 20, "out": str(tmp_path / "n")})
+        assert manifest["spec"] == {
+            "command": "neighbors", "seed": 0, "out": str(tmp_path / "n"),
+            "model": {"variant": "poisson", "d": 1}, "L": 24.0, "n_replicas": 20,
+            "x_max": 6.0, "step": 1.0 / 32.0, "k_max": 16}
+        on_disk = json.loads((tmp_path / "n" / "manifest.json").read_text())
+        assert on_disk["spec"] == manifest["spec"]
+
+    def test_plot_rejects_non_object_json(self, tmp_path, runner):
+        out = self._energy_outputs(tmp_path, runner)
+        res = runner.invoke(main, ["plot", "--csv", str(out / "energy.csv"), "--kind", "energy",
+                                   "--json", _write(tmp_path, "x.json", [1, 2]),
+                                   "--out", str(tmp_path / "x.gp")])
+        assert res.exit_code == 2 and "must be an object" in res.output
+        assert not (tmp_path / "x.gp").exists()
+
+    def test_plot_rejects_non_numeric_annotation(self, tmp_path, runner):
+        out = self._energy_outputs(tmp_path, runner)
+        res = runner.invoke(main, ["plot", "--csv", str(out / "energy.csv"), "--kind", "energy",
+                                   "--json", _write(tmp_path, "x.json", {"extrapolated": "abc"}),
+                                   "--out", str(tmp_path / "x.gp")])
+        assert res.exit_code == 2 and "'extrapolated' must be a number" in res.output
+        assert not (tmp_path / "x.gp").exists()
+
+    @staticmethod
+    def _energy_outputs(tmp_path, runner) -> Path:
+        cfg = _write(tmp_path, "e.json", {"kernel": {"family": "log1d"}, "R_list": [64, 128],
+                                          "route": "series"})
+        out = tmp_path / "e"
+        assert runner.invoke(main, ["energy", "--config", cfg, "--out", str(out)]).exit_code == 0
+        return out
+
+    def test_readme_example_passes_validation(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        match = re.search(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\nrieszlab (\w+) --config \1",
+                          readme, re.S)
+        assert match, "README has no example config block"
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(match.group(2), encoding="utf-8")
+        spec = _load_spec(match.group(3), str(cfg), None, str(tmp_path))
+        assert spec == {**json.loads(match.group(2)), "command": match.group(3),
+                        "out": str(tmp_path)}
+
+    def test_readme_lists_descriptor_keys(self):
+        from rieszlab.cli import GAP_LAW, KERNEL, MODEL
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        text = " ".join(readme.split())
+        for label, table in (("model", MODEL), ("gap", GAP_LAW), ("kernel", KERNEL)):
+            ((tag, (cases, _)),) = table.items()
+            bullet = re.search(rf"- {label} `{tag}`: (.*?)\.", text)
+            assert bullet, f"README lists no {label} descriptors"
+            clauses = bullet.group(1).split(";")
+            for name, (keys, _) in cases.items():
+                clause = [c for c in clauses if f"`{name}`" in c]
+                assert len(clause) == 1, name
+                assert set(re.findall(r"`(\w+)`", clause[0])) - set(cases) == set(keys), name

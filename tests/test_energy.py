@@ -73,6 +73,21 @@ class TestBackgroundIntegrals:
         got = background_integrals(log_kernel(2), R).bb
         assert got == pytest.approx(ref, rel=1e-8)
 
+    @pytest.mark.parametrize("kernel, R_values", [
+        (riesz_kernel(1.0, 2), (8.0, 16.0, 32.0)),
+        (log_kernel(2), (8.0, 16.0, 32.0)),
+        (riesz_kernel(1.5, 3), (2.0, 3.0, 4.0)),
+    ])
+    def test_bb_scaling_matches_direct_quadrature(self, kernel, R_values):
+        for R in R_values:
+            def tent(*coords):
+                return math.prod(R - np.abs(c) for c in coords)
+
+            direct = quadrature.box_kernel_integral(
+                kernel, np.full(kernel.d, -R), np.full(kernel.d, R), weight=tent, order=48)
+            got = quadrature.background_pair_integral(kernel, R)
+            assert got == pytest.approx(direct, rel=1e-13)
+
     def test_pb_examples_and_quadrature(self):
         bg = background_integrals(K_LOG, 2.0)
         assert bg.pb(np.array([[0.0]]))[0] == pytest.approx(2.0, rel=1e-14)
