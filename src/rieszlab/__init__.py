@@ -53,9 +53,7 @@ from .estimators import (
     tv_lower_bound,
 )
 from .energy import (
-    BackgroundIntegrals,
     EnergyReport,
-    background_integrals,
     hint_R,
     richardson,
     wbs_energy,

@@ -5,7 +5,6 @@ which hands out the differences ``pts[j] - pts[i]`` in row blocks of about
 ``_PAIR_BUDGET`` pairs, so each block is a few vectorized numpy calls and
 memory stays bounded for any number of points.  The order of summation
 depends only on the number of points, so results are reproducible.
-Family codes: 0 = logarithmic kernel, 1 = Riesz kernel with exponent ``s``.
 """
 
 from __future__ import annotations
@@ -15,19 +14,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-FAMILY_LOG = 0
-FAMILY_RIESZ = 1
+from .core import Kernel
 
 # pairs per block handed out by _upper_pairs; chosen by timing 2**12..2**16
 # at n = 64..2048 in d = 1 and n = 1024 in d = 2
 _PAIR_BUDGET = 2**14
-
-
-def _g_of_sq(r2: np.ndarray, family: int, s: float) -> np.ndarray:
-    # works on squared distances to avoid sqrt in both families
-    if family == FAMILY_LOG:
-        return -0.5 * np.log(r2)
-    return r2 ** (-0.5 * s)
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,8 +57,9 @@ def _sq_norms(diff: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", diff, diff)
 
 
-def pair_sum(pts: np.ndarray, family: int, s: float) -> tuple[float, float]:
-    """Sum of g over unordered pairs and the minimal squared pair distance.
+def pair_sum(pts: np.ndarray, kernel: Kernel) -> tuple[float, float]:
+    """Sum of ``kernel.g`` over unordered pairs and the minimal squared pair
+    distance.
 
     Coincident pairs (distance 0) are left out of the sum and show up as a
     minimal squared distance of 0.
@@ -80,7 +72,7 @@ def pair_sum(pts: np.ndarray, family: int, s: float) -> tuple[float, float]:
         if m == 0.0:
             r2 = r2[r2 > 0.0]
         min_r2 = min(min_r2, m)
-        total += float(_g_of_sq(r2, family, s).sum())
+        total += float(kernel.g_sq(r2).sum())
     return total, float(min_r2)
 
 

@@ -117,8 +117,7 @@ def _variance(a: dict, outfile) -> None:
     curve.to_csv(outfile("variance.csv"))
     summary = {"fitted_exponent": curve.fitted_exponent, "exponent_ci": list(curve.exponent_ci)}
     if "c_log" in a:
-        dcurve = est_mod.dlog_estimate(model, log_kernel(model.d), R_list, n, seed,
-                                       c_log=a["c_log"])
+        dcurve = est_mod.DlogCurve.from_variance(curve.entries, model.d, a["c_log"])
         dcurve.to_csv(outfile("dlog.csv"))
         summary["dlog_trend"] = dcurve.trend
     write_json(outfile("variance.json"), summary)
@@ -333,10 +332,11 @@ def run(spec: dict) -> dict:
     t0 = time.monotonic()
     resolved, args = _validate(spec)
     outdir = Path(args["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
 
     def outfile(name: str) -> Path:
+        # created at the first output, so a spec the library rejects leaves none
+        outdir.mkdir(parents=True, exist_ok=True)
         outputs.append(outdir / name)
         return outputs[-1]
 
@@ -345,7 +345,7 @@ def run(spec: dict) -> dict:
     manifest = {"spec": resolved, "version": __version__,
                 "wall_time_s": time.monotonic() - t0, "error_counters": counters,
                 "outputs": {p.name: sha256_file(p) for p in outputs}}
-    write_json(outdir / "manifest.json", manifest)
+    write_json(outfile("manifest.json"), manifest)
     return manifest
 
 

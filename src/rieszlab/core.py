@@ -8,7 +8,6 @@ arguments, so they are safe under any parallel execution scheme.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -92,6 +91,12 @@ class Kernel:
         if self.is_log:
             return -np.log(r)
         return r ** (-self.s)
+
+    def g_sq(self, r2):
+        """The kernel at squared radius ``r2``, which saves a square root."""
+        if self.is_log:
+            return -0.5 * np.log(r2)
+        return r2 ** (-0.5 * self.s)
 
 
 def log_kernel(d: int = 1) -> Kernel:
@@ -208,9 +213,7 @@ def kernel_eval(kernel: Kernel, v) -> float:
     r = float(np.sqrt(np.sum(vv * vv)))
     if r == 0.0:
         raise SingularityError("kernel is singular at the origin")
-    if kernel.is_log:
-        return -math.log(r)
-    return r ** (-kernel.s)
+    return float(kernel.g(r))
 
 
 def tent_weight(v, R: float) -> float:

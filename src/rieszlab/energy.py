@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .core import (
     DivergenceError,
     DomainError,
     Kernel,
-    KernelFamily,
     NotApplicableError,
     PointConfiguration,
     SingularConfigurationError,
@@ -110,39 +108,9 @@ class EnergyReport:
         write_csv(path, ("R", "value", "stderr"), rows)
 
 
-@dataclass(frozen=True)
-class BackgroundIntegrals:
-    """Window integrals of the kernel: ``bb`` over both arguments, ``pb``
-    against one point (a callable on window-relative coordinates)."""
-
-    bb: float
-    pb: object  # callable: (n, d) array -> (n,) array
-    R: float
-    kernel: Kernel
-
-
-@lru_cache(maxsize=128)
-def _bb_cached(family: KernelFamily, d: int, s: float | None, R: float) -> float:
-    return quadrature.background_pair_integral(Kernel(family, d, s), R)
-
-
-def background_integrals(kernel: Kernel, R: float) -> BackgroundIntegrals:
-    bb = _bb_cached(kernel.family, kernel.d, kernel.s, float(R))
-
-    def pb(pts):
-        return quadrature.point_background(kernel, pts, float(R))
-
-    return BackgroundIntegrals(bb=bb, pb=pb, R=float(R), kernel=kernel)
-
-
 # ---------------------------------------------------------------------------
 # per-configuration interaction energy
 # ---------------------------------------------------------------------------
-
-_FAMILY_CODE = {KernelFamily.LOG1D: _fast.FAMILY_LOG,
-                KernelFamily.LOG2D: _fast.FAMILY_LOG,
-                KernelFamily.RIESZ: _fast.FAMILY_RIESZ}
-
 
 def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     """Window interaction of points minus unit background, diagonal excluded:
@@ -153,14 +121,14 @@ def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     if R > config.window.R:
         raise DomainError("energy window exceeds the configuration window")
     pts = np.ascontiguousarray(points_in_cube(config, R))
-    bg = background_integrals(kernel, R)
+    bb = quadrature.background_pair_integral(kernel, R)
     if pts.shape[0] == 0:
-        return bg.bb
-    s = kernel.s if kernel.s is not None else 0.0
-    pair_sum, min_r2 = _fast.pair_sum(pts, _FAMILY_CODE[kernel.family], s)
+        return bb
+    pair_sum, min_r2 = _fast.pair_sum(pts, kernel)
     if pts.shape[0] > 1 and min_r2 == 0.0:
         raise SingularConfigurationError("coincident points inside the energy window")
-    return 2.0 * pair_sum - 2.0 * float(np.sum(bg.pb(pts))) + bg.bb
+    pb = quadrature.point_background(kernel, pts, R)
+    return 2.0 * pair_sum - 2.0 * float(np.sum(pb)) + bb
 
 
 # ---------------------------------------------------------------------------

@@ -155,14 +155,19 @@ def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> Correlat
     return CorrelationEstimate(d, centers, values, stderr, n_rep, mode, bw)
 
 
-def _squared_discrepancies(model: ProcessModel, R: float, n_replicas: int,
-                           seed: Seed, offset: int) -> np.ndarray:
-    window = Window(float(R), model.d)
-    d2 = np.empty(n_replicas)
-    for j in range(n_replicas):
-        cfg = sample(model, window, Seed(seed.master, seed.replica + offset + j))
-        d2[j] = (cfg.n - R**model.d) ** 2
-    return d2
+def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: int,
+                         seed: Seed) -> list[tuple[float, float, float]]:
+    # (R, mean D_R^2, stderr) per window size; replica j of rung i draws
+    # stream seed.replica + i * n_replicas + j
+    entries = []
+    for i, R in enumerate(R_list):
+        window = Window(R, model.d)
+        d2 = np.empty(n_replicas)
+        for j in range(n_replicas):
+            cfg = sample(model, window, Seed(seed.master, seed.replica + i * n_replicas + j))
+            d2[j] = (cfg.n - R**model.d) ** 2
+        entries.append((R, float(d2.mean()), float(d2.std(ddof=1) / math.sqrt(n_replicas))))
+    return entries
 
 
 def number_variance_curve(model: ProcessModel, R_list, n_replicas: int,
@@ -173,11 +178,7 @@ def number_variance_curve(model: ProcessModel, R_list, n_replicas: int,
         raise ArgumentError("R_list must be increasing with at least 4 values")
     if R_list[-1] < 10.0 * R_list[0]:
         raise ArgumentError("R_list should span at least one decade")
-    entries = []
-    for i, R in enumerate(R_list):
-        d2 = _squared_discrepancies(model, R, n_replicas, seed, i * n_replicas)
-        entries.append((R, float(d2.mean()),
-                        float(d2.std(ddof=1) / math.sqrt(n_replicas))))
+    entries = _discrepancy_moments(model, R_list, n_replicas, seed)
     exponent, ci = _fit_loglog_slope(entries)
     return VarianceCurve(entries, exponent, ci)
 
@@ -234,6 +235,16 @@ class DlogCurve:
 
         write_csv(path, ("R", "value", "stderr"), self.entries)
 
+    @classmethod
+    def from_variance(cls, entries, d: int, c_log: float) -> "DlogCurve":
+        """The ``(R, mean D_R^2, stderr)`` entries of a variance curve in
+        dimension d, scaled by ``c_log * log R / R^d``, with their trend."""
+        scaled = []
+        for R, mean, stderr in entries:
+            scale = c_log * math.log(R) / R**d
+            scaled.append((R, mean * scale, stderr * scale))
+        return cls(scaled, _classify_trend(scaled), c_log)
+
 
 def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
                   seed: Seed, c_log: float = 1.0) -> DlogCurve:
@@ -249,14 +260,8 @@ def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
     R_list = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise ArgumentError("R_list must be increasing")
-    entries = []
-    for i, R in enumerate(R_list):
-        d2 = _squared_discrepancies(model, R, n_replicas, seed, i * n_replicas)
-        scale = c_log * math.log(R) / R**model.d
-        entries.append((R, float(d2.mean()) * scale,
-                        float(d2.std(ddof=1) / math.sqrt(n_replicas)) * scale))
-    trend = _classify_trend(entries)
-    return DlogCurve(entries, trend, c_log)
+    entries = _discrepancy_moments(model, R_list, n_replicas, seed)
+    return DlogCurve.from_variance(entries, model.d, c_log)
 
 
 def _classify_trend(entries) -> str:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .core import (
     ArgumentError,
@@ -156,35 +156,18 @@ def renewal_entropy_rate(gap: GapLaw) -> float:
 
     Nonnegative, zero exactly at the exponential law; grows like ``log k``
     for the narrow triangular laws, matching the blow-up of the entropy of
-    the underlying displacement noise.
+    the underlying displacement noise.  ``int f log f`` is minus the
+    differential entropy h, in closed form: ``h = theta - log theta +
+    lnGamma(theta) + (1 - theta) psi(theta)`` for Gamma(theta, rate theta)
+    (theta = 1 is the exponential law) and ``h = 1/2 + log(2/k)`` for the
+    triangle of half-width 2/k.
     """
     if gap.kind is GapLawKind.UNIFORM_HAT:
-        lo, hi = 1.0 - 2.0 / gap.k, 1.0 + 2.0 / gap.k
-    else:
-        lo, hi = 0.0, math.inf
-
-    def f_log_f(x):
-        fx = gap.density(np.array([x]))[0]
-        return fx * math.log(fx) if fx > 0.0 else 0.0
-
-    def x_f(x):
-        return x * gap.density(np.array([x]))[0]
-
-    def piece(fn, a, b):
-        if a == 0.0:
-            # substitute x = t^2 to soften singular heads at the origin
-            val, _ = integrate.quad(lambda t: 2.0 * t * fn(t * t),
-                                    0.0, math.sqrt(b), limit=200)
-            return val
-        val, _ = integrate.quad(fn, a, b, limit=200)
-        return val
-
-    pieces = [(lo, 1.0), (1.0, hi)] if hi > 1.0 else [(lo, hi)]
-    mean = sum(piece(x_f, a, b) for a, b in pieces)
-    if abs(mean - 1.0) > 1e-8:
-        raise ArgumentError(f"gap law has mean {mean:.12f}, expected 1")
-    val = sum(piece(f_log_f, a, b) for a, b in pieces)
-    return val + 1.0
+        return 0.5 + math.log(gap.k / 2.0)
+    theta = 1.0 if gap.kind is GapLawKind.EXPONENTIAL else gap.theta
+    entropy = (theta - math.log(theta) + special.gammaln(theta)
+               + (1.0 - theta) * special.digamma(theta))
+    return 1.0 - float(entropy)
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,25 @@
 """Deterministic quadrature helpers for singular radial kernels.
 
 Everything here is exact or spectrally accurate, and deterministic: closed
-forms in d=1, a corner antiderivative for the planar log kernel, and a
-corner-mapped (Duffy) Gauss-Legendre scheme for boxes that touch the origin
-in d = 2, 3.  The one-dimensional energy routes integrate products
-``g(v) * q(v)`` with ``q`` piecewise quadratic, which is exact through the
-moment formulas below.
+forms in d=1, a corner antiderivative for the planar log kernel, and one
+corner-mapped (Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with
+the origin at a corner in d = 2, 3.  The one-dimensional energy routes
+integrate products ``g(v) * q(v)`` with ``q`` piecewise quadratic, which is
+exact through the moment formulas below.
+
+A box containing the origin splits into its 2^d orthant boxes.  The corner
+map ``v = tau * (e_k, e_j u, ...)`` turns each orthant into d pyramids, each
+a radial sum over tau times an angular sum over u (and v).
+``_orthant_integral`` evaluates the full tensor rule against any weight; it
+serves the background-background and the d >= 2 pair-correlation integrals.
 
 The point-background integral is batched over all points of a call.  The
 window seen from a point p splits into 2^d orthant boxes with p at a corner
 and edges ``R/2 +- p_i``; the log kernel in d = 2 takes the corner
-antiderivative on all of them at once.  For a Riesz kernel the corner map
-``x = t * (e_k, e_j u, ...)`` turns the orthant integral into a radial sum
-over t times an angular sum over u (and v).  The kernel is homogeneous,
-``g(t rho) = t^-s g(rho)``, so the radial sum is one constant shared by every
-orthant, and only the (d-1)-dimensional angular sums are evaluated per
-orthant: the same discrete rule as ``_orthant_integral``, summed in another
-order.
+antiderivative on all of them at once.  A Riesz kernel is homogeneous,
+``g(tau rho) = tau^-s g(rho)``, so ``_riesz_orthants`` takes the radial sum
+of the same rule as one constant shared by every orthant and evaluates only
+the (d-1)-dimensional angular sums per orthant.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import itertools
 
 import numpy as np
 
-from . import _fast
 from .core import ArgumentError, Kernel, KernelFamily
 
 # angular quadrature nodes per chunk of the batched point-background integral,
@@ -134,7 +136,7 @@ def log_box_integral_2d(lo, hi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# corner-mapped Gauss-Legendre for boxes touching the origin, d = 2, 3
+# corner-mapped Gauss-Legendre for boxes with the origin at a corner, d = 2, 3
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
@@ -156,119 +158,82 @@ def _power_map(kernel: Kernel, extra: float) -> int:
     return max(2, min(m, 12))
 
 
+@functools.lru_cache(maxsize=16)
+def _corner_rule(d: int, order: int, m: int) -> tuple:
+    """Nodes and weights of the corner map, shared read-only by every caller.
+
+    An orthant box with edges e and the origin at a corner splits into d
+    pyramids; pyramid k has major axis k and minor axes ``(k + i) mod d``,
+    i = 1..d-1, and maps ``v_k = e_k tau``, ``v_(k+i) = e_(k+i) tau u_i``.
+    Returns the radial nodes ``tau = t^m`` with weights that include the
+    Jacobian ``tau^(d-1) m t^(m-1)``, and the tensor angular grid: a tuple of
+    d-1 sparse node arrays u_i (axis i-1 of an ``(order,) * (d-1)`` grid)
+    and the flattened weights of that grid.  The mapped volume element also
+    carries the edge product, which the callers apply.
+    """
+    t, wt = _gl_nodes(order)
+    tau = t**m
+    w_tau = wt * m * t ** (m - 1) * tau ** (d - 1)
+    u = tuple(np.meshgrid(*[t] * (d - 1), indexing="ij", sparse=True))
+    w_u = functools.reduce(np.multiply.outer, [wt] * (d - 1)).ravel()
+    for a in (tau, w_tau, w_u) + u:
+        a.flags.writeable = False
+    return tau, w_tau, u, w_u
+
+
+def _rho_sq(edges: np.ndarray, k: int, u: tuple) -> np.ndarray:
+    # |v|^2 / tau^2 = e_k^2 + sum_i (e_(k+i) u_i)^2 in pyramid k, for rows of
+    # edges (N, d) on the angular grid u, flattened to shape (N, order^(d-1))
+    n, d = edges.shape
+    lead = (n,) + (1,) * (d - 1)
+    r2 = np.square(edges[:, k]).reshape(lead)
+    for i in range(1, d):
+        r2 = r2 + np.square(edges[:, (k + i) % d].reshape(lead) * u[i - 1])
+    return r2.reshape(n, -1)
+
+
 def _orthant_integral(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weight, order: int) -> float:
     """Integral of g(|v|) * weight(v) over the orthant box [0, e1] x ... with
-    the origin at a corner, evaluated in original (signed) coordinates."""
+    the origin at a corner, evaluated in original (signed) coordinates: the
+    corner rule summed over the d pyramids."""
     d = edges.size
-    t, wt = _gl_nodes(order)
-    m = _power_map(kernel, float(d - 1))
-    tau = t**m
-    jac_t = m * t ** (m - 1)
-    if d == 2:
-        total = 0.0
-        a, b = edges
-        u, wu = _gl_nodes(order)
-        # two triangles: x-major and y-major
-        for (ea, eb, swap) in ((a, b, False), (b, a, True)):
-            TT, UU = np.meshgrid(tau, u, indexing="ij")
-            X = ea * TT
-            Y = eb * TT * UU
-            r = TT * np.sqrt(ea * ea + (eb * UU) ** 2)
-            gv = kernel.g(np.where(r > 0, r, 1.0))
-            if swap:
-                vx, vy = Y, X
-            else:
-                vx, vy = X, Y
-            f = gv * ea * eb * TT
-            if weight is not None:
-                f = f * weight(signs[0] * vx, signs[1] * vy)
-            f = f * (jac_t[:, None] * wt[:, None]) * wu[None, :]
-            total += float(f.sum())
-        return total
-    if d == 3:
-        total = 0.0
-        u, wu = _gl_nodes(order)
-        v, wv = _gl_nodes(order)
-        for perm in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            ea, eb, ec = edges[list(perm)]
-            TT = tau[:, None, None]
-            UU = u[None, :, None]
-            VV = v[None, None, :]
-            A = ea * TT
-            B = eb * TT * UU
-            C = ec * TT * VV
-            r = TT * np.sqrt(ea * ea + (eb * UU) ** 2 + (ec * VV) ** 2)
-            gv = kernel.g(np.where(r > 0, r, 1.0))
-            coords = [None, None, None]
-            coords[perm[0]], coords[perm[1]], coords[perm[2]] = A, B, C
-            f = gv * ea * eb * ec * TT * TT
-            if weight is not None:
-                f = f * weight(
-                    signs[0] * coords[0], signs[1] * coords[1], signs[2] * coords[2]
-                )
-            f = (
-                f
-                * (jac_t[:, None, None] * wt[:, None, None])
-                * wu[None, :, None]
-                * wv[None, None, :]
-            )
-            total += float(f.sum())
-        return total
-    raise ArgumentError("corner-mapped quadrature supports d = 2 or 3")
-
-
-def _plain_box(kernel: Kernel, lo: np.ndarray, hi: np.ndarray, weight, order: int) -> float:
-    # origin-free box: tensor Gauss-Legendre
-    d = lo.size
-    t, w = _gl_nodes(order)
-    axes = [lo[a] + (hi[a] - lo[a]) * t for a in range(d)]
-    wts = [(hi[a] - lo[a]) * w for a in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    r = np.sqrt(sum(g * g for g in grids))
-    f = kernel.g(r)
-    if weight is not None:
-        f = f * weight(*grids)
-    wprod = wts[0]
-    for a in range(1, d):
-        wprod = np.multiply.outer(wprod, wts[a])
-    return float((f * wprod).sum())
+    tau, w_tau, u, w_u = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
+    shape = (tau.size, w_u.size)
+    total = 0.0
+    for k in range(d):
+        f = kernel.g(tau[:, None] * np.sqrt(_rho_sq(edges[None, :], k, u)))
+        if weight is not None:
+            coords = [None] * d
+            coords[k] = np.broadcast_to(signs[k] * edges[k] * tau[:, None], shape)
+            for i in range(1, d):
+                j = (k + i) % d
+                u_i = np.broadcast_to(u[i - 1], (order,) * (d - 1)).ravel()
+                coords[j] = signs[j] * edges[j] * tau[:, None] * u_i
+            f = f * weight(*coords)
+        total += float(w_tau @ f @ w_u)
+    return float(np.prod(edges)) * total
 
 
 def box_kernel_integral(kernel: Kernel, lo, hi, weight=None, order: int = 32) -> float:
-    """``int_box g(|v|) weight(v) dv`` for an axis-aligned box in d = 2 or 3.
+    """``int_box g(|v|) weight(v) dv`` for an axis-aligned box that contains
+    the origin, in d = 2 or 3.
 
-    The box is split along the coordinate hyperplanes; pieces with the origin
-    at a corner use the power-mapped corner scheme, the rest plain tensor
-    Gauss-Legendre.  ``weight`` is called with one array per coordinate.
+    The box splits into its 2^d orthant boxes, each with the origin at a
+    corner and integrated by the corner rule; orthants of zero width are
+    skipped.  ``weight`` is called with one array per coordinate.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = lo.size
-    pieces = [(lo, hi)]
-    for a in range(d):
-        nxt = []
-        for plo, phi in pieces:
-            if plo[a] < 0.0 < phi[a]:
-                left_hi = phi.copy()
-                left_hi[a] = 0.0
-                right_lo = plo.copy()
-                right_lo[a] = 0.0
-                nxt.append((plo, left_hi))
-                nxt.append((right_lo, phi))
-            else:
-                nxt.append((plo, phi))
-        pieces = nxt
+    if lo.size not in (2, 3):
+        raise ArgumentError("corner-mapped quadrature supports d = 2 or 3")
+    if np.any(lo > 0.0) or np.any(hi < 0.0):
+        raise ArgumentError("the box must contain the origin")
     total = 0.0
-    for plo, phi in pieces:
-        if np.any(phi - plo <= 0.0):
-            continue
-        touches = np.all((plo == 0.0) | (phi == 0.0))
-        if touches:
-            signs = np.where(phi > 0.0, 1.0, -1.0)
-            edges = np.maximum(np.abs(plo), np.abs(phi))
+    for signs in itertools.product((-1.0, 1.0), repeat=lo.size):
+        signs = np.array(signs)
+        edges = np.where(signs > 0.0, hi, -lo)
+        if np.all(edges > 0.0):
             total += _orthant_integral(kernel, edges, signs, weight, order)
-        else:
-            total += _plain_box(kernel, plo, phi, weight, order)
     return total
 
 
@@ -303,32 +268,19 @@ def _riesz_orthants(kernel: Kernel, edges: np.ndarray, order: int) -> np.ndarray
     """``_orthant_integral`` of a Riesz kernel without weight, for every row of
     ``edges`` (shape (N, d), all entries positive).
 
-    In the pyramid with major axis k the corner map is ``v_k = e_k t`` and
-    ``v_j = e_j t u_j``, so ``|v| = t rho(u)`` and ``g(|v|) = t^-s g(rho)``: the
-    mapped t-sum is one constant for every row, and only the angular sums
-    over u are evaluated per row, in chunks of about ``_NODE_BUDGET`` nodes.
+    In each pyramid of the corner rule ``|v| = tau rho(u)``, so ``g(|v|) =
+    tau^-s g(rho)``: the radial sum is one constant for every row, and only
+    the angular sums over u are evaluated per row, in chunks of about
+    ``_NODE_BUDGET`` nodes.
     """
     n, d = edges.shape
-    t, wt = _gl_nodes(order)
-    m = _power_map(kernel, float(d - 1))
-    radial = float(np.sum(wt * m * t ** (m - 1) * (t**m) ** (d - 1 - kernel.s)))
-    u, wu = _gl_nodes(order)
-    w = functools.reduce(np.multiply.outer, [wu] * (d - 1)).ravel()
+    tau, w_tau, u, w_u = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
+    radial = float(np.sum(w_tau * tau ** -kernel.s))
     out = np.empty(n)
-    step = max(1, _NODE_BUDGET // w.size)
+    step = max(1, _NODE_BUDGET // w_u.size)
     for i0 in range(0, n, step):
         e = edges[i0:i0 + step]
-        rows = e.shape[0]
-        ang = np.zeros(rows)
-        for k in range(d):
-            # rho^2 on the (rows, order, ...) grid, one broadcast axis per minor edge
-            rho2 = np.square(e[:, k]).reshape((rows,) + (1,) * (d - 1))
-            for i in range(1, d):
-                shape = [rows] + [1] * (d - 1)
-                shape[i] = order
-                rho2 = rho2 + np.square(e[:, (k + i) % d, None] * u).reshape(shape)
-            g = _fast._g_of_sq(rho2, _fast.FAMILY_RIESZ, kernel.s)
-            ang += np.einsum("ij,j->i", g.reshape(rows, -1), w)
+        ang = sum(np.einsum("ij,j->i", kernel.g_sq(_rho_sq(e, k, u)), w_u) for k in range(d))
         out[i0:i0 + step] = radial * np.prod(e, axis=1) * ang
     return out
 
@@ -341,9 +293,9 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float, order: int = 32)
     2^d orthant boxes with p at a corner and edges ``R/2 -+ p_i``, and one
     batched evaluation covers the boxes of all points: the corner
     antiderivative for the planar log kernel, and for Riesz kernels the
-    corner-mapped rule of ``box_kernel_integral`` with its radial sum
-    factored out (``_riesz_orthants``).  Boxes of zero width, from points on
-    a face, contribute nothing and are skipped.
+    corner rule with its radial sum factored out (``_riesz_orthants``).
+    Boxes of zero width, from points on a face, contribute nothing and are
+    skipped.
     """
     d = kernel.d
     pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -287,6 +287,35 @@ class TestSpecLayer:
         _reject(runner, tmp_path, "variance", spec, "config.c_log")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, spec, needle", [
+        ("variance", {"model": {"variant": "poisson"}, "R_list": [4, 8, 16, 32],
+                      "n_replicas": 30}, "one decade"),
+        ("energy", {**ENERGY_MC, "n_replicas": 29}, "30 replicas"),
+        ("energy", {**ENERGY_MC, "R_list": [16, 8, 32]}, "increasing"),
+        ("rho2", {"model": {"variant": "poisson"}, "R": 16, "n_replicas": 5, "n_bins": 1},
+         "n_bins >= 2"),
+    ], ids=["short_decade", "few_replicas", "non_increasing", "one_bin"])
+    def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
+                                                   needle):
+        _reject(runner, tmp_path, command, spec, needle)
+        assert not (tmp_path / "out").exists()
+
+    def test_variance_with_c_log_samples_each_replica_once(self, tmp_path, monkeypatch):
+        import rieszlab.estimators as est
+
+        real, calls = est.sample, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(est, "sample", counting)
+        R_list = [4, 8, 16, 32, 64]
+        run({"command": "variance", "model": {"variant": "poisson"}, "R_list": R_list,
+             "n_replicas": 30, "c_log": 1.0, "out": str(tmp_path / "v")})
+        assert len(calls) == 30 * len(R_list)
+        assert (tmp_path / "v" / "dlog.csv").exists()
+
     def test_internal_error_exits_1(self, tmp_path, runner, monkeypatch):
         import rieszlab.cli as cli
 

@@ -16,7 +16,6 @@ from rieszlab import (
     Seed,
     SingularConfigurationError,
     Window,
-    background_integrals,
     hint_R,
     log_kernel,
     rho2_analytic,
@@ -50,15 +49,16 @@ def block_limit(kernel, k):
 
 class TestBackgroundIntegrals:
     def test_bb_log1d_closed_form(self):
-        bg = background_integrals(K_LOG, 2.0)
-        assert bg.bb == pytest.approx(6.0 - 4.0 * math.log(2.0), rel=1e-14)
+        bb = quadrature.background_pair_integral(K_LOG, 2.0)
+        assert bb == pytest.approx(6.0 - 4.0 * math.log(2.0), rel=1e-14)
 
     def test_bb_matches_tent_quadrature(self):
         for kernel in (K_LOG, K_RSZ):
             for R in (2.0, 8.0):
                 ref, _ = integrate.quad(
                     lambda v: float(kernel.g(v)) * (R - v), 0.0, R, limit=200)
-                assert background_integrals(kernel, R).bb == pytest.approx(2.0 * ref, rel=1e-10)
+                bb = quadrature.background_pair_integral(kernel, R)
+                assert bb == pytest.approx(2.0 * ref, rel=1e-10)
 
     def test_bb_2d_log_vs_adaptive(self):
         R = 2.0
@@ -70,7 +70,7 @@ class TestBackgroundIntegrals:
             return -0.5 * math.log(r2) * (R - abs(x)) * (R - abs(y))
 
         ref, _ = integrate.dblquad(integrand, -R, R, -R, R, epsabs=1e-10)
-        got = background_integrals(log_kernel(2), R).bb
+        got = quadrature.background_pair_integral(log_kernel(2), R)
         assert got == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("kernel, R_values", [
@@ -88,22 +88,53 @@ class TestBackgroundIntegrals:
             got = quadrature.background_pair_integral(kernel, R)
             assert got == pytest.approx(direct, rel=1e-13)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+    def test_bb_riesz_2d_tau_moments(self, s):
+        # 8 triangles x major, y = x u; the tent (1 - x)(1 - x u) times x^(1-s)
+        # integrates exactly in x, leaving a smooth integral over u
+        def inner(u):
+            return (1.0 + u * u) ** (-0.5 * s) * (
+                1.0 / (2.0 - s) - (1.0 + u) / (3.0 - s) + u / (4.0 - s))
+
+        ref = 8.0 * integrate.quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+        got = quadrature.background_pair_integral(riesz_kernel(s, 2), 1.0)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5])
+    def test_bb_riesz_3d_tau_moments(self, s):
+        # 24 pyramids, as in d = 2 with the tent (1 - x)(1 - x u)(1 - x w)
+        def inner(w, u):
+            return (1.0 + u * u + w * w) ** (-0.5 * s) * (
+                1.0 / (3.0 - s) - (1.0 + u + w) / (4.0 - s)
+                + (u + w + u * w) / (5.0 - s) - u * w / (6.0 - s))
+
+        ref = 24.0 * integrate.dblquad(inner, 0.0, 1.0, 0.0, 1.0,
+                                       epsabs=0.0, epsrel=1e-13)[0]
+        got = quadrature.background_pair_integral(riesz_kernel(s, 3), 1.0)
+        assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_box_without_origin_rejected(self):
+        with pytest.raises(ArgumentError):
+            quadrature.box_kernel_integral(riesz_kernel(1.0, 2), [0.5, -1.0], [2.0, 1.0])
+
     def test_pb_examples_and_quadrature(self):
-        bg = background_integrals(K_LOG, 2.0)
-        assert bg.pb(np.array([[0.0]]))[0] == pytest.approx(2.0, rel=1e-14)
+        def pb(p):
+            return quadrature.point_background(K_LOG, np.array([[p]]), 2.0)[0]
+
+        assert pb(0.0) == pytest.approx(2.0, rel=1e-14)
         for p in (0.3, -0.9):
             ref, _ = integrate.quad(lambda y: -math.log(abs(p - y)), -1.0, 1.0,
                                     points=[p], limit=200)
-            assert bg.pb(np.array([[p]]))[0] == pytest.approx(ref, rel=1e-10)
+            assert pb(p) == pytest.approx(ref, rel=1e-10)
 
     def test_pb_2d_riesz_vs_adaptive(self):
         kernel = riesz_kernel(0.8, 2)
-        bg = background_integrals(kernel, 2.0)
         p = np.array([0.4, -0.3])
         ref, _ = integrate.dblquad(
             lambda y, x: ((x - p[0]) ** 2 + (y - p[1]) ** 2) ** -0.4,
             -1.0, 1.0, -1.0, 1.0, epsabs=1e-10)
-        assert bg.pb(p[None, :])[0] == pytest.approx(ref, rel=1e-8)
+        got = quadrature.point_background(kernel, p[None, :], 2.0)[0]
+        assert got == pytest.approx(ref, rel=1e-8)
 
 
 class TestHintR:
@@ -273,13 +304,14 @@ class TestMonteCarloRoute:
         kernel = riesz_kernel(0.8, 2)
         pts = np.array([[0.2, -0.4], [-0.6, 0.3], [0.1, 0.7]])
         cfg = PointConfiguration(pts, Window(2.0, 2))
-        bg = background_integrals(kernel, 2.0)
         pair = 0.0
         for i in range(3):
             for j in range(3):
                 if i != j:
                     pair += float(np.sum((pts[i] - pts[j]) ** 2)) ** (-0.4)
-        expected = pair - 2.0 * float(np.sum(bg.pb(pts))) + bg.bb
+        pb = quadrature.point_background(kernel, pts, 2.0)
+        bb = quadrature.background_pair_integral(kernel, 2.0)
+        expected = pair - 2.0 * float(np.sum(pb)) + bb
         assert hint_R(cfg, 2.0, kernel) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_replicas_abort(self, monkeypatch):

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from rieszlab import _fast
+from rieszlab import _fast, log_kernel, riesz_kernel
 
 N_MULTI_BLOCK = 300  # spans several blocks of _fast._PAIR_BUDGET pairs
+
+
+def _kernel(family, s):
+    # family 0 is the logarithmic kernel, 1 the Riesz kernel with exponent s;
+    # pair_sum reads only g of the squared distance, so a d = 1 kernel serves
+    # points of every dimension
+    return log_kernel(1) if family == 0 else riesz_kernel(s, 1)
 
 
 def _naive_pair_sum(pts, family, s):
@@ -17,7 +24,7 @@ def _naive_pair_sum(pts, family, s):
             r2 = float(np.sum((pts[j] - pts[i]) ** 2))
             min_r2 = min(min_r2, r2)
             if r2 > 0.0:
-                total += -0.5 * math.log(r2) if family == _fast.FAMILY_LOG else r2 ** (-0.5 * s)
+                total += -0.5 * math.log(r2) if family == 0 else r2 ** (-0.5 * s)
     return total, min_r2
 
 
@@ -56,11 +63,11 @@ def test_multi_block_size_spans_several_blocks():
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, N_MULTI_BLOCK])
-@pytest.mark.parametrize("family,s", [(_fast.FAMILY_LOG, 0.0), (_fast.FAMILY_RIESZ, 0.5)])
+@pytest.mark.parametrize("family,s", [(0, 0.0), (1, 0.5)])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_sum_matches_naive(rng, n, family, s, d):
     pts = rng.uniform(-10, 10, size=(n, d))
-    total, min_r2 = _fast.pair_sum(pts, family, s)
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
     ref_total, ref_min = _naive_pair_sum(pts, family, s)
     assert total == pytest.approx(ref_total, rel=1e-12, abs=1e-300)
     assert min_r2 == pytest.approx(ref_min, rel=1e-12)
@@ -89,10 +96,10 @@ def test_bin_pairs_radial_matches_naive(rng, n, d):
         assert got.sum() > 0.0
 
 
-@pytest.mark.parametrize("family,s", [(_fast.FAMILY_LOG, 0.0), (_fast.FAMILY_RIESZ, 0.5)])
+@pytest.mark.parametrize("family,s", [(0, 0.0), (1, 0.5)])
 def test_coincident_pair_is_left_out(family, s):
     pts = np.array([[1.0], [1.0], [2.0], [4.0]])
-    total, min_r2 = _fast.pair_sum(pts, family, s)
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
     assert min_r2 == 0.0
     assert math.isfinite(total)
     ref_total, _ = _naive_pair_sum(pts, family, s)
@@ -102,9 +109,9 @@ def test_coincident_pair_is_left_out(family, s):
 def test_coincident_pair_in_a_later_block(rng):
     pts = rng.uniform(-10, 10, size=(N_MULTI_BLOCK, 2))
     pts[-1] = pts[-2]
-    total, min_r2 = _fast.pair_sum(pts, _fast.FAMILY_RIESZ, 0.5)
+    total, min_r2 = _fast.pair_sum(pts, riesz_kernel(0.5, 1))
     assert min_r2 == 0.0
-    assert total == pytest.approx(_naive_pair_sum(pts, _fast.FAMILY_RIESZ, 0.5)[0], rel=1e-12)
+    assert total == pytest.approx(_naive_pair_sum(pts, 1, 0.5)[0], rel=1e-12)
 
 
 def test_coincident_pair_is_not_binned():
