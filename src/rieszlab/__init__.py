@@ -33,7 +33,6 @@ from .generators import (
     GapLawKind,
     ProcessModel,
     Rho2Analytic,
-    Rho2GridSpec,
     Seed,
     Variant,
     rho2_analytic,

@@ -1,6 +1,7 @@
 """Deterministic serialization: CSV and JSON writers shared by the modules
 and the CLI.  Floats carry 17 significant digits so every value round-trips;
-JSON keys are sorted, line endings are LF, encoding is UTF-8."""
+JSON keys are sorted, its numbers finite, line endings are LF, encoding is
+UTF-8."""
 
 from __future__ import annotations
 
@@ -37,13 +38,12 @@ def _jsonify(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, float):
-        return obj
     return obj
 
 
 def write_json(path, obj) -> None:
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2)
+    # a non-finite value raises ValueError rather than writing invalid JSON
+    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 

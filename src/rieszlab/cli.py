@@ -159,8 +159,7 @@ def _crystal(a: dict, outfile) -> None:
 
 
 def _freemin(a: dict, outfile) -> None:
-    scan = onedim_mod.free_energy_scan(a["beta"], a["kernel"], a["theta_grid"],
-                                       onedim_mod.ScanOptions(R_list=tuple(a["R_list"])))
+    scan = onedim_mod.free_energy_scan(a["beta"], a["kernel"], a["theta_grid"], a["R_list"])
     scan.to_csv(outfile("freemin.csv"))
     write_json(outfile("freemin.json"), scan.to_json_dict())
 
@@ -189,11 +188,11 @@ class Command(NamedTuple):
     help: str
     handler: object
     keys: dict
-    check: tuple = ()  # (predicate on the built keys, message when it fails)
+    checks: tuple = ()  # pairs (predicate on the built keys, message when it fails)
 
 
 def _one_dimensional(key: str) -> tuple:
-    return (lambda a: a[key].d == 1, f"config.{key} must be one-dimensional")
+    return ((lambda a: a[key].d == 1, f"config.{key} must be one-dimensional"),)
 
 
 _NEIGHBOR_KEYS = {
@@ -211,16 +210,18 @@ COMMANDS = {
     "variance": Command("Number-variance curve with fitted growth exponent.", _variance, {
         "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "n_replicas": (COUNT, 200), "c_log": (float, None)},
-        (lambda a: "c_log" not in a or a["model"].d <= 2,
-         "config.c_log: the logarithmic term needs a model in d = 1 or 2")),
+        ((lambda a: "c_log" not in a or a["model"].d <= 2,
+          "config.c_log: the logarithmic term needs a model in d = 1 or 2"),)),
     "energy": Command("Energy ladder via mc | rho2 | series route.", _energy, {
         "kernel": (KERNEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "route": (Tag({
             "mc": ({"model": (MODEL, REQUIRED), "n_replicas": (COUNT, 100)}, None),
             "rho2": ({"model": (MODEL, REQUIRED)}, None),
             "series": ({}, None)}), "mc")},
-        (lambda a: a["kernel"].d == (a["model"].d if "model" in a else 1),
-         "config.kernel must have the dimension of config.model (d = 1 on route series)")),
+        ((lambda a: len(a["R_list"]) >= 2,
+          "config.R_list needs at least two values for the extrapolation in 1/R"),
+         (lambda a: a["kernel"].d == (a["model"].d if "model" in a else 1),
+          "config.kernel must have the dimension of config.model (d = 1 on route series)"))),
     "neighbors": Command("k-th neighbor distance densities.", _neighbors,
                          _NEIGHBOR_KEYS, _one_dimensional("model")),
     "crystal": Command("Crystallization gap functional from neighbor densities.", _crystal,
@@ -229,7 +230,7 @@ COMMANDS = {
     "freemin": Command("Free-energy scan over Gamma gap shapes.", _freemin, {
         "kernel": (KERNEL, REQUIRED), "beta": (float, REQUIRED),
         "theta_grid": (FLOATS, [0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]),
-        "R_list": (FLOATS, list(onedim_mod.ScanOptions.R_list))},
+        "R_list": (FLOATS, list(onedim_mod.SCAN_R_LIST))},
         _one_dimensional("kernel")),
     "lp": Command("Minimize the tent-weighted energy over admissible deficits.", _lp, {
         "kernel": (KERNEL, REQUIRED), "v_max": (float, 4.0), "step": (float, 2.0**-8),
@@ -238,8 +239,8 @@ COMMANDS = {
     "pinsker": Command("Total-variation lower bounds against the Pinsker bound.", _pinsker, {
         "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "n_replicas": (COUNT, 2000), "tile_count": (COUNT, 2)},
-        (lambda a: a["model"].variant is Variant.RENEWAL,
-         "config.model: pinsker compares a renewal model against the memoryless baseline")),
+        ((lambda a: a["model"].variant is Variant.RENEWAL,
+          "config.model: pinsker compares a renewal model against the memoryless baseline"),)),
 }
 
 SPEC = {"command": (Tag({name: (c.keys, None) for name, c in COMMANDS.items()}), REQUIRED),
@@ -296,9 +297,9 @@ def _resolve(value, typ, path: str) -> tuple[object, object]:
 def _validate(spec) -> tuple[dict, dict]:
     """The resolved spec and the handler's keys, after every check."""
     resolved, args = _resolve(spec, SPEC, "config")
-    check = COMMANDS[args["command"]].check
-    if check and not check[0](args):
-        raise ValidationFailure(check[1])
+    for ok, message in COMMANDS[args["command"]].checks:
+        if not ok(args):
+            raise ValidationFailure(message)
     return resolved, args
 
 

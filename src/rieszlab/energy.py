@@ -4,9 +4,16 @@ configuration-minus-background against itself, computed along three routes.
 ``PairSumMC`` expands the window double integral into point-point,
 point-background, and background-background terms and averages over sampled
 replicas.  ``Rho2Quadrature`` integrates the tent-weighted pair correlation
-deficit.  ``LatticeSeries`` evaluates the exact one-dimensional lattice
-series.  Each route ends with Richardson extrapolation in 1/R and an honest
+deficit (the explicit formula of Borodin & Serfaty).  ``LatticeSeries`` is
+the same formula for the atomic two-point function of the unit lattice in
+d = 1.  Each route ends with Richardson extrapolation in 1/R and an honest
 residual, never a bare limit claim.
+
+In d = 1 one profile integral, ``_profile_integral_1d``, evaluates that
+formula, ``int_0^limit g(v) (rho2(v) - 1) w(v) dv`` with the tent
+``w(v) = R - v`` or without it: the continuous deficit as an exact
+piecewise-linear profile, plus the atoms.  It serves the rho2 route, the
+lattice series and the tent-free ``wbs_energy``.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from .core import (
     Window,
     points_in_cube,
 )
-from .generators import ProcessModel, Rho2Analytic, Seed, sample
+from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +187,36 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
 # ---------------------------------------------------------------------------
 
 def _head_convergence_check(rho2: Rho2Analytic, kernel: Kernel) -> None:
-    # integrability of g * (rho2 - 1) near 0: the deficit density may blow up
-    # like v**alpha with alpha = head_exponent < 0
+    # integrability of g * (rho2 - 1) near 0 in d dimensions: the deficit
+    # density may blow up like |v|**alpha with alpha = head_exponent < 0
     if kernel.is_log:
         return
-    if kernel.s - rho2.head_exponent >= 1.0:
+    if kernel.s - rho2.head_exponent >= kernel.d:
         raise DivergenceError(
             "pair deficit grows too fast at the origin: "
             f"s = {kernel.s}, head exponent = {rho2.head_exponent}"
         )
 
 
-def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
-    nodes = rho2.nodes_upto(R)
+def _profile_integral_1d(rho2: Rho2Analytic, kernel: Kernel, limit: float,
+                         tent_R: float | None) -> float:
+    """``int_0^limit g(v) (rho2(v) - 1) w(v) dv`` with ``w(v) = tent_R - v``, or
+    1 when ``tent_R`` is None: the continuous deficit exactly as the
+    piecewise-linear profile on ``rho2.nodes_upto``, plus the atoms."""
+    nodes = rho2.nodes_upto(limit)
     deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
-    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=R)
-    atoms = rho2.atoms_upto(R)
+    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=tent_R)
+    atoms = rho2.atoms_upto(limit)
     if atoms.size:
-        total += float(np.sum(kernel.g(atoms[:, 0]) * (R - atoms[:, 0]) * atoms[:, 1]))
-    return 2.0 * total / R
+        weight = kernel.g(atoms[:, 0])
+        if tent_R is not None:
+            weight = weight * (tent_R - atoms[:, 0])
+        total += float(np.sum(weight * atoms[:, 1]))
+    return total
+
+
+def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
+    return 2.0 * _profile_integral_1d(rho2, kernel, R, R) / R
 
 
 def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
@@ -251,24 +269,19 @@ def wint_from_rho2(rho2: Rho2Analytic, kernel: Kernel, R_list) -> EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# route 3: exact lattice series in d = 1
+# route 3: the lattice series in d = 1
 # ---------------------------------------------------------------------------
 
-def lattice_series_value(kernel: Kernel, R: float) -> float:
-    """``sum_{k <= R} psi_R(k) - int_0^R psi_R`` for the unit lattice."""
+def wint_lattice_series(kernel: Kernel, R_list) -> EnergyReport:
+    """The rho2 formula for the unit lattice, ``(2/R) [sum_{1 <= k <= R}
+    g(k) (R - k) - int_0^R g(v) (R - v) dv]``, extrapolated to depth 4."""
     if kernel.d != 1:
         raise ArgumentError("the lattice series is one-dimensional")
-    ks = np.arange(1.0, math.floor(R) + 1.0)
-    series = (2.0 / R) * float(np.sum(kernel.g(ks) * (R - ks)))
-    integral = quadrature.tent_kernel_integral_1d(kernel, R) / R
-    return series - integral
-
-
-def wint_lattice_series(kernel: Kernel, R_list) -> EnergyReport:
     R_list = [float(R) for R in R_list]
     if any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise ArgumentError("R_list must be increasing")
-    values = [lattice_series_value(kernel, R) for R in R_list]
+    lattice = rho2_analytic(ProcessModel.lattice(1))
+    values = [_rho2_value_1d(lattice, kernel, R) for R in R_list]
     entries = [(R, v, None) for R, v in zip(R_list, values)]
     ex, err, _ = richardson(R_list, values, depth=min(4, len(values) - 1))
     return EnergyReport("LatticeSeries", kernel, entries, ex, err, 0.0)
@@ -300,10 +313,4 @@ def wbs_energy(rho2: Rho2Analytic, kernel: Kernel, v_max: float) -> float:
             raise NotApplicableError(
                 f"pair deficit has not decayed by v_max={v_max} (residual {dev:.2e})"
             )
-    nodes = rho2.nodes_upto(v_max)
-    deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
-    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=None)
-    atoms = rho2.atoms_upto(v_max)
-    if atoms.size:
-        total += float(np.sum(kernel.g(atoms[:, 0]) * atoms[:, 1]))
-    return 2.0 * total
+    return 2.0 * _profile_integral_1d(rho2, kernel, v_max, None)

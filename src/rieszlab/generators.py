@@ -347,18 +347,6 @@ def sample(model: ProcessModel, window: Window, seed: Seed) -> PointConfiguratio
 # analytic two-point correlation functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Rho2GridSpec:
-    """Grid used for correlation functions that need numeric convolution."""
-
-    v_max: float = 32.0
-    step: float = 2.0**-8
-
-    def __post_init__(self) -> None:
-        if not (self.step > 0.0 and self.v_max > 0.0):
-            raise DomainError("grid spec requires positive step and extent")
-
-
 class Rho2Analytic:
     """Two-point correlation of a stationary model, split into a continuous
     density and a list of atoms on the positive half-line (mirrored by
@@ -375,7 +363,6 @@ class Rho2Analytic:
         support_radius: float = math.inf,
         head_exponent: float = 0.0,
         tail_flat: bool = True,
-        label: str = "",
     ):
         self.continuous_part = continuous_part
         self._nodes_fn = nodes_fn
@@ -383,7 +370,6 @@ class Rho2Analytic:
         self.support_radius = support_radius
         self.head_exponent = head_exponent
         self.tail_flat = tail_flat
-        self.label = label
 
     def nodes_upto(self, limit: float) -> np.ndarray:
         nodes = np.asarray(self._nodes_fn(limit), dtype=float)
@@ -403,7 +389,6 @@ def _rho2_poisson() -> Rho2Analytic:
         continuous_part=lambda v: np.ones_like(np.asarray(v, dtype=float)),
         nodes_fn=lambda limit: np.array([0.0, limit]),
         support_radius=0.0,
-        label="poisson",
     )
 
 
@@ -427,7 +412,6 @@ def _rho2_lattice(d: int) -> Rho2Analytic:
         continuous_part=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
         nodes_fn=lambda limit: np.array([0.0, limit]),
         atoms_fn=atoms_fn,
-        label="lattice",
     )
 
 
@@ -447,7 +431,6 @@ def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, kk, limit]),
         support_radius=kk * math.sqrt(d),
-        label=f"bernoulli_block(k={k})",
     )
 
 
@@ -474,11 +457,16 @@ def _rho2_vibrating(k: int) -> Rho2Analytic:
     return Rho2Analytic(
         continuous_part=cont,
         nodes_fn=nodes_fn,
-        label=f"vibrating_lattice(k={k})",
     )
 
 
-def _renewal_density_grid(gap: GapLaw, spec: Rho2GridSpec) -> tuple[np.ndarray, np.ndarray, bool]:
+# extent and step of the renewal density grid (the extent grows with the
+# mixing length of the gap law)
+_RENEWAL_V_MAX = 32.0
+_RENEWAL_STEP = 2.0**-8
+
+
+def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     """Renewal density ``sum_j f^{*j}`` on a uniform grid via one FFT pass.
 
     The gap law is deposited onto the grid nodes preserving mass and first
@@ -486,9 +474,9 @@ def _renewal_density_grid(gap: GapLaw, spec: Rho2GridSpec) -> tuple[np.ndarray, 
     continuous one to O(h^2); a plain cell histogram would bias the density
     by h/2.
     """
-    h = spec.step
+    h = _RENEWAL_STEP
     mixing = 3.0 / gap.std**2 + 10.0 * gap.std
-    v_max = max(spec.v_max, math.ceil(mixing))
+    v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
     # enough convolutions that every term reaching v_max is kept, also for
     # gap laws with std around 1 or above
     j_max = int(math.ceil(max(2.0 * v_max, v_max + 10.0 * gap.std * math.sqrt(v_max))))
@@ -538,8 +526,8 @@ def _renewal_nodes(grid: np.ndarray):
     return nodes_fn
 
 
-def _rho2_renewal(gap: GapLaw, spec: Rho2GridSpec) -> Rho2Analytic:
-    grid, vals, tail_flat = _renewal_density_grid(gap, spec)
+def _rho2_renewal(gap: GapLaw) -> Rho2Analytic:
+    grid, vals, tail_flat = _renewal_density_grid(gap)
 
     def cont(v):
         v = np.abs(np.asarray(v, dtype=float))
@@ -551,7 +539,6 @@ def _rho2_renewal(gap: GapLaw, spec: Rho2GridSpec) -> Rho2Analytic:
         support_radius=float(grid[-1]),
         head_exponent=gap.head_exponent,
         tail_flat=tail_flat,
-        label="renewal",
     )
 
 
@@ -570,15 +557,13 @@ def rho2_hardcore(transition: float = 2.0**-20) -> Rho2Analytic:
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, 0.5 - t / 2.0, 0.5 + t / 2.0, limit]),
         support_radius=0.5 + t,
-        label="hardcore",
     )
 
 
-def rho2_analytic(model: ProcessModel, options: Rho2GridSpec | None = None) -> Rho2Analytic:
+def rho2_analytic(model: ProcessModel) -> Rho2Analytic:
     """Analytic (or numerically convolved, for renewal gaps) two-point
     correlation of ``model``, normalized so that Poisson gives identically 1.
     """
-    options = options or Rho2GridSpec()
     v = model.variant
     if v is Variant.POISSON:
         return _rho2_poisson()
@@ -588,7 +573,7 @@ def rho2_analytic(model: ProcessModel, options: Rho2GridSpec | None = None) -> R
         return _rho2_bernoulli(model.k, model.d)
     if v is Variant.VIBRATING_LATTICE:
         return _rho2_vibrating(model.k)
-    return _rho2_renewal(model.gap, options)
+    return _rho2_renewal(model.gap)
 
 
 # ---------------------------------------------------------------------------

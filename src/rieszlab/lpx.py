@@ -18,7 +18,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .core import ArgumentError, DivergenceError, DomainError, Kernel
-from .quadrature import g_moments
+from .quadrature import pwlinear_weights
 
 # subgradient step t is _STEP_SCALE / (max|w| n_half sqrt(t + 1)); a Dykstra
 # projection stops after _DYKSTRA_ROUNDS rounds or at violation <= _DYKSTRA_TOL
@@ -119,23 +119,10 @@ def _half_profile(disc: Discretization, values: np.ndarray) -> np.ndarray:
 
 def objective_weights(disc: Discretization, kernel: Kernel) -> np.ndarray:
     """Node weights w with ``w . half_values = int g T2 (1 - |v|/R) dv`` for
-    the even piecewise-linear interpolant (exact kernel moments per cell)."""
+    the even piecewise-linear interpolant: twice the half-line integral."""
     if kernel.d != 1:
         raise ArgumentError("the exploration grid is one-dimensional")
-    x = disc.half_grid
-    a, b = x[:-1], x[1:]
-    M0, M1, M2 = g_moments(kernel, a, b, jmax=2)
-    R = disc.R
-    inv = 1.0 / (b - a)
-    w = np.zeros(x.size)
-    # T2 on a cell: ya * (b - v)/(b - a) + yb * (v - a)/(b - a); tent (1 - v/R)
-    wa0, wa1 = b * inv, -inv
-    wb0, wb1 = -a * inv, inv
-    contrib_a = wa0 * M0 + wa1 * M1 - (wa0 * M1 + wa1 * M2) / R
-    contrib_b = wb0 * M0 + wb1 * M1 - (wb0 * M1 + wb1 * M2) / R
-    np.add.at(w, np.arange(a.size), contrib_a)
-    np.add.at(w, np.arange(a.size) + 1, contrib_b)
-    return 2.0 * w  # even symmetry
+    return (2.0 / disc.R) * pwlinear_weights(kernel, disc.half_grid, disc.R)
 
 
 def evaluate_candidate(values, disc: Discretization, kernel: Kernel) -> CandidateT2:

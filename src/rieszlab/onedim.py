@@ -10,7 +10,7 @@ asymptotic regimes of the free energy are reachable on one axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -24,7 +24,7 @@ from .core import (
     points_in_cube,
 )
 from .energy import wint_from_rho2
-from .generators import GapLaw, GapLawKind, ProcessModel, Rho2GridSpec, rho2_analytic
+from .generators import GapLaw, GapLawKind, ProcessModel, rho2_analytic
 
 
 @dataclass
@@ -170,11 +170,10 @@ def renewal_entropy_rate(gap: GapLaw) -> float:
     return 1.0 - float(entropy)
 
 
-@dataclass(frozen=True)
-class ScanOptions:
-    R_list: tuple = (128.0, 256.0, 512.0, 1024.0)
-    grid: Rho2GridSpec = field(default_factory=Rho2GridSpec)
-    refine_tol: float = 0.02
+# default energy ladder of the scan, and the relative bracket width at which
+# the golden-section refinement stops
+SCAN_R_LIST = (128.0, 256.0, 512.0, 1024.0)
+_REFINE_TOL = 0.02
 
 
 def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
@@ -196,9 +195,10 @@ def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float,
 
 
 def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
-                     options: ScanOptions | None = None) -> FreeEnergyScan:
+                     R_list=SCAN_R_LIST) -> FreeEnergyScan:
     """Scan ``beta * energy + entropy rate`` over Gamma gap shapes and refine
-    the minimizer by golden section inside the bracketing grid interval.
+    the minimizer by golden section inside the bracketing grid interval.  Each
+    energy is the rho2 route on the ladder ``R_list``.
 
     Shapes whose energy quadrature diverges (too much clustering for the
     kernel) are marked infeasible and excluded from the minimization.
@@ -210,7 +210,6 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
         raise ArgumentError("theta_grid must be increasing")
     if not any(t == 1.0 for t in thetas):
         raise ArgumentError("theta_grid must include theta = 1")
-    opts = options or ScanOptions()
 
     cache: dict[float, tuple[float, float] | None] = {}
 
@@ -218,10 +217,8 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
         if theta not in cache:
             gap = GapLaw.exponential() if theta == 1.0 else GapLaw.gamma(theta)
             try:
-                rep = wint_from_rho2(
-                    rho2_analytic(ProcessModel.renewal(gap), opts.grid),
-                    kernel, list(opts.R_list),
-                )
+                rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)),
+                                     kernel, R_list)
                 cache[theta] = (rep.extrapolated, renewal_entropy_rate(gap))
             except DivergenceError:
                 cache[theta] = None
@@ -252,7 +249,7 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
         argmin, bracket = thetas[idx], (thetas[idx], thetas[idx + 1])
     else:
         argmin, lo, hi = _golden_section(f_of, thetas[idx - 1], thetas[idx + 1],
-                                         opts.refine_tol)
+                                         _REFINE_TOL)
         bracket = (lo, hi)
     return FreeEnergyScan(beta=beta, family="gamma", entries=entries,
                           argmin_theta=argmin, bracket=bracket)

@@ -1,11 +1,16 @@
 """Deterministic quadrature helpers for singular radial kernels.
 
-Everything here is exact or spectrally accurate, and deterministic: closed
-forms in d=1, a corner antiderivative for the planar log kernel, and one
-corner-mapped (Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with
-the origin at a corner in d = 2, 3.  The one-dimensional energy routes
-integrate products ``g(v) * q(v)`` with ``q`` piecewise quadratic, which is
-exact through the moment formulas below.
+Everything here is exact or spectrally accurate, and deterministic.  In d = 1
+every closed form derives from one primitive, ``_g_primitive``:
+``P_j(v) = int_0^v g(t) t^j dt``.  The point-background integral is a sum of
+two P_0 values, the background-background integral ``2 (R P_0(R) - P_1(R))``,
+and ``pwlinear_weights`` turns the cell moments ``P_j(b) - P_j(a)``, j <= 2,
+into node weights for the exact integral of g against a piecewise-linear
+profile, with or without the tent ``R - v``: the d = 1 energy routes and the
+LP objective are those weights applied to node values.  In d = 2, 3 there is
+a corner antiderivative for the planar log kernel and one corner-mapped
+(Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with the origin at
+a corner.
 
 A box containing the origin splits into its 2^d orthant boxes.  The corner
 map ``v = tau * (e_k, e_j u, ...)`` turns each orthant into d pyramids, each
@@ -13,10 +18,10 @@ a radial sum over tau times an angular sum over u (and v).
 ``_orthant_integral`` evaluates the full tensor rule against any weight; it
 serves the background-background and the d >= 2 pair-correlation integrals.
 
-The point-background integral is batched over all points of a call.  The
-window seen from a point p splits into 2^d orthant boxes with p at a corner
-and edges ``R/2 +- p_i``; the log kernel in d = 2 takes the corner
-antiderivative on all of them at once.  A Riesz kernel is homogeneous,
+In d = 2, 3 the point-background integral is batched over all points of a
+call.  The window seen from a point p splits into 2^d orthant boxes with p
+at a corner and edges ``R/2 +- p_i``; the log kernel in d = 2 takes the
+corner antiderivative on all of them at once.  A Riesz kernel is homogeneous,
 ``g(tau rho) = tau^-s g(rho)``, so ``_riesz_orthants`` takes the radial sum
 of the same rule as one constant shared by every orthant and evaluates only
 the (d-1)-dimensional angular sums per orthant.
@@ -38,66 +43,74 @@ _NODE_BUDGET = 2**15
 
 
 # ---------------------------------------------------------------------------
-# closed-form moments of g on [a, b] subset [0, inf), d = 1
+# d = 1: one primitive of g and the closed forms derived from it
 # ---------------------------------------------------------------------------
 
-def _log_moment_primitive(v: np.ndarray, j: int) -> np.ndarray:
-    # primitive of (-log v) v^j, continuous at 0
+def _g_primitive(kernel: Kernel, v, j: int):
+    """``P_j(v) = int_0^v g(t) t^j dt`` for v >= 0, scalar or array: the one
+    spelling of the kernel's closed forms in d = 1."""
     p = j + 1.0
-    out = np.zeros_like(v)
-    pos = v > 0.0
-    vp = v[pos]
-    out[pos] = vp**p * (1.0 / (p * p) - np.log(vp) / p)
-    return out
+    if kernel.is_log:
+        # v^p (1/p^2 - log(v)/p), which tends to 0 at v = 0; the floor on v
+        # makes it exactly 0 there and changes no value by more than 1e-297
+        return v**p * (1.0 / (p * p) - np.log(np.maximum(v, 1e-300)) / p)
+    e = p - kernel.s  # positive, as s < 1
+    return v**e / e
 
 
-def g_moments(kernel: Kernel, a, b, jmax: int = 2) -> list[np.ndarray]:
-    """Moments ``int_a^b g(v) v^j dv`` for j = 0..jmax, vectorized over cells."""
+def g_moments(kernel: Kernel, a, b) -> list[np.ndarray]:
+    """Moments ``int_a^b g(v) v^j dv`` for j = 0, 1, 2, vectorized over cells."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    out = []
-    if kernel.is_log:
-        for j in range(jmax + 1):
-            out.append(_log_moment_primitive(b, j) - _log_moment_primitive(a, j))
-        return out
-    s = kernel.s
-    for j in range(jmax + 1):
-        e = j + 1.0 - s
-        # e = 0 cannot occur for the supported (d, s) ranges used in d = 1
-        out.append((b**e - a**e) / e)
-    return out
+    return [_g_primitive(kernel, b, j) - _g_primitive(kernel, a, j) for j in range(3)]
 
-
-# ---------------------------------------------------------------------------
-# d = 1 closed forms for point-background and background-background integrals
-# ---------------------------------------------------------------------------
 
 def point_background_1d(kernel: Kernel, p, R: float) -> np.ndarray:
-    """``int_{-R/2}^{R/2} g(p - y) dy`` for points p in the closed interval."""
+    """``int_{-R/2}^{R/2} g(p - y) dy = P_0(R/2 + p) + P_0(R/2 - p)`` for
+    points p in the closed interval."""
     p = np.asarray(p, dtype=float)
-    a = R / 2.0 + p
-    b = R / 2.0 - p
-    if kernel.is_log:
-        def prim(t):
-            out = np.zeros_like(t)
-            pos = t > 0.0
-            out[pos] = t[pos] * (1.0 - np.log(t[pos]))
-            return out
-    else:
-        s = kernel.s
-
-        def prim(t):
-            return t ** (1.0 - s) / (1.0 - s)
-
-    return prim(a) + prim(b)
+    return _g_primitive(kernel, R / 2.0 + p, 0) + _g_primitive(kernel, R / 2.0 - p, 0)
 
 
 def tent_kernel_integral_1d(kernel: Kernel, R: float) -> float:
-    """``int_{-R}^{R} g(v) (R - |v|) dv`` in closed form."""
-    if kernel.is_log:
-        return R * R * (1.5 - np.log(R))
-    s = kernel.s
-    return 2.0 * R ** (2.0 - s) / ((1.0 - s) * (2.0 - s))
+    """``int_{-R}^{R} g(v) (R - |v|) dv = 2 (R P_0(R) - P_1(R))``."""
+    return float(2.0 * (R * _g_primitive(kernel, R, 0) - _g_primitive(kernel, R, 1)))
+
+
+def pwlinear_weights(kernel: Kernel, nodes, tent_R: float | None = None) -> np.ndarray:
+    """Node weights w with ``w @ values = int g(v) L(v) w(v) dv`` over
+    [nodes[0], nodes[-1]], where L interpolates ``values`` linearly between
+    the nodes and ``w(v) = tent_R - v``, or 1 when ``tent_R`` is None.
+
+    Exact up to rounding: on a cell [a, b] each hat function, ``(b - v)/(b - a)``
+    or ``(v - a)/(b - a)``, times w is a quadratic, integrated through the
+    kernel moments of ``g_moments``, also on cells touching 0.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ArgumentError("nodes must be a 1d array of length >= 2")
+    if np.any(np.diff(nodes) <= 0.0) or nodes[0] < 0.0:
+        raise ArgumentError("nodes must be strictly increasing and nonnegative")
+    a, b = nodes[:-1], nodes[1:]
+    M0, M1, M2 = g_moments(kernel, a, b)
+    if tent_R is None:
+        left, right = b * M0 - M1, M1 - a * M0
+    else:
+        left = b * tent_R * M0 - (b + tent_R) * M1 + M2
+        right = (a + tent_R) * M1 - a * tent_R * M0 - M2
+    w = np.zeros(nodes.size)
+    w[:-1] += left / (b - a)
+    w[1:] += right / (b - a)
+    return w
+
+
+def integrate_g_pwlinear(kernel: Kernel, nodes, values, tent_R: float | None = None) -> float:
+    """``int g(v) L(v) w(v) dv`` as in ``pwlinear_weights``, for the profile
+    with node values ``values``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != np.shape(nodes):
+        raise ArgumentError("nodes and values must be matching 1d arrays")
+    return float(pwlinear_weights(kernel, nodes, tent_R) @ values)
 
 
 # ---------------------------------------------------------------------------
@@ -311,38 +324,3 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float, order: int = 32)
     vals = np.zeros(edges.shape[0])
     vals[keep] = _riesz_orthants(kernel, edges[keep], order)
     return vals.reshape(-1, 2**d).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# exact integration of g against piecewise-linear profiles in d = 1
-# ---------------------------------------------------------------------------
-
-def integrate_g_pwlinear(kernel: Kernel, nodes: np.ndarray, values: np.ndarray,
-                         tent_R: float | None = None) -> float:
-    """``int g(v) L(v) w(v) dv`` over [nodes[0], nodes[-1]] with L the piecewise
-    linear interpolant of ``values`` and ``w(v) = (tent_R - v)`` or 1.
-
-    Exact up to rounding: per cell the product L*w is a quadratic polynomial
-    and the kernel moments have closed forms, including cells touching 0.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
-        raise ArgumentError("nodes and values must be matching 1d arrays, length >= 2")
-    if np.any(np.diff(nodes) <= 0.0) or nodes[0] < 0.0:
-        raise ArgumentError("nodes must be strictly increasing and nonnegative")
-    a = nodes[:-1]
-    b = nodes[1:]
-    ya = values[:-1]
-    yb = values[1:]
-    slope = (yb - ya) / (b - a)
-    c0 = ya - slope * a
-    c1 = slope
-    if tent_R is None:
-        q0, q1, q2 = c0, c1, np.zeros_like(c0)
-    else:
-        q0 = c0 * tent_R
-        q1 = c1 * tent_R - c0
-        q2 = -c1
-    M0, M1, M2 = g_moments(kernel, a, b, jmax=2)
-    return float(np.sum(q0 * M0 + q1 * M1 + q2 * M2))

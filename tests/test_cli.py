@@ -300,6 +300,31 @@ class TestSpecLayer:
         _reject(runner, tmp_path, command, spec, needle)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("route_keys", [
+        {"route": "series"},
+        {"route": "rho2", "model": {"variant": "poisson"}},
+        {"route": "mc", "model": {"variant": "poisson"}, "n_replicas": 30},
+    ], ids=["series", "rho2", "mc"])
+    def test_energy_needs_two_rungs(self, tmp_path, runner, route_keys):
+        # one rung leaves the extrapolation error infinite, which JSON cannot hold
+        spec = {"kernel": {"family": "riesz", "s": 0.5}, "R_list": [64], **route_keys}
+        _reject(runner, tmp_path, "energy", spec, "config.R_list")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_json_value_crashes(self, tmp_path, runner, monkeypatch):
+        import rieszlab.cli as cli
+
+        def infinite(a, outfile):
+            cli.write_json(outfile("energy.json"), {"extrapolation_error": float("inf")})
+
+        monkeypatch.setitem(cli.COMMANDS, "generate",
+                            cli.COMMANDS["generate"]._replace(handler=infinite))
+        cfg = _write(tmp_path, "c.json", {"model": {"variant": "poisson"}, "R": 4})
+        res = runner.invoke(main, ["generate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, ValueError)
+        assert not (tmp_path / "o" / "energy.json").exists()
+
     def test_variance_with_c_log_samples_each_replica_once(self, tmp_path, monkeypatch):
         import rieszlab.estimators as est
 

@@ -137,6 +137,54 @@ class TestBackgroundIntegrals:
         assert got == pytest.approx(ref, rel=1e-8)
 
 
+def _kernel_quad(kernel, f, a, b):
+    """``int_a^b g(v) f(v) dv`` by adaptive quadrature; on a cell starting at
+    0 the kernel's singularity goes into the quadrature weight."""
+    if b == a:
+        return 0.0
+    opts = dict(epsabs=0.0, epsrel=1e-12, limit=200)
+    if a > 0.0:
+        return integrate.quad(lambda v: float(kernel.g(v)) * f(v), a, b, **opts)[0]
+    if kernel.is_log:
+        return -integrate.quad(f, 0.0, b, weight="alg-loga", wvar=(0.0, 0.0), **opts)[0]
+    return integrate.quad(f, 0.0, b, weight="alg", wvar=(-kernel.s, 0.0), **opts)[0]
+
+
+D1_KERNELS = [K_LOG, riesz_kernel(0.25, 1), riesz_kernel(0.75, 1)]
+D1_IDS = ["log", "riesz0.25", "riesz0.75"]
+
+
+class TestClosedForms1d:
+    @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
+    @pytest.mark.parametrize("tent_R", [None, 9.0], ids=["flat", "tent"])
+    def test_pwlinear_weights_vs_quad(self, kernel, tent_R):
+        rng = np.random.default_rng(5)
+        nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 8.0, 12))])
+        values = rng.normal(size=nodes.size)
+
+        def cell(i):
+            a, b, ya, yb = nodes[i], nodes[i + 1], values[i], values[i + 1]
+            tent = (lambda v: 1.0) if tent_R is None else (lambda v: tent_R - v)
+            return _kernel_quad(kernel, lambda v: (ya + (v - a) * (yb - ya) / (b - a)) * tent(v),
+                                a, b)
+
+        ref = sum(cell(i) for i in range(nodes.size - 1))
+        got = quadrature.pwlinear_weights(kernel, nodes, tent_R) @ values
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert quadrature.integrate_g_pwlinear(kernel, nodes, values, tent_R) == got
+
+    @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
+    def test_background_terms_vs_quad(self, kernel):
+        # int_{-R/2}^{R/2} g(p - y) dy splits at y = p into two integrals from 0
+        R = 6.0
+        pts = np.array([-3.0, -1.7, 0.0, 0.4, 3.0])
+        ref = [_kernel_quad(kernel, lambda t: 1.0, 0.0, R / 2.0 + p)
+               + _kernel_quad(kernel, lambda t: 1.0, 0.0, R / 2.0 - p) for p in pts]
+        assert quadrature.point_background_1d(kernel, pts, R) == pytest.approx(ref, rel=1e-10)
+        tent = 2.0 * _kernel_quad(kernel, lambda v: R - v, 0.0, R)
+        assert quadrature.tent_kernel_integral_1d(kernel, R) == pytest.approx(tent, rel=1e-10)
+
+
 class TestHintR:
     def test_empty_config_is_bb(self):
         cfg = PointConfiguration(np.empty((0, 1)), Window(2.0, 1))
@@ -182,9 +230,8 @@ class TestHintR:
             cfg = PointConfiguration(pts[:, None], Window(R, 1))
             vals.append(hint_R(cfg, R, kernel) / R)
         avg = float(np.sum(np.asarray(vals) * weights))
-        from rieszlab.energy import lattice_series_value
-
-        assert abs(avg - lattice_series_value(kernel, R)) < 1e-6
+        series = wint_lattice_series(kernel, [R]).entries[0][1]
+        assert abs(avg - series) < 1e-6
 
 
 class TestRichardson:
@@ -265,6 +312,18 @@ class TestRho2Route:
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.gamma(0.4)))
         with pytest.raises(DivergenceError):
             wint_from_rho2(r2, K_RSZ, [64.0, 128.0, 256.0])
+
+    def test_head_check_uses_dimension_2(self):
+        # a bounded deficit is integrable against |v|^-s in d = 2 for s < 2
+        rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(2, 2)),
+                             riesz_kernel(1.0, 2), [8.0, 16.0])
+        assert all(math.isfinite(v) for _, v, _ in rep.entries)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.5])
+    def test_head_check_uses_dimension_3(self, s):
+        rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(1, 3)),
+                             riesz_kernel(s, 3), [2.0, 4.0])
+        assert all(math.isfinite(v) for _, v, _ in rep.entries)
 
     def test_undecayed_grid_rejected(self):
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.gamma(2.0)))

@@ -14,7 +14,6 @@ from rieszlab import (
     sample,
 )
 from rieszlab.generators import (
-    Rho2GridSpec,
     _sample_bernoulli_raw,
     config_from_csv,
     config_to_csv,
@@ -197,10 +196,6 @@ class TestRho2Analytic:
         assert np.max(r2.continuous_part(v)) < 1e-9  # below the gap support
         peak = np.linspace(0.9, 1.1, 41)
         assert np.max(r2.continuous_part(peak)) > 1.5
-
-    def test_grid_spec_validation(self):
-        with pytest.raises(DomainError):
-            Rho2GridSpec(v_max=32.0, step=0.0)
 
     @pytest.mark.parametrize(
         "model",

@@ -17,7 +17,6 @@ from rieszlab import (
     renewal_entropy_rate,
     riesz_kernel,
 )
-from rieszlab.onedim import ScanOptions
 
 # quadrature-oracle values for the triangular gap laws, frozen; they agree
 # with 1/2 + log(k/2) to rounding
@@ -190,8 +189,7 @@ class TestFreeEnergyScan:
 
     def test_infeasible_shapes_marked(self):
         kernel = riesz_kernel(0.5, 1)
-        scan = free_energy_scan(1.0, kernel, [0.4, 1.0, 2.0],
-                                ScanOptions(R_list=(64.0, 128.0, 256.0)))
+        scan = free_energy_scan(1.0, kernel, [0.4, 1.0, 2.0], R_list=(64.0, 128.0, 256.0))
         flags = {t: ok for t, _, _, _, ok in scan.entries}
         assert flags[0.4] is False and flags[1.0] is True
 
