@@ -11,6 +11,9 @@ positive one), naming the key path.  ``run`` validates, fills in defaults,
 builds the descriptors and runs the cross-field checks before it writes
 anything; ``manifest.json`` echoes the resolved spec.
 
+The handlers write every output file from plain library results: CSVs under
+the headers of ``HEADERS``, JSON reports from the results' dataclass fields.
+
 Exit codes: 0 success, 1 internal error (with a traceback), 2 validation
 error, 3 numerical divergence diagnostic or Monte Carlo abort on too many
 discarded replicas, 4 I/O failure.  Results are byte-identical across
@@ -24,17 +27,17 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
 import click
 
 from . import __version__
-from ._io import fmt, sha256_file, write_json
+from ._io import config_to_csv, fmt, sha256_file, write_csv, write_json
 from .core import (ArgumentError, DivergenceError, DomainError, NotApplicableError,
                    SingularConfigurationError, Window, log_kernel, riesz_kernel)
-from .generators import (GapLaw, ProcessModel, Seed, Variant, config_to_csv,
-                         rho2_analytic, sample)
+from .generators import GapLaw, ProcessModel, Seed, Variant, rho2_analytic, sample
 from . import energy as energy_mod
 from . import estimators as est_mod
 from . import lpx as lpx_mod
@@ -94,7 +97,25 @@ KERNEL = {"family": (Tag({
 }), REQUIRED)}
 
 
-# handlers: (resolved keys with built descriptors, outfile) -> error counters
+# handlers: (resolved keys with built descriptors, outfile) -> error counters;
+# they alone turn library results, which are plain data, into files
+
+_LADDER = ("R", "value", "stderr")
+HEADERS = {  # the header of every CSV a command writes, by kind
+    "energy": _LADDER,
+    "rho2": ("bin_center", "value", "stderr"),
+    "variance": ("R", "var", "stderr"),
+    "dlog": _LADDER,
+    "neighbors": ("x", "density", "stderr"),
+    "freemin": ("theta", "wint", "ers", "f"),
+    "lp_candidate": ("v", "T2"),
+}
+
+
+def _fields(result, *leave_out: str) -> dict:
+    """A result dataclass as a JSON object, without the fields ``leave_out``."""
+    return {k: v for k, v in asdict(result).items() if k not in leave_out}
+
 
 def _generate(a: dict, outfile) -> None:
     window = Window(a["R"], a["model"].d)
@@ -107,18 +128,18 @@ def _generate(a: dict, outfile) -> None:
 def _rho2(a: dict, outfile) -> None:
     window = Window(a["R"], a["model"].d)
     samples = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(a["n_replicas"])]
-    grid = est_mod.GridSpec(a["v_max"], a["n_bins"])
-    est_mod.estimate_rho2(samples, grid).to_csv(outfile("rho2.csv"))
+    est = est_mod.estimate_rho2(samples, est_mod.GridSpec(a["v_max"], a["n_bins"]))
+    write_csv(outfile("rho2.csv"), HEADERS["rho2"], zip(est.centers, est.values, est.stderr))
 
 
 def _variance(a: dict, outfile) -> None:
     model, R_list, n, seed = a["model"], a["R_list"], a["n_replicas"], Seed(a["seed"])
     curve = est_mod.number_variance_curve(model, R_list, n, seed)
-    curve.to_csv(outfile("variance.csv"))
-    summary = {"fitted_exponent": curve.fitted_exponent, "exponent_ci": list(curve.exponent_ci)}
+    write_csv(outfile("variance.csv"), HEADERS["variance"], curve.entries)
+    summary = {"fitted_exponent": curve.fitted_exponent, "exponent_ci": curve.exponent_ci}
     if "c_log" in a:
         dcurve = est_mod.DlogCurve.from_variance(curve.entries, model.d, a["c_log"])
-        dcurve.to_csv(outfile("dlog.csv"))
+        write_csv(outfile("dlog.csv"), HEADERS["dlog"], dcurve.entries)
         summary["dlog_trend"] = dcurve.trend
     write_json(outfile("variance.json"), summary)
 
@@ -131,8 +152,13 @@ def _energy(a: dict, outfile) -> dict:
         rep = energy_mod.wint_from_rho2(rho2_analytic(a["model"]), a["kernel"], a["R_list"])
     else:
         rep = energy_mod.wint_lattice_series(a["kernel"], a["R_list"])
-    rep.to_csv(outfile("energy.csv"))
-    write_json(outfile("energy.json"), rep.to_json_dict())
+    write_csv(outfile("energy.csv"), HEADERS["energy"],
+              [(R, v, 0.0 if s is None else s) for R, v, s in rep.entries])
+    kernel = rep.kernel
+    write_json(outfile("energy.json"), {
+        **_fields(rep, "kernel", "entries", "n_discarded"),
+        "kernel": {"family": kernel.family.value, "d": kernel.d, "s": kernel.s},
+        "entries": [{"R": R, "value": v, "stderr": s} for R, v, s in rep.entries]})
     return {"discarded_replicas": rep.n_discarded}
 
 
@@ -146,30 +172,30 @@ def _neighbor_densities(a: dict) -> list:
 def _neighbors(a: dict, outfile) -> None:
     masses = {}
     for k, nd in enumerate(_neighbor_densities(a), start=1):
-        nd.to_csv(outfile(f"neighbors_k{k:02d}.csv"))
+        write_csv(outfile(f"neighbors_k{k:02d}.csv"), HEADERS["neighbors"],
+                  zip(nd.centers, nd.values, nd.stderr))
         masses[str(k)] = nd.total_mass
     write_json(outfile("neighbors.json"), {"total_mass": masses})
 
 
 def _crystal(a: dict, outfile) -> None:
     gap = onedim_mod.crystallization_gap(_neighbor_densities(a), a["s_exponent"], a["k_max"])
-    write_json(outfile("crystal.json"), {
-        "s_exponent": gap.s_exponent, "k_max": gap.k_max,
-        "value": gap.value, "truncation_bound": gap.truncation_bound})
+    write_json(outfile("crystal.json"), _fields(gap))
 
 
 def _freemin(a: dict, outfile) -> None:
     scan = onedim_mod.free_energy_scan(a["beta"], a["kernel"], a["theta_grid"], a["R_list"])
-    scan.to_csv(outfile("freemin.csv"))
-    write_json(outfile("freemin.json"), scan.to_json_dict())
+    write_csv(outfile("freemin.csv"), HEADERS["freemin"],
+              [(t, w, e, f) for t, w, e, f, feasible in scan.entries if feasible])
+    write_json(outfile("freemin.json"), _fields(scan, "entries"))
 
 
 def _lp(a: dict, outfile) -> None:
     disc = lpx_mod.Discretization(v_max=a["v_max"], step=a["step"], R=a["R"])
     best = lpx_mod.minimize_t2(disc, a["kernel"], a["iterations"])
     hc = lpx_mod.evaluate_candidate(lpx_mod.hardcore_candidate(disc), disc, a["kernel"])
-    best.to_csv(disc, outfile("lp_candidate.csv"))
-    write_json(outfile("lp.json"), {**best.to_json_dict(), "hardcore_objective": hc.objective})
+    write_csv(outfile("lp_candidate.csv"), HEADERS["lp_candidate"], zip(disc.grid, best.values))
+    write_json(outfile("lp.json"), {**_fields(best, "values"), "hardcore_objective": hc.objective})
 
 
 def _pinsker(a: dict, outfile) -> None:
@@ -178,8 +204,8 @@ def _pinsker(a: dict, outfile) -> None:
     samples_p = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(n)]
     samples_q = [sample(ProcessModel.poisson(1), window, Seed(a["seed"] + 1, j))
                  for j in range(n)]
-    reports = [est_mod.pinsker_check(
-        ers, est_mod.tv_lower_bound(samples_p, samples_q, R, a["tile_count"]), R).to_json_dict()
+    reports = [_fields(est_mod.pinsker_check(
+        ers, est_mod.tv_lower_bound(samples_p, samples_q, R, a["tile_count"]), R))
         for R in a["R_list"]]
     write_json(outfile("pinsker.json"), {"ers": ers, "reports": reports})
 
@@ -354,8 +380,7 @@ def run(spec: dict) -> dict:
 # plot script emission
 # ---------------------------------------------------------------------------
 
-_PLOT_HEADERS = {"variance": ["R", "var", "stderr"], "rho2": ["bin_center", "value", "stderr"],
-                 "energy": ["R", "value", "stderr"], "freemin": ["theta", "wint", "ers", "f"]}
+_PLOT_HEADERS = {kind: list(HEADERS[kind]) for kind in ("variance", "rho2", "energy", "freemin")}
 
 
 def emit_plot_script(csv_path, kind: str, out_path, extra: dict | None = None) -> Path:

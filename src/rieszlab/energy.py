@@ -92,28 +92,6 @@ class EnergyReport:
     extrapolated_stderr: float = 0.0
     n_discarded: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "route": self.route,
-            "kernel": {
-                "family": self.kernel.family.value,
-                "d": self.kernel.d,
-                "s": self.kernel.s,
-            },
-            "entries": [
-                {"R": R, "value": v, "stderr": s} for R, v, s in self.entries
-            ],
-            "extrapolated": self.extrapolated,
-            "extrapolation_error": self.extrapolation_error,
-            "extrapolated_stderr": self.extrapolated_stderr,
-        }
-
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        rows = [(R, v, 0.0 if s is None else s) for R, v, s in self.entries]
-        write_csv(path, ("R", "value", "stderr"), rows)
-
 
 # ---------------------------------------------------------------------------
 # per-configuration interaction energy
@@ -231,8 +209,6 @@ def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
 
     lo = np.full(d, -R)
     hi = np.full(d, R)
-    if rho2.atoms_upto(R * math.sqrt(d)).size:
-        raise NotApplicableError("atomic two-point parts are supported in d = 1 only")
     total = quadrature.box_kernel_integral(kernel, lo, hi, weight=weight, order=24)
     return total / R**d
 
@@ -304,13 +280,10 @@ def wbs_energy(rho2: Rho2Analytic, kernel: Kernel, v_max: float) -> float:
         raise NotApplicableError("tent-free energy quadrature is implemented in d = 1")
     if not rho2.tail_flat:
         raise NotApplicableError("pair deficit has not decayed over the available grid")
-    if rho2.support_radius > v_max:
-        probe = np.linspace(0.9 * v_max, v_max, 64)
-        dev = float(np.max(np.abs(np.asarray(rho2.continuous_part(probe)) - 1.0)))
-        atoms_near_end = bool(np.any(rho2.atoms_upto(v_max)[:, 0] > 0.9 * v_max)) \
-            if rho2.atoms_upto(v_max).size else False
-        if dev > 1e-6 or atoms_near_end:
-            raise NotApplicableError(
-                f"pair deficit has not decayed by v_max={v_max} (residual {dev:.2e})"
-            )
+    probe = np.linspace(0.9 * v_max, v_max, 64)
+    dev = float(np.max(np.abs(np.asarray(rho2.continuous_part(probe)) - 1.0)))
+    if dev > 1e-6 or np.any(rho2.atoms_upto(v_max)[:, 0] > 0.9 * v_max):
+        raise NotApplicableError(
+            f"pair deficit has not decayed by v_max={v_max} (residual {dev:.2e})"
+        )
     return 2.0 * _profile_integral_1d(rho2, kernel, v_max, None)

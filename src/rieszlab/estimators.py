@@ -1,8 +1,5 @@
 """Monte Carlo estimators: pair correlations, number variance, the
 logarithmic discrepancy term, and total-variation / Pinsker diagnostics.
-
-Replica reductions are order-independent (numpy pairwise summation), so
-serial and parallel folds agree to rounding.
 """
 
 from __future__ import annotations
@@ -50,23 +47,12 @@ class CorrelationEstimate:
     mode: str                   # "signed" or "radial"
     bin_width: float
 
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        write_csv(path, ("bin_center", "value", "stderr"),
-                  zip(self.centers, self.values, self.stderr))
-
 
 @dataclass
 class VarianceCurve:
     entries: list[tuple[float, float, float]]  # (R, mean D_R^2, stderr)
     fitted_exponent: float
     exponent_ci: tuple[float, float]
-
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        write_csv(path, ("R", "var", "stderr"), self.entries)
 
 
 @dataclass(frozen=True)
@@ -75,14 +61,6 @@ class TvReport:
     pinsker_upper: float
     window_R: float
     satisfied: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tv_lower": self.tv_lower,
-            "pinsker_upper": self.pinsker_upper,
-            "window_R": self.window_R,
-            "satisfied": self.satisfied,
-        }
 
 
 @dataclass(frozen=True)
@@ -230,11 +208,6 @@ class DlogCurve:
     trend: str                                 # "bounded->0" | "bounded->positive" | "diverging"
     c_log: float
 
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        write_csv(path, ("R", "value", "stderr"), self.entries)
-
     @classmethod
     def from_variance(cls, entries, d: int, c_log: float) -> "DlogCurve":
         """The ``(R, mean D_R^2, stderr)`` entries of a variance curve in
@@ -323,11 +296,12 @@ def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointCon
     return 0.5 * sum(abs(hp.get(k, 0.0) - hq.get(k, 0.0)) for k in support)
 
 
-def pinsker_check(ers: float, tv_lower: float, R: float, d: int = 1) -> TvReport:
+def pinsker_check(ers: float, tv_lower: float, R: float) -> TvReport:
     """Compare a TV lower bound against the entropy-rate upper bound
-    ``sqrt(ers / 2) * R^(d/2)`` for the window of side R."""
+    ``sqrt(ers / 2) * R^(1/2)`` for the window of length R (d = 1, where the
+    entropy rate is defined)."""
     if ers < 0.0:
         raise ArgumentError("the specific relative entropy is nonnegative")
-    upper = math.sqrt(ers / 2.0) * float(R) ** (d / 2.0)
+    upper = math.sqrt(ers / 2.0) * float(R) ** 0.5
     return TvReport(tv_lower=float(tv_lower), pinsker_upper=upper,
                     window_R=float(R), satisfied=bool(tv_lower <= upper))

@@ -20,6 +20,7 @@ from scipy import special
 from .core import (
     ArgumentError,
     DomainError,
+    NotApplicableError,
     PointConfiguration,
     Window,
 )
@@ -30,7 +31,6 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 class GapLawKind(Enum):
-    EXPONENTIAL = "exponential"
     GAMMA = "gamma"
     UNIFORM_HAT = "uniform_hat"
 
@@ -39,8 +39,8 @@ class GapLawKind(Enum):
 class GapLaw:
     """Mean-1 law of the i.i.d. gaps of a renewal process.
 
-    ``EXPONENTIAL`` is Gamma(1); ``GAMMA`` has shape ``theta`` and rate
-    ``theta``; ``UNIFORM_HAT(k)`` is the law of ``1 + V' - V`` with V, V'
+    ``GAMMA`` has shape ``theta`` and rate ``theta`` (theta = 1 is the
+    exponential law); ``UNIFORM_HAT(k)`` is the law of ``1 + V' - V`` with V, V'
     independent uniform on [-1/k, 1/k], a triangular density supported on
     [1 - 2/k, 1 + 2/k] (k >= 2 so that gaps stay nonnegative).
     """
@@ -56,12 +56,10 @@ class GapLaw:
         elif self.kind is GapLawKind.UNIFORM_HAT:
             if self.k is None or not (isinstance(self.k, int) and self.k >= 2):
                 raise DomainError("UniformHat gap law requires integer k >= 2")
-        elif self.theta is not None or self.k is not None:
-            raise ArgumentError("exponential gap law takes no parameter")
 
     @staticmethod
     def exponential() -> "GapLaw":
-        return GapLaw(GapLawKind.EXPONENTIAL)
+        return GapLaw.gamma(1.0)
 
     @staticmethod
     def gamma(theta: float) -> "GapLaw":
@@ -73,8 +71,6 @@ class GapLaw:
 
     @property
     def std(self) -> float:
-        if self.kind is GapLawKind.EXPONENTIAL:
-            return 1.0
         if self.kind is GapLawKind.GAMMA:
             return self.theta**-0.5
         return math.sqrt(2.0 / 3.0) / self.k
@@ -92,7 +88,7 @@ class GapLaw:
             w = 2.0 / self.k
             out = np.maximum(0.0, 1.0 - np.abs(x - 1.0) / w) / w
             return out
-        theta = 1.0 if self.kind is GapLawKind.EXPONENTIAL else self.theta
+        theta = self.theta
         out = np.zeros_like(x)
         pos = x > 0.0
         xp = x[pos]
@@ -110,8 +106,7 @@ class GapLaw:
             w = 2.0 / self.k
             t = np.clip((x - 1.0) / w, -1.0, 1.0)
             return np.where(t < 0.0, 0.5 * (1.0 + t) ** 2, 1.0 - 0.5 * (1.0 - t) ** 2)
-        theta = 1.0 if self.kind is GapLawKind.EXPONENTIAL else self.theta
-        return special.gammainc(theta, theta * np.maximum(x, 0.0))
+        return special.gammainc(self.theta, self.theta * np.maximum(x, 0.0))
 
     def partial_mean(self, x) -> np.ndarray:
         """Cumulative first moment ``int_0^x t f(t) dt`` (reaches 1 at infinity)."""
@@ -131,14 +126,11 @@ class GapLaw:
             left = ileft(np.minimum(t, 1.0)) - ileft(lo)
             right = np.where(t > 1.0, iright(t) - iright(1.0), 0.0)
             return left + right
-        theta = 1.0 if self.kind is GapLawKind.EXPONENTIAL else self.theta
         # for a mean-1 gamma law, E[X 1_{X <= x}] is the regularized lower
         # incomplete gamma with shape theta + 1
-        return special.gammainc(theta + 1.0, theta * np.maximum(x, 0.0))
+        return special.gammainc(self.theta + 1.0, self.theta * np.maximum(x, 0.0))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind is GapLawKind.EXPONENTIAL:
-            return rng.exponential(1.0, n)
         if self.kind is GapLawKind.GAMMA:
             return rng.gamma(self.theta, 1.0 / self.theta, n)
         half = 1.0 / self.k
@@ -211,11 +203,11 @@ class ProcessModel:
             return f"vibrating_lattice(k={self.k})"
         if self.variant is Variant.RENEWAL:
             g = self.gap
-            if g.kind is GapLawKind.GAMMA:
-                return f"renewal(gamma,theta={g.theta:g})"
             if g.kind is GapLawKind.UNIFORM_HAT:
                 return f"renewal(uniform_hat,k={g.k})"
-            return "renewal(exponential)"
+            if g.theta == 1.0:
+                return "renewal(exponential)"
+            return f"renewal(gamma,theta={g.theta:g})"
         return f"{self.variant.value}(d={self.d})"
 
 
@@ -360,14 +352,12 @@ class Rho2Analytic:
         continuous_part: Callable[[np.ndarray], np.ndarray],
         nodes_fn: Callable[[float], np.ndarray],
         atoms_fn: Callable[[float], np.ndarray] | None = None,
-        support_radius: float = math.inf,
         head_exponent: float = 0.0,
         tail_flat: bool = True,
     ):
         self.continuous_part = continuous_part
         self._nodes_fn = nodes_fn
         self._atoms_fn = atoms_fn or (lambda limit: np.empty((0, 2)))
-        self.support_radius = support_radius
         self.head_exponent = head_exponent
         self.tail_flat = tail_flat
 
@@ -388,25 +378,17 @@ def _rho2_poisson() -> Rho2Analytic:
     return Rho2Analytic(
         continuous_part=lambda v: np.ones_like(np.asarray(v, dtype=float)),
         nodes_fn=lambda limit: np.array([0.0, limit]),
-        support_radius=0.0,
     )
 
 
 def _rho2_lattice(d: int) -> Rho2Analytic:
-    if d == 1:
-        def atoms_fn(limit: float) -> np.ndarray:
-            locs = np.arange(1.0, math.floor(limit) + 1.0)
-            return np.stack([locs, np.ones_like(locs)], axis=1)
-    else:
-        def atoms_fn(limit: float) -> np.ndarray:
-            # |m| <= limit over m in Z^d, folded to radii with multiplicities
-            rng = np.arange(-math.floor(limit), math.floor(limit) + 1)
-            grids = np.meshgrid(*([rng] * d), indexing="ij")
-            m = np.stack([g.ravel() for g in grids], axis=1)
-            r = np.sqrt((m * m).sum(axis=1))
-            keep = (r > 0.0) & (r <= limit)
-            radii, counts = np.unique(r[keep], return_counts=True)
-            return np.stack([radii, counts.astype(float)], axis=1)
+    if d != 1:
+        # the energy routes integrate atoms in d = 1 only
+        raise NotApplicableError("atomic two-point parts are supported in d = 1 only")
+
+    def atoms_fn(limit: float) -> np.ndarray:
+        locs = np.arange(1.0, math.floor(limit) + 1.0)
+        return np.stack([locs, np.ones_like(locs)], axis=1)
 
     return Rho2Analytic(
         continuous_part=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
@@ -430,7 +412,6 @@ def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
     return Rho2Analytic(
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, kk, limit]),
-        support_radius=kk * math.sqrt(d),
     )
 
 
@@ -536,7 +517,6 @@ def _rho2_renewal(gap: GapLaw) -> Rho2Analytic:
     return Rho2Analytic(
         continuous_part=cont,
         nodes_fn=_renewal_nodes(grid),
-        support_radius=float(grid[-1]),
         head_exponent=gap.head_exponent,
         tail_flat=tail_flat,
     )
@@ -556,7 +536,6 @@ def rho2_hardcore(transition: float = 2.0**-20) -> Rho2Analytic:
     return Rho2Analytic(
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, 0.5 - t / 2.0, 0.5 + t / 2.0, limit]),
-        support_radius=0.5 + t,
     )
 
 
@@ -574,46 +553,3 @@ def rho2_analytic(model: ProcessModel) -> Rho2Analytic:
     if v is Variant.VIBRATING_LATTICE:
         return _rho2_vibrating(model.k)
     return _rho2_renewal(model.gap)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trip for configurations
-# ---------------------------------------------------------------------------
-
-def config_to_csv(config: PointConfiguration, path, model: str = "", seed: str = "") -> None:
-    d = config.d
-    lines = [
-        f"# d={d}",
-        f"# R={config.window.R:.17g}",
-        f"# center={','.join(f'{c:.17g}' for c in config.window.center)}",
-        f"# model={model}",
-        f"# seed={seed}",
-        ",".join(f"x{i + 1}" for i in range(d)),
-    ]
-    for row in config.points:
-        lines.append(",".join(f"{c:.17g}" for c in row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def config_from_csv(path) -> PointConfiguration:
-    meta: dict[str, str] = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            elif line.startswith("x1"):
-                continue
-            else:
-                rows.append([float(tok) for tok in line.split(",")])
-    d = int(meta["d"])
-    R = float(meta["R"])
-    center = tuple(float(t) for t in meta.get("center", "0").split(",")) if meta.get("center") else None
-    window = Window(R, d, center)
-    pts = np.asarray(rows, dtype=float).reshape(-1, d)
-    return PointConfiguration(pts, window)

@@ -90,21 +90,6 @@ class CandidateT2:
     # the band constraint can be violated between frequency samples
     fourier_lipschitz: float = 0.0
 
-    def to_csv(self, disc: Discretization, path) -> None:
-        from ._io import write_csv
-
-        write_csv(path, ("v", "T2"), zip(disc.grid, self.values))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "feasible_direct": self.feasible_direct,
-            "feasible_fourier": self.feasible_fourier,
-            "max_violation": self.max_violation,
-            "R": self.R,
-            "fourier_lipschitz": self.fourier_lipschitz,
-        }
-
 
 def _half_profile(disc: Discretization, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
@@ -186,7 +171,7 @@ def _dykstra(disc: Discretization, half: np.ndarray) -> tuple[np.ndarray, float,
     return x, total, trace
 
 
-def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int = 400) -> CandidateT2:
+def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int) -> CandidateT2:
     """Projected subgradient descent on the linear objective over the two
     constraint sets, warm-started at the hardcore profile; the best feasible
     iterate is tracked so the result can only improve on the references."""

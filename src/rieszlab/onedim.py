@@ -51,12 +51,6 @@ class NeighborDensity:
         m = self.mean_position() / max(self.total_mass, 1e-300)
         return float(np.sum((self.centers - m) ** 2 * self.values) * self.step)
 
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        write_csv(path, ("x", "density", "stderr"),
-                  zip(self.centers, self.values, self.stderr))
-
 
 @dataclass(frozen=True)
 class GapFunctionalValue:
@@ -78,20 +72,6 @@ class FreeEnergyScan:
     entries: list[tuple[float, float, float, float, bool]]  # (theta, w, ers, f, feasible)
     argmin_theta: float
     bracket: tuple[float, float]
-
-    def to_csv(self, path) -> None:
-        from ._io import write_csv
-
-        rows = [(t, w, e, f) for t, w, e, f, ok in self.entries if ok]
-        write_csv(path, ("theta", "wint", "ers", "f"), rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "family": self.family,
-            "argmin_theta": self.argmin_theta,
-            "bracket": list(self.bracket),
-        }
 
 
 def kth_neighbor_density(samples: list[PointConfiguration], k: int, L: float,
@@ -164,7 +144,7 @@ def renewal_entropy_rate(gap: GapLaw) -> float:
     """
     if gap.kind is GapLawKind.UNIFORM_HAT:
         return 0.5 + math.log(gap.k / 2.0)
-    theta = 1.0 if gap.kind is GapLawKind.EXPONENTIAL else gap.theta
+    theta = gap.theta
     entropy = (theta - math.log(theta) + special.gammaln(theta)
                + (1.0 - theta) * special.digamma(theta))
     return 1.0 - float(entropy)
@@ -215,7 +195,7 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
 
     def parts(theta: float):
         if theta not in cache:
-            gap = GapLaw.exponential() if theta == 1.0 else GapLaw.gamma(theta)
+            gap = GapLaw.gamma(theta)
             try:
                 rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)),
                                      kernel, R_list)

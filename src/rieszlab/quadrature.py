@@ -4,10 +4,11 @@ Everything here is exact or spectrally accurate, and deterministic.  In d = 1
 every closed form derives from one primitive, ``_g_primitive``:
 ``P_j(v) = int_0^v g(t) t^j dt``.  The point-background integral is a sum of
 two P_0 values, the background-background integral ``2 (R P_0(R) - P_1(R))``,
-and ``pwlinear_weights`` turns the cell moments ``P_j(b) - P_j(a)``, j <= 2,
-into node weights for the exact integral of g against a piecewise-linear
-profile, with or without the tent ``R - v``: the d = 1 energy routes and the
-LP objective are those weights applied to node values.  In d = 2, 3 there is
+and ``pwlinear_weights`` turns the cell moments ``P_j(b) - P_j(a)``, j <= 2
+(``g_moments``, in a form free of cancellation), into node weights for the
+exact integral of g against a piecewise-linear profile, with or without the
+tent ``R - v``: the d = 1 energy routes and the LP objective are those
+weights applied to node values.  In d = 2, 3 there is
 a corner antiderivative for the planar log kernel and one corner-mapped
 (Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with the origin at
 a corner.
@@ -59,10 +60,36 @@ def _g_primitive(kernel: Kernel, v, j: int):
 
 
 def g_moments(kernel: Kernel, a, b) -> list[np.ndarray]:
-    """Moments ``int_a^b g(v) v^j dv`` for j = 0, 1, 2, vectorized over cells."""
+    """Moments ``int_a^b g(v) v^j dv`` for j = 0, 1, 2, vectorized over cells.
+
+    A cell [0, b] gives P_j(b).  For a > 0, P_j(b) - P_j(a) would lose about
+    ``log10(a / (b - a))`` digits to cancellation, so it is taken from
+    ``t = log1p((b - a) / a)`` and ``E = expm1(p t)``, p = j + 1:
+    ``a^e expm1(e t) / e`` (Riesz, e = p - s) and
+    ``a^p [E (1/p^2 - log(a)/p) - (1 + E) t/p]`` (log).
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return [_g_primitive(kernel, b, j) - _g_primitive(kernel, a, j) for j in range(3)]
+    at_0 = a <= 0.0
+    a1 = np.where(at_0, 1.0, a)  # any positive stand-in on the cells at 0
+    t = np.log1p((b - a) / a1)
+    if kernel.is_log:
+        log_a, power = np.log(a1), a1
+    else:
+        power = a1 ** (1.0 - kernel.s)  # a^e for j = 0
+    moments = []
+    for j in range(3):
+        p = j + 1.0
+        if kernel.is_log:
+            E = np.expm1(p * t)
+            m = power * (E * (1.0 / (p * p) - log_a / p) - (1.0 + E) * t / p)
+        else:
+            e = p - kernel.s
+            m = power * np.expm1(e * t) / e
+        m[at_0] = _g_primitive(kernel, b[at_0], j)
+        moments.append(m)
+        power = power * a1
+    return moments
 
 
 def point_background_1d(kernel: Kernel, p, R: float) -> np.ndarray:

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from rieszlab.cli import main, run, _load_spec
 from rieszlab.core import SingularConfigurationError
-from rieszlab.generators import config_from_csv
+from rieszlab._io import config_from_csv
 
 
 @pytest.fixture()
@@ -123,6 +123,29 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         script = (out / "fig.gp").read_text()
         assert "extrapolated" in script and "logscale" in script
+
+    @pytest.mark.parametrize("kind, spec, companion", [
+        ("rho2", {"model": {"variant": "poisson"}, "R": 16, "n_replicas": 10, "v_max": 4,
+                  "n_bins": 8}, None),
+        ("variance", {"model": {"variant": "poisson"}, "R_list": [4, 8, 16, 48],
+                      "n_replicas": 30}, "variance.json"),
+        ("freemin", {"kernel": {"family": "riesz", "s": 0.5}, "beta": 1.0,
+                     "theta_grid": [1.0, 2.0, 4.0], "R_list": [64, 128]}, "freemin.json"),
+    ])
+    def test_plot_reads_command_outputs(self, tmp_path, runner, kind, spec, companion):
+        out = tmp_path / kind
+        res = runner.invoke(main, [kind, "--config", _write(tmp_path, "c.json", spec),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        args = ["plot", "--csv", str(out / f"{kind}.csv"), "--kind", kind,
+                "--out", str(out / "fig.gp")]
+        if companion is not None:
+            args += ["--json", str(out / companion)]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        script = (out / "fig.gp").read_text()
+        assert f"plot '{kind}.csv'" in script
+        assert ("fitted slope" in script) == (kind == "variance")
 
     def test_plot_rejects_wrong_header(self, tmp_path, runner):
         bad = tmp_path / "bad.csv"
@@ -294,7 +317,9 @@ class TestSpecLayer:
         ("energy", {**ENERGY_MC, "R_list": [16, 8, 32]}, "increasing"),
         ("rho2", {"model": {"variant": "poisson"}, "R": 16, "n_replicas": 5, "n_bins": 1},
          "n_bins >= 2"),
-    ], ids=["short_decade", "few_replicas", "non_increasing", "one_bin"])
+        ("energy", {"model": {"variant": "lattice", "d": 2}, "kernel": {"family": "log2d"},
+                    "R_list": [8, 16], "route": "rho2"}, "atomic two-point parts"),
+    ], ids=["short_decade", "few_replicas", "non_increasing", "one_bin", "lattice_2d_rho2"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

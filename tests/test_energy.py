@@ -173,6 +173,36 @@ class TestClosedForms1d:
         assert got == pytest.approx(ref, rel=1e-10)
         assert quadrature.integrate_g_pwlinear(kernel, nodes, values, tent_R) == got
 
+    @pytest.mark.parametrize("kernel", D1_KERNELS[:2], ids=D1_IDS[:2])
+    def test_far_cells_vs_mpmath(self, kernel):
+        # cells of width 1/8 out to v = 512: the moments there must not come
+        # from differences of primitives, which lose up to 1e-7 relative
+        mp = pytest.importorskip("mpmath")
+        R = 512.0
+        r2 = rho2_analytic(ProcessModel.vibrating_lattice(16))
+        nodes = r2.nodes_upto(R)
+        values = np.asarray(r2.continuous_part(nodes)) - 1.0
+        with mp.workdps(40):
+            def primitive(v, j):
+                p = j + 1
+                if v == 0:
+                    return mp.mpf(0)
+                if kernel.is_log:
+                    return v**p * (mp.mpf(1) / p**2 - mp.log(v) / p)
+                return v ** (p - mp.mpf(kernel.s)) / (p - mp.mpf(kernel.s))
+
+            ref = mp.mpf(0)
+            for a, b, ya, yb in zip(nodes[:-1], nodes[1:], values[:-1], values[1:]):
+                a, b, ya, yb = map(mp.mpf, (a, b, ya, yb))
+                M0, M1, M2 = (primitive(b, j) - primitive(a, j) for j in range(3))
+                # (ya + beta (v - a)) (R - v) = alpha R + (beta R - alpha) v - beta v^2
+                beta = (yb - ya) / (b - a)
+                alpha = ya - beta * a
+                ref += alpha * R * M0 + (beta * R - alpha) * M1 - beta * M2
+            ref = float(ref)
+        got = quadrature.integrate_g_pwlinear(kernel, nodes, values, tent_R=R)
+        assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
     def test_background_terms_vs_quad(self, kernel):
         # int_{-R/2}^{R/2} g(p - y) dy splits at y = p into two integrals from 0

@@ -7,17 +7,15 @@ from rieszlab import (
     ArgumentError,
     DomainError,
     GapLaw,
+    NotApplicableError,
     ProcessModel,
     Seed,
     Window,
     rho2_analytic,
     sample,
 )
-from rieszlab.generators import (
-    _sample_bernoulli_raw,
-    config_from_csv,
-    config_to_csv,
-)
+from rieszlab._io import config_from_csv, config_to_csv
+from rieszlab.generators import _sample_bernoulli_raw
 
 ALL_MODELS = [
     ProcessModel.poisson(1),
@@ -69,6 +67,19 @@ class TestSampling:
             c = sample(model, window, Seed(77, 4))
             if a.n == c.n:
                 assert not np.array_equal(a.points, c.points)
+
+    def test_exponential_is_gamma_one(self):
+        # Gamma(1) draws the exponential stream bit for bit, so renewal
+        # configurations and the generate headers are those of the exponential law
+        exponential = ProcessModel.renewal(GapLaw.exponential())
+        gamma_one = ProcessModel.renewal(GapLaw.gamma(1.0))
+        assert exponential.describe() == gamma_one.describe() == "renewal(exponential)"
+        for replica in range(5):
+            draws = GapLaw.gamma(1.0).sample(Seed(3, replica).rng(), 1000)
+            np.testing.assert_array_equal(draws, Seed(3, replica).rng().exponential(1.0, 1000))
+            a = sample(exponential, Window(40.0, 1), Seed(9, replica))
+            b = sample(gamma_one, Window(40.0, 1), Seed(9, replica))
+            np.testing.assert_array_equal(a.points, b.points)
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_unit_intensity(self, model):
@@ -166,14 +177,10 @@ class TestRho2Analytic:
         m1 = (v >= 1.0 - 2.0 / k) & (v <= 1.0 + 2.0 / k)
         assert np.trapezoid(vals[m1], v[m1]) == pytest.approx(1.0, abs=1e-3)
 
-    def test_lattice_2d_atom_fold(self):
-        r2 = rho2_analytic(ProcessModel.lattice(2))
-        atoms = r2.atoms_upto(2.0)
-        table = {round(loc, 6): mass for loc, mass in atoms}
-        assert table[1.0] == 4.0
-        assert table[round(math.sqrt(2.0), 6)] == 4.0
-        assert table[2.0] == 4.0
-        assert np.all(r2.continuous_part(np.linspace(0, 3, 7)) == 0.0)
+    def test_lattice_2d_not_applicable(self):
+        # the energy routes integrate atoms in d = 1 only
+        with pytest.raises(NotApplicableError, match="supported in d = 1 only"):
+            rho2_analytic(ProcessModel.lattice(2))
 
     def test_renewal_exponential_is_flat(self):
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.exponential()))
