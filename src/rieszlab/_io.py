@@ -56,11 +56,10 @@ def sha256_file(path) -> str:
 
 def config_to_csv(config: PointConfiguration, path, model: str = "", seed: str = "") -> None:
     """One configuration as CSV: ``# key=value`` lines for the dimension,
-    window side, window center, model and seed, then the coordinate columns."""
+    window side, model and seed, then the coordinate columns."""
     _write_lines(path, [
         f"# d={config.d}",
         f"# R={fmt(config.window.R)}",
-        f"# center={','.join(map(fmt, config.window.center))}",
         f"# model={model}",
         f"# seed={seed}",
         ",".join(f"x{i + 1}" for i in range(config.d)),
@@ -81,6 +80,5 @@ def config_from_csv(path) -> PointConfiguration:
         else:
             rows.append([float(tok) for tok in line.split(",")])
     d = int(meta["d"])
-    center = tuple(float(t) for t in meta["center"].split(",")) if meta.get("center") else None
-    window = Window(float(meta["R"]), d, center)
+    window = Window(float(meta["R"]), d)
     return PointConfiguration(np.asarray(rows, dtype=float).reshape(-1, d), window)

@@ -1,14 +1,16 @@
 """Kernels, windows, point configurations, and elementary statistics.
 
 The pairwise interaction is ``-log|x|`` in dimension 1 or 2, or the inverse
-power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Every other module consumes
-the types defined here.  All operations are pure functions of their
+power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
+window is the centred cube ``C_R = [-R/2, R/2]^d`` and every energy is a limit
+over an increasing ladder of sides R (``ladder``).  Every other module
+consumes the types defined here.  All operations are pure functions of their
 arguments, so they are safe under any parallel execution scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -109,25 +111,16 @@ def riesz_kernel(s: float, d: int = 1) -> Kernel:
 
 @dataclass(frozen=True)
 class Window:
-    """Hypercube observation window of side ``R`` centered at ``center``."""
+    """The centred cube ``C_R = [-R/2, R/2]^d`` of side ``R``."""
 
     R: float
     d: int
-    center: tuple = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not self.R > 0:
             raise DomainError(f"window side must be positive, got {self.R}")
         if not isinstance(self.d, int) or not (1 <= self.d <= 3):
             raise ArgumentError(f"dimension must be an integer in [1, 3], got {self.d!r}")
-        c = self.center
-        if c is None:
-            c = (0.0,) * self.d
-        else:
-            c = tuple(float(x) for x in np.atleast_1d(c))
-            if len(c) != self.d:
-                raise ArgumentError("window center must have one coordinate per dimension")
-        object.__setattr__(self, "center", c)
 
     @property
     def volume(self) -> float:
@@ -135,7 +128,7 @@ class Window:
 
 
 class PointConfiguration:
-    """Finite point set inside a hypercube window.
+    """Finite point set inside a window, the centred cube C_R.
 
     Points are stored as an ``(n, d)`` float64 array.  Window membership is
     checked with closed intervals and exact comparison; duplicate points are
@@ -158,10 +151,7 @@ class PointConfiguration:
             )
         if np.isnan(pts).any():
             raise ArgumentError("points contain NaN coordinates")
-        c = np.asarray(window.center)
-        half = window.R / 2.0
-        rel = pts - c
-        if pts.size and (np.abs(rel) > half).any():
+        if (np.abs(pts) > window.R / 2.0).any():
             raise DomainError("points fall outside the window")
         self.window = window
         self.points = np.ascontiguousarray(pts)
@@ -181,19 +171,16 @@ class PointConfiguration:
             raise ArgumentError("flat coordinates are defined for d = 1 only")
         return self.points[:, 0]
 
-    def relative(self) -> np.ndarray:
-        """Coordinates relative to the window center."""
-        return self.points - np.asarray(self.window.center)
-
-    def translate(self, shift) -> "PointConfiguration":
-        shift = np.atleast_1d(np.asarray(shift, dtype=float))
-        new_center = tuple(np.asarray(self.window.center) + shift)
-        return PointConfiguration(
-            self.points + shift, Window(self.window.R, self.d, new_center)
-        )
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointConfiguration(n={self.n}, d={self.d}, R={self.window.R})"
+
+
+def ladder(R_list) -> list[float]:
+    """The sides of an R ladder as floats, checked to be strictly increasing."""
+    R_list = [float(R) for R in R_list]
+    if any(b <= a for a, b in zip(R_list, R_list[1:])):
+        raise ArgumentError("R_list must be increasing")
+    return R_list
 
 
 @dataclass(frozen=True)
@@ -242,11 +229,7 @@ def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
     """Points of ``config`` inside the centered cube of side R (closed faces)."""
     if R > config.window.R:
         raise DomainError("cube side exceeds the configuration window")
-    rel = config.relative()
-    if config.n == 0:
-        return rel
-    mask = np.all(np.abs(rel) <= R / 2.0, axis=1)
-    return rel[mask]
+    return config.points[np.all(np.abs(config.points) <= R / 2.0, axis=1)]
 
 
 def discrepancy(config: PointConfiguration, R: float) -> DiscrepancyStat:

@@ -6,8 +6,9 @@ point-background, and background-background terms and averages over sampled
 replicas.  ``Rho2Quadrature`` integrates the tent-weighted pair correlation
 deficit (the explicit formula of Borodin & Serfaty).  ``LatticeSeries`` is
 the same formula for the atomic two-point function of the unit lattice in
-d = 1.  Each route ends with Richardson extrapolation in 1/R and an honest
-residual, never a bare limit claim.
+d = 1.  Each route hands its ladder of centred cubes C_R (``core.ladder``) to
+``_report``, which extrapolates it in 1/R with an honest residual, never a
+bare limit claim.
 
 In d = 1 one profile integral, ``_profile_integral_1d``, evaluates that
 formula, ``int_0^limit g(v) (rho2(v) - 1) w(v) dv`` with the tent
@@ -27,12 +28,12 @@ from . import _fast, quadrature
 from .core import (
     ArgumentError,
     DivergenceError,
-    DomainError,
     Kernel,
     NotApplicableError,
     PointConfiguration,
     SingularConfigurationError,
     Window,
+    ladder,
     points_in_cube,
 )
 from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
@@ -43,43 +44,32 @@ from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
 # ---------------------------------------------------------------------------
 
 def richardson(R_values, values, stderr=None, depth: int | None = None):
-    """Neville extrapolation of ``values`` to 1/R -> 0.
+    """Richardson extrapolation of ``values`` to 1/R -> 0.
 
     Returns ``(extrapolated, extrapolation_error, extrapolated_stderr)``.
-    The error is the spread of the last diagonal entries; the propagated
-    standard error assumes independent per-R noise.  ``depth`` caps the
-    polynomial degree (keep it small for Monte Carlo inputs).
+    The estimate at depth j is the Lagrange extrapolant at 1/R = 0 through
+    the last j + 1 rungs, with weights ``prod_{m != k} x_m / (x_m - x_k)``,
+    x = 1/R; ``depth`` caps j (keep it small for Monte Carlo inputs).  The
+    error is the largest distance to the estimates of the two shallower
+    depths; the propagated standard error assumes independent per-R noise.
     """
     x = 1.0 / np.asarray(R_values, dtype=float)
     y = np.asarray(values, dtype=float)
     n = x.size
     if n < 2:
         return float(y[-1]), math.inf, 0.0 if stderr is None else float(stderr[-1])
-    if depth is None:
-        depth = n - 1
-    depth = min(depth, n - 1)
-
-    # track the diagonal of the Neville table as weight vectors, so the
-    # extrapolated value stays an explicit linear functional of the inputs
-    diags = []
-    tbl: list = [np.eye(n)[i] for i in range(n)]
-    diags.append(float(tbl[n - 1] @ y))
-    weights = tbl[n - 1]
-    for j in range(1, depth + 1):
-        nxt: list = [None] * n
-        for i in range(j, n):
-            nxt[i] = (x[i - j] * tbl[i] - x[i] * tbl[i - 1]) / (x[i - j] - x[i])
-        tbl = nxt
-        weights = tbl[n - 1]
-        diags.append(float(weights @ y))
-    extrapolated = diags[-1]
-    tail = diags[-3:] if len(diags) >= 3 else diags
-    err = max(abs(extrapolated - t) for t in tail)
-    sig = 0.0
-    if stderr is not None:
-        s = np.asarray(stderr, dtype=float)
-        sig = float(np.sqrt(np.sum((weights * s) ** 2)))
-    return extrapolated, err, sig
+    depth = n - 1 if depth is None else min(depth, n - 1)
+    estimates = []
+    for j in range(max(0, depth - 2), depth + 1):
+        weights = np.zeros(n)
+        for k in range(n - 1 - j, n):
+            others = np.delete(x[n - 1 - j:], k - (n - 1 - j))
+            weights[k] = np.prod(others / (others - x[k]))
+        estimates.append(float(weights @ y))
+    err = max(abs(estimates[-1] - e) for e in estimates)
+    s = np.zeros(n) if stderr is None else np.asarray(stderr, dtype=float)
+    sig = float(np.sqrt(np.sum((weights * s) ** 2)))
+    return estimates[-1], err, sig
 
 
 @dataclass
@@ -93,6 +83,14 @@ class EnergyReport:
     n_discarded: int = 0
 
 
+def _report(route: str, kernel: Kernel, R_list: list[float], values: list[float],
+            depth: int, stderr: list[float] | None = None, discarded: int = 0) -> EnergyReport:
+    """The ladder ``values`` on ``R_list`` and its extrapolation to depth ``depth``."""
+    ex, err, sig = richardson(R_list, values, stderr=stderr, depth=depth)
+    entries = list(zip(R_list, values, stderr or [None] * len(values)))
+    return EnergyReport(route, kernel, entries, ex, err, sig, discarded)
+
+
 # ---------------------------------------------------------------------------
 # per-configuration interaction energy
 # ---------------------------------------------------------------------------
@@ -103,9 +101,7 @@ def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     centered cube of side R."""
     if kernel.d != config.d:
         raise ArgumentError("kernel and configuration dimensions differ")
-    if R > config.window.R:
-        raise DomainError("energy window exceeds the configuration window")
-    pts = np.ascontiguousarray(points_in_cube(config, R))
+    pts = points_in_cube(config, R)
     bb = quadrature.background_pair_integral(kernel, R)
     if pts.shape[0] == 0:
         return bb
@@ -127,12 +123,10 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
     Replicas with coincident points are discarded and counted; more than 1%
     of them aborts the run.
     """
-    R_list = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ArgumentError("R_list must be increasing")
+    R_list = ladder(R_list)
     if n_replicas < 30:
         raise ArgumentError("at least 30 replicas are required")
-    entries = []
+    means = []
     stderrs = []
     discarded = 0
     planned = n_replicas * len(R_list)
@@ -152,12 +146,9 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
                         f"the 1% threshold of {0.01 * planned:g} of {planned} planned"
                     ) from exc
         vals = np.asarray(vals)
-        entries.append((R, float(vals.mean()),
-                        float(vals.std(ddof=1) / math.sqrt(vals.size))))
-        stderrs.append(entries[-1][2])
-    ex, err, sig = richardson([e[0] for e in entries], [e[1] for e in entries],
-                              stderr=stderrs, depth=2)
-    return EnergyReport("PairSumMC", kernel, entries, ex, err, sig, discarded)
+        means.append(float(vals.mean()))
+        stderrs.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+    return _report("PairSumMC", kernel, R_list, means, 2, stderrs, discarded)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +189,12 @@ def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
 
 
 def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
-    d = kernel.d
-
     def weight(*coords):
-        tent = np.ones_like(coords[0])
-        for c in coords:
-            tent = tent * (R - np.abs(c))
-        v = np.stack(coords, axis=-1)
-        return (np.asarray(rho2.continuous_part(v), dtype=float).reshape(coords[0].shape) - 1.0) * tent
+        tent = np.prod([R - np.abs(c) for c in coords], axis=0)
+        return (rho2.continuous_part(np.stack(coords, axis=-1)) - 1.0) * tent
 
-    lo = np.full(d, -R)
-    hi = np.full(d, R)
-    total = quadrature.box_kernel_integral(kernel, lo, hi, weight=weight, order=24)
-    return total / R**d
+    box = np.full(kernel.d, R)
+    return quadrature.box_kernel_integral(kernel, -box, box, weight=weight, order=24) / R**kernel.d
 
 
 def wint_from_rho2(rho2: Rho2Analytic, kernel: Kernel, R_list) -> EnergyReport:
@@ -221,27 +205,21 @@ def wint_from_rho2(rho2: Rho2Analytic, kernel: Kernel, R_list) -> EnergyReport:
     integrable against the kernel; a ladder check flags non-convergence in R
     instead of fabricating a number.
     """
-    R_list = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ArgumentError("R_list must be increasing")
+    R_list = ladder(R_list)
+    if rho2.d != kernel.d:
+        raise ArgumentError("two-point function and kernel dimensions differ")
     _head_convergence_check(rho2, kernel)
     if not rho2.tail_flat:
         raise DivergenceError("pair deficit has not decayed over the available grid")
-    values = []
-    for R in R_list:
-        if kernel.d == 1:
-            values.append(_rho2_value_1d(rho2, kernel, R))
-        else:
-            values.append(_rho2_value_general(rho2, kernel, R))
+    value = _rho2_value_1d if kernel.d == 1 else _rho2_value_general
+    values = [value(rho2, kernel, R) for R in R_list]
     if len(values) >= 3:
         steps = np.abs(np.diff(values))
         if steps[-1] > 4.0 * (steps[0] + 1e-15) and steps[-1] > 1e-9:
             raise DivergenceError(
                 f"ladder increments grow with R: {list(map(float, steps))}"
             )
-    entries = [(R, v, None) for R, v in zip(R_list, values)]
-    ex, err, _ = richardson(R_list, values, depth=min(2, len(values) - 1))
-    return EnergyReport("Rho2Quadrature", kernel, entries, ex, err, 0.0)
+    return _report("Rho2Quadrature", kernel, R_list, values, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +231,10 @@ def wint_lattice_series(kernel: Kernel, R_list) -> EnergyReport:
     g(k) (R - k) - int_0^R g(v) (R - v) dv]``, extrapolated to depth 4."""
     if kernel.d != 1:
         raise ArgumentError("the lattice series is one-dimensional")
-    R_list = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ArgumentError("R_list must be increasing")
+    R_list = ladder(R_list)
     lattice = rho2_analytic(ProcessModel.lattice(1))
     values = [_rho2_value_1d(lattice, kernel, R) for R in R_list]
-    entries = [(R, v, None) for R, v in zip(R_list, values)]
-    ex, err, _ = richardson(R_list, values, depth=min(4, len(values) - 1))
-    return EnergyReport("LatticeSeries", kernel, entries, ex, err, 0.0)
+    return _report("LatticeSeries", kernel, R_list, values, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .core import (
     PointConfiguration,
     Window,
     discrepancy,
+    ladder,
     points_in_cube,
 )
 from .generators import ProcessModel, Seed, sample
@@ -137,6 +138,8 @@ def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: i
                          seed: Seed) -> list[tuple[float, float, float]]:
     # (R, mean D_R^2, stderr) per window size; replica j of rung i draws
     # stream seed.replica + i * n_replicas + j
+    if n_replicas < 2:
+        raise ArgumentError("at least 2 replicas are required for a standard error")
     entries = []
     for i, R in enumerate(R_list):
         window = Window(R, model.d)
@@ -151,11 +154,9 @@ def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: i
 def number_variance_curve(model: ProcessModel, R_list, n_replicas: int,
                           seed: Seed) -> VarianceCurve:
     """Mean squared discrepancy per window size, with a log-log slope fit."""
-    R_list = [float(R) for R in R_list]
-    if len(R_list) < 4 or any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ArgumentError("R_list must be increasing with at least 4 values")
-    if R_list[-1] < 10.0 * R_list[0]:
-        raise ArgumentError("R_list should span at least one decade")
+    R_list = ladder(R_list)
+    if len(R_list) < 4 or R_list[-1] < 10.0 * R_list[0]:
+        raise ArgumentError("R_list needs at least 4 values spanning at least one decade")
     entries = _discrepancy_moments(model, R_list, n_replicas, seed)
     exponent, ci = _fit_loglog_slope(entries)
     return VarianceCurve(entries, exponent, ci)
@@ -230,10 +231,7 @@ def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
     """
     if not kernel.is_log:
         raise NotApplicableError("the logarithmic discrepancy term needs a log kernel")
-    R_list = [float(R) for R in R_list]
-    if any(b <= a for a, b in zip(R_list, R_list[1:])):
-        raise ArgumentError("R_list must be increasing")
-    entries = _discrepancy_moments(model, R_list, n_replicas, seed)
+    entries = _discrepancy_moments(model, ladder(R_list), n_replicas, seed)
     return DlogCurve.from_variance(entries, model.d, c_log)
 
 

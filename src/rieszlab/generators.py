@@ -329,9 +329,6 @@ def sample(model: ProcessModel, window: Window, seed: Seed) -> PointConfiguratio
         pts = _sample_vibrating(model.k, window, rng)
     else:
         pts = _sample_renewal(model.gap, window, rng)
-    center = np.asarray(window.center)
-    if np.any(center != 0.0):
-        pts = pts + center
     return PointConfiguration(pts, window)
 
 
@@ -340,21 +337,23 @@ def sample(model: ProcessModel, window: Window, seed: Seed) -> PointConfiguratio
 # ---------------------------------------------------------------------------
 
 class Rho2Analytic:
-    """Two-point correlation of a stationary model, split into a continuous
-    density and a list of atoms on the positive half-line (mirrored by
-    symmetry).  ``continuous_part(v)`` returns the density of the continuous
-    part; the energy routes consume ``nodes_upto`` whose piecewise-linear
-    interpolation is exact for every built-in model.
+    """Two-point correlation of a stationary model in dimension ``d``: a
+    continuous density and atoms on the positive half-line (mirrored by
+    symmetry).  ``continuous_part(v)`` gives one density value per separation,
+    ``v`` of shape (..., d) in d >= 2; the energy routes consume ``nodes_upto``
+    whose piecewise-linear interpolation is exact for every built-in model.
     """
 
     def __init__(
         self,
+        d: int,
         continuous_part: Callable[[np.ndarray], np.ndarray],
         nodes_fn: Callable[[float], np.ndarray],
         atoms_fn: Callable[[float], np.ndarray] | None = None,
         head_exponent: float = 0.0,
         tail_flat: bool = True,
     ):
+        self.d = d
         self.continuous_part = continuous_part
         self._nodes_fn = nodes_fn
         self._atoms_fn = atoms_fn or (lambda limit: np.empty((0, 2)))
@@ -374,9 +373,14 @@ class Rho2Analytic:
         return atoms
 
 
-def _rho2_poisson() -> Rho2Analytic:
+def _rho2_poisson(d: int) -> Rho2Analytic:
+    def cont(v):
+        shape = np.shape(v)
+        return np.ones(shape if d == 1 else shape[:-1])
+
     return Rho2Analytic(
-        continuous_part=lambda v: np.ones_like(np.asarray(v, dtype=float)),
+        d=d,
+        continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, limit]),
     )
 
@@ -391,6 +395,7 @@ def _rho2_lattice(d: int) -> Rho2Analytic:
         return np.stack([locs, np.ones_like(locs)], axis=1)
 
     return Rho2Analytic(
+        d=1,
         continuous_part=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
         nodes_fn=lambda limit: np.array([0.0, limit]),
         atoms_fn=atoms_fn,
@@ -410,6 +415,7 @@ def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
         return 1.0 - prof / kk**d
 
     return Rho2Analytic(
+        d=d,
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, kk, limit]),
     )
@@ -436,6 +442,7 @@ def _rho2_vibrating(k: int) -> Rho2Analytic:
         return pts[(pts >= 0.0) & (pts <= limit)]
 
     return Rho2Analytic(
+        d=1,
         continuous_part=cont,
         nodes_fn=nodes_fn,
     )
@@ -515,6 +522,7 @@ def _rho2_renewal(gap: GapLaw) -> Rho2Analytic:
         return np.interp(v, grid, vals, right=1.0)
 
     return Rho2Analytic(
+        d=1,
         continuous_part=cont,
         nodes_fn=_renewal_nodes(grid),
         head_exponent=gap.head_exponent,
@@ -522,18 +530,22 @@ def _rho2_renewal(gap: GapLaw) -> Rho2Analytic:
     )
 
 
-def rho2_hardcore(transition: float = 2.0**-20) -> Rho2Analytic:
+_HARDCORE_TRANSITION = 2.0**-20
+
+
+def rho2_hardcore() -> Rho2Analytic:
     """Pair correlation ``1 - 1_B`` of the hypothetical hardcore benchmark,
     with B the ball of unit volume (d = 1: [-1/2, 1/2]).  The jump at 1/2 is
-    smoothed over ``transition`` so the piecewise-linear profile stays exact
-    to O(transition^2) under the energy quadratures."""
-    t = float(transition)
+    smoothed over ``_HARDCORE_TRANSITION`` so the piecewise-linear profile
+    stays exact to O(transition^2) under the energy quadratures."""
+    t = _HARDCORE_TRANSITION
 
     def cont(v):
         v = np.abs(np.asarray(v, dtype=float))
         return np.clip((v - 0.5) / t + 0.5, 0.0, 1.0)
 
     return Rho2Analytic(
+        d=1,
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, 0.5 - t / 2.0, 0.5 + t / 2.0, limit]),
     )
@@ -545,7 +557,7 @@ def rho2_analytic(model: ProcessModel) -> Rho2Analytic:
     """
     v = model.variant
     if v is Variant.POISSON:
-        return _rho2_poisson()
+        return _rho2_poisson(model.d)
     if v is Variant.LATTICE:
         return _rho2_lattice(model.d)
     if v is Variant.BERNOULLI_BLOCK:

@@ -191,18 +191,13 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
     if not any(t == 1.0 for t in thetas):
         raise ArgumentError("theta_grid must include theta = 1")
 
-    cache: dict[float, tuple[float, float] | None] = {}
-
     def parts(theta: float):
-        if theta not in cache:
-            gap = GapLaw.gamma(theta)
-            try:
-                rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)),
-                                     kernel, R_list)
-                cache[theta] = (rep.extrapolated, renewal_entropy_rate(gap))
-            except DivergenceError:
-                cache[theta] = None
-        return cache[theta]
+        gap = GapLaw.gamma(theta)
+        try:
+            rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)), kernel, R_list)
+        except DivergenceError:
+            return None
+        return rep.extrapolated, renewal_entropy_rate(gap)
 
     entries = []
     feas = []

@@ -42,6 +42,10 @@ from .core import ArgumentError, Kernel, KernelFamily
 # 2**12..2**18 at n = 64 and 256 in d = 3 and n = 1024 in d = 2
 _NODE_BUDGET = 2**15
 
+# corner-rule orders of the point-background and background-pair integrals
+_POINT_BACKGROUND_ORDER = 32
+_BACKGROUND_PAIR_ORDER = 48
+
 
 # ---------------------------------------------------------------------------
 # d = 1: one primitive of g and the closed forms derived from it
@@ -281,7 +285,7 @@ def box_kernel_integral(kernel: Kernel, lo, hi, weight=None, order: int = 32) ->
 # background integrals for any supported (kernel, d)
 # ---------------------------------------------------------------------------
 
-def background_pair_integral(kernel: Kernel, R: float, order: int = 48) -> float:
+def background_pair_integral(kernel: Kernel, R: float) -> float:
     """``iint_{C_R^2} g(x - y) dx dy``, computed as the tent-weighted integral
     ``int_{[-R, R]^d} g(v) prod_i (R - |v_i|) dv``; in d = 2, 3 by scaling the
     cached R = 1 value (v = R w): ``R^(2d-s) bb(1)`` for Riesz kernels and
@@ -289,22 +293,22 @@ def background_pair_integral(kernel: Kernel, R: float, order: int = 48) -> float
     d = kernel.d
     if d == 1:
         return tent_kernel_integral_1d(kernel, R)
-    unit = _unit_background_pair_integral(kernel, order)
+    unit = _unit_background_pair_integral(kernel)
     if kernel.is_log:
         return R ** (2 * d) * (unit - float(np.log(R)))
     return R ** (2 * d - kernel.s) * unit
 
 
 @functools.lru_cache(maxsize=64)
-def _unit_background_pair_integral(kernel: Kernel, order: int) -> float:
+def _unit_background_pair_integral(kernel: Kernel) -> float:
     def tent(*coords):
         return functools.reduce(np.multiply, [1.0 - np.abs(c) for c in coords])
 
     return box_kernel_integral(kernel, -np.ones(kernel.d), np.ones(kernel.d),
-                               weight=tent, order=order)
+                               weight=tent, order=_BACKGROUND_PAIR_ORDER)
 
 
-def _riesz_orthants(kernel: Kernel, edges: np.ndarray, order: int) -> np.ndarray:
+def _riesz_orthants(kernel: Kernel, edges: np.ndarray) -> np.ndarray:
     """``_orthant_integral`` of a Riesz kernel without weight, for every row of
     ``edges`` (shape (N, d), all entries positive).
 
@@ -314,7 +318,7 @@ def _riesz_orthants(kernel: Kernel, edges: np.ndarray, order: int) -> np.ndarray
     ``_NODE_BUDGET`` nodes.
     """
     n, d = edges.shape
-    tau, w_tau, u, w_u = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
+    tau, w_tau, u, w_u = _corner_rule(d, _POINT_BACKGROUND_ORDER, _power_map(kernel, d - 1.0))
     radial = float(np.sum(w_tau * tau ** -kernel.s))
     out = np.empty(n)
     step = max(1, _NODE_BUDGET // w_u.size)
@@ -325,9 +329,8 @@ def _riesz_orthants(kernel: Kernel, edges: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-def point_background(kernel: Kernel, pts: np.ndarray, R: float, order: int = 32) -> np.ndarray:
-    """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R
-    (coordinates window-relative).
+def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
+    """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R.
 
     d = 1 is closed form.  In d = 2, 3 the window seen from p is the union of
     2^d orthant boxes with p at a corner and edges ``R/2 -+ p_i``, and one
@@ -349,5 +352,5 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float, order: int = 32)
     edges = (R / 2.0 + pts[:, None, :] * signs).reshape(-1, d)
     keep = np.all(edges > 0.0, axis=1)
     vals = np.zeros(edges.shape[0])
-    vals[keep] = _riesz_orthants(kernel, edges[keep], order)
+    vals[keep] = _riesz_orthants(kernel, edges[keep])
     return vals.reshape(-1, 2**d).sum(axis=1)

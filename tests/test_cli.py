@@ -124,6 +124,20 @@ class TestCommands:
         script = (out / "fig.gp").read_text()
         assert "extrapolated" in script and "logscale" in script
 
+    @pytest.mark.parametrize("model, kernel", [
+        ({"variant": "poisson", "d": 2}, {"family": "log2d"}),
+        ({"variant": "poisson", "d": 3}, {"family": "riesz", "s": 1.5, "d": 3}),
+    ], ids=["log_2d", "riesz_3d"])
+    def test_rho2_route_poisson_in_higher_dimensions(self, tmp_path, runner, model, kernel):
+        cfg = _write(tmp_path, "c.json", {"model": model, "kernel": kernel,
+                                          "R_list": [4, 8], "route": "rho2"})
+        out = tmp_path / "en"
+        res = runner.invoke(main, ["energy", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        report = json.loads((out / "energy.json").read_text())
+        assert [e["value"] for e in report["entries"]] == [0.0, 0.0]
+        assert report["extrapolated"] == 0.0
+
     @pytest.mark.parametrize("kind, spec, companion", [
         ("rho2", {"model": {"variant": "poisson"}, "R": 16, "n_replicas": 10, "v_max": 4,
                   "n_bins": 8}, None),
@@ -315,11 +329,14 @@ class TestSpecLayer:
                       "n_replicas": 30}, "one decade"),
         ("energy", {**ENERGY_MC, "n_replicas": 29}, "30 replicas"),
         ("energy", {**ENERGY_MC, "R_list": [16, 8, 32]}, "increasing"),
+        ("variance", {"model": {"variant": "poisson"}, "R_list": [8, 16, 32, 64, 128],
+                      "n_replicas": 1}, "at least 2 replicas"),
         ("rho2", {"model": {"variant": "poisson"}, "R": 16, "n_replicas": 5, "n_bins": 1},
          "n_bins >= 2"),
         ("energy", {"model": {"variant": "lattice", "d": 2}, "kernel": {"family": "log2d"},
                     "R_list": [8, 16], "route": "rho2"}, "atomic two-point parts"),
-    ], ids=["short_decade", "few_replicas", "non_increasing", "one_bin", "lattice_2d_rho2"])
+    ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
+            "lattice_2d_rho2"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

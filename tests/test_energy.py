@@ -230,11 +230,14 @@ class TestHintR:
         with pytest.raises(SingularConfigurationError):
             hint_R(cfg, 4.0, K_RSZ)
 
-    def test_translation_invariance(self):
-        cfg = sample(ProcessModel.poisson(1), Window(8.0, 1), Seed(62))
-        base = hint_R(cfg, 8.0, K_RSZ)
-        moved = hint_R(cfg.translate([17.25]), 8.0, K_RSZ)
-        assert moved == pytest.approx(base, rel=1e-10)
+    @pytest.mark.parametrize("kernel", [K_RSZ, log_kernel(2), riesz_kernel(1.0, 2)],
+                             ids=["riesz_1d", "log_2d", "riesz_2d"])
+    def test_reflection_invariance(self, kernel):
+        # the centred cube C_R is symmetric under x -> -x, so the window
+        # energy of a configuration and of its mirror image agree
+        cfg = sample(ProcessModel.poisson(kernel.d), Window(8.0, kernel.d), Seed(62))
+        mirrored = PointConfiguration(-cfg.points, cfg.window)
+        assert hint_R(mirrored, 8.0, kernel) == pytest.approx(hint_R(cfg, 8.0, kernel), rel=1e-12)
 
     def test_window_precedence(self):
         cfg = PointConfiguration(np.array([[0.0]]), Window(2.0, 1))
@@ -277,6 +280,18 @@ class TestRichardson:
         ex, err, _ = richardson(R, vals)
         assert abs(ex - 1.0) <= err + 1e-12
 
+    def test_error_is_distance_to_two_shallower_depths(self):
+        # depth j: the polynomial in 1/R through the last j + 1 rungs, at 1/R = 0
+        R = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
+        vals = 1.0 + 1.0 / R - 3.0 / R**2 + 2.0 / R**3 + 5.0 / R**4 + 0.5 / R**5
+
+        def at_zero(j):
+            return np.polynomial.polynomial.polyfit(1.0 / R[-j - 1:], vals[-j - 1:], j)[0]
+
+        ex, err, _ = richardson(R, vals, depth=3)
+        assert ex == pytest.approx(at_zero(3), rel=1e-12)
+        assert err == pytest.approx(max(abs(ex - at_zero(2)), abs(ex - at_zero(1))), rel=1e-9)
+
     def test_stderr_propagation(self):
         R = np.array([16.0, 32.0])
         _, _, sig = richardson(R, [0.0, 0.0], stderr=[1.0, 1.0], depth=1)
@@ -305,6 +320,16 @@ class TestRho2Route:
                              [8.0, 16.0, 32.0])
         assert all(v == 0.0 for _, v, _ in rep.entries)
         assert rep.extrapolated == 0.0
+
+    @pytest.mark.parametrize("model, kernel", [
+        (ProcessModel.bernoulli_block(2, 1), log_kernel(2)),
+        (ProcessModel.renewal(GapLaw.gamma(2.0)), riesz_kernel(1.0, 2)),
+        (ProcessModel.vibrating_lattice(4), log_kernel(2)),
+        (ProcessModel.bernoulli_block(2, 2), K_LOG),
+    ], ids=["block_1d", "renewal_1d", "vibrating_1d", "block_2d"])
+    def test_dimension_mismatch_rejected(self, model, kernel):
+        with pytest.raises(ArgumentError, match="dimensions differ"):
+            wint_from_rho2(rho2_analytic(model), kernel, [8.0, 16.0])
 
     @pytest.mark.parametrize("kernel", [K_LOG, K_RSZ], ids=["riesz", "log"])
     @pytest.mark.parametrize("k", [2, 4])

@@ -231,6 +231,28 @@ class TestRho2Analytic:
         dev = np.abs(est.values - expected) / np.maximum(est.stderr, 1e-12)
         assert np.mean(dev < 4.0) > 0.98
 
+    @pytest.mark.parametrize(
+        "model",
+        [ProcessModel.bernoulli_block(4, 1), ProcessModel.vibrating_lattice(4),
+         ProcessModel.renewal(GapLaw.gamma(2.0))],
+        ids=lambda m: m.describe(),
+    )
+    @pytest.mark.parametrize("R", [8.0, 16.0])
+    def test_number_variance_matches_analytic(self, replicas, model, R):
+        # E[(N_R - R)^2] = R + 2 int_0^R (rho2(v) - 1) (R - v) dv; the profile is
+        # linear on each cell of nodes_upto(R), so Simpson's rule per cell is exact
+        r2 = rho2_analytic(model)
+        nodes = r2.nodes_upto(R)
+        a, b = nodes[:-1], nodes[1:]
+
+        def f(v):
+            return (r2.continuous_part(v) - 1.0) * (R - v)
+
+        expected = R + 2.0 * np.sum((b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b)))
+        d2 = np.array([(s.n - R) ** 2 for s in replicas(model, R, 4000, master=33)])
+        stderr = d2.std(ddof=1) / math.sqrt(d2.size)
+        assert abs(d2.mean() - expected) < 4.0 * stderr
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -244,3 +266,4 @@ class TestCsvRoundTrip:
         text = path.read_text()
         assert "# model=renewal(gamma,theta=3)" in text
         assert "# seed=2:5" in text
+        assert "# center" not in text  # the window is always the centred cube
