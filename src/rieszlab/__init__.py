@@ -20,7 +20,6 @@ from .core import (
     PointConfiguration,
     SingularConfigurationError,
     SingularityError,
-    Window,
     discrepancy,
     kernel_eval,
     log_kernel,
@@ -35,6 +34,7 @@ from .generators import (
     Rho2Analytic,
     Seed,
     Variant,
+    replicas,
     rho2_analytic,
     rho2_hardcore,
     sample,

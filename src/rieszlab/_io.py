@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PointConfiguration, Window
+from .core import PointConfiguration
 
 
 def fmt(x) -> str:
@@ -59,7 +59,7 @@ def config_to_csv(config: PointConfiguration, path, model: str = "", seed: str =
     window side, model and seed, then the coordinate columns."""
     _write_lines(path, [
         f"# d={config.d}",
-        f"# R={fmt(config.window.R)}",
+        f"# R={fmt(config.R)}",
         f"# model={model}",
         f"# seed={seed}",
         ",".join(f"x{i + 1}" for i in range(config.d)),
@@ -80,5 +80,4 @@ def config_from_csv(path) -> PointConfiguration:
         else:
             rows.append([float(tok) for tok in line.split(",")])
     d = int(meta["d"])
-    window = Window(float(meta["R"]), d)
-    return PointConfiguration(np.asarray(rows, dtype=float).reshape(-1, d), window)
+    return PointConfiguration(np.asarray(rows, dtype=float).reshape(-1, d), float(meta["R"]))

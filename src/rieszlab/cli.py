@@ -36,8 +36,8 @@ import click
 from . import __version__
 from ._io import config_to_csv, fmt, sha256_file, write_csv, write_json
 from .core import (ArgumentError, DivergenceError, DomainError, NotApplicableError,
-                   SingularConfigurationError, Window, log_kernel, riesz_kernel)
-from .generators import GapLaw, ProcessModel, Seed, Variant, rho2_analytic, sample
+                   SingularConfigurationError, log_kernel, riesz_kernel)
+from .generators import GapLaw, ProcessModel, Seed, Variant, replicas, rho2_analytic
 from . import energy as energy_mod
 from . import estimators as est_mod
 from . import lpx as lpx_mod
@@ -118,16 +118,13 @@ def _fields(result, *leave_out: str) -> dict:
 
 
 def _generate(a: dict, outfile) -> None:
-    window = Window(a["R"], a["model"].d)
-    for j in range(a["n_replicas"]):
-        cfg = sample(a["model"], window, Seed(a["seed"], j))
+    for j, cfg in enumerate(replicas(a["model"], a["R"], a["n_replicas"], Seed(a["seed"]))):
         config_to_csv(cfg, outfile(f"config_{j:04d}.csv"),
                       model=a["model"].describe(), seed=f"{a['seed']}:{j}")
 
 
 def _rho2(a: dict, outfile) -> None:
-    window = Window(a["R"], a["model"].d)
-    samples = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(a["n_replicas"])]
+    samples = list(replicas(a["model"], a["R"], a["n_replicas"], Seed(a["seed"])))
     est = est_mod.estimate_rho2(samples, est_mod.GridSpec(a["v_max"], a["n_bins"]))
     write_csv(outfile("rho2.csv"), HEADERS["rho2"], zip(est.centers, est.values, est.stderr))
 
@@ -163,8 +160,7 @@ def _energy(a: dict, outfile) -> dict:
 
 
 def _neighbor_densities(a: dict) -> list:
-    window = Window(a["L"], 1)
-    samples = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(a["n_replicas"])]
+    samples = list(replicas(a["model"], a["L"], a["n_replicas"], Seed(a["seed"])))
     return [onedim_mod.kth_neighbor_density(samples, k, a["L"], a["x_max"], a["step"])
             for k in range(1, a["k_max"] + 1)]
 
@@ -200,10 +196,9 @@ def _lp(a: dict, outfile) -> None:
 
 def _pinsker(a: dict, outfile) -> None:
     ers = onedim_mod.renewal_entropy_rate(a["model"].gap)
-    window, n = Window(max(a["R_list"]), 1), a["n_replicas"]
-    samples_p = [sample(a["model"], window, Seed(a["seed"], j)) for j in range(n)]
-    samples_q = [sample(ProcessModel.poisson(1), window, Seed(a["seed"] + 1, j))
-                 for j in range(n)]
+    R_max, n = max(a["R_list"]), a["n_replicas"]
+    samples_p = list(replicas(a["model"], R_max, n, Seed(a["seed"])))
+    samples_q = list(replicas(ProcessModel.poisson(1), R_max, n, Seed(a["seed"] + 1)))
     reports = [_fields(est_mod.pinsker_check(
         ers, est_mod.tv_lower_bound(samples_p, samples_q, R, a["tile_count"]), R))
         for R in a["R_list"]]

@@ -1,15 +1,16 @@
-"""Kernels, windows, point configurations, and elementary statistics.
+"""Kernels, point configurations, and elementary statistics.
 
 The pairwise interaction is ``-log|x|`` in dimension 1 or 2, or the inverse
 power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
-window is the centred cube ``C_R = [-R/2, R/2]^d`` and every energy is a limit
-over an increasing ladder of sides R (``ladder``).  Every other module
-consumes the types defined here.  All operations are pure functions of their
-arguments, so they are safe under any parallel execution scheme.
+window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
+names by its side R, and every energy is a limit over an increasing ladder of
+sides R (``ladder``).  ``mean_stderr`` reduces every estimate over replicas.
+All operations are pure functions of their arguments, so safe in parallel.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -109,56 +110,42 @@ def riesz_kernel(s: float, d: int = 1) -> Kernel:
     return Kernel(KernelFamily.RIESZ, d, float(s))
 
 
-@dataclass(frozen=True)
-class Window:
-    """The centred cube ``C_R = [-R/2, R/2]^d`` of side ``R``."""
-
-    R: float
-    d: int
-
-    def __post_init__(self) -> None:
-        if not self.R > 0:
-            raise DomainError(f"window side must be positive, got {self.R}")
-        if not isinstance(self.d, int) or not (1 <= self.d <= 3):
-            raise ArgumentError(f"dimension must be an integer in [1, 3], got {self.d!r}")
-
-    @property
-    def volume(self) -> float:
-        return self.R**self.d
+def _side(R) -> float:
+    """``R`` as the side of the window C_R, checked to be positive."""
+    if not R > 0:
+        raise DomainError(f"window side must be positive, got {R}")
+    return float(R)
 
 
 class PointConfiguration:
-    """Finite point set inside a window, the centred cube C_R.
+    """Finite point set inside the centred cube C_R of side ``R``.
 
-    Points are stored as an ``(n, d)`` float64 array.  Window membership is
-    checked with closed intervals and exact comparison; duplicate points are
-    permitted at construction but make any pair energy infinite, so the
-    energy routes reject them (``energy.hint_R`` raises
+    Points are stored as an ``(n, d)`` float64 array, d its column count.
+    Membership is checked with closed intervals and exact comparison;
+    duplicate points are permitted at construction but make any pair energy
+    infinite, so the energy routes reject them (``energy.hint_R`` raises
     ``SingularConfigurationError``).
     """
 
-    __slots__ = ("window", "points")
+    __slots__ = ("R", "points")
 
-    def __init__(self, points, window: Window):
+    def __init__(self, points, R: float):
+        R = _side(R)
         pts = np.asarray(points, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, window.d)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[1] != window.d:
-            raise ArgumentError(
-                f"points must have shape (n, {window.d}), got {np.shape(points)}"
-            )
+        if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
+            raise ArgumentError(f"points must have shape (n, d <= 3), got {np.shape(points)}")
         if np.isnan(pts).any():
             raise ArgumentError("points contain NaN coordinates")
-        if (np.abs(pts) > window.R / 2.0).any():
+        if (np.abs(pts) > R / 2.0).any():
             raise DomainError("points fall outside the window")
-        self.window = window
+        self.R = R
         self.points = np.ascontiguousarray(pts)
 
     @property
     def d(self) -> int:
-        return self.window.d
+        return self.points.shape[1]
 
     @property
     def n(self) -> int:
@@ -172,7 +159,7 @@ class PointConfiguration:
         return self.points[:, 0]
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"PointConfiguration(n={self.n}, d={self.d}, R={self.window.R})"
+        return f"PointConfiguration(n={self.n}, d={self.d}, R={self.R})"
 
 
 def ladder(R_list) -> list[float]:
@@ -181,6 +168,19 @@ def ladder(R_list) -> list[float]:
     if any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise ArgumentError("R_list must be increasing")
     return R_list
+
+
+def _require_replicas(n: int) -> None:
+    if n < 2:
+        raise ArgumentError("at least 2 replicas are required for a standard error")
+
+
+def mean_stderr(per) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the n replicas on axis 0 of ``per`` and its standard error
+    (sample standard deviation over sqrt(n)), the one replica reduction."""
+    per = np.asarray(per, dtype=float)
+    _require_replicas(len(per))
+    return per.mean(axis=0), per.std(axis=0, ddof=1) / math.sqrt(len(per))
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def psi_weight(kernel: Kernel, x: float, R: float) -> float:
 
 def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
     """Points of ``config`` inside the centered cube of side R (closed faces)."""
-    if R > config.window.R:
+    if R > config.R:
         raise DomainError("cube side exceeds the configuration window")
     return config.points[np.all(np.abs(config.points) <= R / 2.0, axis=1)]
 

@@ -32,11 +32,11 @@ from .core import (
     NotApplicableError,
     PointConfiguration,
     SingularConfigurationError,
-    Window,
     ladder,
+    mean_stderr,
     points_in_cube,
 )
-from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
+from .generators import ProcessModel, Rho2Analytic, Seed, replicas, rho2_analytic
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def _report(route: str, kernel: Kernel, R_list: list[float], values: list[float]
 # ---------------------------------------------------------------------------
 
 def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
-    """Window interaction of points minus unit background, diagonal excluded:
+    """Interaction of points minus unit background, diagonal excluded:
     ``sum_{p != q} g(p - q) - 2 sum_p pb(p) + bb`` over points in the
     centered cube of side R."""
     if kernel.d != config.d:
@@ -131,10 +131,8 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
     discarded = 0
     planned = n_replicas * len(R_list)
     for i, R in enumerate(R_list):
-        window = Window(R, model.d)
         vals = []
-        for j in range(n_replicas):
-            cfg = sample(model, window, Seed(seed.master, seed.replica + i * n_replicas + j))
+        for j, cfg in enumerate(replicas(model, R, n_replicas, seed, i)):
             try:
                 vals.append(hint_R(cfg, R, kernel) / R**model.d)
             except SingularConfigurationError as exc:
@@ -145,9 +143,9 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
                         f"replicas attempted so far were discarded ({exc}), more than "
                         f"the 1% threshold of {0.01 * planned:g} of {planned} planned"
                     ) from exc
-        vals = np.asarray(vals)
-        means.append(float(vals.mean()))
-        stderrs.append(float(vals.std(ddof=1) / math.sqrt(vals.size)))
+        mean, stderr = mean_stderr(vals)
+        means.append(float(mean))
+        stderrs.append(float(stderr))
     return _report("PairSumMC", kernel, R_list, means, 2, stderrs, discarded)
 
 

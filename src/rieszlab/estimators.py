@@ -17,12 +17,13 @@ from .core import (
     Kernel,
     NotApplicableError,
     PointConfiguration,
-    Window,
+    _require_replicas,
     discrepancy,
     ladder,
+    mean_stderr,
     points_in_cube,
 )
-from .generators import ProcessModel, Seed, sample
+from .generators import ProcessModel, Seed, replicas
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,6 @@ class IdentityCheck:
     algebraic_gap: float
     statistical_gap: float
 
-    @property
-    def gap(self) -> float:
-        return self.algebraic_gap
-
 
 def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> CorrelationEstimate:
     """Tent-corrected estimate of ``rho2(v) - 1`` from replicas.
@@ -92,13 +89,10 @@ def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> Correlat
     the exact volume of translated pairs, so the estimator is unbiased
     bin-average-wise.  Standard errors are across replicas.
     """
-    if len(samples) < 2:
-        raise ArgumentError("at least 2 replicas are required for a standard error")
-    d = samples[0].d
-    R = samples[0].window.R
-    for s in samples:
-        if s.d != d or s.window.R != R:
-            raise ArgumentError("replicas must share dimension and window size")
+    _require_replicas(len(samples))
+    d, R = samples[0].d, samples[0].R
+    if any(s.d != d or s.R != R for s in samples):
+        raise ArgumentError("replicas must share dimension and window size")
     if not bins.v_max < R:
         raise DomainError("v_max must be smaller than the window side R")
 
@@ -129,25 +123,18 @@ def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> Correlat
             per[i] = acc / shell - 1.0
         mode = "radial"
 
-    values = per.mean(axis=0)
-    stderr = per.std(axis=0, ddof=1) / math.sqrt(n_rep)
+    values, stderr = mean_stderr(per)
     return CorrelationEstimate(d, centers, values, stderr, n_rep, mode, bw)
 
 
 def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: int,
                          seed: Seed) -> list[tuple[float, float, float]]:
-    # (R, mean D_R^2, stderr) per window size; replica j of rung i draws
-    # stream seed.replica + i * n_replicas + j
-    if n_replicas < 2:
-        raise ArgumentError("at least 2 replicas are required for a standard error")
+    # (R, mean D_R^2, stderr) per window size
     entries = []
     for i, R in enumerate(R_list):
-        window = Window(R, model.d)
-        d2 = np.empty(n_replicas)
-        for j in range(n_replicas):
-            cfg = sample(model, window, Seed(seed.master, seed.replica + i * n_replicas + j))
-            d2[j] = (cfg.n - R**model.d) ** 2
-        entries.append((R, float(d2.mean()), float(d2.std(ddof=1) / math.sqrt(n_replicas))))
+        d2 = [(cfg.n - R**model.d) ** 2 for cfg in replicas(model, R, n_replicas, seed, i)]
+        mean, stderr = mean_stderr(d2)
+        entries.append((R, float(mean), float(stderr)))
     return entries
 
 
@@ -277,8 +264,9 @@ def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointCon
     """
     if tile_count < 1:
         raise ArgumentError("tile_count must be at least 1")
+    _require_replicas(min(len(samples_p), len(samples_q)))
     for s in list(samples_p) + list(samples_q):
-        if s.window.R < window_R:
+        if s.R < window_R:
             raise DomainError("samples were drawn on a window smaller than requested")
     hp = _count_vectors(samples_p, window_R, tile_count)
     hq = _count_vectors(samples_q, window_R, tile_count)

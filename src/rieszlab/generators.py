@@ -2,9 +2,10 @@
 two-point correlation functions.
 
 All models have intensity 1.  Samplers are pure functions of
-``(model, window, seed)``: the same triple yields a bit-identical
-configuration, and distinct replica indices give independent streams, so
-replicas can be generated by any number of workers without shared state.
+``(model, R, seed)``: the same triple yields a bit-identical configuration in
+C_R, and distinct replica indices give independent streams, so replicas can
+be generated by any number of workers without shared state.  ``replicas`` is
+the one seed schedule.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
@@ -22,7 +23,7 @@ from .core import (
     DomainError,
     NotApplicableError,
     PointConfiguration,
-    Window,
+    _side,
 )
 
 
@@ -229,17 +230,17 @@ class Seed:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _sample_poisson(window: Window, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(window.volume)
-    half = window.R / 2.0
-    return rng.uniform(-half, half, size=(n, window.d))
+def _sample_poisson(R: float, d: int, rng: np.random.Generator) -> np.ndarray:
+    n = rng.poisson(R**d)
+    half = R / 2.0
+    return rng.uniform(-half, half, size=(n, d))
 
 
-def _sample_lattice(window: Window, rng: np.random.Generator) -> np.ndarray:
-    half = window.R / 2.0
-    u = rng.uniform(0.0, 1.0, window.d)
+def _sample_lattice(R: float, d: int, rng: np.random.Generator) -> np.ndarray:
+    half = R / 2.0
+    u = rng.uniform(0.0, 1.0, d)
     axes = []
-    for a in range(window.d):
+    for a in range(d):
         lo = math.ceil(-half - u[a])
         hi = math.floor(half - u[a])
         axes.append(np.arange(lo, hi + 1, dtype=float) + u[a])
@@ -247,10 +248,9 @@ def _sample_lattice(window: Window, rng: np.random.Generator) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _sample_bernoulli_raw(k: int, window: Window, rng: np.random.Generator):
+def _sample_bernoulli_raw(k: int, R: float, d: int, rng: np.random.Generator):
     """All tile points before clipping, plus the stationarizing shift."""
-    d = window.d
-    half = window.R / 2.0
+    half = R / 2.0
     u = rng.uniform(0.0, float(k), d)
     ranges = []
     for a in range(d):
@@ -265,15 +265,15 @@ def _sample_bernoulli_raw(k: int, window: Window, rng: np.random.Generator):
     return pts.reshape(-1, d), u
 
 
-def _sample_bernoulli(k: int, window: Window, rng: np.random.Generator) -> np.ndarray:
-    pts, _ = _sample_bernoulli_raw(k, window, rng)
-    half = window.R / 2.0
+def _sample_bernoulli(k: int, R: float, d: int, rng: np.random.Generator) -> np.ndarray:
+    pts, _ = _sample_bernoulli_raw(k, R, d, rng)
+    half = R / 2.0
     keep = np.all(np.abs(pts) <= half, axis=1)
     return pts[keep]
 
 
-def _sample_vibrating(k: int, window: Window, rng: np.random.Generator) -> np.ndarray:
-    half = window.R / 2.0
+def _sample_vibrating(k: int, R: float, rng: np.random.Generator) -> np.ndarray:
+    half = R / 2.0
     amp = 1.0 / k
     u = rng.uniform(0.0, 1.0)
     lo = math.ceil(-half - u - amp)
@@ -284,11 +284,11 @@ def _sample_vibrating(k: int, window: Window, rng: np.random.Generator) -> np.nd
     return pts[:, None]
 
 
-def _sample_renewal(gap: GapLaw, window: Window, rng: np.random.Generator) -> np.ndarray:
+def _sample_renewal(gap: GapLaw, R: float, rng: np.random.Generator) -> np.ndarray:
     # oversample well past the window and apply a uniform phase shift over an
     # integer number of mean gaps; the margin covers the mixing length of the
     # gap law (verified downstream by the empirical-intensity invariant)
-    half = window.R / 2.0
+    half = R / 2.0
     margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
     u = rng.uniform(0.0, margin)
     start = -half - margin
@@ -308,28 +308,35 @@ def _sample_renewal(gap: GapLaw, window: Window, rng: np.random.Generator) -> np
     return pts[:, None]
 
 
-def sample(model: ProcessModel, window: Window, seed: Seed) -> PointConfiguration:
-    """Draw one configuration of ``model`` in ``window``.
+def sample(model: ProcessModel, R: float, seed: Seed) -> PointConfiguration:
+    """Draw one configuration of ``model`` in the centred cube of side ``R``.
 
     The marginal law inside the window is exact for every variant: block and
     lattice models generate one tile of margin and clip, the renewal model
     oversamples an enlarged interval and applies a uniform shift.
     """
-    if model.d != window.d:
-        raise ArgumentError("model and window dimensions differ")
+    R = _side(R)
     rng = seed.rng()
     v = model.variant
     if v is Variant.POISSON:
-        pts = _sample_poisson(window, rng)
+        pts = _sample_poisson(R, model.d, rng)
     elif v is Variant.LATTICE:
-        pts = _sample_lattice(window, rng)
+        pts = _sample_lattice(R, model.d, rng)
     elif v is Variant.BERNOULLI_BLOCK:
-        pts = _sample_bernoulli(model.k, window, rng)
+        pts = _sample_bernoulli(model.k, R, model.d, rng)
     elif v is Variant.VIBRATING_LATTICE:
-        pts = _sample_vibrating(model.k, window, rng)
+        pts = _sample_vibrating(model.k, R, rng)
     else:
-        pts = _sample_renewal(model.gap, window, rng)
-    return PointConfiguration(pts, window)
+        pts = _sample_renewal(model.gap, R, rng)
+    return PointConfiguration(pts, R)
+
+
+def replicas(model: ProcessModel, R: float, n: int, seed: Seed,
+             rung: int = 0) -> Iterator[PointConfiguration]:
+    """The ``n`` replicas of ``model`` in C_R on rung ``rung`` of an R ladder, drawn
+    lazily; replica j draws ``Seed(seed.master, seed.replica + rung * n + j)``."""
+    for j in range(n):
+        yield sample(model, R, Seed(seed.master, seed.replica + rung * n + j))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .core import (
     DomainError,
     Kernel,
     PointConfiguration,
+    mean_stderr,
     points_in_cube,
 )
 from .energy import wint_from_rho2
@@ -89,21 +90,16 @@ def kth_neighbor_density(samples: list[PointConfiguration], k: int, L: float,
         raise DomainError("x_max must be smaller than the window length L")
     n_bins = int(round(x_max / step)) + 1
     centers = step * np.arange(n_bins)
-    per = np.empty((len(samples), n_bins))
+    per = np.zeros((len(samples), n_bins))
     for i, s in enumerate(samples):
         if s.d != 1:
             raise ArgumentError("neighbor densities are one-dimensional")
         x = np.sort(points_in_cube(s, L)[:, 0])
-        acc = np.zeros(n_bins)
-        if x.size > k:
-            gaps = x[k:] - x[:-k]
-            gaps = gaps[gaps < min(x_max + step / 2.0, L)]
-            idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
-            w = 1.0 / (L * (1.0 - gaps / L) * step)
-            np.add.at(acc, idx, w)
-        per[i] = acc
-    values = per.mean(axis=0)
-    stderr = per.std(axis=0, ddof=1) / math.sqrt(len(per)) if len(per) > 1 else np.zeros(n_bins)
+        gaps = x[k:] - x[:-k]  # empty when the window holds at most k points
+        gaps = gaps[gaps < min(x_max + step / 2.0, L)]
+        idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
+        np.add.at(per[i], idx, 1.0 / (L * (1.0 - gaps / L) * step))
+    values, stderr = mean_stderr(per)
     return NeighborDensity(
         k=k, centers=centers, values=values, stderr=stderr, step=step,
         total_mass=float(values.sum() * step), n_replicas=len(samples),

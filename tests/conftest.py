@@ -1,6 +1,6 @@
 import pytest
 
-from rieszlab import ProcessModel, Seed, Window, sample
+from rieszlab import ProcessModel, Seed, generators
 
 
 @pytest.fixture(scope="session")
@@ -8,7 +8,6 @@ def replicas():
     """Sampler helper shared across test modules (seeded, cached per call)."""
 
     def draw(model: ProcessModel, R: float, n: int, master: int = 1234):
-        window = Window(float(R), model.d)
-        return [sample(model, window, Seed(master, j)) for j in range(n)]
+        return list(generators.replicas(model, float(R), n, Seed(master)))
 
     return draw

@@ -15,7 +15,6 @@ from rieszlab import (
     GapLaw,
     ProcessModel,
     Seed,
-    Window,
     crystallization_gap,
     discrepancy_identity_check,
     dlog_estimate,
@@ -103,7 +102,7 @@ def test_c03_discrepancy_identity(replicas):
         ok &= abs(chk.algebraic_gap) <= 1e-8
     d2 = []
     for j in range(8000):
-        cfg = sample(ProcessModel.poisson(1), Window(64.0, 1), Seed(302, j))
+        cfg = sample(ProcessModel.poisson(1), 64.0, Seed(302, j))
         d2.append((cfg.n - 64.0) ** 2)
     ratio = float(np.mean(d2)) / 64.0
     ok &= abs(ratio - 1.0) <= 0.05
@@ -202,14 +201,14 @@ def test_c07_free_energy_limits():
 
 def test_c08_pinsker_suite():
     n = 6000
-    base = [sample(ProcessModel.poisson(1), Window(8.0, 1), Seed(801, j))
+    base = [sample(ProcessModel.poisson(1), 8.0, Seed(801, j))
             for j in range(n)]
     ok = True
     details = []
     for i, theta in enumerate((0.5, 2.0, 4.0)):
         gap = GapLaw.gamma(theta)
         ers = renewal_entropy_rate(gap)
-        samples = [sample(ProcessModel.renewal(gap), Window(8.0, 1), Seed(810 + i, j))
+        samples = [sample(ProcessModel.renewal(gap), 8.0, Seed(810 + i, j))
                    for j in range(n)]
         for R in (2.0, 4.0, 8.0):
             tv = tv_lower_bound(samples, base, R, 2)

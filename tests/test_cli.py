@@ -257,6 +257,9 @@ ENERGY_MC = {"model": {"variant": "poisson"}, "kernel": {"family": "log1d"},
              "R_list": [8, 16, 32], "n_replicas": 30, "route": "mc"}
 
 
+GAMMA_TWO = {"variant": "renewal", "gap": {"law": "gamma", "theta": 2}}
+
+
 def _reject(runner, tmp_path, command, spec, *needles):
     out = tmp_path / "out"
     res = runner.invoke(main, [command, "--config", _write(tmp_path, "c.json", spec),
@@ -335,8 +338,18 @@ class TestSpecLayer:
          "n_bins >= 2"),
         ("energy", {"model": {"variant": "lattice", "d": 2}, "kernel": {"family": "log2d"},
                     "R_list": [8, 16], "route": "rho2"}, "atomic two-point parts"),
+        ("neighbors", {"model": GAMMA_TWO, "L": 32, "n_replicas": 1}, "at least 2 replicas"),
+        ("crystal", {"model": {"variant": "vibrating_lattice", "k": 4}, "L": 48,
+                     "n_replicas": 1, "k_max": 4, "x_max": 8}, "at least 2 replicas"),
+        ("pinsker", {"model": GAMMA_TWO, "R_list": [2, 4], "n_replicas": 1},
+         "at least 2 replicas"),
+        ("generate", {"model": {"variant": "poisson"}, "R": 0}, "window side must be positive"),
+        ("neighbors", {"model": GAMMA_TWO, "L": -4}, "window side must be positive"),
+        ("rho2", {"model": {"variant": "poisson"}, "R": -1}, "window side must be positive"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
-            "lattice_2d_rho2"])
+            "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
+            "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
+            "rho2_negative_side"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)
@@ -368,15 +381,15 @@ class TestSpecLayer:
         assert not (tmp_path / "o" / "energy.json").exists()
 
     def test_variance_with_c_log_samples_each_replica_once(self, tmp_path, monkeypatch):
-        import rieszlab.estimators as est
+        import rieszlab.generators as generators
 
-        real, calls = est.sample, []
+        real, calls = generators.sample, []
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(est, "sample", counting)
+        monkeypatch.setattr(generators, "sample", counting)
         R_list = [4, 8, 16, 32, 64]
         run({"command": "variance", "model": {"variant": "poisson"}, "R_list": R_list,
              "n_replicas": 30, "c_log": 1.0, "out": str(tmp_path / "v")})

@@ -12,7 +12,6 @@ from rieszlab import (
     ProcessModel,
     Seed,
     SingularityError,
-    Window,
     discrepancy,
     kernel_eval,
     log_kernel,
@@ -21,6 +20,7 @@ from rieszlab import (
     sample,
     tent_weight,
 )
+from rieszlab.core import mean_stderr
 
 
 class TestKernel:
@@ -114,20 +114,32 @@ class TestPsiWeight:
 
 class TestConfigurationsAndDiscrepancy:
     def test_membership_closed_exact(self):
-        w = Window(2.0, 1)
-        PointConfiguration(np.array([[1.0], [-1.0]]), w)  # faces included
+        PointConfiguration(np.array([[1.0], [-1.0]]), 2.0)  # faces included
         with pytest.raises(DomainError):
-            PointConfiguration(np.array([[1.0000001]]), w)
+            PointConfiguration(np.array([[1.0000001]]), 2.0)
         with pytest.raises(ArgumentError):
-            PointConfiguration(np.array([[np.nan]]), w)
+            PointConfiguration(np.array([[np.nan]]), 2.0)
+
+    def test_side_must_be_positive(self):
+        pts = np.zeros((0, 1))
+        for R in (0.0, -1.0, float("nan")):
+            with pytest.raises(DomainError, match="window side must be positive"):
+                PointConfiguration(pts, R)
+
+    def test_dimension_from_columns(self):
+        assert PointConfiguration(np.zeros((3, 2)), 1.0).d == 2
+        assert PointConfiguration(np.zeros(3), 1.0).d == 1
+        assert PointConfiguration(np.zeros((0, 3)), 1.0).d == 3
+        with pytest.raises(ArgumentError):
+            PointConfiguration(np.zeros((2, 4)), 1.0)
 
     def test_empty_window_count(self):
-        cfg = PointConfiguration(np.empty((0, 1)), Window(4.0, 1))
+        cfg = PointConfiguration(np.empty((0, 1)), 4.0)
         st = discrepancy(cfg, 2.0)
         assert st.n == 0 and st.discrepancy == -2.0
 
     def test_lattice_integer_window(self):
-        cfg = sample(ProcessModel.lattice(1), Window(9.0, 1), Seed(2))
+        cfg = sample(ProcessModel.lattice(1), 9.0, Seed(2))
         st = discrepancy(cfg, 5.0)
         assert st.n == 5 and st.discrepancy == 0.0
 
@@ -140,17 +152,35 @@ class TestConfigurationsAndDiscrepancy:
         assert abs(d2.mean() - 4.0) < 4.0 * stderr
 
     def test_window_larger_than_config_rejected(self):
-        cfg = PointConfiguration(np.array([[0.0]]), Window(2.0, 1))
+        cfg = PointConfiguration(np.array([[0.0]]), 2.0)
         with pytest.raises(DomainError):
             discrepancy(cfg, 3.0)
 
     def test_tile_additivity(self):
         # counts over a partition into tiles reproduce the whole-window count
-        cfg = sample(ProcessModel.poisson(1), Window(8.0, 1), Seed(3))
+        cfg = sample(ProcessModel.poisson(1), 8.0, Seed(3))
         whole = discrepancy(cfg, 8.0)
         parts = 0
         for c in (-3.0, -1.0, 1.0, 3.0):
-            shifted = PointConfiguration(cfg.points - c, Window(8.0 + 2 * abs(c), 1))
+            shifted = PointConfiguration(cfg.points - c, 8.0 + 2 * abs(c))
             parts += discrepancy(shifted, 2.0).n
         assert parts == whole.n
         assert whole.discrepancy == whole.n - 8.0
+
+
+class TestMeanStderr:
+    def test_matches_numpy_formula(self):
+        rng = np.random.default_rng(5)
+        for per in (rng.normal(size=7), rng.normal(size=(9, 4))):
+            mean, stderr = mean_stderr(per)
+            np.testing.assert_array_equal(mean, per.mean(axis=0))
+            np.testing.assert_array_equal(stderr, per.std(axis=0, ddof=1) / math.sqrt(len(per)))
+        mean, stderr = mean_stderr([1.0, 2.0, 4.0])
+        assert mean == pytest.approx(7.0 / 3.0)
+        assert stderr == pytest.approx(math.sqrt(7.0 / 3.0 / 3.0))
+
+    def test_fewer_than_two_replicas_rejected(self):
+        for per in ([], [1.0], np.ones((1, 5))):
+            with pytest.raises(ArgumentError,
+                               match="at least 2 replicas are required for a standard error"):
+                mean_stderr(per)

@@ -15,7 +15,6 @@ from rieszlab import (
     ProcessModel,
     Seed,
     SingularConfigurationError,
-    Window,
     hint_R,
     log_kernel,
     rho2_analytic,
@@ -217,16 +216,16 @@ class TestClosedForms1d:
 
 class TestHintR:
     def test_empty_config_is_bb(self):
-        cfg = PointConfiguration(np.empty((0, 1)), Window(2.0, 1))
+        cfg = PointConfiguration(np.empty((0, 1)), 2.0)
         assert hint_R(cfg, 2.0, K_LOG) == pytest.approx(6.0 - 4.0 * math.log(2.0), rel=1e-14)
 
     def test_single_point_at_origin(self):
-        cfg = PointConfiguration(np.array([[0.0]]), Window(2.0, 1))
+        cfg = PointConfiguration(np.array([[0.0]]), 2.0)
         expected = -2.0 * 2.0 + (6.0 - 4.0 * math.log(2.0))
         assert hint_R(cfg, 2.0, K_LOG) == pytest.approx(expected, rel=1e-14)
 
     def test_coincident_points_rejected(self):
-        cfg = PointConfiguration(np.array([[0.5], [0.5]]), Window(4.0, 1))
+        cfg = PointConfiguration(np.array([[0.5], [0.5]]), 4.0)
         with pytest.raises(SingularConfigurationError):
             hint_R(cfg, 4.0, K_RSZ)
 
@@ -235,12 +234,12 @@ class TestHintR:
     def test_reflection_invariance(self, kernel):
         # the centred cube C_R is symmetric under x -> -x, so the window
         # energy of a configuration and of its mirror image agree
-        cfg = sample(ProcessModel.poisson(kernel.d), Window(8.0, kernel.d), Seed(62))
-        mirrored = PointConfiguration(-cfg.points, cfg.window)
+        cfg = sample(ProcessModel.poisson(kernel.d), 8.0, Seed(62))
+        mirrored = PointConfiguration(-cfg.points, cfg.R)
         assert hint_R(mirrored, 8.0, kernel) == pytest.approx(hint_R(cfg, 8.0, kernel), rel=1e-12)
 
     def test_window_precedence(self):
-        cfg = PointConfiguration(np.array([[0.0]]), Window(2.0, 1))
+        cfg = PointConfiguration(np.array([[0.0]]), 2.0)
         with pytest.raises(DomainError):
             hint_R(cfg, 3.0, K_LOG)
 
@@ -260,7 +259,7 @@ class TestHintR:
         for u in shifts:
             pts = np.arange(math.ceil(-R / 2 - u), math.floor(R / 2 - u) + 1, dtype=float) + u
             pts = pts[np.abs(pts) <= R / 2]
-            cfg = PointConfiguration(pts[:, None], Window(R, 1))
+            cfg = PointConfiguration(pts[:, None], R)
             vals.append(hint_R(cfg, R, kernel) / R)
         avg = float(np.sum(np.asarray(vals) * weights))
         series = wint_lattice_series(kernel, [R]).entries[0][1]
@@ -417,7 +416,7 @@ class TestMonteCarloRoute:
         # verified against scipy oracles elsewhere, assembled by hand here
         kernel = riesz_kernel(0.8, 2)
         pts = np.array([[0.2, -0.4], [-0.6, 0.3], [0.1, 0.7]])
-        cfg = PointConfiguration(pts, Window(2.0, 2))
+        cfg = PointConfiguration(pts, 2.0)
         pair = 0.0
         for i in range(3):
             for j in range(3):
@@ -429,14 +428,14 @@ class TestMonteCarloRoute:
         assert hint_R(cfg, 2.0, kernel) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_replicas_abort(self, monkeypatch):
-        from rieszlab import energy as energy_mod
+        from rieszlab import generators
 
-        dup = PointConfiguration(np.array([[0.25], [0.25], [1.5]]), Window(8.0, 1))
+        dup = PointConfiguration(np.array([[0.25], [0.25], [1.5]]), 8.0)
 
-        def bad_sample(model, window, seed):
+        def bad_sample(model, R, seed):
             return dup
 
-        monkeypatch.setattr(energy_mod, "sample", bad_sample)
+        monkeypatch.setattr(generators, "sample", bad_sample)
         with pytest.raises(SingularConfigurationError):
             wint_monte_carlo(ProcessModel.poisson(1), K_RSZ, [8.0], 50, Seed(0))
 

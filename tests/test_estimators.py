@@ -55,6 +55,8 @@ class TestEstimateRho2:
             estimate_rho2(samples, GridSpec(16.0, 8))  # v_max not below R
         with pytest.raises(ArgumentError):
             estimate_rho2(samples[:1], GridSpec(4.0, 8))
+        with pytest.raises(ArgumentError, match="at least 2 replicas"):
+            estimate_rho2([], GridSpec(4.0, 8))
 
 
 class TestVarianceCurve:
@@ -90,7 +92,6 @@ class TestIdentityCheck:
     def test_algebraic_gap_vanishes(self, model, replicas):
         chk = discrepancy_identity_check(replicas(model, 16.0, 400), 16.0)
         assert abs(chk.algebraic_gap) < 1e-8
-        assert chk.gap == chk.algebraic_gap
 
     def test_poisson_both_sides_near_zero(self, replicas):
         chk = discrepancy_identity_check(replicas(ProcessModel.poisson(1), 8.0, 4000), 8.0)
@@ -173,6 +174,14 @@ class TestTotalVariation:
         q = replicas(ProcessModel.poisson(1), 8.0, 30, master=62)
         with pytest.warns(RuntimeWarning):
             tv_lower_bound(p, q, 8.0, 8)
+
+    def test_one_sample_rejected(self, replicas):
+        # one sample per side makes any two count vectors look disjoint
+        p = replicas(ProcessModel.renewal(GapLaw.gamma(2.0)), 8.0, 2, master=63)
+        q = replicas(ProcessModel.poisson(1), 8.0, 2, master=64)
+        for a, b in ((p[:1], q), (p, q[:1]), ([], q)):
+            with pytest.raises(ArgumentError, match="at least 2 replicas"):
+                tv_lower_bound(a, b, 4.0, 2)
 
 
 class TestPinskerCheck:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,12 +11,12 @@ from rieszlab import (
     NotApplicableError,
     ProcessModel,
     Seed,
-    Window,
     rho2_analytic,
     sample,
 )
+from rieszlab import generators
 from rieszlab._io import config_from_csv, config_to_csv
-from rieszlab.generators import _sample_bernoulli_raw
+from rieszlab.generators import _sample_bernoulli_raw, replicas
 
 ALL_MODELS = [
     ProcessModel.poisson(1),
@@ -34,8 +35,6 @@ class TestValidation:
     def test_dimension_pairing(self):
         with pytest.raises(ArgumentError):
             ProcessModel(ProcessModel.vibrating_lattice(4).variant, 2, k=4)
-        with pytest.raises(ArgumentError):
-            sample(ProcessModel.poisson(2), Window(4.0, 1), Seed(0))
 
     def test_gap_laws(self):
         with pytest.raises(DomainError):
@@ -60,11 +59,10 @@ class TestValidation:
 class TestSampling:
     def test_determinism_bit_identical(self):
         for model in ALL_MODELS:
-            window = Window(9.0, model.d)
-            a = sample(model, window, Seed(77, 3))
-            b = sample(model, window, Seed(77, 3))
+            a = sample(model, 9.0, Seed(77, 3))
+            b = sample(model, 9.0, Seed(77, 3))
             assert np.array_equal(a.points, b.points)
-            c = sample(model, window, Seed(77, 4))
+            c = sample(model, 9.0, Seed(77, 4))
             if a.n == c.n:
                 assert not np.array_equal(a.points, c.points)
 
@@ -77,38 +75,68 @@ class TestSampling:
         for replica in range(5):
             draws = GapLaw.gamma(1.0).sample(Seed(3, replica).rng(), 1000)
             np.testing.assert_array_equal(draws, Seed(3, replica).rng().exponential(1.0, 1000))
-            a = sample(exponential, Window(40.0, 1), Seed(9, replica))
-            b = sample(gamma_one, Window(40.0, 1), Seed(9, replica))
+            a = sample(exponential, 40.0, Seed(9, replica))
+            b = sample(gamma_one, 40.0, Seed(9, replica))
             np.testing.assert_array_equal(a.points, b.points)
+
+    @pytest.mark.parametrize("model", ALL_MODELS + [ProcessModel.poisson(3)],
+                             ids=lambda m: m.describe())
+    def test_replicas_follow_the_seed_schedule(self, model):
+        # replica j on rung i draws stream replica + i * n + j
+        n, seed = 3, Seed(77, 5)
+        for rung, R in enumerate((4.0, 6.0)):
+            drawn = list(replicas(model, R, n, seed, rung))
+            assert len(drawn) == n
+            for j, cfg in enumerate(drawn):
+                ref = sample(model, R, Seed(77, 5 + rung * n + j))
+                assert cfg.R == ref.R
+                np.testing.assert_array_equal(cfg.points, ref.points)
+
+    def test_replicas_are_lazy(self, monkeypatch):
+        real, calls = generators.sample, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(generators, "sample", counting)
+        stream = replicas(ProcessModel.poisson(1), 8.0, 100, Seed(3))
+        assert calls == []
+        taken = list(itertools.islice(stream, 4))
+        assert len(taken) == len(calls) == 4
+        assert [args[2] for args in calls] == [Seed(3, j) for j in range(4)]
+
+    def test_side_must_be_positive(self):
+        for R in (0.0, -2.0):
+            with pytest.raises(DomainError, match="window side must be positive"):
+                sample(ProcessModel.poisson(1), R, Seed(0))
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_unit_intensity(self, model):
         R = 16.0 if model.d == 1 else 8.0
-        window = Window(R, model.d)
         n_rep = 400
         counts = np.array(
-            [sample(model, window, Seed(5, j)).n for j in range(n_rep)], dtype=float
+            [sample(model, R, Seed(5, j)).n for j in range(n_rep)], dtype=float
         )
-        vol = window.volume
+        vol = R**model.d
         stderr = max(counts.std(ddof=1) / math.sqrt(n_rep), 1e-12)
         assert abs(counts.mean() - vol) <= max(3.0 * stderr, 1e-9 * vol)
 
     def test_poisson_2d_mean_count(self):
         # mean count over replicas stays inside the 3 sigma Monte Carlo band
-        window = Window(10.0, 2)
         counts = np.array(
-            [sample(ProcessModel.poisson(2), window, Seed(11, j)).n for j in range(10_000)],
+            [sample(ProcessModel.poisson(2), 10.0, Seed(11, j)).n for j in range(10_000)],
             dtype=float,
         )
         band = 3.0 * counts.std(ddof=1) / 100.0
         assert abs(counts.mean() - 100.0) < band
 
     def test_lattice_exact_count(self):
-        cfg = sample(ProcessModel.lattice(1), Window(7.0, 1), Seed(1))
+        cfg = sample(ProcessModel.lattice(1), 7.0, Seed(1))
         assert cfg.n == 7
 
     def test_lattice_rigidity(self):
-        cfg = sample(ProcessModel.lattice(1), Window(64.0, 1), Seed(9))
+        cfg = sample(ProcessModel.lattice(1), 64.0, Seed(9))
         x = np.sort(cfg.x)
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -118,8 +146,8 @@ class TestSampling:
             assert math.floor(L) <= n_in <= math.ceil(L)
 
     def test_bernoulli_tiles_hold_exactly_k_points(self):
-        k, window = 3, Window(18.0, 1)
-        pts, shift = _sample_bernoulli_raw(k, window, Seed(21).rng())
+        k, R = 3, 18.0
+        pts, shift = _sample_bernoulli_raw(k, R, 1, Seed(21).rng())
         x = pts[:, 0] - shift[0]
         tiles = np.floor(x / k)
         _, counts = np.unique(tiles, return_counts=True)
@@ -131,14 +159,14 @@ class TestSampling:
         model = ProcessModel.bernoulli_block(4, 1)
         R = 32.0
         counts = np.array(
-            [sample(model, Window(R, 1), Seed(31, j)).n for j in range(3000)], dtype=float
+            [sample(model, R, Seed(31, j)).n for j in range(3000)], dtype=float
         )
         pair_integral = np.mean(counts * (counts - 1.0)) - R * R
         assert abs(pair_integral / R - (-1.0)) < 0.25  # k/(3R) + MC wiggle
 
     def test_vibrating_stays_near_lattice(self):
         k = 8
-        cfg = sample(ProcessModel.vibrating_lattice(k), Window(32.0, 1), Seed(13))
+        cfg = sample(ProcessModel.vibrating_lattice(k), 32.0, Seed(13))
         gaps = np.diff(np.sort(cfg.x))
         assert np.all(gaps >= 1.0 - 2.0 / k - 1e-12)
         assert np.all(gaps <= 1.0 + 2.0 / k + 1e-12)
@@ -256,11 +284,11 @@ class TestRho2Analytic:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        cfg = sample(ProcessModel.renewal(GapLaw.gamma(3.0)), Window(12.0, 1), Seed(2, 5))
+        cfg = sample(ProcessModel.renewal(GapLaw.gamma(3.0)), 12.0, Seed(2, 5))
         path = tmp_path / "cfg.csv"
         config_to_csv(cfg, path, model="renewal(gamma,theta=3)", seed="2:5")
         back = config_from_csv(path)
-        assert back.window.R == cfg.window.R
+        assert back.R == cfg.R
         assert back.d == cfg.d
         np.testing.assert_array_equal(back.points, cfg.points)
         text = path.read_text()

@@ -122,6 +122,13 @@ class TestKthNeighborDensity:
         with pytest.raises(ArgumentError):
             kth_neighbor_density(samples, 0, 16.0, 4.0)
 
+    def test_fewer_than_two_replicas_rejected(self, replicas):
+        # one replica has no standard error; it must not be reported as 0
+        samples = replicas(ProcessModel.poisson(1), 16.0, 1)
+        for few in ([], samples):
+            with pytest.raises(ArgumentError, match="at least 2 replicas"):
+                kth_neighbor_density(few, 1, 16.0, 4.0)
+
 
 class TestCrystallizationGap:
     def _densities(self, replicas, model, k_max=8, n=300, master=311):
