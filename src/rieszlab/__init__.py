@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .core import (
     ArgumentError,
-    DiscrepancyStat,
     DivergenceError,
     DomainError,
     Kernel,
@@ -19,13 +18,8 @@ from .core import (
     NotApplicableError,
     PointConfiguration,
     SingularConfigurationError,
-    SingularityError,
-    discrepancy,
-    kernel_eval,
     log_kernel,
-    psi_weight,
     riesz_kernel,
-    tent_weight,
 )
 from .generators import (
     GapLaw,
@@ -75,5 +69,4 @@ from .lpx import (
     evaluate_candidate,
     hardcore_candidate,
     minimize_t2,
-    poisson_candidate,
 )

@@ -65,7 +65,11 @@ class Tag(dict):
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    # JSON also reads Infinity, NaN and integers past the float range
+    try:
+        return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 _TYPES = {

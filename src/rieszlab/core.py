@@ -1,10 +1,11 @@
-"""Kernels, point configurations, and elementary statistics.
+"""Kernels, point configurations, window counts and the replica reduction.
 
 The pairwise interaction is ``-log|x|`` in dimension 1 or 2, or the inverse
 power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
 window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
 names by its side R, and every energy is a limit over an increasing ladder of
-sides R (``ladder``).  ``mean_stderr`` reduces every estimate over replicas.
+sides R (``ladder``).  ``points_in_cube`` gives every window count, and
+``mean_stderr`` reduces every estimate over replicas.
 All operations are pure functions of their arguments, so safe in parallel.
 """
 
@@ -23,10 +24,6 @@ class ArgumentError(ValueError):
 
 class DomainError(ValueError):
     """A numeric argument lies outside the documented domain."""
-
-
-class SingularityError(DomainError):
-    """The kernel was evaluated at the origin."""
 
 
 class SingularConfigurationError(ValueError):
@@ -151,13 +148,6 @@ class PointConfiguration:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def x(self) -> np.ndarray:
-        """Flat coordinate vector; only meaningful for d = 1."""
-        if self.d != 1:
-            raise ArgumentError("flat coordinates are defined for d = 1 only")
-        return self.points[:, 0]
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointConfiguration(n={self.n}, d={self.d}, R={self.R})"
 
@@ -183,57 +173,9 @@ def mean_stderr(per) -> tuple[np.ndarray, np.ndarray]:
     return per.mean(axis=0), per.std(axis=0, ddof=1) / math.sqrt(len(per))
 
 
-@dataclass(frozen=True)
-class DiscrepancyStat:
-    """Point count in a centered cube of side R and its deviation from R^d."""
-
-    R: float
-    n: int
-    discrepancy: float
-
-
-def kernel_eval(kernel: Kernel, v) -> float:
-    """Kernel value at separation vector ``v`` (scalar accepted for d = 1)."""
-    vv = np.atleast_1d(np.asarray(v, dtype=float))
-    if vv.shape != (kernel.d,):
-        raise ArgumentError(f"separation must have {kernel.d} coordinates, got {vv.shape}")
-    r = float(np.sqrt(np.sum(vv * vv)))
-    if r == 0.0:
-        raise SingularityError("kernel is singular at the origin")
-    return float(kernel.g(r))
-
-
-def tent_weight(v, R: float) -> float:
-    """Product ``prod_i (R - |v_i|)``, the volume factor of translated pairs.
-
-    The value is ``R**d`` at the origin, vanishes when any ``|v_i| = R``, and
-    is symmetric under sign flips and coordinate permutations.
-    """
-    vv = np.atleast_1d(np.asarray(v, dtype=float))
-    a = np.abs(vv)
-    if (a > R).any():
-        raise DomainError("separation exceeds the tent support [-R, R]^d")
-    return float(np.prod(R - a))
-
-
-def psi_weight(kernel: Kernel, x: float, R: float) -> float:
-    """One-dimensional boundary-weighted kernel ``(2/R) g(x) (R - x)``."""
-    if kernel.d != 1:
-        raise ArgumentError("psi_weight is defined for one-dimensional kernels only")
-    if not (0.0 < x <= R):
-        raise DomainError(f"argument must lie in (0, R], got x={x}, R={R}")
-    return (2.0 / R) * float(kernel.g(x)) * (R - x)
-
-
 def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
     """Points of ``config`` inside the centered cube of side R (closed faces)."""
     if R > config.R:
         raise DomainError("cube side exceeds the configuration window")
     return config.points[np.all(np.abs(config.points) <= R / 2.0, axis=1)]
 
-
-def discrepancy(config: PointConfiguration, R: float) -> DiscrepancyStat:
-    """Count points in the centered cube of side R and subtract its volume."""
-    pts = points_in_cube(config, R)
-    n = int(pts.shape[0])
-    return DiscrepancyStat(R=float(R), n=n, discrepancy=n - float(R) ** config.d)

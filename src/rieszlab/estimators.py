@@ -18,7 +18,6 @@ from .core import (
     NotApplicableError,
     PointConfiguration,
     _require_replicas,
-    discrepancy,
     ladder,
     mean_stderr,
     points_in_cube,
@@ -169,10 +168,9 @@ def _fit_loglog_slope(entries) -> tuple[float, tuple[float, float]]:
 
 def discrepancy_identity_check(samples: list[PointConfiguration], R: float) -> IdentityCheck:
     """Estimate both sides of the pair-integral identity from one sample set."""
-    if len(samples) < 2:
-        raise ArgumentError("at least 2 replicas are required")
+    _require_replicas(len(samples))
     d = samples[0].d
-    counts = np.array([discrepancy(s, R).n for s in samples], dtype=float)
+    counts = np.array([points_in_cube(s, R).shape[0] for s in samples], dtype=float)
     vol = float(R) ** d
     m1 = counts.mean()
     m2 = (counts**2).mean()

@@ -130,10 +130,6 @@ def evaluate_candidate(values, disc: Discretization, kernel: Kernel) -> Candidat
     )
 
 
-def poisson_candidate(disc: Discretization) -> np.ndarray:
-    return np.zeros(2 * disc.n_half + 1)
-
-
 def hardcore_candidate(disc: Discretization) -> np.ndarray:
     """Deficit ``-1`` on the unit-volume ball, with the jump split across the
     node at 1/2 (half-sample convention keeps the interpolant unbiased)."""

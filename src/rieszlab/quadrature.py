@@ -172,13 +172,6 @@ def _log_boxes_2d(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.sum(sgn * _corner_log(xs, ys), axis=1)
 
 
-def log_box_integral_2d(lo, hi) -> float:
-    """``iint_box log|v| dv`` over an axis-aligned box, origin allowed inside."""
-    lo = np.asarray(lo, dtype=float).reshape(1, 2)
-    hi = np.asarray(hi, dtype=float).reshape(1, 2)
-    return float(_log_boxes_2d(lo, hi)[0])
-
-
 # ---------------------------------------------------------------------------
 # corner-mapped Gauss-Legendre for boxes with the origin at a corner, d = 2, 3
 # ---------------------------------------------------------------------------

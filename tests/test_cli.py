@@ -300,6 +300,8 @@ class TestSpecLayer:
         ({"model": {"variant": "poisson", "d": 1.0}}, "config.model.d must be an integer"),
         ({"model": {}}, "config.model is missing 'variant'"),
         ({"kernel": {"family": "riesz", "s": "0.5"}}, "config.kernel.s must be a number"),
+        ({"kernel": {"family": "riesz", "s": float("nan")}},
+         "config.kernel.s must be a number, got nan"),
     ])
     def test_strict_types(self, tmp_path, runner, change, message):
         _reject(runner, tmp_path, "energy", {**ENERGY_MC, **change}, message)
@@ -346,10 +348,17 @@ class TestSpecLayer:
         ("generate", {"model": {"variant": "poisson"}, "R": 0}, "window side must be positive"),
         ("neighbors", {"model": GAMMA_TWO, "L": -4}, "window side must be positive"),
         ("rho2", {"model": {"variant": "poisson"}, "R": -1}, "window side must be positive"),
+        ("generate", {"model": {"variant": "poisson"}, "R": float("inf")},
+         "config.R must be a number, got inf"),
+        ("energy", {"kernel": {"family": "log1d"}, "R_list": [8, float("inf")],
+                    "route": "series"},
+         "config.R_list must be a non-empty list of numbers, got [8, inf]"),
+        ("generate", {"model": {"variant": "poisson"}, "R": 10**400}, "config.R must be a number"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
-            "rho2_negative_side"])
+            "rho2_negative_side", "generate_infinite_side", "series_infinite_rung",
+            "generate_long_integer_side"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

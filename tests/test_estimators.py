@@ -105,6 +105,11 @@ class TestIdentityCheck:
         assert chk.lhs < -25.0
         assert chk.rhs < -25.0
 
+    def test_one_replica_rejected(self, replicas):
+        with pytest.raises(ArgumentError,
+                           match="at least 2 replicas are required for a standard error"):
+            discrepancy_identity_check(replicas(ProcessModel.poisson(1), 8.0, 1), 8.0)
+
 
 class TestDlog:
     def test_poisson_diverges(self):

@@ -137,7 +137,7 @@ class TestSampling:
 
     def test_lattice_rigidity(self):
         cfg = sample(ProcessModel.lattice(1), 64.0, Seed(9))
-        x = np.sort(cfg.x)
+        x = np.sort(cfg.points[:, 0])
         rng = np.random.default_rng(4)
         for _ in range(200):
             L = rng.uniform(0.5, 20.0)
@@ -167,7 +167,7 @@ class TestSampling:
     def test_vibrating_stays_near_lattice(self):
         k = 8
         cfg = sample(ProcessModel.vibrating_lattice(k), 32.0, Seed(13))
-        gaps = np.diff(np.sort(cfg.x))
+        gaps = np.diff(np.sort(cfg.points[:, 0]))
         assert np.all(gaps >= 1.0 - 2.0 / k - 1e-12)
         assert np.all(gaps <= 1.0 + 2.0 / k + 1e-12)
 
