@@ -49,7 +49,6 @@ from .energy import (
     EnergyReport,
     hint_R,
     richardson,
-    wbs_energy,
     wint_from_rho2,
     wint_lattice_series,
     wint_monte_carlo,

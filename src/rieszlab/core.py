@@ -153,8 +153,8 @@ class PointConfiguration:
 
 
 def ladder(R_list) -> list[float]:
-    """The sides of an R ladder as floats, checked to be strictly increasing."""
-    R_list = [float(R) for R in R_list]
+    """The sides of an R ladder as floats, checked to be positive and increasing."""
+    R_list = [_side(R) for R in R_list]
     if any(b <= a for a, b in zip(R_list, R_list[1:])):
         raise ArgumentError("R_list must be increasing")
     return R_list

@@ -10,11 +10,10 @@ d = 1.  Each route hands its ladder of centred cubes C_R (``core.ladder``) to
 ``_report``, which extrapolates it in 1/R with an honest residual, never a
 bare limit claim.
 
-In d = 1 one profile integral, ``_profile_integral_1d``, evaluates that
-formula, ``int_0^limit g(v) (rho2(v) - 1) w(v) dv`` with the tent
-``w(v) = R - v`` or without it: the continuous deficit as an exact
-piecewise-linear profile, plus the atoms.  It serves the rho2 route, the
-lattice series and the tent-free ``wbs_energy``.
+In d = 1 one profile integral, ``_rho2_value_1d``, evaluates that formula
+for the rho2 route and the lattice series, always with the tent ``R - v``.
+Once the deficit has decayed, its limit in R is the plain integral
+``2 int_0^inf g(v) (rho2(v) - 1) dv``, so no tent-free route is needed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .core import (
     ArgumentError,
     DivergenceError,
     Kernel,
-    NotApplicableError,
     PointConfiguration,
     SingularConfigurationError,
     ladder,
@@ -165,25 +163,18 @@ def _head_convergence_check(rho2: Rho2Analytic, kernel: Kernel) -> None:
         )
 
 
-def _profile_integral_1d(rho2: Rho2Analytic, kernel: Kernel, limit: float,
-                         tent_R: float | None) -> float:
-    """``int_0^limit g(v) (rho2(v) - 1) w(v) dv`` with ``w(v) = tent_R - v``, or
-    1 when ``tent_R`` is None: the continuous deficit exactly as the
-    piecewise-linear profile on ``rho2.nodes_upto``, plus the atoms."""
-    nodes = rho2.nodes_upto(limit)
-    deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
-    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=tent_R)
-    atoms = rho2.atoms_upto(limit)
-    if atoms.size:
-        weight = kernel.g(atoms[:, 0])
-        if tent_R is not None:
-            weight = weight * (tent_R - atoms[:, 0])
-        total += float(np.sum(weight * atoms[:, 1]))
-    return total
-
-
 def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
-    return 2.0 * _profile_integral_1d(rho2, kernel, R, R) / R
+    """``(2/R) int_0^R g(v) (rho2(v) - 1) (R - v) dv``: the continuous deficit
+    exactly as the piecewise-linear profile on ``rho2.nodes_upto(R)``, plus
+    the atoms."""
+    nodes = rho2.nodes_upto(R)
+    deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
+    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=R)
+    atoms = rho2.atoms_upto(R)
+    if atoms.size:
+        weight = kernel.g(atoms[:, 0]) * (R - atoms[:, 0])
+        total += float(np.sum(weight * atoms[:, 1]))
+    return 2.0 * total / R
 
 
 def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
@@ -233,29 +224,3 @@ def wint_lattice_series(kernel: Kernel, R_list) -> EnergyReport:
     lattice = rho2_analytic(ProcessModel.lattice(1))
     values = [_rho2_value_1d(lattice, kernel, R) for R in R_list]
     return _report("LatticeSeries", kernel, R_list, values, 4)
-
-
-# ---------------------------------------------------------------------------
-# plain (tent-free) energy of a decaying pair deficit
-# ---------------------------------------------------------------------------
-
-def wbs_energy(rho2: Rho2Analytic, kernel: Kernel, v_max: float) -> float:
-    """``int g(v) (rho2(v) - 1) dv`` without the tent weight (log kernels).
-
-    Defined up to the additive normalization of the underlying periodic
-    construction, which is fixed to zero here; only differences between
-    processes are meaningful.  Requires the deficit to decay within v_max.
-    """
-    if not kernel.is_log:
-        raise NotApplicableError("the tent-free energy is defined for log kernels")
-    if kernel.d != 1:
-        raise NotApplicableError("tent-free energy quadrature is implemented in d = 1")
-    if not rho2.tail_flat:
-        raise NotApplicableError("pair deficit has not decayed over the available grid")
-    probe = np.linspace(0.9 * v_max, v_max, 64)
-    dev = float(np.max(np.abs(np.asarray(rho2.continuous_part(probe)) - 1.0)))
-    if dev > 1e-6 or np.any(rho2.atoms_upto(v_max)[:, 0] > 0.9 * v_max):
-        raise NotApplicableError(
-            f"pair deficit has not decayed by v_max={v_max} (residual {dev:.2e})"
-        )
-    return 2.0 * _profile_integral_1d(rho2, kernel, v_max, None)

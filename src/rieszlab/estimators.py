@@ -18,6 +18,7 @@ from .core import (
     NotApplicableError,
     PointConfiguration,
     _require_replicas,
+    _side,
     ladder,
     mean_stderr,
     points_in_cube,
@@ -214,6 +215,8 @@ def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
     free parameter.  Classification: last-decade log-log slope above 0.1 is
     "diverging", below -0.1 is "bounded->0", otherwise "bounded->positive".
     """
+    if kernel.d != model.d:
+        raise ArgumentError("kernel and model dimensions differ")
     if not kernel.is_log:
         raise NotApplicableError("the logarithmic discrepancy term needs a log kernel")
     entries = _discrepancy_moments(model, ladder(R_list), n_replicas, seed)
@@ -260,6 +263,7 @@ def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointCon
     this lower-bounds the total variation of the restricted processes; no
     density estimation is involved.  Tiles are slabs along the first axis.
     """
+    window_R = _side(window_R)
     if tile_count < 1:
         raise ArgumentError("tile_count must be at least 1")
     _require_replicas(min(len(samples_p), len(samples_q)))

@@ -55,7 +55,7 @@ class GapLaw:
             if self.theta is None or not self.theta > 0:
                 raise DomainError("Gamma gap law requires shape theta > 0")
         elif self.kind is GapLawKind.UNIFORM_HAT:
-            if self.k is None or not (isinstance(self.k, int) and self.k >= 2):
+            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
                 raise DomainError("UniformHat gap law requires integer k >= 2")
 
     @staticmethod
@@ -68,7 +68,7 @@ class GapLaw:
 
     @staticmethod
     def uniform_hat(k: int) -> "GapLaw":
-        return GapLaw(GapLawKind.UNIFORM_HAT, k=int(k))
+        return GapLaw(GapLawKind.UNIFORM_HAT, k=k)
 
     @property
     def std(self) -> float:
@@ -162,12 +162,12 @@ class ProcessModel:
             raise ArgumentError(f"dimension must be an integer in [1, 3], got {self.d!r}")
         v = self.variant
         if v is Variant.BERNOULLI_BLOCK:
-            if self.k is None or not (isinstance(self.k, int) and self.k >= 1):
+            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
                 raise DomainError("block model requires integer block side k >= 1")
         elif v is Variant.VIBRATING_LATTICE:
             if self.d != 1:
                 raise ArgumentError("vibrating lattice is one-dimensional")
-            if self.k is None or not (isinstance(self.k, int) and self.k >= 1):
+            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
                 raise DomainError("vibrating lattice requires integer k >= 1")
         elif v is Variant.RENEWAL:
             if self.d != 1:
@@ -187,11 +187,11 @@ class ProcessModel:
 
     @staticmethod
     def bernoulli_block(k: int, d: int = 1) -> "ProcessModel":
-        return ProcessModel(Variant.BERNOULLI_BLOCK, d, k=int(k))
+        return ProcessModel(Variant.BERNOULLI_BLOCK, d, k=k)
 
     @staticmethod
     def vibrating_lattice(k: int) -> "ProcessModel":
-        return ProcessModel(Variant.VIBRATING_LATTICE, 1, k=int(k))
+        return ProcessModel(Variant.VIBRATING_LATTICE, 1, k=k)
 
     @staticmethod
     def renewal(gap: GapLaw) -> "ProcessModel":

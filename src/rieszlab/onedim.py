@@ -88,6 +88,8 @@ def kth_neighbor_density(samples: list[PointConfiguration], k: int, L: float,
         raise ArgumentError("neighbor order k must be at least 1")
     if not x_max < L:
         raise DomainError("x_max must be smaller than the window length L")
+    if not (step > 0.0 and x_max >= 0.0):
+        raise DomainError("the neighbor grid needs step > 0 and x_max >= 0")
     n_bins = int(round(x_max / step)) + 1
     centers = step * np.arange(n_bins)
     per = np.zeros((len(samples), n_bins))

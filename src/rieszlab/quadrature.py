@@ -6,9 +6,9 @@ every closed form derives from one primitive, ``_g_primitive``:
 two P_0 values, the background-background integral ``2 (R P_0(R) - P_1(R))``,
 and ``pwlinear_weights`` turns the cell moments ``P_j(b) - P_j(a)``, j <= 2
 (``g_moments``, in a form free of cancellation), into node weights for the
-exact integral of g against a piecewise-linear profile, with or without the
-tent ``R - v``: the d = 1 energy routes and the LP objective are those
-weights applied to node values.  In d = 2, 3 there is
+exact integral of g against a piecewise-linear profile times the tent
+``R - v``: the d = 1 energy routes and the LP objective are those weights
+applied to node values.  In d = 2, 3 there is
 a corner antiderivative for the planar log kernel and one corner-mapped
 (Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with the origin at
 a corner.
@@ -108,14 +108,14 @@ def tent_kernel_integral_1d(kernel: Kernel, R: float) -> float:
     return float(2.0 * (R * _g_primitive(kernel, R, 0) - _g_primitive(kernel, R, 1)))
 
 
-def pwlinear_weights(kernel: Kernel, nodes, tent_R: float | None = None) -> np.ndarray:
-    """Node weights w with ``w @ values = int g(v) L(v) w(v) dv`` over
+def pwlinear_weights(kernel: Kernel, nodes, tent_R: float) -> np.ndarray:
+    """Node weights w with ``w @ values = int g(v) L(v) (tent_R - v) dv`` over
     [nodes[0], nodes[-1]], where L interpolates ``values`` linearly between
-    the nodes and ``w(v) = tent_R - v``, or 1 when ``tent_R`` is None.
+    the nodes.
 
     Exact up to rounding: on a cell [a, b] each hat function, ``(b - v)/(b - a)``
-    or ``(v - a)/(b - a)``, times w is a quadratic, integrated through the
-    kernel moments of ``g_moments``, also on cells touching 0.
+    or ``(v - a)/(b - a)``, times the tent is a quadratic, integrated through
+    the kernel moments of ``g_moments``, also on cells touching 0.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
@@ -124,20 +124,17 @@ def pwlinear_weights(kernel: Kernel, nodes, tent_R: float | None = None) -> np.n
         raise ArgumentError("nodes must be strictly increasing and nonnegative")
     a, b = nodes[:-1], nodes[1:]
     M0, M1, M2 = g_moments(kernel, a, b)
-    if tent_R is None:
-        left, right = b * M0 - M1, M1 - a * M0
-    else:
-        left = b * tent_R * M0 - (b + tent_R) * M1 + M2
-        right = (a + tent_R) * M1 - a * tent_R * M0 - M2
+    left = b * tent_R * M0 - (b + tent_R) * M1 + M2
+    right = (a + tent_R) * M1 - a * tent_R * M0 - M2
     w = np.zeros(nodes.size)
     w[:-1] += left / (b - a)
     w[1:] += right / (b - a)
     return w
 
 
-def integrate_g_pwlinear(kernel: Kernel, nodes, values, tent_R: float | None = None) -> float:
-    """``int g(v) L(v) w(v) dv`` as in ``pwlinear_weights``, for the profile
-    with node values ``values``."""
+def integrate_g_pwlinear(kernel: Kernel, nodes, values, tent_R: float) -> float:
+    """``int g(v) L(v) (tent_R - v) dv`` as in ``pwlinear_weights``, for the
+    profile with node values ``values``."""
     values = np.asarray(values, dtype=float)
     if values.shape != np.shape(nodes):
         raise ArgumentError("nodes and values must be matching 1d arrays")

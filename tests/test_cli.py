@@ -354,11 +354,26 @@ class TestSpecLayer:
                     "route": "series"},
          "config.R_list must be a non-empty list of numbers, got [8, inf]"),
         ("generate", {"model": {"variant": "poisson"}, "R": 10**400}, "config.R must be a number"),
+        ("energy", {"model": {"variant": "bernoulli_block", "k": 2, "d": 2},
+                    "kernel": {"family": "log2d"}, "R_list": [0, 4], "route": "rho2"},
+         "window side must be positive"),
+        ("pinsker", {"model": GAMMA_TWO, "R_list": [-2, 4], "n_replicas": 50},
+         "window side must be positive"),
+        ("pinsker", {"model": GAMMA_TWO, "R_list": [0, 4], "n_replicas": 50},
+         "window side must be positive"),
+        ("energy", {"kernel": {"family": "log1d"}, "R_list": [-8, -4], "route": "series"},
+         "window side must be positive"),
+        ("neighbors", {"model": GAMMA_TWO, "L": 32, "n_replicas": 5, "step": 0},
+         "neighbor grid"),
+        ("crystal", {"model": {"variant": "vibrating_lattice", "k": 4}, "L": 48,
+                     "n_replicas": 5, "k_max": 4, "x_max": -2}, "neighbor grid"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
             "rho2_negative_side", "generate_infinite_side", "series_infinite_rung",
-            "generate_long_integer_side"])
+            "generate_long_integer_side", "rho2_zero_rung", "pinsker_negative_rung",
+            "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
+            "crystal_negative_x_max"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

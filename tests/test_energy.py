@@ -10,7 +10,6 @@ from rieszlab import (
     DivergenceError,
     DomainError,
     GapLaw,
-    NotApplicableError,
     PointConfiguration,
     ProcessModel,
     Seed,
@@ -22,7 +21,6 @@ from rieszlab import (
     richardson,
     riesz_kernel,
     sample,
-    wbs_energy,
     wint_from_rho2,
     wint_lattice_series,
     wint_monte_carlo,
@@ -155,7 +153,7 @@ D1_IDS = ["log", "riesz0.25", "riesz0.75"]
 
 class TestClosedForms1d:
     @pytest.mark.parametrize("kernel", D1_KERNELS, ids=D1_IDS)
-    @pytest.mark.parametrize("tent_R", [None, 9.0], ids=["flat", "tent"])
+    @pytest.mark.parametrize("tent_R", [9.0], ids=["tent"])
     def test_pwlinear_weights_vs_quad(self, kernel, tent_R):
         rng = np.random.default_rng(5)
         nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 8.0, 12))])
@@ -163,8 +161,8 @@ class TestClosedForms1d:
 
         def cell(i):
             a, b, ya, yb = nodes[i], nodes[i + 1], values[i], values[i + 1]
-            tent = (lambda v: 1.0) if tent_R is None else (lambda v: tent_R - v)
-            return _kernel_quad(kernel, lambda v: (ya + (v - a) * (yb - ya) / (b - a)) * tent(v),
+            return _kernel_quad(kernel,
+                                lambda v: (ya + (v - a) * (yb - ya) / (b - a)) * (tent_R - v),
                                 a, b)
 
         ref = sum(cell(i) for i in range(nodes.size - 1))
@@ -335,7 +333,9 @@ class TestRho2Route:
     def test_block_closed_form(self, kernel, k):
         rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(k, 1)),
                              kernel, [64.0, 128.0, 256.0, 512.0])
-        assert rep.extrapolated == pytest.approx(block_limit(kernel, k), abs=5e-6)
+        # the tent-free limit exactly: the ladder is linear in 1/R once R
+        # exceeds the support of the deficit
+        assert rep.extrapolated == pytest.approx(block_limit(kernel, k), abs=1e-12)
 
     def test_lattice_route_matches_series(self):
         Rs = [64.0, 128.0, 256.0, 512.0]
@@ -581,30 +581,10 @@ class TestMonteCarloMultiD:
 
 
 class TestPlainEnergy:
-    def test_flat_deficit_is_zero(self):
-        assert wbs_energy(rho2_analytic(ProcessModel.poisson(1)), K_LOG, 8.0) == 0.0
-
     def test_hardcore_value(self):
-        got = wbs_energy(rho2_hardcore(), K_LOG, 8.0)
-        assert got == pytest.approx(-1.0 - math.log(2.0), abs=1e-6)
-
-    def test_riesz_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            wbs_energy(rho2_hardcore(), K_RSZ, 8.0)
-
-    def test_undecayed_profile_rejected(self):
-        with pytest.raises(NotApplicableError):
-            wbs_energy(rho2_analytic(ProcessModel.vibrating_lattice(4)), K_LOG, 8.0)
-
-    def test_block_agrees_with_tented_limit(self):
-        # with a compactly supported deficit the tent weight converges to 1,
-        # so the plain energy equals the tented extrapolation
-        model = ProcessModel.bernoulli_block(2, 1)
-        plain = wbs_energy(rho2_analytic(model), K_LOG, 8.0)
-        tented = wint_from_rho2(rho2_analytic(model), K_LOG,
-                                [64.0, 128.0, 256.0, 512.0])
-        assert plain == pytest.approx(tented.extrapolated,
-                                      abs=3.0 * tented.extrapolation_error + 1e-6)
+        # the deficit -1 on [0, 1/2] has the tent-free limit 2 int_0^(1/2) log v dv
+        rep = wint_from_rho2(rho2_hardcore(), K_LOG, [64.0, 128.0, 256.0, 512.0])
+        assert rep.extrapolated == pytest.approx(-1.0 - math.log(2.0), abs=1e-12)
 
 
 class TestOrderings:
@@ -623,10 +603,10 @@ class TestOrderings:
 
     def test_sub_poissonian_bound(self):
         # any deficit profile below one stays above the hardcore benchmark
-        hc = wbs_energy(rho2_hardcore(), K_LOG, 8.0)
+        hc = -1.0 - math.log(2.0)
         for k in (2, 4):
             rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(k, 1)),
                                  K_LOG, [64.0, 128.0, 256.0, 512.0])
             assert rep.extrapolated >= hc - 1e-9
         hc_rep = wint_from_rho2(rho2_hardcore(), K_LOG, [64.0, 128.0, 256.0, 512.0])
-        assert hc_rep.extrapolated == pytest.approx(hc, abs=1e-5)
+        assert hc_rep.extrapolated == pytest.approx(hc, abs=1e-12)

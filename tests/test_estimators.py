@@ -134,6 +134,14 @@ class TestDlog:
             dlog_estimate(ProcessModel.poisson(1), riesz_kernel(0.5, 1),
                           [8.0, 16.0], 10, Seed(0))
 
+    @pytest.mark.parametrize("model, kernel", [
+        (ProcessModel.poisson(2), log_kernel(1)),
+        (ProcessModel.poisson(3), log_kernel(2)),
+    ], ids=["log1d_in_2d", "log2d_in_3d"])
+    def test_dimension_mismatch_rejected(self, model, kernel):
+        with pytest.raises(ArgumentError, match="kernel and model dimensions differ"):
+            dlog_estimate(model, kernel, [8.0, 16.0], 10, Seed(0))
+
     def test_scaling_in_constant(self):
         a = dlog_estimate(ProcessModel.poisson(1), log_kernel(1),
                           [8.0, 16.0, 32.0, 64.0, 80.0], 300, Seed(37), c_log=1.0)

@@ -43,6 +43,12 @@ class TestValidation:
             GapLaw.uniform_hat(1)  # gaps would go negative
         with pytest.raises(DomainError):
             ProcessModel.bernoulli_block(0, 1)
+        # non-integers are rejected, not truncated
+        for factory, k in [(ProcessModel.bernoulli_block, 2.5),
+                           (ProcessModel.vibrating_lattice, 3.9), (GapLaw.uniform_hat, 2.7)]:
+            with pytest.raises(DomainError, match="integer"):
+                factory(k)
+        assert ProcessModel.bernoulli_block(np.int64(2)) == ProcessModel.bernoulli_block(2)
 
     def test_gap_law_normalization(self):
         from scipy import integrate

@@ -121,6 +121,10 @@ class TestKthNeighborDensity:
             kth_neighbor_density(samples, 1, 16.0, 16.0)
         with pytest.raises(ArgumentError):
             kth_neighbor_density(samples, 0, 16.0, 4.0)
+        for x_max, step in [(-2.0, 1.0 / 32.0), (4.0, 0.0), (4.0, -0.5)]:
+            with pytest.raises(DomainError, match="neighbor grid"):
+                kth_neighbor_density(samples, 1, 16.0, x_max, step)
+        assert kth_neighbor_density(samples, 1, 16.0, 0.0).centers.tolist() == [0.0]
 
     def test_fewer_than_two_replicas_rejected(self, replicas):
         # one replica has no standard error; it must not be reported as 0
