@@ -18,6 +18,7 @@ Once the deficit has decayed, its limit in R is the plain integral
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -93,55 +94,88 @@ def _report(route: str, kernel: Kernel, R_list: list[float], values: list[float]
 # per-configuration interaction energy
 # ---------------------------------------------------------------------------
 
+_COINCIDENT = "coincident points inside the energy window"
+
+
+def _window_energies(batch, R: float, kernel: Kernel, bb: float) -> tuple[np.ndarray, np.ndarray]:
+    """``hint_R`` of every point set of ``batch`` (each inside C_R), given the
+    background term ``bb``, and a mask of the sets with coincident points.
+
+    One ``_fast.pair_sums`` call and one ``point_background`` call on the
+    concatenated points cover the whole batch.  The point terms of the sets
+    with n points are summed as the rows of one matrix, and a row sum
+    equals that row's own sum bit for bit, so a set's energy depends only
+    on its own points.
+    """
+    pair, min_r2 = _fast.pair_sums(batch, kernel)
+    counts = np.array([pts.shape[0] for pts in batch])
+    terms = quadrature.point_background(kernel, np.concatenate(batch), R)
+    starts = np.cumsum(counts) - counts
+    pb = np.zeros(len(batch))
+    for n in np.unique(counts[counts > 0]):
+        sets = np.flatnonzero(counts == n)
+        pb[sets] = terms[starts[sets, None] + np.arange(n)].sum(axis=1)
+    return 2.0 * pair - 2.0 * pb + bb, min_r2 == 0.0
+
+
 def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     """Interaction of points minus unit background, diagonal excluded:
     ``sum_{p != q} g(p - q) - 2 sum_p pb(p) + bb`` over points in the
     centered cube of side R."""
     if kernel.d != config.d:
         raise ArgumentError("kernel and configuration dimensions differ")
-    pts = points_in_cube(config, R)
-    bb = quadrature.background_pair_integral(kernel, R)
-    if pts.shape[0] == 0:
-        return bb
-    pair_sum, min_r2 = _fast.pair_sum(pts, kernel)
-    if pts.shape[0] > 1 and min_r2 == 0.0:
-        raise SingularConfigurationError("coincident points inside the energy window")
-    pb = quadrature.point_background(kernel, pts, R)
-    return 2.0 * pair_sum - 2.0 * float(np.sum(pb)) + bb
+    energy, singular = _window_energies([points_in_cube(config, R)], R, kernel,
+                                        quadrature.background_pair_integral(kernel, R))
+    if singular[0]:
+        raise SingularConfigurationError(_COINCIDENT)
+    return float(energy[0])
 
 
 # ---------------------------------------------------------------------------
 # route 1: Monte Carlo over replicas
 # ---------------------------------------------------------------------------
 
+# replicas per block of window energies in wint_monte_carlo
+_REPLICA_BLOCK = 256
+
+
 def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
                      seed: Seed) -> EnergyReport:
     """Per-volume mean window energy along an R ladder, extrapolated in 1/R.
 
-    Replicas with coincident points are discarded and counted; more than 1%
-    of them aborts the run.
+    Each rung draws its replicas through ``replicas`` and evaluates them in
+    blocks of ``_REPLICA_BLOCK`` (``_window_energies``), so the result does
+    not depend on the block size.  Replicas with coincident points are
+    discarded and counted; more than 1% of them aborts the run.
     """
     R_list = ladder(R_list)
     if n_replicas < 30:
         raise ArgumentError("at least 30 replicas are required")
+    if kernel.d != model.d:
+        raise ArgumentError("kernel and configuration dimensions differ")
     means = []
     stderrs = []
     discarded = 0
     planned = n_replicas * len(R_list)
     for i, R in enumerate(R_list):
+        bb = quadrature.background_pair_integral(kernel, R)
+        draws = replicas(model, R, n_replicas, seed, i)
         vals = []
-        for j, cfg in enumerate(replicas(model, R, n_replicas, seed, i)):
-            try:
-                vals.append(hint_R(cfg, R, kernel) / R**model.d)
-            except SingularConfigurationError as exc:
+        for j0 in range(0, n_replicas, _REPLICA_BLOCK):
+            # a replica drawn in C_R lies inside it, so all its points count
+            block = [cfg.points for cfg in itertools.islice(draws, _REPLICA_BLOCK)]
+            energies, singular = _window_energies(block, R, kernel, bb)
+            for j in np.flatnonzero(singular):
                 discarded += 1
                 if discarded > 0.01 * planned:
+                    exc = SingularConfigurationError(_COINCIDENT)
                     raise SingularConfigurationError(
-                        f"Monte Carlo aborted: {discarded} of {i * n_replicas + j + 1} "
+                        f"Monte Carlo aborted: {discarded} of {i * n_replicas + j0 + j + 1} "
                         f"replicas attempted so far were discarded ({exc}), more than "
                         f"the 1% threshold of {0.01 * planned:g} of {planned} planned"
                     ) from exc
-        mean, stderr = mean_stderr(vals)
+            vals.append(energies[~singular] / R**model.d)
+        mean, stderr = mean_stderr(np.concatenate(vals))
         means.append(float(mean))
         stderrs.append(float(stderr))
     return _report("PairSumMC", kernel, R_list, means, 2, stderrs, discarded)

@@ -16,6 +16,7 @@ from rieszlab import (
     SingularConfigurationError,
     hint_R,
     log_kernel,
+    replicas,
     rho2_analytic,
     rho2_hardcore,
     richardson,
@@ -328,7 +329,7 @@ class TestRho2Route:
         with pytest.raises(ArgumentError, match="dimensions differ"):
             wint_from_rho2(rho2_analytic(model), kernel, [8.0, 16.0])
 
-    @pytest.mark.parametrize("kernel", [K_LOG, K_RSZ], ids=["riesz", "log"])
+    @pytest.mark.parametrize("kernel", [K_LOG, K_RSZ], ids=["log", "riesz"])
     @pytest.mark.parametrize("k", [2, 4])
     def test_block_closed_form(self, kernel, k):
         rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(k, 1)),
@@ -441,18 +442,22 @@ class TestMonteCarloRoute:
 
     def test_abort_message_counts(self, monkeypatch):
         # every fifth replica is singular: 200 planned replicas allow 2
-        # discards, so the third (replica 15, on the first rung) aborts
+        # discards, so the third (replica 15, on the first rung) aborts;
+        # blocks of 5 replicas end the evaluation right there
+        from rieszlab import _fast
         from rieszlab import energy as energy_mod
 
         calls = []
 
-        def flaky_hint(cfg, R, kernel):
-            calls.append(R)
-            if len(calls) % 5 == 0:
-                raise SingularConfigurationError("coincident points inside the energy window")
-            return 0.0
+        def flaky_pair_sums(batch, kernel):
+            min_r2 = []
+            for _ in batch:
+                calls.append(kernel)
+                min_r2.append(0.0 if len(calls) % 5 == 0 else 1.0)
+            return np.zeros(len(batch)), np.array(min_r2)
 
-        monkeypatch.setattr(energy_mod, "hint_R", flaky_hint)
+        monkeypatch.setattr(energy_mod, "_REPLICA_BLOCK", 5)
+        monkeypatch.setattr(_fast, "pair_sums", flaky_pair_sums)
         with pytest.raises(SingularConfigurationError) as info:
             wint_monte_carlo(ProcessModel.poisson(1), K_RSZ, [4.0, 8.0], 100, Seed(0))
         msg = str(info.value)
@@ -460,6 +465,42 @@ class TestMonteCarloRoute:
         assert "3 of 15 replicas attempted" in msg
         assert "1% threshold of 2 of 200 planned" in msg
         assert isinstance(info.value.__cause__, SingularConfigurationError)
+
+
+BLOCK_CASES = [
+    (ProcessModel.bernoulli_block(2, 1), K_LOG, [16.0, 32.0]),
+    (ProcessModel.poisson(2), riesz_kernel(1.0, 2), [4.0, 8.0]),
+]
+
+
+class TestMonteCarloBlocks:
+    @pytest.mark.parametrize("model,kernel,R_list", BLOCK_CASES, ids=["d1", "d2"])
+    def test_report_independent_of_block_size(self, monkeypatch, model, kernel, R_list):
+        from rieszlab import energy as energy_mod
+
+        whole = wint_monte_carlo(model, kernel, R_list, 40, Seed(83))
+        monkeypatch.setattr(energy_mod, "_REPLICA_BLOCK", 3)
+        assert wint_monte_carlo(model, kernel, R_list, 40, Seed(83)) == whole
+
+    @pytest.mark.parametrize("model,kernel,R_list", BLOCK_CASES, ids=["d1", "d2"])
+    def test_replica_energies_match_hint_R(self, monkeypatch, model, kernel, R_list):
+        from rieszlab import energy as energy_mod
+
+        seen = []
+        window_energies = energy_mod._window_energies
+
+        def spy(batch, R, kernel, bb):
+            energies, singular = window_energies(batch, R, kernel, bb)
+            seen.append(energies)
+            return energies, singular
+
+        monkeypatch.setattr(energy_mod, "_REPLICA_BLOCK", 7)
+        monkeypatch.setattr(energy_mod, "_window_energies", spy)
+        wint_monte_carlo(model, kernel, R_list, 40, Seed(83))
+        blocked = np.concatenate(seen)  # before hint_R adds its batches of one
+        loop = [hint_R(cfg, R, kernel) for i, R in enumerate(R_list)
+                for cfg in replicas(model, R, 40, Seed(83), i)]
+        np.testing.assert_allclose(blocked, loop, rtol=1e-12, atol=0.0)
 
 
 class TestPointBackgroundBatched:

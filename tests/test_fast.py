@@ -114,6 +114,39 @@ def test_coincident_pair_in_a_later_block(rng):
     assert total == pytest.approx(_naive_pair_sum(pts, 1, 0.5)[0], rel=1e-12)
 
 
+EXACT_KERNELS = [log_kernel(1), log_kernel(2), riesz_kernel(0.25, 1), riesz_kernel(0.5, 1),
+                 riesz_kernel(1.0, 2), riesz_kernel(1.5, 3)]
+EXACT_IDS = ["log1d", "log2d", "riesz0.25_1d", "riesz0.5_1d", "riesz1_2d", "riesz1.5_3d"]
+
+
+def _exact_pair_sum(pts, kernel):
+    i, j = np.triu_indices(len(pts), 1)
+    r = np.sqrt(np.sum((pts[j] - pts[i]) ** 2, axis=1))
+    return math.fsum(kernel.g(r[r > 0.0]))
+
+
+@pytest.mark.parametrize("kernel", EXACT_KERNELS, ids=EXACT_IDS)
+def test_pair_sums_match_exact_sum(rng, kernel):
+    # a ragged batch: empty and single sets, sets of equal size stacked
+    # together, the largest set whose triangle is one block, the next size,
+    # and a set walked in several blocks; one set holds a coincident pair
+    sizes = [0, 1, 2, 7, 7, 7, 40, 3, 40, 181, 182, 400]
+    assert 181**2 <= _fast._SUM_BUDGET < 182**2 and 400 * 399 // 2 > 2 * _fast._SUM_BUDGET
+    batch = [rng.uniform(-10, 10, size=(n, kernel.d)) for n in sizes]
+    batch[4][5] = batch[4][2]
+    sums, min_r2 = _fast.pair_sums(batch, kernel)
+    for b, pts in enumerate(batch):
+        assert sums[b] == pytest.approx(_exact_pair_sum(pts, kernel), rel=1e-13, abs=1e-300)
+        if len(pts) > 1:
+            i, j = np.triu_indices(len(pts), 1)
+            assert min_r2[b] == pytest.approx(np.min(np.sum((pts[j] - pts[i]) ** 2, axis=1)),
+                                              rel=1e-15)
+        else:
+            assert min_r2[b] == math.inf
+        assert _fast.pair_sum(pts, kernel) == (sums[b], min_r2[b])
+    assert min_r2[4] == 0.0 and math.isfinite(sums[4])
+
+
 def test_coincident_pair_is_not_binned():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     got = _fast.bin_pairs_radial(pts, 4.0, 8, 16.0)
