@@ -17,6 +17,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from scipy import special
+from scipy.fft import next_fast_len
 
 from .core import (
     ArgumentError,
@@ -456,54 +457,52 @@ def _rho2_vibrating(k: int) -> Rho2Analytic:
 
 
 # extent and step of the renewal density grid (the extent grows with the
-# mixing length of the gap law)
+# mixing length of the gap law, up to _RENEWAL_V_LIMIT)
 _RENEWAL_V_MAX = 32.0
 _RENEWAL_STEP = 2.0**-8
+_RENEWAL_V_LIMIT = 4096
+# damping eps of the grid's series: its wrap-around is eps^8 = 1e-16, and
+# undamping scales the round-off by at most 1/eps (grid error below 1e-13)
+_RENEWAL_DAMPING = 1e-2
 
 
 def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Renewal density ``sum_j f^{*j}`` on a uniform grid via one FFT pass.
+    """Renewal density ``u = sum_j f^{*j}`` on a uniform grid of [0, v_max].
 
-    The gap law is deposited onto the grid nodes preserving mass and first
-    moment per cell (cloud-in-cell), so the lattice renewal rate matches the
-    continuous one to O(h^2); a plain cell histogram would bias the density
-    by h/2.
+    Gaps are positive, so u solves the causal renewal equation u = f + f * u
+    and needs the gap law on [0, v_max] only.  It is deposited onto the nodes
+    keeping mass and first moment per cell (cloud-in-cell), so the lattice
+    renewal rate matches the continuous one to O(h^2), where a cell histogram
+    would bias it by h/2.  Damping node j by eps^(j/m) keeps the transform F
+    of the deposit inside the unit disk: u = F / (1 - F) is one FFT pass with
+    no singular frequency and, at length 8 (m + 1), a wrap-around of eps^8.
     """
     h = _RENEWAL_STEP
     mixing = 3.0 / gap.std**2 + 10.0 * gap.std
     v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
-    # enough convolutions that every term reaching v_max is kept, also for
-    # gap laws with std around 1 or above
-    j_max = int(math.ceil(max(2.0 * v_max, v_max + 10.0 * gap.std * math.sqrt(v_max))))
-    pad = v_max + j_max + 10.0 * gap.std * math.sqrt(j_max) + 8.0
-    n = int(2 ** math.ceil(math.log2(pad / h)))
-    edges = np.arange(n + 1) * h
+    if v_max > _RENEWAL_V_LIMIT:
+        raise DomainError(f"renewal gap law too narrow: its density grid needs "
+                          f"v_max = {v_max} > {_RENEWAL_V_LIMIT}")
+    m = int(round(v_max / h))
+    edges = np.arange(m + 2) * h
     mass = np.diff(gap.cdf(edges))
     moment = np.diff(gap.partial_mean(edges))
-    q = np.zeros(n + 1)
+    q = np.zeros(m + 2)
     keep = mass > 0.0
     idx = np.nonzero(keep)[0]
     frac = np.clip(moment[keep] / mass[keep] / h - idx, 0.0, 1.0)
     np.add.at(q, idx, mass[keep] * (1.0 - frac))
     np.add.at(q, idx + 1, mass[keep] * frac)
-    q = q[:n]
-    F = np.fft.rfft(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geom = F * (1.0 - F**j_max) / (1.0 - F)
-    bad = ~np.isfinite(geom) | (np.abs(1.0 - F) < 1e-12)
-    if bad.any():
-        geom[bad] = j_max * F[bad]
-    u = np.fft.irfft(geom, n=n) / h
-    m = int(round(v_max / h))
-    grid = np.arange(m + 1) * h
-    vals = np.maximum(u[: m + 1], 0.0)  # clear the FFT round-off floor
+    damp = _RENEWAL_DAMPING ** (np.arange(m + 1) / m)
+    n = next_fast_len(8 * (m + 1))
+    F = np.fft.rfft(q[: m + 1] * damp, n)
+    u = np.fft.irfft(F / (1.0 - F), n)[: m + 1] / (damp * h)
+    vals = np.maximum(u, 0.0)  # clear the FFT round-off floor
     # node 0: the head is dominated by the gap density itself; pick the value
     # that preserves the integral of the interpolant over the first cell
-    head_mass = float(gap.cdf(np.array([h]))[0])
-    vals[0] = max(0.0, 2.0 * head_mass / h - vals[1])
-    tail = vals[int(0.9 * m) :]
-    tail_flat = bool(np.max(np.abs(tail - 1.0)) < 1e-5)
-    return grid, vals, tail_flat
+    vals[0] = max(0.0, 2.0 * mass[0] / h - vals[1])
+    tail_flat = bool(np.max(np.abs(vals[int(0.9 * m) :] - 1.0)) < 1e-5)
+    return edges[: m + 1], vals, tail_flat
 
 
 def _renewal_nodes(grid: np.ndarray):

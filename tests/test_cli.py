@@ -367,13 +367,16 @@ class TestSpecLayer:
          "neighbor grid"),
         ("crystal", {"model": {"variant": "vibrating_lattice", "k": 4}, "L": 48,
                      "n_replicas": 5, "k_max": 4, "x_max": -2}, "neighbor grid"),
+        ("energy", {"model": {"variant": "renewal", "gap": {"law": "gamma", "theta": 1e5}},
+                    "kernel": {"family": "log1d"}, "R_list": [128, 256], "route": "rho2"},
+         "renewal gap law too narrow"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
             "rho2_negative_side", "generate_infinite_side", "series_infinite_rung",
             "generate_long_integer_side", "rho2_zero_rung", "pinsker_negative_rung",
             "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
-            "crystal_negative_x_max"])
+            "crystal_negative_x_max", "renewal_too_narrow"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

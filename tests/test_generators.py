@@ -220,7 +220,7 @@ class TestRho2Analytic:
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.exponential()))
         v = np.linspace(0.05, 30.0, 777)
         assert np.max(np.abs(r2.continuous_part(v) - 1.0)) < 5e-3
-        assert np.max(np.abs(r2.continuous_part(v[v > 0.5]) - 1.0)) < 1e-6
+        assert np.max(np.abs(r2.continuous_part(v[v > 0.5]) - 1.0)) < 1e-9
 
     def test_renewal_gamma2_closed_form(self):
         # shape-2 gaps admit the closed renewal density 1 - exp(-4x)
@@ -228,6 +228,52 @@ class TestRho2Analytic:
         v = np.arange(1, 7000) * 2.0**-8
         err = np.abs(r2.continuous_part(v) - (1.0 - np.exp(-4.0 * v)))
         assert err.max() < 1e-4
+
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.4), GapLaw.gamma(0.75), GapLaw.gamma(2.0),
+                                     GapLaw.gamma(8.0), GapLaw.uniform_hat(2),
+                                     GapLaw.uniform_hat(3)],
+                             ids=["gamma0.4", "gamma0.75", "gamma2", "gamma8", "hat2", "hat3"])
+    def test_renewal_grid_solves_the_recursion(self, gap):
+        # the same cloud-in-cell deposit q, then u = q + q * u solved node by
+        # node: (1 - q_0) u_n = q_n + sum_{0 < j <= n} q_j u_{n - j}
+        from scipy import signal
+
+        grid, vals, _ = generators._renewal_density_grid(gap)
+        h, m = grid[1], len(grid) - 1
+        edges = np.arange(m + 2) * h
+        mass = np.diff(gap.cdf(edges))
+        moment = np.diff(gap.partial_mean(edges))
+        q = np.zeros(m + 2)
+        idx = np.nonzero(mass > 0.0)[0]
+        frac = np.clip(moment[idx] / mass[idx] / h - idx, 0.0, 1.0)
+        np.add.at(q, idx, mass[idx] * (1.0 - frac))
+        np.add.at(q, idx + 1, mass[idx] * frac)
+        impulse = np.zeros(m + 1)
+        impulse[0] = 1.0
+        exact = signal.lfilter(q[: m + 1], np.r_[1.0 - q[0], -q[1 : m + 1]], impulse) / h
+        assert np.max(np.abs(vals[1:] - np.maximum(exact[1:], 0.0))) < 1e-12
+
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.4), GapLaw.gamma(2.0), GapLaw.gamma(32.0),
+                                     GapLaw.uniform_hat(4)],
+                             ids=["gamma0.4", "gamma2", "gamma32", "hat4"])
+    def test_renewal_grid_reads_gap_law_up_to_v_max(self, gap, monkeypatch):
+        # gaps are positive, so the density on [0, v_max] needs the law there only
+        args = []
+        for name in ("cdf", "partial_mean"):
+            real = getattr(GapLaw, name)
+
+            def spy(self, x, real=real):
+                args.append(float(np.max(x)))
+                return real(self, x)
+
+            monkeypatch.setattr(GapLaw, name, spy)
+        grid, _, _ = generators._renewal_density_grid(gap)
+        assert max(args) <= grid[-1] + generators._RENEWAL_STEP
+
+    def test_renewal_grid_rejects_narrow_gap_laws(self):
+        # the grid would outgrow memory; reject before allocating it
+        with pytest.raises(DomainError, match="too narrow"):
+            rho2_analytic(ProcessModel.renewal(GapLaw.uniform_hat(200)))
 
     def test_renewal_hat_bumps(self):
         # near-lattice gaps: bumps at the integers that widen and melt into 1
