@@ -17,6 +17,7 @@ from .core import (
     KernelFamily,
     NotApplicableError,
     PointConfiguration,
+    Replicas,
     SingularConfigurationError,
     log_kernel,
     riesz_kernel,
@@ -28,7 +29,6 @@ from .generators import (
     Rho2Analytic,
     Seed,
     Variant,
-    replicas,
     rho2_analytic,
     rho2_hardcore,
     sample,

@@ -93,9 +93,11 @@ def _stack_sums(coords: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     return sums, min_r2
 
 
-def pair_sums(batch, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """Per point set of ``batch``, each ``(n, d)``: the sum of ``kernel.g``
-    over its unordered pairs and its minimal squared pair distance.
+def pair_sums(points: np.ndarray, offsets: np.ndarray,
+              kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Per point set ``points[offsets[j]:offsets[j + 1]]`` of the ``(N, d)``
+    array ``points``: the sum of ``kernel.g`` over its unordered pairs and
+    its minimal squared pair distance.
 
     Sets are grouped by point count and stacked, coordinates first, as many
     as fit ``_SUM_BUDGET`` pairs (at least one) at a time, so that every
@@ -107,24 +109,23 @@ def pair_sums(batch, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
     sum and show up as a minimal squared distance of 0; sets of fewer than
     2 points give 0 and inf.
     """
-    sums = np.zeros(len(batch))
-    min_r2 = np.full(len(batch), np.inf)
-    groups: dict[int, list[int]] = {}
-    for b, pts in enumerate(batch):
-        if pts.shape[0] > 1:
-            groups.setdefault(pts.shape[0], []).append(b)
-    for n, members in groups.items():
+    counts = np.diff(offsets)
+    sums = np.zeros(counts.size)
+    min_r2 = np.full(counts.size, np.inf)
+    for n in np.unique(counts[counts > 1]):
+        members = np.flatnonzero(counts == n)
         rows = max(1, _SUM_BUDGET // (n * (n - 1) // 2))
         for k in range(0, len(members), rows):
             group = members[k:k + rows]
-            coords = np.stack([batch[b].T for b in group], axis=1)
-            sums[group], min_r2[group] = _stack_sums(coords, kernel)
+            # coordinates first: (d, sets, n)
+            coords = np.moveaxis(points[offsets[group, None] + np.arange(n)], 2, 0)
+            sums[group], min_r2[group] = _stack_sums(np.ascontiguousarray(coords), kernel)
     return sums, min_r2
 
 
 def pair_sum(pts: np.ndarray, kernel: Kernel) -> tuple[float, float]:
     """``pair_sums`` of the single point set ``pts``."""
-    sums, min_r2 = pair_sums([pts], kernel)
+    sums, min_r2 = pair_sums(pts, np.array([0, len(pts)]), kernel)
     return float(sums[0]), float(min_r2[0])
 
 

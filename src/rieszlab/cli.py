@@ -9,7 +9,8 @@ depth, unknown keys (also keys the chosen variant or route does not use),
 missing keys and wrong types (an int key takes only a JSON integer, a count a
 positive one), naming the key path.  ``run`` validates, fills in defaults,
 builds the descriptors and runs the cross-field checks before it writes
-anything; ``manifest.json`` echoes the resolved spec.
+anything; ``manifest.json`` echoes the resolved spec and records the python,
+numpy and scipy versions.
 
 The handlers write every output file from plain library results: CSVs under
 the headers of ``HEADERS``, JSON reports from the results' dataclass fields.
@@ -32,12 +33,14 @@ from pathlib import Path
 from typing import NamedTuple
 
 import click
+import numpy
+import scipy
 
 from . import __version__
 from ._io import config_to_csv, fmt, sha256_file, write_csv, write_json
 from .core import (ArgumentError, DivergenceError, DomainError, NotApplicableError,
                    SingularConfigurationError, log_kernel, riesz_kernel)
-from .generators import GapLaw, ProcessModel, Seed, Variant, replicas, rho2_analytic
+from .generators import GapLaw, ProcessModel, Seed, Variant, rho2_analytic, sample
 from . import energy as energy_mod
 from . import estimators as est_mod
 from . import lpx as lpx_mod
@@ -122,13 +125,13 @@ def _fields(result, *leave_out: str) -> dict:
 
 
 def _generate(a: dict, outfile) -> None:
-    for j, cfg in enumerate(replicas(a["model"], a["R"], a["n_replicas"], Seed(a["seed"]))):
+    for j, cfg in enumerate(sample(a["model"], a["R"], a["n_replicas"], Seed(a["seed"]))):
         config_to_csv(cfg, outfile(f"config_{j:04d}.csv"),
                       model=a["model"].describe(), seed=f"{a['seed']}:{j}")
 
 
 def _rho2(a: dict, outfile) -> None:
-    samples = list(replicas(a["model"], a["R"], a["n_replicas"], Seed(a["seed"])))
+    samples = sample(a["model"], a["R"], a["n_replicas"], Seed(a["seed"]))
     est = est_mod.estimate_rho2(samples, est_mod.GridSpec(a["v_max"], a["n_bins"]))
     write_csv(outfile("rho2.csv"), HEADERS["rho2"], zip(est.centers, est.values, est.stderr))
 
@@ -164,7 +167,7 @@ def _energy(a: dict, outfile) -> dict:
 
 
 def _neighbor_densities(a: dict) -> list:
-    samples = list(replicas(a["model"], a["L"], a["n_replicas"], Seed(a["seed"])))
+    samples = sample(a["model"], a["L"], a["n_replicas"], Seed(a["seed"]))
     return [onedim_mod.kth_neighbor_density(samples, k, a["L"], a["x_max"], a["step"])
             for k in range(1, a["k_max"] + 1)]
 
@@ -201,8 +204,8 @@ def _lp(a: dict, outfile) -> None:
 def _pinsker(a: dict, outfile) -> None:
     ers = onedim_mod.renewal_entropy_rate(a["model"].gap)
     R_max, n = max(a["R_list"]), a["n_replicas"]
-    samples_p = list(replicas(a["model"], R_max, n, Seed(a["seed"])))
-    samples_q = list(replicas(ProcessModel.poisson(1), R_max, n, Seed(a["seed"] + 1)))
+    samples_p = sample(a["model"], R_max, n, Seed(a["seed"]))
+    samples_q = sample(ProcessModel.poisson(1), R_max, n, Seed(a["seed"] + 1))
     reports = [_fields(est_mod.pinsker_check(
         ers, est_mod.tv_lower_bound(samples_p, samples_q, R, a["tile_count"]), R))
         for R in a["R_list"]]
@@ -353,6 +356,12 @@ def _load_spec(command: str, config_path: str | None, seed: int | None,
     return spec
 
 
+# the interpreter and libraries a run used; the manifest records them next to
+# the output digests, which they do not enter
+ENVIRONMENT = {"python": sys.version.split()[0], "numpy": numpy.__version__,
+               "scipy": scipy.__version__}
+
+
 def run(spec: dict) -> dict:
     """Validate and execute an experiment spec; returns the manifest dict."""
     t0 = time.monotonic()
@@ -368,7 +377,7 @@ def run(spec: dict) -> dict:
 
     counters = {"discarded_replicas": 0}
     counters.update(COMMANDS[args["command"]].handler(args, outfile) or {})
-    manifest = {"spec": resolved, "version": __version__,
+    manifest = {"spec": resolved, "version": __version__, "environment": ENVIRONMENT,
                 "wall_time_s": time.monotonic() - t0, "error_counters": counters,
                 "outputs": {p.name: sha256_file(p) for p in outputs}}
     write_json(outfile("manifest.json"), manifest)

@@ -4,8 +4,9 @@ The pairwise interaction is ``-log|x|`` in dimension 1 or 2, or the inverse
 power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
 window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
 names by its side R, and every energy is a limit over an increasing ladder of
-sides R (``ladder``).  ``points_in_cube`` gives every window count, and
-``mean_stderr`` reduces every estimate over replicas.
+sides R (``ladder``).  ``Replicas`` holds the replicas of one rung as one
+batch, ``in_cube`` gives every window count, and ``mean_stderr`` reduces
+every estimate over replicas.
 All operations are pure functions of their arguments, so safe in parallel.
 """
 
@@ -114,6 +115,21 @@ def _side(R) -> float:
     return float(R)
 
 
+def _window_points(points, R: float) -> np.ndarray:
+    """``points`` as a contiguous ``(n, d)`` float64 array, checked to lie
+    inside C_R (closed faces, exact comparison) with d in [1, 3]."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
+        raise ArgumentError(f"points must have shape (n, d <= 3), got {np.shape(points)}")
+    if np.isnan(pts).any():
+        raise ArgumentError("points contain NaN coordinates")
+    if ((pts < -R / 2.0) | (pts > R / 2.0)).any():
+        raise DomainError("points fall outside the window")
+    return np.ascontiguousarray(pts)
+
+
 class PointConfiguration:
     """Finite point set inside the centred cube C_R of side ``R``.
 
@@ -127,18 +143,8 @@ class PointConfiguration:
     __slots__ = ("R", "points")
 
     def __init__(self, points, R: float):
-        R = _side(R)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or not 1 <= pts.shape[1] <= 3:
-            raise ArgumentError(f"points must have shape (n, d <= 3), got {np.shape(points)}")
-        if np.isnan(pts).any():
-            raise ArgumentError("points contain NaN coordinates")
-        if (np.abs(pts) > R / 2.0).any():
-            raise DomainError("points fall outside the window")
-        self.R = R
-        self.points = np.ascontiguousarray(pts)
+        self.R = _side(R)
+        self.points = _window_points(points, self.R)
 
     @property
     def d(self) -> int:
@@ -150,6 +156,58 @@ class PointConfiguration:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PointConfiguration(n={self.n}, d={self.d}, R={self.R})"
+
+
+class Replicas:
+    """The replicas of one rung as one ragged batch inside C_R.
+
+    ``points`` holds every replica's points, replica j in the rows
+    ``offsets[j]:offsets[j + 1]``; ``counts`` are the rows per replica.  As
+    for a ``PointConfiguration``, ``n`` is the total number of points, while
+    ``len(batch)`` is the number of replicas.  ``batch[j]`` is replica j as a
+    ``PointConfiguration`` and ``batch[a:b]`` the replicas a..b-1 as a batch.
+    The points are checked once for the whole batch, as a configuration's are.
+    """
+
+    __slots__ = ("R", "points", "offsets")
+
+    def __init__(self, points, offsets, R: float):
+        self.R = _side(R)
+        self.points = _window_points(points, self.R)
+        offsets = np.asarray(offsets)
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets.dtype.kind not in "iu"
+                or offsets[0] != 0 or offsets[-1] != self.points.shape[0]
+                or (np.diff(offsets) < 0).any()):
+            raise ArgumentError("offsets must rise from 0 to the number of points")
+        self.offsets = offsets.astype(np.int64)
+
+    @property
+    def d(self) -> int:
+        return self.points.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            a, b, step = key.indices(len(self))
+            if step != 1:
+                raise ArgumentError("replica slices take consecutive replicas")
+            offsets = self.offsets[a:max(a, b) + 1]
+            return Replicas(self.points[offsets[0]:offsets[-1]], offsets - offsets[0], self.R)
+        j = range(len(self))[key]  # an int, negative from the end; IndexError past it
+        return PointConfiguration(self.points[self.offsets[j]:self.offsets[j + 1]], self.R)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Replicas(len={len(self)}, n={self.n}, d={self.d}, R={self.R})"
 
 
 def ladder(R_list) -> list[float]:
@@ -173,9 +231,22 @@ def mean_stderr(per) -> tuple[np.ndarray, np.ndarray]:
     return per.mean(axis=0), per.std(axis=0, ddof=1) / math.sqrt(len(per))
 
 
-def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
-    """Points of ``config`` inside the centered cube of side R (closed faces)."""
+def in_cube(config: PointConfiguration | Replicas, R: float) -> np.ndarray:
+    """Mask of the points of ``config`` (a configuration or a batch) inside
+    the centered cube of side R (closed faces)."""
     if R > config.R:
         raise DomainError("cube side exceeds the configuration window")
-    return config.points[np.all(np.abs(config.points) <= R / 2.0, axis=1)]
+    return np.all(np.abs(config.points) <= R / 2.0, axis=1)
+
+
+def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
+    """Points of ``config`` inside the centered cube of side R (closed faces)."""
+    return config.points[in_cube(config, R)]
+
+
+def counts_in_cube(batch: Replicas, R: float) -> np.ndarray:
+    """Per replica of ``batch``, its number of points inside the centered
+    cube of side R (closed faces)."""
+    inside = np.concatenate([[0], np.cumsum(in_cube(batch, R))])
+    return np.diff(inside[batch.offsets])
 

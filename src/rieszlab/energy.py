@@ -18,7 +18,6 @@ Once the deficit has decayed, its limit in R is the plain integral
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +34,7 @@ from .core import (
     mean_stderr,
     points_in_cube,
 )
-from .generators import ProcessModel, Rho2Analytic, Seed, replicas, rho2_analytic
+from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
 
 
 # ---------------------------------------------------------------------------
@@ -97,24 +96,24 @@ def _report(route: str, kernel: Kernel, R_list: list[float], values: list[float]
 _COINCIDENT = "coincident points inside the energy window"
 
 
-def _window_energies(batch, R: float, kernel: Kernel, bb: float) -> tuple[np.ndarray, np.ndarray]:
-    """``hint_R`` of every point set of ``batch`` (each inside C_R), given the
-    background term ``bb``, and a mask of the sets with coincident points.
+def _window_energies(points: np.ndarray, offsets: np.ndarray, R: float, kernel: Kernel,
+                     bb: float) -> tuple[np.ndarray, np.ndarray]:
+    """``hint_R`` of every point set ``points[offsets[j]:offsets[j + 1]]``
+    (each inside C_R), given the background term ``bb``, and a mask of the
+    sets with coincident points.
 
-    One ``_fast.pair_sums`` call and one ``point_background`` call on the
-    concatenated points cover the whole batch.  The point terms of the sets
-    with n points are summed as the rows of one matrix, and a row sum
-    equals that row's own sum bit for bit, so a set's energy depends only
-    on its own points.
+    One ``_fast.pair_sums`` call and one ``point_background`` call on all
+    the points cover every set.  The point terms of the sets with n points
+    are summed as the rows of one matrix, and a row sum equals that row's
+    own sum bit for bit, so a set's energy depends only on its own points.
     """
-    pair, min_r2 = _fast.pair_sums(batch, kernel)
-    counts = np.array([pts.shape[0] for pts in batch])
-    terms = quadrature.point_background(kernel, np.concatenate(batch), R)
-    starts = np.cumsum(counts) - counts
-    pb = np.zeros(len(batch))
+    pair, min_r2 = _fast.pair_sums(points, offsets, kernel)
+    terms = quadrature.point_background(kernel, points, R)
+    counts = np.diff(offsets)
+    pb = np.zeros(counts.size)
     for n in np.unique(counts[counts > 0]):
         sets = np.flatnonzero(counts == n)
-        pb[sets] = terms[starts[sets, None] + np.arange(n)].sum(axis=1)
+        pb[sets] = terms[offsets[sets, None] + np.arange(n)].sum(axis=1)
     return 2.0 * pair - 2.0 * pb + bb, min_r2 == 0.0
 
 
@@ -124,7 +123,8 @@ def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     centered cube of side R."""
     if kernel.d != config.d:
         raise ArgumentError("kernel and configuration dimensions differ")
-    energy, singular = _window_energies([points_in_cube(config, R)], R, kernel,
+    pts = points_in_cube(config, R)
+    energy, singular = _window_energies(pts, np.array([0, len(pts)]), R, kernel,
                                         quadrature.background_pair_integral(kernel, R))
     if singular[0]:
         raise SingularConfigurationError(_COINCIDENT)
@@ -143,10 +143,12 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
                      seed: Seed) -> EnergyReport:
     """Per-volume mean window energy along an R ladder, extrapolated in 1/R.
 
-    Each rung draws its replicas through ``replicas`` and evaluates them in
-    blocks of ``_REPLICA_BLOCK`` (``_window_energies``), so the result does
-    not depend on the block size.  Replicas with coincident points are
-    discarded and counted; more than 1% of them aborts the run.
+    Each rung draws and evaluates its replicas in blocks of
+    ``_REPLICA_BLOCK``: one ``sample`` batch and one ``_window_energies``
+    call per block.  Block j0 draws the streams of replicas j0, j0 + 1, ...
+    of the rung, so the result does not depend on the block size.  Replicas
+    with coincident points are discarded and counted; more than 1% of them
+    aborts the run.
     """
     R_list = ladder(R_list)
     if n_replicas < 30:
@@ -159,12 +161,12 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
     planned = n_replicas * len(R_list)
     for i, R in enumerate(R_list):
         bb = quadrature.background_pair_integral(kernel, R)
-        draws = replicas(model, R, n_replicas, seed, i)
         vals = []
         for j0 in range(0, n_replicas, _REPLICA_BLOCK):
+            block = sample(model, R, min(_REPLICA_BLOCK, n_replicas - j0),
+                           Seed(seed.master, seed.replica + i * n_replicas + j0))
             # a replica drawn in C_R lies inside it, so all its points count
-            block = [cfg.points for cfg in itertools.islice(draws, _REPLICA_BLOCK)]
-            energies, singular = _window_energies(block, R, kernel, bb)
+            energies, singular = _window_energies(block.points, block.offsets, R, kernel, bb)
             for j in np.flatnonzero(singular):
                 discarded += 1
                 if discarded > 0.01 * planned:

@@ -16,14 +16,15 @@ from .core import (
     DomainError,
     Kernel,
     NotApplicableError,
-    PointConfiguration,
+    Replicas,
     _require_replicas,
     _side,
+    counts_in_cube,
+    in_cube,
     ladder,
     mean_stderr,
-    points_in_cube,
 )
-from .generators import ProcessModel, Seed, replicas
+from .generators import ProcessModel, Seed, sample
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ class IdentityCheck:
     statistical_gap: float
 
 
-def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> CorrelationEstimate:
-    """Tent-corrected estimate of ``rho2(v) - 1`` from replicas.
+def estimate_rho2(samples: Replicas, bins: GridSpec) -> CorrelationEstimate:
+    """Tent-corrected estimate of ``rho2(v) - 1`` from the replicas of one batch.
 
     Every ordered pair in the window contributes ``1 / (bin volume *
     prod_i (R - |v_i|))`` to the bin of its separation; the tent factor is
@@ -90,21 +91,19 @@ def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> Correlat
     bin-average-wise.  Standard errors are across replicas.
     """
     _require_replicas(len(samples))
-    d, R = samples[0].d, samples[0].R
-    if any(s.d != d or s.R != R for s in samples):
-        raise ArgumentError("replicas must share dimension and window size")
+    d, R = samples.d, samples.R
     if not bins.v_max < R:
         raise DomainError("v_max must be smaller than the window side R")
 
     n_rep = len(samples)
+    rows = [samples.points[a:b] for a, b in zip(samples.offsets[:-1], samples.offsets[1:])]
     if d == 1:
         n_bins = bins.n_bins + (bins.n_bins % 2)
         bw = 2.0 * bins.v_max / n_bins
         centers = -bins.v_max + bw * (np.arange(n_bins) + 0.5)
         per = np.empty((n_rep, n_bins))
-        for i, s in enumerate(samples):
-            x = np.ascontiguousarray(np.sort(points_in_cube(s, R)[:, 0]))
-            acc = _fast.bin_pairs_signed(x, bins.v_max, n_bins, R)
+        for i, pts in enumerate(rows):
+            acc = _fast.bin_pairs_signed(np.sort(pts[:, 0]), bins.v_max, n_bins, R)
             per[i] = acc / bw - 1.0
         mode = "signed"
     else:
@@ -117,8 +116,7 @@ def estimate_rho2(samples: list[PointConfiguration], bins: GridSpec) -> Correlat
         else:
             shell = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
         per = np.empty((n_rep, n_bins))
-        for i, s in enumerate(samples):
-            pts = np.ascontiguousarray(points_in_cube(s, R))
+        for i, pts in enumerate(rows):
             acc = _fast.bin_pairs_radial(pts, bins.v_max, n_bins, R)
             per[i] = acc / shell - 1.0
         mode = "radial"
@@ -132,7 +130,7 @@ def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: i
     # (R, mean D_R^2, stderr) per window size
     entries = []
     for i, R in enumerate(R_list):
-        d2 = [(cfg.n - R**model.d) ** 2 for cfg in replicas(model, R, n_replicas, seed, i)]
+        d2 = (sample(model, R, n_replicas, seed, i).counts - R**model.d) ** 2
         mean, stderr = mean_stderr(d2)
         entries.append((R, float(mean), float(stderr)))
     return entries
@@ -167,12 +165,11 @@ def _fit_loglog_slope(entries) -> tuple[float, tuple[float, float]]:
     return slope, (slope - 1.96 * se, slope + 1.96 * se)
 
 
-def discrepancy_identity_check(samples: list[PointConfiguration], R: float) -> IdentityCheck:
-    """Estimate both sides of the pair-integral identity from one sample set."""
+def discrepancy_identity_check(samples: Replicas, R: float) -> IdentityCheck:
+    """Estimate both sides of the pair-integral identity from one batch."""
     _require_replicas(len(samples))
-    d = samples[0].d
-    counts = np.array([points_in_cube(s, R).shape[0] for s in samples], dtype=float)
-    vol = float(R) ** d
+    counts = counts_in_cube(samples, R).astype(float)
+    vol = float(R) ** samples.d
     m1 = counts.mean()
     m2 = (counts**2).mean()
     lhs = m2 - m1 - vol * vol
@@ -240,22 +237,18 @@ def _classify_trend(entries) -> str:
     return "bounded->positive"
 
 
-def _count_vectors(samples: list[PointConfiguration], R: float, tiles: int) -> dict[tuple, float]:
+def _count_vectors(samples: Replicas, R: float, tiles: int) -> np.ndarray:
+    # one row per replica: its point counts in the tiles of C_R
+    inside = in_cube(samples, R)
+    replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
     edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
-    hist: dict[tuple, float] = {}
-    w = 1.0 / len(samples)
-    for s in samples:
-        pts = points_in_cube(s, R)
-        if pts.shape[0]:
-            idx = np.clip(np.searchsorted(edges, pts[:, 0], side="right") - 1, 0, tiles - 1)
-            key = tuple(np.bincount(idx, minlength=tiles).tolist())
-        else:
-            key = (0,) * tiles
-        hist[key] = hist.get(key, 0.0) + w
-    return hist
+    tile = np.clip(np.searchsorted(edges, samples.points[inside, 0], side="right") - 1,
+                   0, tiles - 1)
+    cells = np.bincount(replica * tiles + tile, minlength=len(samples) * tiles)
+    return cells.reshape(len(samples), tiles)
 
 
-def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointConfiguration],
+def tv_lower_bound(samples_p: Replicas, samples_q: Replicas,
                    window_R: float, tile_count: int) -> float:
     """Total variation between the count-vector laws over a tile partition.
 
@@ -267,13 +260,15 @@ def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointCon
     if tile_count < 1:
         raise ArgumentError("tile_count must be at least 1")
     _require_replicas(min(len(samples_p), len(samples_q)))
-    for s in list(samples_p) + list(samples_q):
-        if s.R < window_R:
-            raise DomainError("samples were drawn on a window smaller than requested")
-    hp = _count_vectors(samples_p, window_R, tile_count)
-    hq = _count_vectors(samples_q, window_R, tile_count)
-    support = set(hp) | set(hq)
-    n_min = min(len(samples_p), len(samples_q))
+    if min(samples_p.R, samples_q.R) < window_R:
+        raise DomainError("samples were drawn on a window smaller than requested")
+    n_p, n_q = len(samples_p), len(samples_q)
+    rows = np.concatenate([_count_vectors(samples_p, window_R, tile_count),
+                           _count_vectors(samples_q, window_R, tile_count)])
+    support, cell = np.unique(rows, axis=0, return_inverse=True)
+    cp = np.bincount(cell[:n_p], minlength=len(support))
+    cq = np.bincount(cell[n_p:], minlength=len(support))
+    n_min = min(n_p, n_q)
     if n_min < 10 * len(support):
         warnings.warn(
             f"count-vector histogram is sparse ({len(support)} cells, {n_min} samples); "
@@ -281,7 +276,8 @@ def tv_lower_bound(samples_p: list[PointConfiguration], samples_q: list[PointCon
             RuntimeWarning,
             stacklevel=2,
         )
-    return 0.5 * sum(abs(hp.get(k, 0.0) - hq.get(k, 0.0)) for k in support)
+    # 1/2 sum |cp/n_p - cq/n_q| over the cells, in integers up to one division
+    return int(np.abs(cp * n_q - cq * n_p).sum()) / (2 * n_p * n_q)
 
 
 def pinsker_check(ers: float, tv_lower: float, R: float) -> TvReport:

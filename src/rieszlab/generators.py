@@ -1,11 +1,14 @@
 """Samplers for the concrete stationary processes and their analytic
 two-point correlation functions.
 
-All models have intensity 1.  Samplers are pure functions of
-``(model, R, seed)``: the same triple yields a bit-identical configuration in
-C_R, and distinct replica indices give independent streams, so replicas can
-be generated by any number of workers without shared state.  ``replicas`` is
-the one seed schedule.
+All models have intensity 1.  ``sample(model, R, n, seed, rung)`` is the one
+sampler and the one seed schedule: it draws the n replicas of rung ``rung``
+of an R ladder as one ``Replicas`` batch, replica j from its own stream
+``Seed(seed.master, seed.replica + rung * n + j)``.  So a replica's points
+depend only on its model, R and stream, bit for bit, whatever batch it is
+drawn in, and replicas can be drawn by any number of workers without shared
+state.  In a batch, ``len`` counts replicas and ``n`` counts points; the
+window checks run once per batch.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -23,7 +26,7 @@ from .core import (
     ArgumentError,
     DomainError,
     NotApplicableError,
-    PointConfiguration,
+    Replicas,
     _side,
 )
 
@@ -228,72 +231,82 @@ class Seed:
 
 
 # ---------------------------------------------------------------------------
-# samplers
+# samplers: each takes the generators of the n replicas of one rung, draws
+# from each in turn exactly what a one-replica draw would, and returns the
+# points of every replica and their counts; what follows the draws (grid
+# positions, shifts) is computed for the whole batch at once
 # ---------------------------------------------------------------------------
 
-def _sample_poisson(R: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    n = rng.poisson(R**d)
+def _cells(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer coordinates of the cells of one grid per replica and the
+    replica of each cell.
+
+    Replica j's grid has ``size[j]`` cells along each axis from ``lo[j]``
+    (both ``(n, d)``), listed in C order: the order of ``np.meshgrid(...,
+    indexing="ij")`` raveled.
+    """
+    cells = np.prod(size, axis=1)
+    rep = np.repeat(np.arange(len(cells)), cells)
+    flat = np.arange(rep.size) - np.repeat(np.cumsum(cells) - cells, cells)
+    idx = np.empty((rep.size, size.shape[1]), dtype=np.int64)
+    for a in reversed(range(size.shape[1])):
+        flat, idx[:, a] = np.divmod(flat, size[rep, a])
+    return lo[rep] + idx, rep
+
+
+def _draw_poisson(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    half, d = R / 2.0, model.d
+    parts = []
+    for rng in rngs:
+        m = rng.poisson(R**d)
+        parts.append(rng.uniform(-half, half, size=(m, d)))
+    return np.concatenate(parts), np.array([len(p) for p in parts])
+
+
+def _draw_lattice(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
     half = R / 2.0
-    return rng.uniform(-half, half, size=(n, d))
+    u = np.array([rng.uniform(0.0, 1.0, model.d) for rng in rngs])
+    lo = np.ceil(-half - u).astype(np.int64)
+    size = np.floor(half - u).astype(np.int64) - lo + 1
+    cells, rep = _cells(lo, size)
+    return cells + u[rep], np.prod(size, axis=1)
 
 
-def _sample_lattice(R: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    half = R / 2.0
-    u = rng.uniform(0.0, 1.0, d)
-    axes = []
-    for a in range(d):
-        lo = math.ceil(-half - u[a])
-        hi = math.floor(half - u[a])
-        axes.append(np.arange(lo, hi + 1, dtype=float) + u[a])
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+def _draw_bernoulli(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """All tile points before clipping: ``k**d`` uniform points in each tile
+    of side k that meets C_R, tiles shifted by a uniform stationarizing u."""
+    half, d, k = R / 2.0, model.d, model.k
+    u, lo, size, raw = [], [], [], []
+    for rng in rngs:
+        u.append(rng.uniform(0.0, float(k), d).tolist())
+        lo.append([math.floor((-half - x) / k) for x in u[-1]])
+        size.append([math.floor((half - x) / k) - a + 1 for x, a in zip(u[-1], lo[-1])])
+        raw.append(rng.uniform(0.0, float(k), size=(math.prod(size[-1]) * k**d, d)))
+    pts = np.concatenate(raw)
+    raw.clear()
+    size = np.array(size)
+    tiles, rep = _cells(np.array(lo), size)
+    by_tile = pts.reshape(-1, k**d, d)  # a view: the shifts add in place
+    by_tile += (tiles * float(k))[:, None, :]
+    by_tile += np.array(u)[rep, None, :]
+    return pts, np.prod(size, axis=1) * k**d
 
 
-def _sample_bernoulli_raw(k: int, R: float, d: int, rng: np.random.Generator):
-    """All tile points before clipping, plus the stationarizing shift."""
-    half = R / 2.0
-    u = rng.uniform(0.0, float(k), d)
-    ranges = []
-    for a in range(d):
-        lo = math.floor((-half - u[a]) / k)
-        hi = math.floor((half - u[a]) / k)
-        ranges.append(np.arange(lo, hi + 1))
-    grids = np.meshgrid(*ranges, indexing="ij")
-    origins = np.stack([g.ravel() for g in grids], axis=1) * float(k)
-    n_tiles = origins.shape[0]
-    pts = rng.uniform(0.0, float(k), size=(n_tiles, k**d, d))
-    pts = pts + origins[:, None, :] + u[None, None, :]
-    return pts.reshape(-1, d), u
+def _draw_vibrating(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    half, amp = R / 2.0, 1.0 / model.k
+    u, lo, jitter = [], [], []
+    for rng in rngs:
+        u.append(rng.uniform(0.0, 1.0))
+        lo.append(math.ceil(-half - u[-1] - amp))
+        jitter.append(rng.uniform(-amp, amp, math.floor(half - u[-1] + amp) - lo[-1] + 1))
+    size = np.array([[len(x)] for x in jitter])
+    cells, rep = _cells(np.array(lo)[:, None], size)
+    return cells + np.array(u)[rep, None] + np.concatenate(jitter)[:, None], size[:, 0]
 
 
-def _sample_bernoulli(k: int, R: float, d: int, rng: np.random.Generator) -> np.ndarray:
-    pts, _ = _sample_bernoulli_raw(k, R, d, rng)
-    half = R / 2.0
-    keep = np.all(np.abs(pts) <= half, axis=1)
-    return pts[keep]
-
-
-def _sample_vibrating(k: int, R: float, rng: np.random.Generator) -> np.ndarray:
-    half = R / 2.0
-    amp = 1.0 / k
-    u = rng.uniform(0.0, 1.0)
-    lo = math.ceil(-half - u - amp)
-    hi = math.floor(half - u + amp)
-    m = np.arange(lo, hi + 1, dtype=float)
-    pts = m + u + rng.uniform(-amp, amp, m.size)
-    pts = pts[np.abs(pts) <= half]
-    return pts[:, None]
-
-
-def _sample_renewal(gap: GapLaw, R: float, rng: np.random.Generator) -> np.ndarray:
-    # oversample well past the window and apply a uniform phase shift over an
-    # integer number of mean gaps; the margin covers the mixing length of the
-    # gap law (verified downstream by the empirical-intensity invariant)
-    half = R / 2.0
-    margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
-    u = rng.uniform(0.0, margin)
-    start = -half - margin
-    target = half + margin
+def _renewal_positions(gap: GapLaw, start: float, target: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    # renewal positions from ``start`` until one passes ``target``
     span = target - start
     positions = [np.array([start])]
     pos = start
@@ -304,40 +317,63 @@ def _sample_renewal(gap: GapLaw, R: float, rng: np.random.Generator) -> np.ndarr
         positions.append(block)
         pos = block[-1]
         span = target - pos
-    pts = np.concatenate(positions) + u
-    pts = pts[(pts >= -half) & (pts <= half)]
-    return pts[:, None]
+    return np.concatenate(positions)
 
 
-def sample(model: ProcessModel, R: float, seed: Seed) -> PointConfiguration:
-    """Draw one configuration of ``model`` in the centred cube of side ``R``.
+def _draw_renewal(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+    # oversample well past the window and apply a uniform phase shift over an
+    # integer number of mean gaps; the margin covers the mixing length of the
+    # gap law (verified downstream by the empirical-intensity invariant).  The
+    # draw overshoots C_R by 2 * margin, many times a small window, so each
+    # replica is clipped as soon as it is drawn
+    half = R / 2.0
+    margin = float(math.ceil(max(10.0, 10.0 * model.gap.std)))
+    parts = []
+    for rng in rngs:
+        u = rng.uniform(0.0, margin)
+        pts = _renewal_positions(model.gap, -half - margin, half + margin, rng) + u
+        parts.append(pts[np.abs(pts) <= half])
+    return np.concatenate(parts)[:, None], np.array([len(p) for p in parts])
+
+
+# per variant: its draw, and whether the batch it returns overshoots C_R by
+# a margin of at most one tile and is clipped at once
+_DRAWS = {
+    Variant.POISSON: (_draw_poisson, False),
+    Variant.LATTICE: (_draw_lattice, False),
+    Variant.BERNOULLI_BLOCK: (_draw_bernoulli, True),
+    Variant.VIBRATING_LATTICE: (_draw_vibrating, True),
+    Variant.RENEWAL: (_draw_renewal, False),
+}
+
+
+def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> Replicas:
+    """The ``n`` replicas of ``model`` in the centred cube of side ``R`` on rung
+    ``rung`` of an R ladder, as one batch; replica j draws from
+    ``Seed(seed.master, seed.replica + rung * n + j)``.
 
     The marginal law inside the window is exact for every variant: block and
     lattice models generate one tile of margin and clip, the renewal model
-    oversamples an enlarged interval and applies a uniform shift.
+    oversamples an enlarged interval and applies a uniform shift.  Block and
+    vibrating-lattice draws are clipped once for the whole batch, and the
+    window checks run once for it.
     """
     R = _side(R)
-    rng = seed.rng()
-    v = model.variant
-    if v is Variant.POISSON:
-        pts = _sample_poisson(R, model.d, rng)
-    elif v is Variant.LATTICE:
-        pts = _sample_lattice(R, model.d, rng)
-    elif v is Variant.BERNOULLI_BLOCK:
-        pts = _sample_bernoulli(model.k, R, model.d, rng)
-    elif v is Variant.VIBRATING_LATTICE:
-        pts = _sample_vibrating(model.k, R, rng)
-    else:
-        pts = _sample_renewal(model.gap, R, rng)
-    return PointConfiguration(pts, R)
-
-
-def replicas(model: ProcessModel, R: float, n: int, seed: Seed,
-             rung: int = 0) -> Iterator[PointConfiguration]:
-    """The ``n`` replicas of ``model`` in C_R on rung ``rung`` of an R ladder, drawn
-    lazily; replica j draws ``Seed(seed.master, seed.replica + rung * n + j)``."""
-    for j in range(n):
-        yield sample(model, R, Seed(seed.master, seed.replica + rung * n + j))
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
+    first = seed.replica + rung * n
+    # made one at a time, so only one replica's generator is alive at once
+    rngs = (Seed(seed.master, first + j).rng() for j in range(n))
+    draw, clipped = _DRAWS[model.variant]
+    pts, counts = draw(model, R, rngs)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    if clipped:
+        keep = np.all((pts >= -R / 2.0) & (pts <= R / 2.0), axis=1)
+        # a mask of the full shape copies the kept rows without an index array
+        pts = pts[np.broadcast_to(keep[:, None], pts.shape)].reshape(-1, model.d)
+        # each replica's start moves down by the points dropped before it
+        offsets = offsets - np.searchsorted(np.flatnonzero(~keep), offsets)
+    return Replicas(pts, offsets, R)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from .core import (
     DivergenceError,
     DomainError,
     Kernel,
-    PointConfiguration,
+    Replicas,
+    _require_replicas,
+    in_cube,
     mean_stderr,
-    points_in_cube,
 )
 from .energy import wint_from_rho2
 from .generators import GapLaw, GapLawKind, ProcessModel, rho2_analytic
@@ -75,14 +76,17 @@ class FreeEnergyScan:
     bracket: tuple[float, float]
 
 
-def kth_neighbor_density(samples: list[PointConfiguration], k: int, L: float,
+def kth_neighbor_density(samples: Replicas, k: int, L: float,
                          x_max: float, step: float = 1.0 / 32.0) -> NeighborDensity:
-    """Edge-corrected histogram of k-th neighbor distances in [-L/2, L/2].
+    """Edge-corrected histogram of k-th neighbor distances in [-L/2, L/2],
+    one per replica of the batch ``samples``, and their mean.
 
     A point y is the k-th neighbor of x when x < y and [x, y] contains
     exactly k + 1 points; restricting to the window is exact because [x, y]
     is contained in it.  Each pair is weighted by ``1 / (L (1 - x/L))``,
-    which removes the boundary bias of the window.
+    which removes the boundary bias of the window.  One sort orders every
+    replica's points; each replica's gaps are added to its own row in their
+    order along the line, as a loop over replicas would add them.
     """
     if k < 1:
         raise ArgumentError("neighbor order k must be at least 1")
@@ -92,15 +96,20 @@ def kth_neighbor_density(samples: list[PointConfiguration], k: int, L: float,
         raise DomainError("the neighbor grid needs step > 0 and x_max >= 0")
     n_bins = int(round(x_max / step)) + 1
     centers = step * np.arange(n_bins)
+    _require_replicas(len(samples))
+    if samples.d != 1:
+        raise ArgumentError("neighbor densities are one-dimensional")
+    inside = in_cube(samples, L)
+    x = samples.points[inside, 0]
+    replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
+    order = np.lexsort((x, replica))
+    x, replica = x[order], replica[order]
+    gaps = x[k:] - x[:-k]
+    keep = (replica[k:] == replica[:-k]) & (gaps < min(x_max + step / 2.0, L))
+    gaps, replica = gaps[keep], replica[k:][keep]
+    idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
     per = np.zeros((len(samples), n_bins))
-    for i, s in enumerate(samples):
-        if s.d != 1:
-            raise ArgumentError("neighbor densities are one-dimensional")
-        x = np.sort(points_in_cube(s, L)[:, 0])
-        gaps = x[k:] - x[:-k]  # empty when the window holds at most k points
-        gaps = gaps[gaps < min(x_max + step / 2.0, L)]
-        idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
-        np.add.at(per[i], idx, 1.0 / (L * (1.0 - gaps / L) * step))
+    np.add.at(per, (replica, idx), 1.0 / (L * (1.0 - gaps / L) * step))
     values, stderr = mean_stderr(per)
     return NeighborDensity(
         k=k, centers=centers, values=values, stderr=stderr, step=step,

@@ -100,10 +100,7 @@ def test_c03_discrepancy_identity(replicas):
         chk = discrepancy_identity_check(replicas(model, 16.0, 400, master=301), 16.0)
         worst = max(worst, abs(chk.algebraic_gap))
         ok &= abs(chk.algebraic_gap) <= 1e-8
-    d2 = []
-    for j in range(8000):
-        cfg = sample(ProcessModel.poisson(1), 64.0, Seed(302, j))
-        d2.append((cfg.n - 64.0) ** 2)
+    d2 = (sample(ProcessModel.poisson(1), 64.0, 8000, Seed(302)).counts - 64.0) ** 2
     ratio = float(np.mean(d2)) / 64.0
     ok &= abs(ratio - 1.0) <= 0.05
     _report(3, ok, f"max algebraic gap {worst:.2e}; Poisson variance ratio {ratio:.3f}")
@@ -201,15 +198,13 @@ def test_c07_free_energy_limits():
 
 def test_c08_pinsker_suite():
     n = 6000
-    base = [sample(ProcessModel.poisson(1), 8.0, Seed(801, j))
-            for j in range(n)]
+    base = sample(ProcessModel.poisson(1), 8.0, n, Seed(801))
     ok = True
     details = []
     for i, theta in enumerate((0.5, 2.0, 4.0)):
         gap = GapLaw.gamma(theta)
         ers = renewal_entropy_rate(gap)
-        samples = [sample(ProcessModel.renewal(gap), 8.0, Seed(810 + i, j))
-                   for j in range(n)]
+        samples = sample(ProcessModel.renewal(gap), 8.0, n, Seed(810 + i))
         for R in (2.0, 4.0, 8.0):
             tv = tv_lower_bound(samples, base, R, 2)
             rep = pinsker_check(ers, tv, R)

@@ -1,4 +1,5 @@
 import json
+import platform
 import re
 from pathlib import Path
 
@@ -410,17 +411,19 @@ class TestSpecLayer:
     def test_variance_with_c_log_samples_each_replica_once(self, tmp_path, monkeypatch):
         import rieszlab.generators as generators
 
+        import rieszlab.estimators as estimators
+
         real, calls = generators.sample, []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(model, R, n, seed, rung=0):
+            calls.append(n)
+            return real(model, R, n, seed, rung)
 
-        monkeypatch.setattr(generators, "sample", counting)
+        monkeypatch.setattr(estimators, "sample", counting)
         R_list = [4, 8, 16, 32, 64]
         run({"command": "variance", "model": {"variant": "poisson"}, "R_list": R_list,
              "n_replicas": 30, "c_log": 1.0, "out": str(tmp_path / "v")})
-        assert len(calls) == 30 * len(R_list)
+        assert calls == [30] * len(R_list)  # one batch per rung
         assert (tmp_path / "v" / "dlog.csv").exists()
 
     def test_internal_error_exits_1(self, tmp_path, runner, monkeypatch):
@@ -436,6 +439,25 @@ class TestSpecLayer:
         assert res.exit_code == 1
         assert isinstance(res.exception, TypeError)
         assert "validation error" not in res.output
+
+    def test_manifest_records_environment_outside_digests(self, tmp_path, monkeypatch):
+        import numpy
+        import scipy
+
+        import rieszlab.cli as cli
+
+        spec = {"command": "generate", "model": {"variant": "poisson"}, "R": 4}
+        manifest = run({**spec, "out": str(tmp_path / "a")})
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": numpy.__version__,
+                                           "scipy": scipy.__version__}
+        on_disk = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        assert on_disk["environment"] == manifest["environment"]
+        # other versions give the same digests: they cover the outputs only
+        monkeypatch.setattr(cli, "ENVIRONMENT", {"python": "0", "numpy": "0", "scipy": "0"})
+        other = run({**spec, "out": str(tmp_path / "b")})
+        assert other["environment"]["numpy"] == "0"
+        assert other["outputs"] == manifest["outputs"]
 
     def test_manifest_echoes_resolved_spec(self, tmp_path):
         manifest = run({"command": "neighbors", "model": {"variant": "poisson"}, "L": 24,

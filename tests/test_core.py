@@ -10,12 +10,13 @@ from rieszlab import (
     KernelFamily,
     PointConfiguration,
     ProcessModel,
+    Replicas,
     Seed,
     log_kernel,
     riesz_kernel,
     sample,
 )
-from rieszlab.core import mean_stderr, points_in_cube
+from rieszlab.core import counts_in_cube, mean_stderr, points_in_cube
 
 
 def _count(cfg, R):
@@ -96,7 +97,7 @@ class TestConfigurationsAndDiscrepancy:
         assert _count(cfg, 2.0) == 0
 
     def test_lattice_integer_window(self):
-        cfg = sample(ProcessModel.lattice(1), 9.0, Seed(2))
+        cfg = sample(ProcessModel.lattice(1), 9.0, 1, Seed(2))[0]
         assert _count(cfg, 5.0) == 5
 
     def test_poisson_variance_matches_volume(self, replicas):
@@ -114,13 +115,63 @@ class TestConfigurationsAndDiscrepancy:
 
     def test_tile_additivity(self):
         # counts over a partition into tiles reproduce the whole-window count
-        cfg = sample(ProcessModel.poisson(1), 8.0, Seed(3))
+        cfg = sample(ProcessModel.poisson(1), 8.0, 1, Seed(3))[0]
         whole = _count(cfg, 8.0)
         parts = 0
         for c in (-3.0, -1.0, 1.0, 3.0):
             shifted = PointConfiguration(cfg.points - c, 8.0 + 2 * abs(c))
             parts += _count(shifted, 2.0)
         assert parts == whole
+
+
+class TestReplicas:
+    POINTS = np.array([[0.5], [-1.0], [1.0], [0.25]])
+
+    def _batch(self):
+        # replicas of 1, 0, 3 and 0 points
+        return Replicas(self.POINTS, [0, 1, 1, 4, 4], 2.0)
+
+    def test_sizes(self):
+        batch = self._batch()
+        assert len(batch) == 4 and batch.n == 4 and batch.d == 1 and batch.R == 2.0
+        assert batch.counts.tolist() == [1, 0, 3, 0]
+
+    def test_index_gives_a_configuration(self):
+        batch = self._batch()
+        assert isinstance(batch[2], PointConfiguration)
+        np.testing.assert_array_equal(batch[2].points, self.POINTS[1:])
+        assert batch[1].n == 0 and batch[-1].n == 0 and batch[-4].n == 1
+        assert batch[2].R == 2.0
+        with pytest.raises(IndexError):
+            batch[4]
+        assert [cfg.n for cfg in batch] == [1, 0, 3, 0]
+
+    def test_slice_gives_a_batch(self):
+        part = self._batch()[1:3]
+        assert isinstance(part, Replicas) and part.R == 2.0
+        assert part.offsets.tolist() == [0, 0, 3]
+        np.testing.assert_array_equal(part.points, self.POINTS[1:])
+        assert len(self._batch()[3:1]) == 0 and self._batch()[3:1].n == 0
+        with pytest.raises(ArgumentError, match="consecutive"):
+            self._batch()[::2]
+
+    def test_checks_run_on_the_whole_batch(self):
+        with pytest.raises(DomainError, match="outside the window"):
+            Replicas(self.POINTS, [0, 1, 1, 4, 4], 1.5)
+        with pytest.raises(ArgumentError, match="NaN"):
+            Replicas(np.array([[0.0], [np.nan]]), [0, 1, 2], 2.0)
+        with pytest.raises(DomainError, match="window side must be positive"):
+            Replicas(self.POINTS, [0, 4], 0.0)
+        for offsets in ([1, 4], [0, 3], [0, 3, 2, 4], [], [[0, 4]], [0.0, 4.0]):
+            with pytest.raises(ArgumentError, match="offsets"):
+                Replicas(self.POINTS, offsets, 2.0)
+
+    def test_window_counts(self):
+        batch = self._batch()
+        assert counts_in_cube(batch, 2.0).tolist() == [1, 0, 3, 0]
+        assert counts_in_cube(batch, 1.0).tolist() == [1, 0, 1, 0]
+        with pytest.raises(DomainError):
+            counts_in_cube(batch, 3.0)
 
 
 class TestMeanStderr:

@@ -12,11 +12,11 @@ from rieszlab import (
     GapLaw,
     PointConfiguration,
     ProcessModel,
+    Replicas,
     Seed,
     SingularConfigurationError,
     hint_R,
     log_kernel,
-    replicas,
     rho2_analytic,
     rho2_hardcore,
     richardson,
@@ -233,7 +233,7 @@ class TestHintR:
     def test_reflection_invariance(self, kernel):
         # the centred cube C_R is symmetric under x -> -x, so the window
         # energy of a configuration and of its mirror image agree
-        cfg = sample(ProcessModel.poisson(kernel.d), 8.0, Seed(62))
+        cfg = sample(ProcessModel.poisson(kernel.d), 8.0, 1, Seed(62))[0]
         mirrored = PointConfiguration(-cfg.points, cfg.R)
         assert hint_R(mirrored, 8.0, kernel) == pytest.approx(hint_R(cfg, 8.0, kernel), rel=1e-12)
 
@@ -429,14 +429,14 @@ class TestMonteCarloRoute:
         assert hint_R(cfg, 2.0, kernel) == pytest.approx(expected, rel=1e-12)
 
     def test_singular_replicas_abort(self, monkeypatch):
-        from rieszlab import generators
+        from rieszlab import energy as energy_mod
 
-        dup = PointConfiguration(np.array([[0.25], [0.25], [1.5]]), 8.0)
+        dup = np.array([[0.25], [0.25], [1.5]])
 
-        def bad_sample(model, R, seed):
-            return dup
+        def bad_sample(model, R, n, seed):
+            return Replicas(np.tile(dup, (n, 1)), 3 * np.arange(n + 1), R)
 
-        monkeypatch.setattr(generators, "sample", bad_sample)
+        monkeypatch.setattr(energy_mod, "sample", bad_sample)
         with pytest.raises(SingularConfigurationError):
             wint_monte_carlo(ProcessModel.poisson(1), K_RSZ, [8.0], 50, Seed(0))
 
@@ -449,12 +449,12 @@ class TestMonteCarloRoute:
 
         calls = []
 
-        def flaky_pair_sums(batch, kernel):
+        def flaky_pair_sums(points, offsets, kernel):
             min_r2 = []
-            for _ in batch:
+            for _ in offsets[1:]:
                 calls.append(kernel)
                 min_r2.append(0.0 if len(calls) % 5 == 0 else 1.0)
-            return np.zeros(len(batch)), np.array(min_r2)
+            return np.zeros(len(min_r2)), np.array(min_r2)
 
         monkeypatch.setattr(energy_mod, "_REPLICA_BLOCK", 5)
         monkeypatch.setattr(_fast, "pair_sums", flaky_pair_sums)
@@ -483,14 +483,36 @@ class TestMonteCarloBlocks:
         assert wint_monte_carlo(model, kernel, R_list, 40, Seed(83)) == whole
 
     @pytest.mark.parametrize("model,kernel,R_list", BLOCK_CASES, ids=["d1", "d2"])
+    def test_blocks_draw_the_rung(self, monkeypatch, model, kernel, R_list):
+        # one batch per block; the blocks of a rung are its whole draw
+        from rieszlab import energy as energy_mod
+
+        blocks = []
+
+        def spy(*args):
+            blocks.append(sample(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(energy_mod, "_REPLICA_BLOCK", 7)
+        monkeypatch.setattr(energy_mod, "sample", spy)
+        wint_monte_carlo(model, kernel, R_list, 40, Seed(83, 2))
+        assert [len(b) for b in blocks] == [7] * 5 + [5] + [7] * 5 + [5]
+        for i, R in enumerate(R_list):
+            rung = sample(model, R, 40, Seed(83, 2), i)
+            drawn = blocks[6 * i:6 * i + 6]
+            assert np.concatenate([b.points for b in drawn]).tobytes() == rung.points.tobytes()
+            np.testing.assert_array_equal(np.concatenate([b.counts for b in drawn]),
+                                          rung.counts)
+
+    @pytest.mark.parametrize("model,kernel,R_list", BLOCK_CASES, ids=["d1", "d2"])
     def test_replica_energies_match_hint_R(self, monkeypatch, model, kernel, R_list):
         from rieszlab import energy as energy_mod
 
         seen = []
         window_energies = energy_mod._window_energies
 
-        def spy(batch, R, kernel, bb):
-            energies, singular = window_energies(batch, R, kernel, bb)
+        def spy(points, offsets, R, kernel, bb):
+            energies, singular = window_energies(points, offsets, R, kernel, bb)
             seen.append(energies)
             return energies, singular
 
@@ -499,7 +521,7 @@ class TestMonteCarloBlocks:
         wint_monte_carlo(model, kernel, R_list, 40, Seed(83))
         blocked = np.concatenate(seen)  # before hint_R adds its batches of one
         loop = [hint_R(cfg, R, kernel) for i, R in enumerate(R_list)
-                for cfg in replicas(model, R, 40, Seed(83), i)]
+                for cfg in sample(model, R, 40, Seed(83), i)]
         np.testing.assert_allclose(blocked, loop, rtol=1e-12, atol=0.0)
 
 

@@ -21,6 +21,77 @@ from rieszlab import (
     sample,
     tv_lower_bound,
 )
+from rieszlab.core import mean_stderr, points_in_cube
+
+
+def _ragged(model, R, n, master):
+    # a batch whose replicas include empty ones
+    batch = sample(model, R, n, Seed(master))
+    assert (batch.counts == 0).any() and (batch.counts > 1).any()
+    return batch
+
+
+class TestBatchAgainstReplicaLoop:
+    """Each replica estimator reads the batch at once; a loop over its
+    replicas, one configuration at a time, is the reference."""
+
+    @pytest.mark.parametrize("model, R, v_max", [
+        (ProcessModel.poisson(1), 3.0, 1.0), (ProcessModel.poisson(2), 1.6, 0.8),
+    ], ids=["d1", "d2"])
+    def test_estimate_rho2(self, model, R, v_max):
+        from rieszlab import _fast
+
+        batch = _ragged(model, R, 80, 5)
+        est = estimate_rho2(batch, GridSpec(v_max, 8))
+        per = []
+        for cfg in batch:
+            if model.d == 1:
+                acc = _fast.bin_pairs_signed(np.sort(cfg.points[:, 0]), v_max, 8, R)
+                per.append(acc / est.bin_width - 1.0)
+            else:
+                edges = est.bin_width * np.arange(9)
+                acc = _fast.bin_pairs_radial(cfg.points, v_max, 8, R)
+                per.append(acc / (math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)) - 1.0)
+        values, stderr = mean_stderr(per)
+        assert est.values.tobytes() == values.tobytes()
+        assert est.stderr.tobytes() == stderr.tobytes()
+
+    def test_number_variance_curve(self):
+        R_list, n, seed = [0.5, 1.0, 2.0, 5.0], 50, Seed(7, 3)
+        curve = number_variance_curve(ProcessModel.poisson(1), R_list, n, seed)
+        for i, R in enumerate(R_list):
+            counts = [sample(ProcessModel.poisson(1), R, 1, Seed(7, 3 + i * n + j))[0].n
+                      for j in range(n)]
+            assert R > 1.0 or 0 in counts
+            mean, stderr = mean_stderr([(c - R) ** 2 for c in counts])
+            assert curve.entries[i] == (R, float(mean), float(stderr))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("tiles", [1, 3])
+    def test_tv_lower_bound(self, tiles):
+        p = _ragged(ProcessModel.poisson(1), 2.0, 300, 11)
+        q = _ragged(ProcessModel.renewal(GapLaw.gamma(2.0)), 2.0, 200, 12)
+
+        def hist(batch, R):
+            edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
+            out = {}
+            for cfg in batch:
+                x = points_in_cube(cfg, R)[:, 0]
+                idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, tiles - 1)
+                key = tuple(np.bincount(idx, minlength=tiles).tolist())
+                out[key] = out.get(key, 0.0) + 1.0 / len(batch)
+            return out
+
+        for R in (1.0, 2.0):
+            hp, hq = hist(p, R), hist(q, R)
+            ref = 0.5 * sum(abs(hp.get(k, 0.0) - hq.get(k, 0.0)) for k in set(hp) | set(hq))
+            assert tv_lower_bound(p, q, R, tiles) == pytest.approx(ref, abs=1e-15, rel=0.0)
+
+    def test_identity_check_counts_the_window(self):
+        batch = _ragged(ProcessModel.poisson(1), 2.0, 200, 13)
+        chk = discrepancy_identity_check(batch, 1.5)
+        counts = np.array([points_in_cube(cfg, 1.5).shape[0] for cfg in batch], dtype=float)
+        assert chk.lhs == float((counts**2).mean() - counts.mean() - 1.5**2)
 
 
 class TestEstimateRho2:

@@ -134,7 +134,8 @@ def test_pair_sums_match_exact_sum(rng, kernel):
     assert 181**2 <= _fast._SUM_BUDGET < 182**2 and 400 * 399 // 2 > 2 * _fast._SUM_BUDGET
     batch = [rng.uniform(-10, 10, size=(n, kernel.d)) for n in sizes]
     batch[4][5] = batch[4][2]
-    sums, min_r2 = _fast.pair_sums(batch, kernel)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    sums, min_r2 = _fast.pair_sums(np.concatenate(batch), offsets, kernel)
     for b, pts in enumerate(batch):
         assert sums[b] == pytest.approx(_exact_pair_sum(pts, kernel), rel=1e-13, abs=1e-300)
         if len(pts) > 1:

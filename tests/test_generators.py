@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from rieszlab import (
 )
 from rieszlab import generators
 from rieszlab._io import config_from_csv, config_to_csv
-from rieszlab.generators import _sample_bernoulli_raw, replicas
+from rieszlab.generators import Variant, _draw_bernoulli
 
 ALL_MODELS = [
     ProcessModel.poisson(1),
@@ -62,13 +61,55 @@ class TestValidation:
             assert float(law.partial_mean(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _reference_draw(model: ProcessModel, R: float, rng: np.random.Generator) -> np.ndarray:
+    """One replica drawn from ``rng`` replica by replica, as the samplers drew
+    before they drew whole batches: the reference for the batch draws."""
+    half, d = R / 2.0, model.d
+    if model.variant is Variant.POISSON:
+        n = rng.poisson(R**d)
+        return rng.uniform(-half, half, size=(n, d))
+    if model.variant is Variant.LATTICE:
+        u = rng.uniform(0.0, 1.0, d)
+        axes = [np.arange(math.ceil(-half - u[a]), math.floor(half - u[a]) + 1, dtype=float)
+                + u[a] for a in range(d)]
+        return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if model.variant is Variant.BERNOULLI_BLOCK:
+        k = model.k
+        u = rng.uniform(0.0, float(k), d)
+        ranges = [np.arange(math.floor((-half - u[a]) / k), math.floor((half - u[a]) / k) + 1)
+                  for a in range(d)]
+        grids = np.meshgrid(*ranges, indexing="ij")
+        origins = np.stack([g.ravel() for g in grids], axis=1) * float(k)
+        pts = rng.uniform(0.0, float(k), size=(origins.shape[0], k**d, d))
+        pts = (pts + origins[:, None, :] + u[None, None, :]).reshape(-1, d)
+        return pts[np.all(np.abs(pts) <= half, axis=1)]
+    if model.variant is Variant.VIBRATING_LATTICE:
+        amp = 1.0 / model.k
+        u = rng.uniform(0.0, 1.0)
+        m = np.arange(math.ceil(-half - u - amp), math.floor(half - u + amp) + 1, dtype=float)
+        pts = m + u + rng.uniform(-amp, amp, m.size)
+        return pts[np.abs(pts) <= half][:, None]
+    gap = model.gap
+    margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
+    u = rng.uniform(0.0, margin)
+    start, target = -half - margin, half + margin
+    positions, pos, span = [np.array([start])], start, target - start
+    while pos < target:
+        block = positions[-1][-1] + np.cumsum(
+            gap.sample(rng, int(span * 1.25) + int(10.0 * math.sqrt(span)) + 16))
+        positions.append(block)
+        pos, span = block[-1], target - block[-1]
+    pts = np.concatenate(positions) + u
+    return pts[(pts >= -half) & (pts <= half)][:, None]
+
+
 class TestSampling:
     def test_determinism_bit_identical(self):
         for model in ALL_MODELS:
-            a = sample(model, 9.0, Seed(77, 3))
-            b = sample(model, 9.0, Seed(77, 3))
+            a = sample(model, 9.0, 1, Seed(77, 3))[0]
+            b = sample(model, 9.0, 1, Seed(77, 3))[0]
             assert np.array_equal(a.points, b.points)
-            c = sample(model, 9.0, Seed(77, 4))
+            c = sample(model, 9.0, 1, Seed(77, 4))[0]
             if a.n == c.n:
                 assert not np.array_equal(a.points, c.points)
 
@@ -81,68 +122,74 @@ class TestSampling:
         for replica in range(5):
             draws = GapLaw.gamma(1.0).sample(Seed(3, replica).rng(), 1000)
             np.testing.assert_array_equal(draws, Seed(3, replica).rng().exponential(1.0, 1000))
-            a = sample(exponential, 40.0, Seed(9, replica))
-            b = sample(gamma_one, 40.0, Seed(9, replica))
-            np.testing.assert_array_equal(a.points, b.points)
+        a = sample(exponential, 40.0, 5, Seed(9))
+        b = sample(gamma_one, 40.0, 5, Seed(9))
+        np.testing.assert_array_equal(a.offsets, b.offsets)
+        np.testing.assert_array_equal(a.points, b.points)
 
     @pytest.mark.parametrize("model", ALL_MODELS + [ProcessModel.poisson(3)],
                              ids=lambda m: m.describe())
     def test_replicas_follow_the_seed_schedule(self, model):
-        # replica j on rung i draws stream replica + i * n + j
-        n, seed = 3, Seed(77, 5)
-        for rung, R in enumerate((4.0, 6.0)):
-            drawn = list(replicas(model, R, n, seed, rung))
-            assert len(drawn) == n
-            for j, cfg in enumerate(drawn):
-                ref = sample(model, R, Seed(77, 5 + rung * n + j))
-                assert cfg.R == ref.R
-                np.testing.assert_array_equal(cfg.points, ref.points)
+        # replica j on rung i draws stream replica + i * n + j, the points of a
+        # one-replica draw from that stream bit for bit; R = 0.5 gives a
+        # rung with empty replicas
+        n, seed = 6, Seed(77, 5)
+        for R in (0.5, 4.0, 6.5):
+            for rung in (0, 1):
+                batch = sample(model, R, n, seed, rung)
+                assert len(batch) == n and batch.R == R and batch.d == model.d
+                assert batch.n == batch.points.shape[0] == batch.counts.sum()
+                for j in range(n):
+                    ref = _reference_draw(model, R, Seed(77, 5 + rung * n + j).rng())
+                    assert batch[j].R == R
+                    assert batch[j].points.tobytes() == ref.tobytes()
+                    assert batch.counts[j] == len(ref)
 
-    def test_replicas_are_lazy(self, monkeypatch):
-        real, calls = generators.sample, []
+    def test_poisson_rung_with_empty_replicas(self):
+        batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3), rung=1)
+        assert (batch.counts == 0).any() and (batch.counts > 0).any()
+        for j in range(len(batch)):
+            ref = _reference_draw(ProcessModel.poisson(1), 0.5, Seed(3, 40 + j).rng())
+            assert batch[j].points.tobytes() == ref.tobytes()
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
+    def test_a_replica_does_not_depend_on_its_batch(self, model):
+        # replicas 3..8 of a rung of 12 are the batch of 6 that starts at stream 3
+        whole = sample(model, 7.0, 12, Seed(5, 2), rung=1)
+        part = sample(model, 7.0, 6, Seed(5, 2 + 12 + 3))
+        np.testing.assert_array_equal(whole[3:9].offsets, part.offsets)
+        assert whole[3:9].points.tobytes() == part.points.tobytes()
 
-        monkeypatch.setattr(generators, "sample", counting)
-        stream = replicas(ProcessModel.poisson(1), 8.0, 100, Seed(3))
-        assert calls == []
-        taken = list(itertools.islice(stream, 4))
-        assert len(taken) == len(calls) == 4
-        assert [args[2] for args in calls] == [Seed(3, j) for j in range(4)]
+    def test_replica_count_must_be_positive(self):
+        for n in (0, -1, 2.0):
+            with pytest.raises(ArgumentError, match="number of replicas"):
+                sample(ProcessModel.poisson(1), 4.0, n, Seed(0))
 
     def test_side_must_be_positive(self):
         for R in (0.0, -2.0):
             with pytest.raises(DomainError, match="window side must be positive"):
-                sample(ProcessModel.poisson(1), R, Seed(0))
+                sample(ProcessModel.poisson(1), R, 1, Seed(0))
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_unit_intensity(self, model):
         R = 16.0 if model.d == 1 else 8.0
         n_rep = 400
-        counts = np.array(
-            [sample(model, R, Seed(5, j)).n for j in range(n_rep)], dtype=float
-        )
+        counts = sample(model, R, n_rep, Seed(5)).counts.astype(float)
         vol = R**model.d
         stderr = max(counts.std(ddof=1) / math.sqrt(n_rep), 1e-12)
         assert abs(counts.mean() - vol) <= max(3.0 * stderr, 1e-9 * vol)
 
     def test_poisson_2d_mean_count(self):
         # mean count over replicas stays inside the 3 sigma Monte Carlo band
-        counts = np.array(
-            [sample(ProcessModel.poisson(2), 10.0, Seed(11, j)).n for j in range(10_000)],
-            dtype=float,
-        )
+        counts = sample(ProcessModel.poisson(2), 10.0, 10_000, Seed(11)).counts.astype(float)
         band = 3.0 * counts.std(ddof=1) / 100.0
         assert abs(counts.mean() - 100.0) < band
 
     def test_lattice_exact_count(self):
-        cfg = sample(ProcessModel.lattice(1), 7.0, Seed(1))
-        assert cfg.n == 7
+        assert sample(ProcessModel.lattice(1), 7.0, 1, Seed(1)).n == 7
 
     def test_lattice_rigidity(self):
-        cfg = sample(ProcessModel.lattice(1), 64.0, Seed(9))
+        cfg = sample(ProcessModel.lattice(1), 64.0, 1, Seed(9))[0]
         x = np.sort(cfg.points[:, 0])
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -152,9 +199,10 @@ class TestSampling:
             assert math.floor(L) <= n_in <= math.ceil(L)
 
     def test_bernoulli_tiles_hold_exactly_k_points(self):
+        # all tile points before the clip, less the shift u (the stream's first draw)
         k, R = 3, 18.0
-        pts, shift = _sample_bernoulli_raw(k, R, 1, Seed(21).rng())
-        x = pts[:, 0] - shift[0]
+        pts, _ = _draw_bernoulli(ProcessModel.bernoulli_block(k), R, [Seed(21).rng()])
+        x = pts[:, 0] - Seed(21).rng().uniform(0.0, float(k), 1)[0]
         tiles = np.floor(x / k)
         _, counts = np.unique(tiles, return_counts=True)
         assert np.all(counts == k)
@@ -164,15 +212,13 @@ class TestSampling:
         # O(1/R) boundary correction, measured through the count variance
         model = ProcessModel.bernoulli_block(4, 1)
         R = 32.0
-        counts = np.array(
-            [sample(model, R, Seed(31, j)).n for j in range(3000)], dtype=float
-        )
+        counts = sample(model, R, 3000, Seed(31)).counts.astype(float)
         pair_integral = np.mean(counts * (counts - 1.0)) - R * R
         assert abs(pair_integral / R - (-1.0)) < 0.25  # k/(3R) + MC wiggle
 
     def test_vibrating_stays_near_lattice(self):
         k = 8
-        cfg = sample(ProcessModel.vibrating_lattice(k), 32.0, Seed(13))
+        cfg = sample(ProcessModel.vibrating_lattice(k), 32.0, 1, Seed(13))[0]
         gaps = np.diff(np.sort(cfg.points[:, 0]))
         assert np.all(gaps >= 1.0 - 2.0 / k - 1e-12)
         assert np.all(gaps <= 1.0 + 2.0 / k + 1e-12)
@@ -329,14 +375,14 @@ class TestRho2Analytic:
             return (r2.continuous_part(v) - 1.0) * (R - v)
 
         expected = R + 2.0 * np.sum((b - a) / 6.0 * (f(a) + 4.0 * f(0.5 * (a + b)) + f(b)))
-        d2 = np.array([(s.n - R) ** 2 for s in replicas(model, R, 4000, master=33)])
+        d2 = (replicas(model, R, 4000, master=33).counts - R) ** 2
         stderr = d2.std(ddof=1) / math.sqrt(d2.size)
         assert abs(d2.mean() - expected) < 4.0 * stderr
 
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
-        cfg = sample(ProcessModel.renewal(GapLaw.gamma(3.0)), 12.0, Seed(2, 5))
+        cfg = sample(ProcessModel.renewal(GapLaw.gamma(3.0)), 12.0, 1, Seed(2, 5))[0]
         path = tmp_path / "cfg.csv"
         config_to_csv(cfg, path, model="renewal(gamma,theta=3)", seed="2:5")
         back = config_from_csv(path)

@@ -10,13 +10,16 @@ from rieszlab import (
     GapLaw,
     GridSpec,
     ProcessModel,
+    Seed,
     crystallization_gap,
     estimate_rho2,
     free_energy_scan,
     kth_neighbor_density,
     renewal_entropy_rate,
     riesz_kernel,
+    sample,
 )
+from rieszlab.core import mean_stderr, points_in_cube
 
 # quadrature-oracle values for the triangular gap laws, frozen; they agree
 # with 1/2 + log(k/2) to rounding
@@ -125,6 +128,29 @@ class TestKthNeighborDensity:
             with pytest.raises(DomainError, match="neighbor grid"):
                 kth_neighbor_density(samples, 1, 16.0, x_max, step)
         assert kth_neighbor_density(samples, 1, 16.0, 0.0).centers.tolist() == [0.0]
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("R, L, x_max, step", [(4.0, 3.0, 2.0, 1.0 / 8.0),
+                                                   (48.0, 40.0, 4.0, 0.5)],
+                             ids=["empty_replicas", "dense_cells"])
+    def test_batch_matches_replica_loop(self, k, R, L, x_max, step):
+        # one sort for the whole batch; a loop over replicas is the reference,
+        # bit for bit, in a window smaller than the sampling one: on a ragged
+        # batch with empty replicas, and with many gaps per cell, where the
+        # order of the additions shows in the sums
+        batch = sample(ProcessModel.poisson(1), R, 120, Seed(9))
+        assert R > 4.0 or (batch.counts == 0).any()
+        nd = kth_neighbor_density(batch, k, L, x_max, step)
+        per = np.zeros((len(batch), len(nd.centers)))
+        for i, cfg in enumerate(batch):
+            x = np.sort(points_in_cube(cfg, L)[:, 0])
+            gaps = x[k:] - x[:-k]
+            gaps = gaps[gaps < min(x_max + step / 2.0, L)]
+            idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, len(nd.centers) - 1)
+            np.add.at(per[i], idx, 1.0 / (L * (1.0 - gaps / L) * step))
+        values, stderr = mean_stderr(per)
+        assert nd.values.tobytes() == values.tobytes()
+        assert nd.stderr.tobytes() == stderr.tobytes()
 
     def test_fewer_than_two_replicas_rejected(self, replicas):
         # one replica has no standard error; it must not be reported as 0
