@@ -1,17 +1,20 @@
 """Hot numeric loops: pairwise kernel sums and tent-weighted pair binning.
 
-All three kernels walk the unordered pairs i < j through ``_upper_pairs``,
-which hands out the differences ``pts[j] - pts[i]`` in row blocks of a
-bounded number of pairs, so each block is a few vectorized numpy calls and
-memory stays bounded for any number of points.  ``pair_sums`` also stacks
-small point sets of equal size into one matrix of triangles.  The order of
-summation depends only on the number of points, so results are
-reproducible.
+All three kernels walk unordered pairs i < j through ``_upper_pairs``, which
+hands out the differences ``pts[j] - pts[i]`` in row blocks of a bounded
+number of pairs, so each block is a few vectorized numpy calls and memory
+stays bounded for any number of points.  ``pair_sums`` walks every pair and
+also stacks small point sets of equal size into one matrix of triangles.
+The binning kernels keep only separations below ``v_max``, so they sort
+their points along the first coordinate and walk only the band of pairs
+whose first coordinates lie within ``v_max`` of each other.  The order of
+summation depends only on the points, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -29,8 +32,9 @@ _SUM_BUDGET = 2**15
 @functools.lru_cache(maxsize=None)
 def _triangle(rows: int) -> tuple[np.ndarray, np.ndarray]:
     # the pairs i < j within a block, row by row: how often each row i
-    # repeats and the column indices j; shared read-only by every call.  No
-    # caller asks for more than sqrt(_SUM_BUDGET) rows, so the whole cache
+    # repeats and the column indices j; shared read-only by every call.  The
+    # full walk asks for at most sqrt(_SUM_BUDGET) rows and the band walk
+    # only for powers of two up to sqrt(_PAIR_BUDGET), so the whole cache
     # stays below 8 MB
     repeats = np.arange(rows - 1, -1, -1)
     j = np.triu_indices(rows, 1)[1]
@@ -38,19 +42,41 @@ def _triangle(rows: int) -> tuple[np.ndarray, np.ndarray]:
     return repeats, j
 
 
-def _upper_pairs(pts: np.ndarray, budget: int = _PAIR_BUDGET) -> Iterator[np.ndarray]:
-    """Differences ``pts[..., j] - pts[..., i]`` over all i < j of the last
-    axis, block by block, flattened into the last axis of each block.
+def _upper_pairs(pts: np.ndarray, budget: int = _PAIR_BUDGET,
+                 reach: float = math.inf) -> Iterator[np.ndarray]:
+    """Differences ``pts[..., j] - pts[..., i]`` over the pairs i < j of the
+    last axis, block by block, flattened into the last axis of each block.
 
-    A block of rows ``i0:i1``, about ``budget`` pairs, yields its in-block
-    triangle, then its rectangle against the rows ``i1:``; empty pieces are
-    skipped.  With ``n * n <= budget`` the one block is the whole triangle.
-    Leading axes (coordinates, stacked point sets) are carried along.
+    A block of rows ``i0:i1`` yields its in-block triangle, then its
+    rectangle against the columns ``i1:end``; empty pieces are skipped.
+    With the default infinite ``reach`` every pair is walked: ``end = n``,
+    a block holds about ``budget`` pairs, and with ``n * n <= budget`` the
+    one block is the whole triangle.  Leading axes (coordinates, stacked
+    point sets) are carried along.
+
+    With a finite ``reach``, ``pts`` is ``(d, n)`` sorted along ``pts[0]``,
+    and the walk covers at least every pair whose first coordinates are at
+    most ``reach`` apart: ``end`` is the band end of the block's last row.
+    Rows per block are ``budget`` over the first row's band, at most
+    ``isqrt(budget)`` and rounded down to a power of two, so few triangles
+    are ever cached; a block whose band widens along the axis is halved
+    until it holds at most ``2 * budget`` pairs or is one row.
     """
     n = pts.shape[-1]
+    if reach < math.inf:
+        hi = np.searchsorted(pts[0], pts[0] + reach, "right").tolist()
+        cap = math.isqrt(budget)
     i0 = 0
     while i0 < n - 1:
-        rows = min(n - i0, max(1, budget // (n - i0)))
+        if reach < math.inf:
+            rows = max(1, min(n - i0, cap, budget // (hi[i0] - i0)))
+            rows = 1 << (rows.bit_length() - 1)
+            while rows > 1 and rows * (hi[i0 + rows - 1] - i0) > 2 * budget:
+                rows //= 2
+            end = hi[i0 + rows - 1]
+        else:
+            rows = min(n - i0, max(1, budget // (n - i0)))
+            end = n
         i1 = i0 + rows
         block = pts[..., i0:i1]
         if rows > 1:
@@ -58,8 +84,8 @@ def _upper_pairs(pts: np.ndarray, budget: int = _PAIR_BUDGET) -> Iterator[np.nda
             diff = np.take(block, j, axis=-1)
             diff -= np.repeat(block, repeats, axis=-1)
             yield diff
-        if i1 < n:
-            rect = pts[..., None, i1:] - block[..., :, None]
+        if i1 < end:
+            rect = pts[..., None, i1:end] - block[..., :, None]
             yield rect.reshape(*pts.shape[:-1], -1)
         i0 = i1
 
@@ -133,11 +159,14 @@ def bin_pairs_signed(x: np.ndarray, v_max: float, n_bins: int, R: float) -> np.n
     """Tent-corrected weights of signed 1d separations, both pair orders."""
     acc = np.zeros(n_bins)
     bw = 2.0 * v_max / n_bins
-    for v in _upper_pairs(x):
-        v = v[np.abs(v) < v_max]
+    # sorted, every walked separation v is >= 0; |v| < v_max decides, on the
+    # superset of pairs in the band
+    for v in _upper_pairs(np.sort(x)[None], reach=v_max * (1.0 + 1e-9)):
+        v = v[0]
+        v = v[v < v_max]
         idx = np.floor((v + v_max) / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += np.bincount(idx, 1.0 / (R - np.abs(v)), minlength=n_bins)
+        acc += np.bincount(idx, 1.0 / (R - v), minlength=n_bins)
     # the pair order j, i has separation -v and lands in the mirrored bin
     return acc + acc[::-1]
 
@@ -146,11 +175,21 @@ def bin_pairs_radial(pts: np.ndarray, v_max: float, n_bins: int, R: float) -> np
     """Tent-corrected radial pair weights for d >= 2 (ordered pairs)."""
     acc = np.zeros(n_bins)
     bw = v_max / n_bins
-    for diff in _upper_pairs(np.ascontiguousarray(pts.T)):
-        r = np.sqrt(np.sum(diff * diff, axis=0))
+    reach = v_max * (1.0 + 1e-9)
+    coords = np.ascontiguousarray(pts[np.argsort(pts[:, 0], kind="stable")].T)
+    for diff in _upper_pairs(coords, reach=reach):
+        r2 = diff[0] * diff[0]
+        for c in diff[1:]:
+            r2 += c * c
+        # 0 < r < v_max decides, on the superset of pairs with r**2 <= reach**2
+        near = np.flatnonzero(r2 <= reach * reach)
+        r = np.sqrt(r2[near])
         keep = (r < v_max) & (r > 0.0)
-        tent = np.prod(R - np.abs(diff[:, keep]), axis=0)
-        idx = np.floor(r[keep] / bw).astype(np.int64)
+        near, r = near[keep], r[keep]
+        tent = R - np.abs(diff[0, near])
+        for c in diff[1:]:
+            tent *= R - np.abs(c[near])
+        idx = np.floor(r / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
         acc += np.bincount(idx, 2.0 / tent, minlength=n_bins)
     return acc

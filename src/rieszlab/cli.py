@@ -168,8 +168,8 @@ def _energy(a: dict, outfile) -> dict:
 
 def _neighbor_densities(a: dict) -> list:
     samples = sample(a["model"], a["L"], a["n_replicas"], Seed(a["seed"]))
-    return [onedim_mod.kth_neighbor_density(samples, k, a["L"], a["x_max"], a["step"])
-            for k in range(1, a["k_max"] + 1)]
+    return onedim_mod.kth_neighbor_density(samples, range(1, a["k_max"] + 1), a["L"],
+                                           a["x_max"], a["step"])
 
 
 def _neighbors(a: dict, outfile) -> None:

@@ -103,7 +103,7 @@ def estimate_rho2(samples: Replicas, bins: GridSpec) -> CorrelationEstimate:
         centers = -bins.v_max + bw * (np.arange(n_bins) + 0.5)
         per = np.empty((n_rep, n_bins))
         for i, pts in enumerate(rows):
-            acc = _fast.bin_pairs_signed(np.sort(pts[:, 0]), bins.v_max, n_bins, R)
+            acc = _fast.bin_pairs_signed(pts[:, 0], bins.v_max, n_bins, R)
             per[i] = acc / bw - 1.0
         mode = "signed"
     else:

@@ -10,6 +10,7 @@ asymptotic regimes of the free energy are reachable on one axis.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class FreeEnergyScan:
     bracket: tuple[float, float]
 
 
-def kth_neighbor_density(samples: Replicas, k: int, L: float,
-                         x_max: float, step: float = 1.0 / 32.0) -> NeighborDensity:
+def kth_neighbor_density(samples: Replicas, k: int | Sequence[int], L: float, x_max: float,
+                         step: float = 1.0 / 32.0) -> NeighborDensity | list[NeighborDensity]:
     """Edge-corrected histogram of k-th neighbor distances in [-L/2, L/2],
     one per replica of the batch ``samples``, and their mean.
 
@@ -86,35 +87,41 @@ def kth_neighbor_density(samples: Replicas, k: int, L: float,
     is contained in it.  Each pair is weighted by ``1 / (L (1 - x/L))``,
     which removes the boundary bias of the window.  One sort orders every
     replica's points; each replica's gaps are added to its own row in their
-    order along the line, as a loop over replicas would add them.
+    order along the line, as a loop over replicas would add them.  A
+    sequence of orders ``k`` gives a list of densities, one per order, from
+    that one sort.
     """
-    if k < 1:
+    single = isinstance(k, (int, np.integer))
+    orders = [k] if single else list(k)
+    if not orders or min(orders) < 1:
         raise ArgumentError("neighbor order k must be at least 1")
     if not x_max < L:
         raise DomainError("x_max must be smaller than the window length L")
     if not (step > 0.0 and x_max >= 0.0):
         raise DomainError("the neighbor grid needs step > 0 and x_max >= 0")
     n_bins = int(round(x_max / step)) + 1
-    centers = step * np.arange(n_bins)
     _require_replicas(len(samples))
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
     x = samples.points[inside, 0]
     replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
-    order = np.lexsort((x, replica))
-    x, replica = x[order], replica[order]
-    gaps = x[k:] - x[:-k]
-    keep = (replica[k:] == replica[:-k]) & (gaps < min(x_max + step / 2.0, L))
-    gaps, replica = gaps[keep], replica[k:][keep]
-    idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
-    per = np.zeros((len(samples), n_bins))
-    np.add.at(per, (replica, idx), 1.0 / (L * (1.0 - gaps / L) * step))
-    values, stderr = mean_stderr(per)
-    return NeighborDensity(
-        k=k, centers=centers, values=values, stderr=stderr, step=step,
-        total_mass=float(values.sum() * step), n_replicas=len(samples),
-    )
+    along = np.lexsort((x, replica))
+    x, replica = x[along], replica[along]
+    densities = []
+    for order in orders:
+        gaps = x[order:] - x[:-order]
+        keep = (replica[order:] == replica[:-order]) & (gaps < min(x_max + step / 2.0, L))
+        gaps, rows = gaps[keep], replica[order:][keep]
+        idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
+        per = np.zeros((len(samples), n_bins))
+        np.add.at(per, (rows, idx), 1.0 / (L * (1.0 - gaps / L) * step))
+        values, stderr = mean_stderr(per)
+        densities.append(NeighborDensity(
+            k=order, centers=step * np.arange(n_bins), values=values, stderr=stderr, step=step,
+            total_mass=float(values.sum() * step), n_replicas=len(samples),
+        ))
+    return densities[0] if single else densities
 
 
 def crystallization_gap(densities: list[NeighborDensity], s_exponent: float,

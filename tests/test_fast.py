@@ -29,15 +29,17 @@ def _naive_pair_sum(pts, family, s):
 
 
 def _naive_signed(x, v_max, n_bins, R):
+    # each unordered pair is binned at its separation |v| >= 0 and mirrored,
+    # as if x were sorted; order matters only on a bin edge
     acc = np.zeros(n_bins)
     bw = 2.0 * v_max / n_bins
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
-            v = x[j] - x[i]
-            if abs(v) < v_max:
+            v = abs(x[j] - x[i])
+            if v < v_max:
                 idx = min(max(math.floor((v + v_max) / bw), 0), n_bins - 1)
-                acc[idx] += 1.0 / (R - abs(v))
-                acc[n_bins - 1 - idx] += 1.0 / (R - abs(v))
+                acc[idx] += 1.0 / (R - v)
+                acc[n_bins - 1 - idx] += 1.0 / (R - v)
     return acc
 
 
@@ -75,11 +77,13 @@ def test_pair_sum_matches_naive(rng, n, family, s, d):
 
 @pytest.mark.parametrize("n", [0, 1, 2, N_MULTI_BLOCK])
 def test_bin_pairs_signed_matches_naive(rng, n):
-    x = np.sort(rng.uniform(-32, 32, n))
+    # unsorted input: the kernel sorts it, so the order of x does not matter
+    x = rng.uniform(-32, 32, n)
     if n == 2:
-        x = np.array([-1.0, 2.5])  # one pair inside v_max, so a bin is filled
+        x = np.array([2.5, -1.0])  # one pair inside v_max, on a bin edge
     got = _fast.bin_pairs_signed(x, 8.0, 64, 64.0)
     np.testing.assert_allclose(got, _naive_signed(x, 8.0, 64, 64.0), rtol=1e-12, atol=0.0)
+    assert got.tobytes() == _fast.bin_pairs_signed(np.sort(x), 8.0, 64, 64.0).tobytes()
     if n >= 2:
         assert got.sum() > 0.0
 
@@ -152,3 +156,153 @@ def test_coincident_pair_is_not_binned():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     got = _fast.bin_pairs_radial(pts, 4.0, 8, 16.0)
     np.testing.assert_allclose(got, _naive_radial(pts, 4.0, 8, 16.0), rtol=1e-12, atol=0.0)
+
+
+def _frozen_full_walk(pts, budget):
+    # the every-pair block schedule that pair_sums has always walked, kept
+    # here as the reference for the default reach of _upper_pairs
+    n = pts.shape[-1]
+    i0 = 0
+    while i0 < n - 1:
+        rows = min(n - i0, max(1, budget // (n - i0)))
+        i1 = i0 + rows
+        block = pts[..., i0:i1]
+        if rows > 1:
+            i, j = np.triu_indices(rows, 1)
+            yield np.take(block, j, axis=-1) - np.take(block, i, axis=-1)
+        if i1 < n:
+            rect = pts[..., None, i1:] - block[..., :, None]
+            yield rect.reshape(*pts.shape[:-1], -1)
+        i0 = i1
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 181), (3, 182), (1, 2048), (2, 4, 7),
+                                   (1, 3, 181), (3, 2, 182)])
+def test_full_walk_keeps_its_block_schedule(rng, shape):
+    # with the default reach the blocks, their order and their values are
+    # those of the frozen schedule, so pair_sums and every energy ladder stay
+    # bit-identical
+    pts = rng.uniform(-10, 10, size=shape)
+    got = list(_fast._upper_pairs(pts, _fast._SUM_BUDGET))
+    ref = list(_frozen_full_walk(pts, _fast._SUM_BUDGET))
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+def _banded(x, reach):
+    # (separation, index distance) of every walked pair within reach, sorted
+    pts = np.stack([x, np.arange(len(x), dtype=float)])
+    found = []
+    for diff in _fast._upper_pairs(pts, reach=reach):
+        assert diff.shape[1] <= 2 * _fast._PAIR_BUDGET
+        found += zip(*diff[:, diff[0] <= reach])
+    return sorted(found)
+
+
+def test_band_walk_is_bounded_and_complete(rng):
+    # a sparse stretch, one partner per row, then a dense cluster: the blocks
+    # that reach into the cluster are halved until they fit, and every pair
+    # within reach is walked exactly once
+    x = np.sort(np.concatenate([rng.uniform(0.0, 1000.0, 200),
+                                rng.uniform(1000.0, 1000.5, 600)]))
+    i, j = np.triu_indices(len(x), 1)
+    near = x[j] - x[i] <= 1.0
+    assert _banded(x, 1.0) == sorted(zip((x[j] - x[i])[near], (j - i)[near].astype(float)))
+
+
+def _band_check(pts, v_max, n_bins, R):
+    # both kernels (the signed one in d = 1) against the naive double loops
+    if pts.shape[1] == 1:
+        got = _fast.bin_pairs_signed(pts[:, 0], v_max, n_bins, R)
+        ref = _naive_signed(pts[:, 0], v_max, n_bins, R)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    got = _fast.bin_pairs_radial(pts, v_max, n_bins, R)
+    ref = _naive_radial(pts, v_max, n_bins, R)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    return got
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_band_edge_separation(d):
+    # about every base point b, a pair exactly v_max apart is not binned and
+    # a pair one step of the float grid closer is binned, also where it
+    # straddles the end of a block (rows 127 and 128); no other pair lies
+    # within v_max
+    v_max, R = 0.75, 4.0
+    base = 10.0 * np.arange(100)
+    closer = np.nextafter(base + v_max, -np.inf)
+    pts = np.zeros((1 + 3 * len(base), d))
+    pts[:, 0] = np.concatenate([[-100.0], base - v_max, base, closer])
+    got = _band_check(pts, v_max, 8, R)
+    tents = (R - (closer - base)) * R ** (d - 1)
+    assert got.sum() == pytest.approx(np.sum(2.0 / tents), rel=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_edge_is_decided_on_r(d):
+    # r**2 = 2 lies below v_max**2, but r rounds to v_max: not binned
+    v_max = math.sqrt(2.0)
+    assert 2.0 < v_max * v_max and math.sqrt(2.0) == v_max
+    pts = np.zeros((2, d))
+    pts[1, :2] = 1.0
+    assert not _band_check(pts, v_max, 8, 4.0).any()
+
+
+def _assert_band_rows_capped():
+    # the band walk asks only for powers of two up to isqrt(_PAIR_BUDGET)
+    # rows: adding every such row count to the cache leaves exactly those
+    # entries when no other row count was asked for since the cache was
+    # cleared
+    allowed = [2**p for p in range(1, math.isqrt(_fast._PAIR_BUDGET).bit_length())]
+    assert allowed[-1] == math.isqrt(_fast._PAIR_BUDGET)
+    for rows in allowed:
+        _fast._triangle(rows)
+    assert _fast._triangle.cache_info().currsize == len(allowed)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_band_just_below_the_window(rng, d):
+    # the band spans every pair, more than 128 points per row
+    R = 8.0
+    pts = rng.uniform(-R / 2, R / 2, size=(300, d))
+    _fast._triangle.cache_clear()
+    assert _band_check(pts, np.nextafter(R, 0.0), 16, R).sum() > 0.0
+    _assert_band_rows_capped()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_band_with_coincident_points(rng, d):
+    pts = rng.uniform(-4.0, 4.0, size=(60, d))
+    pts[10:15] = pts[3]
+    pts[40:42, 0] = pts[3, 0]
+    _band_check(pts, 1.5, 12, 16.0)
+
+
+def _rowwise_signed(x, v_max, n_bins, R):
+    # the naive reference with its inner loop over j vectorized
+    acc = np.zeros(n_bins)
+    bw = 2.0 * v_max / n_bins
+    for i in range(len(x)):
+        v = np.abs(x[i + 1:] - x[i])
+        v = v[v < v_max]
+        idx = np.clip(np.floor((v + v_max) / bw).astype(np.int64), 0, n_bins - 1)
+        np.add.at(acc, idx, 1.0 / (R - v))
+        np.add.at(acc, n_bins - 1 - idx, 1.0 / (R - v))
+    return acc
+
+
+def test_narrow_band_over_many_points(rng):
+    # about one partner per row: blocks are capped at isqrt(_PAIR_BUDGET)
+    # rows, a power of two, so no block asks for a large triangle
+    R, v_max, n_bins = 64.0, 0.01, 10
+    x = rng.uniform(-R / 2, R / 2, 4000)
+    _fast._triangle.cache_clear()
+    got = _fast.bin_pairs_signed(x, v_max, n_bins, R)
+    ref = _rowwise_signed(x, v_max, n_bins, R)
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+    assert got.sum() > 0.0
+    radial = _fast.bin_pairs_radial(x[:, None], v_max, n_bins // 2, R)
+    np.testing.assert_allclose(radial, ref[n_bins // 2:] + ref[n_bins // 2 - 1::-1],
+                               rtol=1e-12, atol=0.0)
+    _assert_band_rows_capped()

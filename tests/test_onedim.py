@@ -122,8 +122,9 @@ class TestKthNeighborDensity:
         samples = replicas(ProcessModel.poisson(1), 16.0, 5)
         with pytest.raises(DomainError):
             kth_neighbor_density(samples, 1, 16.0, 16.0)
-        with pytest.raises(ArgumentError):
-            kth_neighbor_density(samples, 0, 16.0, 4.0)
+        for k in (0, [], [2, 0]):
+            with pytest.raises(ArgumentError):
+                kth_neighbor_density(samples, k, 16.0, 4.0)
         for x_max, step in [(-2.0, 1.0 / 32.0), (4.0, 0.0), (4.0, -0.5)]:
             with pytest.raises(DomainError, match="neighbor grid"):
                 kth_neighbor_density(samples, 1, 16.0, x_max, step)
@@ -151,6 +152,18 @@ class TestKthNeighborDensity:
         values, stderr = mean_stderr(per)
         assert nd.values.tobytes() == values.tobytes()
         assert nd.stderr.tobytes() == stderr.tobytes()
+
+    def test_orders_share_one_sort(self):
+        # a sequence of orders gives, in its order, the densities that one
+        # call per order gives, bit for bit
+        batch = sample(ProcessModel.vibrating_lattice(4), 48.0, 60, Seed(5))
+        many = kth_neighbor_density(batch, range(8, 0, -3), 40.0, 20.0)
+        assert [nd.k for nd in many] == [8, 5, 2]
+        for nd in many:
+            one = kth_neighbor_density(batch, nd.k, 40.0, 20.0)
+            for field in ("centers", "values", "stderr"):
+                assert getattr(nd, field).tobytes() == getattr(one, field).tobytes()
+            assert (nd.total_mass, nd.n_replicas) == (one.total_mass, one.n_replicas)
 
     def test_fewer_than_two_replicas_rejected(self, replicas):
         # one replica has no standard error; it must not be reported as 0
