@@ -1,29 +1,25 @@
 """Hot numeric loops: pairwise kernel sums and tent-weighted pair binning.
 
-All three kernels walk unordered pairs i < j through ``_upper_pairs``, which
-hands out the differences ``pts[j] - pts[i]`` in row blocks of a bounded
-number of pairs, so each block is a few vectorized numpy calls and memory
-stays bounded for any number of points.  ``pair_sums`` walks every pair and
+``pair_sums`` walks every unordered pair i < j through ``_upper_pairs``,
+which hands out the differences ``pts[j] - pts[i]`` in row blocks of about
+``_SUM_BUDGET`` pairs, so memory stays bounded for any number of points; it
 also stacks small point sets of equal size into one matrix of triangles.
-The binning kernels keep only separations below ``v_max``, so they sort
-their points along the first coordinate and walk only the band of pairs
-whose first coordinates lie within ``v_max`` of each other.  The order of
-summation depends only on the points, so results are reproducible.
+The binning kernels keep only separations below ``v_max``: they sort a whole
+batch by (replica, first coordinate) and walk its diagonals, adding one
+``bincount`` over (replica, bin) per diagonal.  Every sum runs in an order
+set by the points of its own set or replica, so results are reproducible
+and a replica's row is the same in any batch.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from .core import Kernel
 
-# pairs per block of the binning kernels; chosen by timing 2**12..2**16 at
-# n = 64..2048 in d = 1 and n = 1024 in d = 2
-_PAIR_BUDGET = 2**14
 # pairs per block of pair_sums, whose in-place kernel gains from larger
 # blocks; chosen by timing 2**13..2**17 at n = 64..2048 in d = 1
 _SUM_BUDGET = 2**15
@@ -33,50 +29,28 @@ _SUM_BUDGET = 2**15
 def _triangle(rows: int) -> tuple[np.ndarray, np.ndarray]:
     # the pairs i < j within a block, row by row: how often each row i
     # repeats and the column indices j; shared read-only by every call.  The
-    # full walk asks for at most sqrt(_SUM_BUDGET) rows and the band walk
-    # only for powers of two up to sqrt(_PAIR_BUDGET), so the whole cache
-    # stays below 8 MB
+    # walk of pair_sums asks for at most isqrt(_SUM_BUDGET) = 181 rows, so
+    # the whole cache stays below 8 MB
     repeats = np.arange(rows - 1, -1, -1)
     j = np.triu_indices(rows, 1)[1]
     repeats.flags.writeable = j.flags.writeable = False
     return repeats, j
 
 
-def _upper_pairs(pts: np.ndarray, budget: int = _PAIR_BUDGET,
-                 reach: float = math.inf) -> Iterator[np.ndarray]:
+def _upper_pairs(pts: np.ndarray) -> Iterator[np.ndarray]:
     """Differences ``pts[..., j] - pts[..., i]`` over the pairs i < j of the
     last axis, block by block, flattened into the last axis of each block.
 
-    A block of rows ``i0:i1`` yields its in-block triangle, then its
-    rectangle against the columns ``i1:end``; empty pieces are skipped.
-    With the default infinite ``reach`` every pair is walked: ``end = n``,
-    a block holds about ``budget`` pairs, and with ``n * n <= budget`` the
-    one block is the whole triangle.  Leading axes (coordinates, stacked
-    point sets) are carried along.
-
-    With a finite ``reach``, ``pts`` is ``(d, n)`` sorted along ``pts[0]``,
-    and the walk covers at least every pair whose first coordinates are at
-    most ``reach`` apart: ``end`` is the band end of the block's last row.
-    Rows per block are ``budget`` over the first row's band, at most
-    ``isqrt(budget)`` and rounded down to a power of two, so few triangles
-    are ever cached; a block whose band widens along the axis is halved
-    until it holds at most ``2 * budget`` pairs or is one row.
+    A block of rows ``i0:i1`` holds about ``_SUM_BUDGET`` pairs: it yields
+    its in-block triangle, then its rectangle against the columns ``i1:n``;
+    empty pieces are skipped.  With ``n * n <= _SUM_BUDGET`` the one block is
+    the whole triangle.  Leading axes (coordinates, stacked point sets) are
+    carried along.
     """
     n = pts.shape[-1]
-    if reach < math.inf:
-        hi = np.searchsorted(pts[0], pts[0] + reach, "right").tolist()
-        cap = math.isqrt(budget)
     i0 = 0
     while i0 < n - 1:
-        if reach < math.inf:
-            rows = max(1, min(n - i0, cap, budget // (hi[i0] - i0)))
-            rows = 1 << (rows.bit_length() - 1)
-            while rows > 1 and rows * (hi[i0 + rows - 1] - i0) > 2 * budget:
-                rows //= 2
-            end = hi[i0 + rows - 1]
-        else:
-            rows = min(n - i0, max(1, budget // (n - i0)))
-            end = n
+        rows = min(n - i0, max(1, _SUM_BUDGET // (n - i0)))
         i1 = i0 + rows
         block = pts[..., i0:i1]
         if rows > 1:
@@ -84,8 +58,8 @@ def _upper_pairs(pts: np.ndarray, budget: int = _PAIR_BUDGET,
             diff = np.take(block, j, axis=-1)
             diff -= np.repeat(block, repeats, axis=-1)
             yield diff
-        if i1 < end:
-            rect = pts[..., None, i1:end] - block[..., :, None]
+        if i1 < n:
+            rect = pts[..., None, i1:] - block[..., :, None]
             yield rect.reshape(*pts.shape[:-1], -1)
         i0 = i1
 
@@ -110,7 +84,7 @@ def _stack_sums(coords: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndar
     """``pair_sums`` of the m point sets of ``coords``, shape ``(d, m, n)``."""
     sums = np.zeros(coords.shape[1])
     min_r2 = np.full(coords.shape[1], np.inf)
-    for diff in _upper_pairs(coords, _SUM_BUDGET):
+    for diff in _upper_pairs(coords):
         diff *= diff
         r2 = diff.sum(axis=0) if len(diff) > 1 else diff[0]
         block_min = r2.min(axis=1)
@@ -155,34 +129,64 @@ def pair_sum(pts: np.ndarray, kernel: Kernel) -> tuple[float, float]:
     return float(sums[0]), float(min_r2[0])
 
 
-def bin_pairs_signed(x: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
-    """Tent-corrected weights of signed 1d separations, both pair orders."""
-    acc = np.zeros(n_bins)
+def sort_batch(points: np.ndarray, replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(N, d)`` rows ``points`` and their replica ids ``replica``,
+    sorted by (replica, first coordinate); ties keep their order."""
+    along = np.lexsort((points[:, 0], replica))
+    return points[along], replica[along]
+
+
+def _band_diagonals(points: np.ndarray, offsets: np.ndarray, reach: float
+                    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per diagonal k = 1, 2, ... of the batch sorted by ``sort_batch``: the
+    replica of each i, the ``band`` mask of the pairs (i, i + k) of one
+    replica with first coordinates at most ``reach`` apart, and the
+    differences ``pts[i + k] - pts[i]``, shape ``(d, N - k)``.  The walk
+    stops at the first diagonal with an empty band, which is exact: within a
+    replica the sorted gaps only grow with k."""
+    replica = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+    pts, replica = sort_batch(points, replica)
+    coords = np.ascontiguousarray(pts.T)
+    for k in range(1, len(replica)):
+        diff = coords[:, k:] - coords[:, :-k]
+        band = (replica[k:] == replica[:-k]) & (diff[0] <= reach)
+        if not band.any():
+            return
+        yield replica[:-k], band, diff
+
+
+def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,
+                     R: float) -> np.ndarray:
+    """Tent-corrected weights of signed 1d separations, both pair orders, one
+    row per replica ``points[offsets[j]:offsets[j + 1], 0]``."""
+    acc = np.zeros((offsets.size - 1) * n_bins)
     bw = 2.0 * v_max / n_bins
-    # sorted, every walked separation v is >= 0; |v| < v_max decides, on the
-    # superset of pairs in the band
-    for v in _upper_pairs(np.sort(x)[None], reach=v_max * (1.0 + 1e-9)):
-        v = v[0]
-        v = v[v < v_max]
+    # sorted, every separation v in the band is >= 0; |v| < v_max decides,
+    # on the superset of pairs in the band
+    for rows, band, diff in _band_diagonals(points, offsets, v_max * (1.0 + 1e-9)):
+        near = np.flatnonzero(band & (diff[0] < v_max))
+        v = diff[0, near]
         idx = np.floor((v + v_max) / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += np.bincount(idx, 1.0 / (R - v), minlength=n_bins)
+        acc += np.bincount(rows[near] * n_bins + idx, 1.0 / (R - v), minlength=acc.size)
+    acc = acc.reshape(-1, n_bins)
     # the pair order j, i has separation -v and lands in the mirrored bin
-    return acc + acc[::-1]
+    return acc + acc[:, ::-1]
 
 
-def bin_pairs_radial(pts: np.ndarray, v_max: float, n_bins: int, R: float) -> np.ndarray:
-    """Tent-corrected radial pair weights for d >= 2 (ordered pairs)."""
-    acc = np.zeros(n_bins)
+def bin_pairs_radial(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,
+                     R: float) -> np.ndarray:
+    """Tent-corrected radial pair weights (ordered pairs), one row per
+    replica ``points[offsets[j]:offsets[j + 1]]``."""
+    acc = np.zeros((offsets.size - 1) * n_bins)
     bw = v_max / n_bins
     reach = v_max * (1.0 + 1e-9)
-    coords = np.ascontiguousarray(pts[np.argsort(pts[:, 0], kind="stable")].T)
-    for diff in _upper_pairs(coords, reach=reach):
+    for rows, band, diff in _band_diagonals(points, offsets, reach):
         r2 = diff[0] * diff[0]
         for c in diff[1:]:
             r2 += c * c
         # 0 < r < v_max decides, on the superset of pairs with r**2 <= reach**2
-        near = np.flatnonzero(r2 <= reach * reach)
+        near = np.flatnonzero(band & (r2 <= reach * reach))
         r = np.sqrt(r2[near])
         keep = (r < v_max) & (r > 0.0)
         near, r = near[keep], r[keep]
@@ -191,5 +195,5 @@ def bin_pairs_radial(pts: np.ndarray, v_max: float, n_bins: int, R: float) -> np
             tent *= R - np.abs(c[near])
         idx = np.floor(r / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += np.bincount(idx, 2.0 / tent, minlength=n_bins)
-    return acc
+        acc += np.bincount(rows[near] * n_bins + idx, 2.0 / tent, minlength=acc.size)
+    return acc.reshape(-1, n_bins)

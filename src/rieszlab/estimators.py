@@ -88,41 +88,33 @@ def estimate_rho2(samples: Replicas, bins: GridSpec) -> CorrelationEstimate:
     Every ordered pair in the window contributes ``1 / (bin volume *
     prod_i (R - |v_i|))`` to the bin of its separation; the tent factor is
     the exact volume of translated pairs, so the estimator is unbiased
-    bin-average-wise.  Standard errors are across replicas.
+    bin-average-wise.  The whole batch is binned in one kernel call, one row
+    per replica; standard errors are across replicas.
     """
     _require_replicas(len(samples))
     d, R = samples.d, samples.R
     if not bins.v_max < R:
         raise DomainError("v_max must be smaller than the window side R")
 
-    n_rep = len(samples)
-    rows = [samples.points[a:b] for a, b in zip(samples.offsets[:-1], samples.offsets[1:])]
     if d == 1:
         n_bins = bins.n_bins + (bins.n_bins % 2)
         bw = 2.0 * bins.v_max / n_bins
         centers = -bins.v_max + bw * (np.arange(n_bins) + 0.5)
-        per = np.empty((n_rep, n_bins))
-        for i, pts in enumerate(rows):
-            acc = _fast.bin_pairs_signed(pts[:, 0], bins.v_max, n_bins, R)
-            per[i] = acc / bw - 1.0
-        mode = "signed"
+        kernel, norm, mode = _fast.bin_pairs_signed, bw, "signed"
     else:
         n_bins = bins.n_bins
         bw = bins.v_max / n_bins
         centers = bw * (np.arange(n_bins) + 0.5)
         edges = bw * np.arange(n_bins + 1)
         if d == 2:
-            shell = math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+            norm = math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
         else:
-            shell = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
-        per = np.empty((n_rep, n_bins))
-        for i, pts in enumerate(rows):
-            acc = _fast.bin_pairs_radial(pts, bins.v_max, n_bins, R)
-            per[i] = acc / shell - 1.0
-        mode = "radial"
+            norm = 4.0 * math.pi / 3.0 * (edges[1:] ** 3 - edges[:-1] ** 3)
+        kernel, mode = _fast.bin_pairs_radial, "radial"
 
-    values, stderr = mean_stderr(per)
-    return CorrelationEstimate(d, centers, values, stderr, n_rep, mode, bw)
+    acc = kernel(samples.points, samples.offsets, bins.v_max, n_bins, R)
+    values, stderr = mean_stderr(acc / norm - 1.0)
+    return CorrelationEstimate(d, centers, values, stderr, len(samples), mode, bw)
 
 
 def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: int,

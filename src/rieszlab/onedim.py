@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from . import _fast
 from .core import (
     ArgumentError,
     DivergenceError,
@@ -104,10 +105,9 @@ def kth_neighbor_density(samples: Replicas, k: int | Sequence[int], L: float, x_
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
-    x = samples.points[inside, 0]
     replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
-    along = np.lexsort((x, replica))
-    x, replica = x[along], replica[along]
+    pts, replica = _fast.sort_batch(samples.points[inside], replica)
+    x = pts[:, 0]
     densities = []
     for order in orders:
         gaps = x[order:] - x[:-order]

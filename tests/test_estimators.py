@@ -45,12 +45,13 @@ class TestBatchAgainstReplicaLoop:
         est = estimate_rho2(batch, GridSpec(v_max, 8))
         per = []
         for cfg in batch:
+            one = np.array([0, cfg.n])
             if model.d == 1:
-                acc = _fast.bin_pairs_signed(np.sort(cfg.points[:, 0]), v_max, 8, R)
+                acc = _fast.bin_pairs_signed(cfg.points, one, v_max, 8, R)[0]
                 per.append(acc / est.bin_width - 1.0)
             else:
                 edges = est.bin_width * np.arange(9)
-                acc = _fast.bin_pairs_radial(cfg.points, v_max, 8, R)
+                acc = _fast.bin_pairs_radial(cfg.points, one, v_max, 8, R)[0]
                 per.append(acc / (math.pi * (edges[1:] ** 2 - edges[:-1] ** 2)) - 1.0)
         values, stderr = mean_stderr(per)
         assert est.values.tobytes() == values.tobytes()

@@ -7,7 +7,7 @@ import pytest
 
 from rieszlab import _fast, log_kernel, riesz_kernel
 
-N_MULTI_BLOCK = 300  # spans several blocks of _fast._PAIR_BUDGET pairs
+N_MULTI_BLOCK = 300  # spans several blocks of _fast._SUM_BUDGET pairs
 
 
 def _kernel(family, s):
@@ -61,7 +61,15 @@ def rng():
 
 
 def test_multi_block_size_spans_several_blocks():
-    assert N_MULTI_BLOCK * (N_MULTI_BLOCK - 1) // 2 > 2 * _fast._PAIR_BUDGET
+    # three row blocks of the full walk, each a triangle and a rectangle
+    # but the last
+    assert N_MULTI_BLOCK * (N_MULTI_BLOCK - 1) // 2 > _fast._SUM_BUDGET
+    assert len(list(_fast._upper_pairs(np.zeros((1, N_MULTI_BLOCK))))) == 5
+
+
+def _one(pts):
+    # the offsets of a batch holding the single replica pts
+    return np.array([0, len(pts)])
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, N_MULTI_BLOCK])
@@ -81,9 +89,10 @@ def test_bin_pairs_signed_matches_naive(rng, n):
     x = rng.uniform(-32, 32, n)
     if n == 2:
         x = np.array([2.5, -1.0])  # one pair inside v_max, on a bin edge
-    got = _fast.bin_pairs_signed(x, 8.0, 64, 64.0)
+    got = _fast.bin_pairs_signed(x[:, None], _one(x), 8.0, 64, 64.0)[0]
     np.testing.assert_allclose(got, _naive_signed(x, 8.0, 64, 64.0), rtol=1e-12, atol=0.0)
-    assert got.tobytes() == _fast.bin_pairs_signed(np.sort(x), 8.0, 64, 64.0).tobytes()
+    assert got.tobytes() == _fast.bin_pairs_signed(np.sort(x)[:, None], _one(x), 8.0, 64,
+                                                   64.0)[0].tobytes()
     if n >= 2:
         assert got.sum() > 0.0
 
@@ -94,7 +103,7 @@ def test_bin_pairs_radial_matches_naive(rng, n, d):
     pts = rng.uniform(-8, 8, size=(n, d))
     if n == 2:
         pts = np.array([[0.0] * d, [1.5] * d])
-    got = _fast.bin_pairs_radial(pts, 4.0, 32, 16.0)
+    got = _fast.bin_pairs_radial(pts, _one(pts), 4.0, 32, 16.0)[0]
     np.testing.assert_allclose(got, _naive_radial(pts, 4.0, 32, 16.0), rtol=1e-12, atol=0.0)
     if n >= 2:
         assert got.sum() > 0.0
@@ -154,13 +163,13 @@ def test_pair_sums_match_exact_sum(rng, kernel):
 
 def test_coincident_pair_is_not_binned():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-    got = _fast.bin_pairs_radial(pts, 4.0, 8, 16.0)
+    got = _fast.bin_pairs_radial(pts, _one(pts), 4.0, 8, 16.0)[0]
     np.testing.assert_allclose(got, _naive_radial(pts, 4.0, 8, 16.0), rtol=1e-12, atol=0.0)
 
 
 def _frozen_full_walk(pts, budget):
     # the every-pair block schedule that pair_sums has always walked, kept
-    # here as the reference for the default reach of _upper_pairs
+    # here as the reference for _upper_pairs
     n = pts.shape[-1]
     i0 = 0
     while i0 < n - 1:
@@ -179,45 +188,53 @@ def _frozen_full_walk(pts, budget):
 @pytest.mark.parametrize("shape", [(1, 2), (2, 181), (3, 182), (1, 2048), (2, 4, 7),
                                    (1, 3, 181), (3, 2, 182)])
 def test_full_walk_keeps_its_block_schedule(rng, shape):
-    # with the default reach the blocks, their order and their values are
-    # those of the frozen schedule, so pair_sums and every energy ladder stay
-    # bit-identical
+    # the blocks, their order and their values are those of the frozen
+    # schedule, so pair_sums and every energy ladder stay bit-identical
     pts = rng.uniform(-10, 10, size=shape)
-    got = list(_fast._upper_pairs(pts, _fast._SUM_BUDGET))
+    got = list(_fast._upper_pairs(pts))
     ref = list(_frozen_full_walk(pts, _fast._SUM_BUDGET))
     assert len(got) == len(ref)
     for g, r in zip(got, ref):
         assert g.shape == r.shape and g.tobytes() == r.tobytes()
 
 
-def _banded(x, reach):
-    # (separation, index distance) of every walked pair within reach, sorted
-    pts = np.stack([x, np.arange(len(x), dtype=float)])
-    found = []
-    for diff in _fast._upper_pairs(pts, reach=reach):
-        assert diff.shape[1] <= 2 * _fast._PAIR_BUDGET
-        found += zip(*diff[:, diff[0] <= reach])
-    return sorted(found)
+def _banded(points, offsets, reach):
+    # (replica, separation, index distance) of every pair in the band of the
+    # walk, sorted, and the number of diagonals walked
+    found, diagonals = [], 0
+    for k, (rows, band, diff) in enumerate(
+            _fast._band_diagonals(points, offsets, reach), start=1):
+        found += zip(rows[band], diff[0, band], [k] * int(band.sum()))
+        diagonals = k
+    return sorted(found), diagonals
 
 
 def test_band_walk_is_bounded_and_complete(rng):
-    # a sparse stretch, one partner per row, then a dense cluster: the blocks
-    # that reach into the cluster are halved until they fit, and every pair
-    # within reach is walked exactly once
-    x = np.sort(np.concatenate([rng.uniform(0.0, 1000.0, 200),
-                                rng.uniform(1000.0, 1000.5, 600)]))
-    i, j = np.triu_indices(len(x), 1)
-    near = x[j] - x[i] <= 1.0
-    assert _banded(x, 1.0) == sorted(zip((x[j] - x[i])[near], (j - i)[near].astype(float)))
+    # a sparse stretch, one partner per row, then a dense cluster, shuffled,
+    # and a second replica of every seventh point: every pair within reach
+    # is walked exactly once, and the walk ends with the diagonal of the
+    # widest band
+    x = np.concatenate([rng.uniform(0.0, 1000.0, 200), rng.uniform(1000.0, 1000.5, 600)])
+    x = rng.permutation(x)
+    reps = [np.sort(x), np.sort(x[::7])]
+    ref = []
+    for r, xs in enumerate(reps):
+        i, j = np.triu_indices(len(xs), 1)
+        near = xs[j] - xs[i] <= 1.0
+        ref += zip([r] * int(near.sum()), (xs[j] - xs[i])[near], j[near] - i[near])
+    points = np.concatenate([x, x[::7]])[:, None]
+    found, diagonals = _banded(points, np.array([0, 800, 800 + len(x[::7])]), 1.0)
+    assert found == sorted(ref)
+    assert diagonals == max(k for _, _, k in ref)
 
 
 def _band_check(pts, v_max, n_bins, R):
     # both kernels (the signed one in d = 1) against the naive double loops
     if pts.shape[1] == 1:
-        got = _fast.bin_pairs_signed(pts[:, 0], v_max, n_bins, R)
+        got = _fast.bin_pairs_signed(pts, _one(pts), v_max, n_bins, R)[0]
         ref = _naive_signed(pts[:, 0], v_max, n_bins, R)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
-    got = _fast.bin_pairs_radial(pts, v_max, n_bins, R)
+    got = _fast.bin_pairs_radial(pts, _one(pts), v_max, n_bins, R)[0]
     ref = _naive_radial(pts, v_max, n_bins, R)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     return got
@@ -226,8 +243,7 @@ def _band_check(pts, v_max, n_bins, R):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_band_edge_separation(d):
     # about every base point b, a pair exactly v_max apart is not binned and
-    # a pair one step of the float grid closer is binned, also where it
-    # straddles the end of a block (rows 127 and 128); no other pair lies
+    # a pair one step of the float grid closer is binned; no other pair lies
     # within v_max
     v_max, R = 0.75, 4.0
     base = 10.0 * np.arange(100)
@@ -249,26 +265,12 @@ def test_radial_edge_is_decided_on_r(d):
     assert not _band_check(pts, v_max, 8, 4.0).any()
 
 
-def _assert_band_rows_capped():
-    # the band walk asks only for powers of two up to isqrt(_PAIR_BUDGET)
-    # rows: adding every such row count to the cache leaves exactly those
-    # entries when no other row count was asked for since the cache was
-    # cleared
-    allowed = [2**p for p in range(1, math.isqrt(_fast._PAIR_BUDGET).bit_length())]
-    assert allowed[-1] == math.isqrt(_fast._PAIR_BUDGET)
-    for rows in allowed:
-        _fast._triangle(rows)
-    assert _fast._triangle.cache_info().currsize == len(allowed)
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_band_just_below_the_window(rng, d):
-    # the band spans every pair, more than 128 points per row
+    # the band spans every pair, so the walk runs to the last diagonal
     R = 8.0
     pts = rng.uniform(-R / 2, R / 2, size=(300, d))
-    _fast._triangle.cache_clear()
     assert _band_check(pts, np.nextafter(R, 0.0), 16, R).sum() > 0.0
-    _assert_band_rows_capped()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -293,16 +295,48 @@ def _rowwise_signed(x, v_max, n_bins, R):
 
 
 def test_narrow_band_over_many_points(rng):
-    # about one partner per row: blocks are capped at isqrt(_PAIR_BUDGET)
-    # rows, a power of two, so no block asks for a large triangle
+    # about one partner per row: the walk stops after a few diagonals
     R, v_max, n_bins = 64.0, 0.01, 10
     x = rng.uniform(-R / 2, R / 2, 4000)
-    _fast._triangle.cache_clear()
-    got = _fast.bin_pairs_signed(x, v_max, n_bins, R)
+    got = _fast.bin_pairs_signed(x[:, None], _one(x), v_max, n_bins, R)[0]
     ref = _rowwise_signed(x, v_max, n_bins, R)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
     assert got.sum() > 0.0
-    radial = _fast.bin_pairs_radial(x[:, None], v_max, n_bins // 2, R)
+    radial = _fast.bin_pairs_radial(x[:, None], _one(x), v_max, n_bins // 2, R)[0]
     np.testing.assert_allclose(radial, ref[n_bins // 2:] + ref[n_bins // 2 - 1::-1],
                                rtol=1e-12, atol=0.0)
-    _assert_band_rows_capped()
+
+
+def _ragged_batch(rng, d):
+    # replicas of 0, 1 and 2 points, a dense cluster next to a sparse
+    # stretch with a coincident pair, and points tied in the first
+    # coordinate, each in random order
+    mixed = np.concatenate([rng.uniform(-30.0, 0.0, (40, d)), rng.uniform(0.0, 0.5, (150, d))])
+    mixed[5] = mixed[60]
+    ties = rng.uniform(-4.0, 4.0, (50, d))
+    ties[::5, 0] = ties[0, 0]
+    ties[1::5, 0] = ties[1, 0] + 1.0
+    reps = [np.empty((0, d)), rng.uniform(-4.0, 4.0, (1, d)), np.full((2, d), 0.5), mixed,
+            np.empty((0, d)), ties]
+    reps[2][1, 0] = 1.75
+    return [rng.permutation(pts) for pts in reps]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ragged_batch_matches_naive(rng, d):
+    # each row of a batch against the naive double loop over its replica,
+    # and byte for byte against the same replica binned alone
+    v_max, n_bins, R = 2.0, 16, 64.0
+    reps = _ragged_batch(rng, d)
+    points = np.concatenate(reps)
+    offsets = np.concatenate([[0], np.cumsum([len(pts) for pts in reps])])
+    kernels = [(_fast.bin_pairs_radial, _naive_radial)]
+    if d == 1:
+        kernels.append((_fast.bin_pairs_signed, lambda p, *a: _naive_signed(p[:, 0], *a)))
+    for kernel, naive in kernels:
+        got = kernel(points, offsets, v_max, n_bins, R)
+        assert got.shape == (len(reps), n_bins)
+        for row, pts in zip(got, reps):
+            np.testing.assert_allclose(row, naive(pts, v_max, n_bins, R), rtol=1e-12, atol=0.0)
+            assert row.tobytes() == kernel(pts, _one(pts), v_max, n_bins, R)[0].tobytes()
+        assert not got[[0, 1, 4]].any() and got[[2, 3, 5]].any(axis=1).all()
