@@ -7,10 +7,10 @@ gap-law descriptors are tables keyed by their tag (``variant``, ``family``,
 ``route`` picks its keys the same way.  One recursive checker rejects, at any
 depth, unknown keys (also keys the chosen variant or route does not use),
 missing keys and wrong types (an int key takes only a JSON integer, a count a
-positive one), naming the key path.  ``run`` validates, fills in defaults,
-builds the descriptors and runs the cross-field checks before it writes
-anything; ``manifest.json`` echoes the resolved spec and records the python,
-numpy and scipy versions.
+positive one, the seed one in [0, 2**64), where no two seeds alias), naming
+the key path.  ``run`` validates, fills in defaults, builds the descriptors
+and runs the cross-field checks before it writes anything; ``manifest.json``
+echoes the resolved spec and records the python, numpy and scipy versions.
 
 The handlers write every output file from plain library results: CSVs under
 the headers of ``HEADERS``, JSON reports from the results' dataclass fields.
@@ -59,6 +59,7 @@ class ValidationFailure(ValueError):
 REQUIRED = object()
 FLOATS = "a non-empty list of numbers"
 COUNT = "a positive integer"
+SEED = "an integer in [0, 2**64)"
 
 
 class Tag(dict):
@@ -81,6 +82,7 @@ _TYPES = {
     str: ("a string", lambda x: isinstance(x, str)),
     FLOATS: (FLOATS, lambda x: isinstance(x, list) and x and all(map(_is_number, x))),
     COUNT: (COUNT, lambda x: isinstance(x, int) and not isinstance(x, bool) and x >= 1),
+    SEED: (SEED, lambda x: isinstance(x, int) and not isinstance(x, bool) and 0 <= x < 2**64),
 }
 
 GAP_LAW = {"law": (Tag({
@@ -268,11 +270,13 @@ COMMANDS = {
         "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "n_replicas": (COUNT, 2000), "tile_count": (COUNT, 2)},
         ((lambda a: a["model"].variant is Variant.RENEWAL,
-          "config.model: pinsker compares a renewal model against the memoryless baseline"),)),
+          "config.model: pinsker compares a renewal model against the memoryless baseline"),
+         (lambda a: a["seed"] < 2**64 - 1,
+          "config.seed: pinsker draws the baseline from seed + 1, which must stay below 2**64"))),
 }
 
 SPEC = {"command": (Tag({name: (c.keys, None) for name, c in COMMANDS.items()}), REQUIRED),
-        "seed": (int, 0), "out": (str, ".")}
+        "seed": (SEED, 0), "out": (str, ".")}
 
 
 def _resolve(value, typ, path: str) -> tuple[object, object]:

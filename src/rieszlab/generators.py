@@ -4,11 +4,14 @@ two-point correlation functions.
 All models have intensity 1.  ``sample(model, R, n, seed, rung)`` is the one
 sampler and the one seed schedule: it draws the n replicas of rung ``rung``
 of an R ladder as one ``Replicas`` batch, replica j from its own stream
-``Seed(seed.master, seed.replica + rung * n + j)``.  So a replica's points
-depend only on its model, R and stream, bit for bit, whatever batch it is
-drawn in, and replicas can be drawn by any number of workers without shared
-state.  In a batch, ``len`` counts replicas and ``n`` counts points; the
-window checks run once per batch.
+``Seed(seed.master, seed.replica + rung * n + j)``.  Stream ``Seed(m, r)`` is
+numpy's ``default_rng(SeedSequence(entropy=m, spawn_key=(r,)))`` with m taken
+mod 2**64; ``sample`` derives the seed words of every stream of a batch in one
+vectorised pass of the SeedSequence hash.  So a replica's points depend only
+on its model, R and stream, bit for bit, whatever batch it is drawn in, and
+replicas can be drawn by any number of workers without shared state.  In a
+batch, ``len`` counts replicas and ``n`` counts points; the window checks run
+once per batch.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 from scipy.fft import next_fast_len
 
@@ -218,16 +222,141 @@ class ProcessModel:
 
 @dataclass(frozen=True)
 class Seed:
-    """(master, replica) pair; distinct replicas give independent streams."""
+    """(master, replica) pair; distinct replicas give independent streams.
+
+    Both are integers, the replica nonnegative.  Stream (m, r) is numpy's
+    ``default_rng(SeedSequence(entropy=m mod 2**64, spawn_key=(r,)))``, so
+    masters congruent mod 2**64 alias and any replica can be rebuilt with
+    plain numpy.
+    """
 
     master: int
     replica: int = 0
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=int(self.master) & (2**64 - 1),
-                                   spawn_key=(int(self.replica),))
-        )
+    def __post_init__(self) -> None:
+        for name in ("master", "replica"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ArgumentError(f"seed {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.replica < 0:
+            raise ArgumentError(f"seed replica must be nonnegative, got {self.replica!r}")
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe; NEP 19 fixes its output),
+# run for a whole batch of spawn keys at once.  The hash constants do not
+# depend on the data, so step i of every replica is one array operation; the
+# constants stay Python ints masked to 32 bits and the arrays uint32, which
+# wrap silently (numpy scalars would warn on overflow)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # pool words; PCG64 asks for 4 uint64 = 8 uint32 state words
+
+
+def _powers(init: int, mult: int, first: int, count: int) -> list[int]:
+    """The hash constants ``init * mult**i`` mod 2**32 for i in [first, first +
+    count]; hash step i xors its word with constant i and multiplies it by
+    constant i + 1."""
+    consts = [init * pow(mult, first, 1 << 32) & _MASK32]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _hashmix(value, xor, mult):
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+# the 16 hashmix steps that make the pool from the master come first
+_MASTER_CONSTS = _powers(_INIT_A, _MULT_A, 0, 4 * _POOL)
+
+
+def _master_pool(master: int) -> np.ndarray:
+    """The entropy pool of ``master`` before a spawn key is mixed in, as a
+    ``(4, 1)`` column: the master's two words, zero-padded to the pool size,
+    hashed and mixed with each other."""
+    c = _MASTER_CONSTS
+    pool = [_hashmix(word, c[i], c[i + 1])
+            for i, word in enumerate([master & _MASK32, master >> 32, 0, 0])]
+    step = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[step], c[step + 1]))
+                step += 1
+    return np.array(pool, dtype=np.uint32)[:, None]
+
+
+def _key_consts(word: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants, as ``(4, 1)`` columns, of the hash
+    steps of spawn-key word ``word``: one step per pool word it mixes into."""
+    consts = np.array(_powers(_INIT_A, _MULT_A, 4 * _POOL + _POOL * word, _POOL),
+                      dtype=np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
+_KEY_XOR, _KEY_MULT = _key_consts(0)
+# generate_state's xor and multiplier constants of the 8 state words, which
+# cycle through the pool: INIT_B * MULT_B**i and INIT_B * MULT_B**(i + 1)
+_STATE_CONSTS = np.array(_powers(_INIT_B, _MULT_B, 0, 2 * _POOL), dtype=np.uint32)[:, None]
+_STATE_XOR, _STATE_MULT = _STATE_CONSTS[:-1], _STATE_CONSTS[1:]
+
+
+def _seed_states(master: int, first: int, n: int) -> np.ndarray:
+    """The PCG64 seed words, ``(n, 4)`` uint64, of streams ``(master, first +
+    j)``: ``SeedSequence(master mod 2**64, spawn_key=(first + j,))
+    .generate_state(4, np.uint64)`` bit for bit.
+
+    A spawn key r appends the 32-bit words of r, least significant first, to
+    the entropy after the pool.  Between multiples of 2**32 only the first
+    word varies, so each such run of replicas hashes that word as one ``(4,
+    m)`` array and its other words as ``(4, 1)`` constants.
+    """
+    base = _master_pool(master & (2**64 - 1))
+    states = []
+    start, end = first, first + n
+    while start < end:
+        stop = min(end, ((start >> 32) + 1) << 32)
+        low = np.arange(start & _MASK32, (start & _MASK32) + stop - start, dtype=np.uint32)
+        pool = _mix(base, _hashmix(low, _KEY_XOR, _KEY_MULT))
+        high, word = start >> 32, 1
+        while high:
+            pool = _mix(pool, _hashmix(high & _MASK32, *_key_consts(word)))
+            high, word = high >> 32, word + 1
+        words = (np.concatenate([pool, pool]) ^ _STATE_XOR) * _STATE_MULT
+        words ^= words >> 16
+        # pairs of uint32 words read as little-endian uint64, as numpy does
+        states.append(np.ascontiguousarray(words.T, dtype="<u4").view("<u8"))
+        start = stop
+    return np.concatenate(states).astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """One stream's precomputed PCG64 seed words, handed to ``PCG64`` through
+    numpy's seed-sequence interface."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve PCG64's 4 uint64 words only")
+        return self.words
+
+
+def _streams(master: int, first: int, n: int):
+    """The generators of streams ``(master, first + j)``, made one at a time, so
+    only one replica's generator is alive at once."""
+    for words in _seed_states(master, first, n):
+        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +479,9 @@ _DRAWS = {
 def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> Replicas:
     """The ``n`` replicas of ``model`` in the centred cube of side ``R`` on rung
     ``rung`` of an R ladder, as one batch; replica j draws from
-    ``Seed(seed.master, seed.replica + rung * n + j)``.
+    ``Seed(seed.master, seed.replica + rung * n + j)``, that is from
+    ``default_rng(SeedSequence(entropy=seed.master mod 2**64,
+    spawn_key=(seed.replica + rung * n + j,)))``.
 
     The marginal law inside the window is exact for every variant: block and
     lattice models generate one tile of margin and clip, the renewal model
@@ -361,11 +492,9 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> 
     R = _side(R)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
-    first = seed.replica + rung * n
-    # made one at a time, so only one replica's generator is alive at once
-    rngs = (Seed(seed.master, first + j).rng() for j in range(n))
+    n = int(n)
     draw, clipped = _DRAWS[model.variant]
-    pts, counts = draw(model, R, rngs)
+    pts, counts = draw(model, R, _streams(seed.master, seed.replica + rung * n, n))
     offsets = np.concatenate([[0], np.cumsum(counts)])
     if clipped:
         keep = np.all((pts >= -R / 2.0) & (pts <= R / 2.0), axis=1)

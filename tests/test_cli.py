@@ -330,6 +330,34 @@ class TestSpecLayer:
         _reject(runner, tmp_path, "variance", spec, "config.c_log")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("seed", [-3, -1, 2**64, 2**64 + 5, True, 1.0])
+    def test_seed_outside_the_stream_domain(self, tmp_path, runner, seed):
+        # masters are taken mod 2**64, so -3 and 2**64 - 3 would draw the same streams
+        _reject(runner, tmp_path, "generate",
+                {"model": {"variant": "poisson"}, "R": 4, "seed": seed},
+                "config.seed must be an integer in [0, 2**64)")
+
+    def test_seed_flag_outside_the_stream_domain(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.json", {"model": {"variant": "poisson"}, "R": 4})
+        res = runner.invoke(main, ["generate", "--config", cfg, "--seed", "-3",
+                                   "--out", str(tmp_path / "out")])
+        assert res.exit_code == 2, res.output
+        assert "config.seed must be an integer in [0, 2**64), got -3" in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path, runner):
+        cfg = _write(tmp_path, "c.json", {"model": {"variant": "poisson"}, "R": 4,
+                                          "seed": 2**64 - 1})
+        res = runner.invoke(main, ["generate", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert res.exit_code == 0, res.output
+
+    def test_pinsker_keeps_its_second_stream_in_the_domain(self, tmp_path, runner):
+        spec = {"model": GAMMA_TWO, "R_list": [2, 4], "n_replicas": 50}
+        _reject(runner, tmp_path, "pinsker", {**spec, "seed": 2**64 - 1},
+                "config.seed: pinsker draws the baseline from seed + 1")
+        cfg = _write(tmp_path, "ok.json", {**spec, "seed": 2**64 - 2})
+        assert _load_spec("pinsker", cfg, None, None)["seed"] == 2**64 - 2
+
     @pytest.mark.parametrize("command, spec, needle", [
         ("variance", {"model": {"variant": "poisson"}, "R_list": [4, 8, 16, 32],
                       "n_replicas": 30}, "one decade"),

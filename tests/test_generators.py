@@ -61,6 +61,12 @@ class TestValidation:
             assert float(law.partial_mean(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-12)
 
 
+def _numpy_rng(master: int, replica: int) -> np.random.Generator:
+    """Stream ``Seed(master, replica)`` built by numpy alone, independent of
+    the seeding code under test."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=master, spawn_key=(replica,)))
+
+
 def _reference_draw(model: ProcessModel, R: float, rng: np.random.Generator) -> np.ndarray:
     """One replica drawn from ``rng`` replica by replica, as the samplers drew
     before they drew whole batches: the reference for the batch draws."""
@@ -120,8 +126,8 @@ class TestSampling:
         gamma_one = ProcessModel.renewal(GapLaw.gamma(1.0))
         assert exponential.describe() == gamma_one.describe() == "renewal(exponential)"
         for replica in range(5):
-            draws = GapLaw.gamma(1.0).sample(Seed(3, replica).rng(), 1000)
-            np.testing.assert_array_equal(draws, Seed(3, replica).rng().exponential(1.0, 1000))
+            draws = GapLaw.gamma(1.0).sample(_numpy_rng(3, replica), 1000)
+            np.testing.assert_array_equal(draws, _numpy_rng(3, replica).exponential(1.0, 1000))
         a = sample(exponential, 40.0, 5, Seed(9))
         b = sample(gamma_one, 40.0, 5, Seed(9))
         np.testing.assert_array_equal(a.offsets, b.offsets)
@@ -140,7 +146,7 @@ class TestSampling:
                 assert len(batch) == n and batch.R == R and batch.d == model.d
                 assert batch.n == batch.points.shape[0] == batch.counts.sum()
                 for j in range(n):
-                    ref = _reference_draw(model, R, Seed(77, 5 + rung * n + j).rng())
+                    ref = _reference_draw(model, R, _numpy_rng(77, 5 + rung * n + j))
                     assert batch[j].R == R
                     assert batch[j].points.tobytes() == ref.tobytes()
                     assert batch.counts[j] == len(ref)
@@ -149,7 +155,7 @@ class TestSampling:
         batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3), rung=1)
         assert (batch.counts == 0).any() and (batch.counts > 0).any()
         for j in range(len(batch)):
-            ref = _reference_draw(ProcessModel.poisson(1), 0.5, Seed(3, 40 + j).rng())
+            ref = _reference_draw(ProcessModel.poisson(1), 0.5, _numpy_rng(3, 40 + j))
             assert batch[j].points.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
@@ -201,8 +207,8 @@ class TestSampling:
     def test_bernoulli_tiles_hold_exactly_k_points(self):
         # all tile points before the clip, less the shift u (the stream's first draw)
         k, R = 3, 18.0
-        pts, _ = _draw_bernoulli(ProcessModel.bernoulli_block(k), R, [Seed(21).rng()])
-        x = pts[:, 0] - Seed(21).rng().uniform(0.0, float(k), 1)[0]
+        pts, _ = _draw_bernoulli(ProcessModel.bernoulli_block(k), R, [_numpy_rng(21, 0)])
+        x = pts[:, 0] - _numpy_rng(21, 0).uniform(0.0, float(k), 1)[0]
         tiles = np.floor(x / k)
         _, counts = np.unique(tiles, return_counts=True)
         assert np.all(counts == k)
@@ -222,6 +228,53 @@ class TestSampling:
         gaps = np.diff(np.sort(cfg.points[:, 0]))
         assert np.all(gaps >= 1.0 - 2.0 / k - 1e-12)
         assert np.all(gaps <= 1.0 + 2.0 / k + 1e-12)
+
+
+class TestSeedStreams:
+    MASTERS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    # (first replica, batch size): the ids 0, 1, 2**31, 2**32 - 1, 2**32 and
+    # 2**33 + 7, with batches that cross 2**32 and 2**64
+    BATCHES = [(0, 2), (2**31, 1), (2**32 - 2, 4), (2**33 + 7, 1), (2**64 - 1, 2)]
+
+    def test_domain(self):
+        with pytest.raises(ArgumentError, match="nonnegative"):
+            Seed(1, -1)
+        for master, replica in [(1.0, 0), (1, 2.0), ("1", 0), (True, 0), (1, None)]:
+            with pytest.raises(ArgumentError, match="must be an integer"):
+                Seed(master, replica)
+        assert Seed(np.int64(3), np.uint32(2)) == Seed(3, 2)
+        assert type(Seed(np.int64(3)).master) is int
+
+    def test_states_are_numpys_seed_sequence_states(self):
+        for master in self.MASTERS:
+            for first, n in self.BATCHES:
+                states = generators._seed_states(master, first, n)
+                assert states.shape == (n, 4) and states.dtype == np.uint64
+                for j in range(n):
+                    ref = np.random.SeedSequence(entropy=master, spawn_key=(first + j,))
+                    assert states[j].tobytes() == ref.generate_state(4, np.uint64).tobytes()
+
+    def test_masters_are_taken_mod_2_to_the_64(self):
+        np.testing.assert_array_equal(generators._seed_states(-3, 5, 3),
+                                      generators._seed_states(2**64 - 3, 5, 3))
+
+    def test_streams_draw_as_numpy_default_rng(self):
+        for master in self.MASTERS:
+            for first, n in self.BATCHES:
+                for j, rng in enumerate(generators._streams(master, first, n)):
+                    ref = _numpy_rng(master, first + j)
+                    assert rng.random(100).tobytes() == ref.random(100).tobytes()
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
+    def test_sample_builds_no_seed_sequence(self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample built a SeedSequence")
+
+        expected = sample(model, 6.0, 5, Seed(4, 9), rung=2)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        batch = sample(model, 6.0, 5, Seed(4, 9), rung=2)
+        np.testing.assert_array_equal(batch.offsets, expected.offsets)
+        assert batch.points.tobytes() == expected.points.tobytes()
 
 
 class TestRho2Analytic:
