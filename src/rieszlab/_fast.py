@@ -1,67 +1,30 @@
 """Hot numeric loops: pairwise kernel sums and tent-weighted pair binning.
 
-``pair_sums`` walks every unordered pair i < j through ``_upper_pairs``,
-which hands out the differences ``pts[j] - pts[i]`` in row blocks of about
-``_SUM_BUDGET`` pairs, so memory stays bounded for any number of points; it
-also stacks small point sets of equal size into one matrix of triangles.
-The binning kernels keep only separations below ``v_max``: they sort a whole
-batch by (replica, first coordinate) and walk its diagonals, adding one
-``bincount`` over (replica, bin) per diagonal.  Every sum runs in an order
-set by the points of its own set or replica, so results are reproducible
-and a replica's row is the same in any batch.
+``pair_sums`` walks every unordered pair along the circular diagonals
+(i, i + k mod n), k = 1 .. n // 2, of a stack of point sets with n points.
+A block of consecutive diagonals is one flat subtraction of two periodic
+copies of the points, built once per stack in one scratch arena; blocks
+hold about ``_SUM_BUDGET`` entries per coordinate, so memory stays bounded
+for any number of points.  The binning kernels keep only separations below
+``v_max``: they sort a whole batch by (replica, first coordinate) and walk
+its diagonals, adding one ``bincount`` over (replica, bin) per diagonal.
+Every sum runs in an order set by the points of its own set or replica, so
+results are reproducible and a replica's row is the same in any batch.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterator
 
 import numpy as np
 
 from .core import Kernel
 
-# pairs per block of pair_sums, whose in-place kernel gains from larger
-# blocks; chosen by timing 2**13..2**17 at n = 64..2048 in d = 1
+# entries per coordinate in a block of pair_sums.  Timed at 2**13..2**17 on
+# the energy workloads' sets (n = 64, 128, 512, 2048 in d = 1, Poisson n ~ 256
+# in d = 2): 2**15 and 2**16 tie within a shared 2-vCPU host's noise, 2**13
+# is 15-57% slower and 2**17 up to 9%; 2**15 needs half the memory
 _SUM_BUDGET = 2**15
-
-
-@functools.lru_cache(maxsize=None)
-def _triangle(rows: int) -> tuple[np.ndarray, np.ndarray]:
-    # the pairs i < j within a block, row by row: how often each row i
-    # repeats and the column indices j; shared read-only by every call.  The
-    # walk of pair_sums asks for at most isqrt(_SUM_BUDGET) = 181 rows, so
-    # the whole cache stays below 8 MB
-    repeats = np.arange(rows - 1, -1, -1)
-    j = np.triu_indices(rows, 1)[1]
-    repeats.flags.writeable = j.flags.writeable = False
-    return repeats, j
-
-
-def _upper_pairs(pts: np.ndarray) -> Iterator[np.ndarray]:
-    """Differences ``pts[..., j] - pts[..., i]`` over the pairs i < j of the
-    last axis, block by block, flattened into the last axis of each block.
-
-    A block of rows ``i0:i1`` holds about ``_SUM_BUDGET`` pairs: it yields
-    its in-block triangle, then its rectangle against the columns ``i1:n``;
-    empty pieces are skipped.  With ``n * n <= _SUM_BUDGET`` the one block is
-    the whole triangle.  Leading axes (coordinates, stacked point sets) are
-    carried along.
-    """
-    n = pts.shape[-1]
-    i0 = 0
-    while i0 < n - 1:
-        rows = min(n - i0, max(1, _SUM_BUDGET // (n - i0)))
-        i1 = i0 + rows
-        block = pts[..., i0:i1]
-        if rows > 1:
-            repeats, j = _triangle(rows)
-            diff = np.take(block, j, axis=-1)
-            diff -= np.repeat(block, repeats, axis=-1)
-            yield diff
-        if i1 < n:
-            rect = pts[..., None, i1:] - block[..., :, None]
-            yield rect.reshape(*pts.shape[:-1], -1)
-        i0 = i1
 
 
 def _kernel_sums(r2: np.ndarray, kernel: Kernel, coincident: bool) -> np.ndarray:
@@ -80,15 +43,40 @@ def _kernel_sums(r2: np.ndarray, kernel: Kernel, coincident: bool) -> np.ndarray
     return r2.sum(axis=-1)
 
 
-def _stack_sums(coords: np.ndarray, kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_sums`` of the m point sets of ``coords``, shape ``(d, m, n)``."""
-    sums = np.zeros(coords.shape[1])
-    min_r2 = np.full(coords.shape[1], np.inf)
-    for diff in _upper_pairs(coords):
-        diff *= diff
-        r2 = diff.sum(axis=0) if len(diff) > 1 else diff[0]
+def _circular_sums(x: np.ndarray, w: int, arena: np.ndarray,
+                   kernel: Kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_sums`` of the m point sets ``x``, shape ``(d, m, n)``, walked
+    along the circular diagonals k = 1 .. n // 2 in blocks of ``w``."""
+    d, m, n = x.shape
+    half, row = n // 2, n + 1
+    # t1 is x repeated (period n) and t2 is (x, -inf) repeated (period n + 1),
+    # so t1[k0 + t] - t2[t] at t = j * row + i is x[i + k0 + j mod n] - x[i]:
+    # row j of a block is the diagonal k0 + j, and its last entry is +inf
+    t1 = arena[:d * m * (w + 2) * n].reshape(d, m, w + 2, n)
+    t2 = arena[t1.size:t1.size + d * m * w * row].reshape(d, m, w, row)
+    t1[...] = x[:, :, None]
+    t2[..., :n] = x[:, :, None]
+    t2[..., n] = -np.inf
+    t1, t2 = t1.reshape(d, m, -1), t2.reshape(d, m, -1)
+    block = arena[t1.size + t2.size:]
+    sums = np.zeros(m)
+    min_r2 = np.full(m, np.inf)
+    for k0 in range(1, half + 1, w):
+        span = min(w, half + 1 - k0) * row
+        r2 = block[:d * m * span].reshape(d, m, span)
+        np.subtract(t1[..., k0:k0 + span], t2[..., :span], out=r2)
+        np.multiply(r2, r2, out=r2)
+        for c in r2[1:]:
+            r2[0] += c
+        r2 = r2[0]
+        # the diagonal n / 2 of an even n meets each pair twice: keep i < n / 2
+        twice = slice(span - row + half if n % 2 == 0 and k0 + w > half else span, span)
+        r2[:, twice] = np.inf
         block_min = r2.min(axis=1)
         np.minimum(min_r2, block_min, out=min_r2)
+        if kernel.is_log:
+            # g is 0 at r2 = 1 for the log kernel, and at r2 = inf otherwise
+            r2[:, n::row] = r2[:, twice] = 1.0
         sums += _kernel_sums(r2, kernel, block_min.min() == 0.0)
     return sums, min_r2
 
@@ -99,27 +87,39 @@ def pair_sums(points: np.ndarray, offsets: np.ndarray,
     array ``points``: the sum of ``kernel.g`` over its unordered pairs and
     its minimal squared pair distance.
 
-    Sets are grouped by point count and stacked, coordinates first, as many
-    as fit ``_SUM_BUDGET`` pairs (at least one) at a time, so that every
-    step is a flat array operation.  A stack of several sets has
-    ``n * n <= _SUM_BUDGET``, so it is one ``_upper_pairs`` block with one
-    set's triangle per row, and a row sum equals that row's own sum bit for
-    bit; a larger set walks ``_upper_pairs`` alone.  So each set's values
-    depend only on its own points.  Coincident pairs are left out of the
-    sum and show up as a minimal squared distance of 0; sets of fewer than
-    2 points give 0 and inf.
+    Sets are grouped by point count n and stacked, coordinates first, as
+    many as fit ``_SUM_BUDGET`` entries (at least one) at a time, so that
+    every step is a flat array operation.  A set of n points walks its
+    n // 2 circular diagonals in blocks of w, about ``_SUM_BUDGET / n`` of
+    them; w depends on n alone and each set sums its own row, so a set's
+    values depend only on its own points.  Coincident pairs are left out of
+    the sum and show up as a minimal squared distance of 0; sets of fewer
+    than 2 points give 0 and inf.
     """
     counts = np.diff(offsets)
     sums = np.zeros(counts.size)
     min_r2 = np.full(counts.size, np.inf)
-    for n in np.unique(counts[counts > 1]):
-        members = np.flatnonzero(counts == n)
-        rows = max(1, _SUM_BUDGET // (n * (n - 1) // 2))
+    # the sets of each size n, in order, as runs of a stable sort by size
+    order = np.argsort(counts, kind="stable")
+    sizes = counts[order]
+    starts = np.flatnonzero(np.diff(sizes, prepend=-1)).tolist()
+    plan = []
+    for a, b in zip(starts, starts[1:] + [counts.size]):
+        n = int(sizes[a])
+        if n > 1:
+            # the n // 2 diagonals of n + 1 entries, in blocks of equal width
+            blocks = -(-(n // 2) * (n + 1) // _SUM_BUDGET)
+            w = -(-(n // 2) // blocks)
+            plan.append((order[a:b], n, w, min(b - a, max(1, _SUM_BUDGET // (w * (n + 1))))))
+    coords = np.ascontiguousarray(points.T)
+    # one scratch arena holds t1, t2 and the block of every stack in turn
+    arena = np.empty(len(coords) * max(
+        [rows * ((w + 2) * n + 2 * w * (n + 1)) for _, n, w, rows in plan], default=0))
+    for members, n, w, rows in plan:
         for k in range(0, len(members), rows):
             group = members[k:k + rows]
-            # coordinates first: (d, sets, n)
-            coords = np.moveaxis(points[offsets[group, None] + np.arange(n)], 2, 0)
-            sums[group], min_r2[group] = _stack_sums(np.ascontiguousarray(coords), kernel)
+            x = coords[:, offsets[group, None] + np.arange(n)]
+            sums[group], min_r2[group] = _circular_sums(x, w, arena, kernel)
     return sums, min_r2
 
 

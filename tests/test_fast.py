@@ -1,6 +1,7 @@
 """The blocked pair kernels against a naive double loop over i < j."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,11 +61,26 @@ def rng():
     return np.random.default_rng(99)
 
 
-def test_multi_block_size_spans_several_blocks():
-    # three row blocks of the full walk, each a triangle and a rectangle
-    # but the last
-    assert N_MULTI_BLOCK * (N_MULTI_BLOCK - 1) // 2 > _fast._SUM_BUDGET
-    assert len(list(_fast._upper_pairs(np.zeros((1, N_MULTI_BLOCK))))) == 5
+@pytest.fixture
+def blocks(monkeypatch):
+    # the squared radii of every block that pair_sums hands to the kernel,
+    # copied before the kernel overwrites them
+    seen = []
+    kernel_sums = _fast._kernel_sums
+
+    def spy(r2, kernel, coincident):
+        seen.append(r2.copy())
+        return kernel_sums(r2, kernel, coincident)
+
+    monkeypatch.setattr(_fast, "_kernel_sums", spy)
+    return seen
+
+
+def test_multi_block_size_spans_several_blocks(blocks):
+    # the 150 circular diagonals of 301 entries each fill two blocks
+    assert N_MULTI_BLOCK // 2 * (N_MULTI_BLOCK + 1) > _fast._SUM_BUDGET
+    _fast.pair_sum(np.arange(N_MULTI_BLOCK, dtype=float)[:, None], riesz_kernel(0.5, 1))
+    assert [b.shape for b in blocks] == [(1, 75 * (N_MULTI_BLOCK + 1))] * 2
 
 
 def _one(pts):
@@ -141,10 +157,14 @@ def _exact_pair_sum(pts, kernel):
 @pytest.mark.parametrize("kernel", EXACT_KERNELS, ids=EXACT_IDS)
 def test_pair_sums_match_exact_sum(rng, kernel):
     # a ragged batch: empty and single sets, sets of equal size stacked
-    # together, the largest set whose triangle is one block, the next size,
-    # and a set walked in several blocks; one set holds a coincident pair
-    sizes = [0, 1, 2, 7, 7, 7, 40, 3, 40, 181, 182, 400]
+    # together, and sizes on both sides of the walk's boundaries: 181 is the
+    # largest stacked two to a stack (two such sets), 255 the largest walked
+    # in one block, 256 and 257 take two blocks and 400 three; one set holds
+    # a coincident pair
+    sizes = [0, 1, 2, 7, 7, 7, 40, 3, 40, 181, 182, 400, 255, 256, 257, 181]
     assert 181**2 <= _fast._SUM_BUDGET < 182**2 and 400 * 399 // 2 > 2 * _fast._SUM_BUDGET
+    assert 2 * 90 * 182 <= _fast._SUM_BUDGET < 2 * 91 * 183
+    assert 127 * 256 <= _fast._SUM_BUDGET < 128 * 257
     batch = [rng.uniform(-10, 10, size=(n, kernel.d)) for n in sizes]
     batch[4][5] = batch[4][2]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -167,35 +187,97 @@ def test_coincident_pair_is_not_binned():
     np.testing.assert_allclose(got, _naive_radial(pts, 4.0, 8, 16.0), rtol=1e-12, atol=0.0)
 
 
-def _frozen_full_walk(pts, budget):
-    # the every-pair block schedule that pair_sums has always walked, kept
-    # here as the reference for _upper_pairs
-    n = pts.shape[-1]
-    i0 = 0
-    while i0 < n - 1:
-        rows = min(n - i0, max(1, budget // (n - i0)))
-        i1 = i0 + rows
-        block = pts[..., i0:i1]
-        if rows > 1:
-            i, j = np.triu_indices(rows, 1)
-            yield np.take(block, j, axis=-1) - np.take(block, i, axis=-1)
-        if i1 < n:
-            rect = pts[..., None, i1:] - block[..., :, None]
-            yield rect.reshape(*pts.shape[:-1], -1)
-        i0 = i1
+def _squared_radii(diff):
+    # sum of squares over the first axis, in the order of the walk
+    sq = diff * diff
+    r2 = sq[0]
+    for c in sq[1:]:
+        r2 = r2 + c
+    return r2
+
+
+def _frozen_circular_walk(pts, budget):
+    # the blocks of the circular walk over the sets pts, shape (d, m, n), from
+    # explicit indices: stacks of as many sets as fit the budget; row j of
+    # the block at k0 holds the pairs (i, i + k0 + j mod n), then a pad of
+    # +inf, and the second half of the diagonal n / 2 is +inf
+    d, m, n = pts.shape
+    half, row = n // 2, n + 1
+    w = -(-half // -(-half * row // budget))
+    stack = max(1, budget // (w * row))
+    i = np.arange(n)
+    for s0 in range(0, m, stack):
+        x = pts[:, s0:s0 + stack]
+        for k0 in range(1, half + 1, w):
+            rows = []
+            for k in range(k0, min(k0 + w, half + 1)):
+                r2 = _squared_radii(x[..., (i + k) % n] - x[..., i])
+                if 2 * k == n:
+                    r2[:, half:] = np.inf
+                rows += [r2, np.full((len(r2), 1), np.inf)]
+            yield np.concatenate(rows, axis=1)
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 181), (3, 182), (1, 2048), (2, 4, 7),
                                    (1, 3, 181), (3, 2, 182)])
-def test_full_walk_keeps_its_block_schedule(rng, shape):
-    # the blocks, their order and their values are those of the frozen
-    # schedule, so pair_sums and every energy ladder stay bit-identical
-    pts = rng.uniform(-10, 10, size=shape)
-    got = list(_fast._upper_pairs(pts))
-    ref = list(_frozen_full_walk(pts, _fast._SUM_BUDGET))
-    assert len(got) == len(ref)
-    for g, r in zip(got, ref):
+def test_full_walk_keeps_its_block_schedule(rng, blocks, shape):
+    # the stacks, blocks, their order and their values are those of the
+    # frozen circular schedule, so a set's pair sum depends on its own points
+    pts = rng.uniform(-10, 10, size=shape).reshape(shape[0], -1, shape[-1])
+    d, m, n = pts.shape
+    _fast.pair_sums(pts.transpose(1, 2, 0).reshape(-1, d), n * np.arange(m + 1),
+                    riesz_kernel(0.5, 1))
+    ref = list(_frozen_circular_walk(pts, _fast._SUM_BUDGET))
+    assert len(blocks) == len(ref)
+    for g, r in zip(blocks, ref):
         assert g.shape == r.shape and g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("family,s", [(0, 0.0), (1, 0.5)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_circular_walk_visits_every_pair_once(rng, blocks, family, s, d):
+    # each row's squared radii, pads left out, are those of its pairs i < j,
+    # each once: three stacked sets of every n = 2 .. 12, and single sets of
+    # 401 and 402 points, which take three blocks
+    pad = 1.0 if family == 0 else np.inf
+    for n, m in [(n, 3) for n in range(2, 13)] + [(401, 1), (402, 1)]:
+        blocks.clear()
+        sets = rng.uniform(-10, 10, size=(m, n, d))
+        _fast.pair_sums(sets.reshape(-1, d), n * np.arange(m + 1), _kernel(family, s))
+        assert all(len(b) == m for b in blocks) and len(blocks) == (3 if n > 400 else 1)
+        for row, pts in zip(np.concatenate(blocks, axis=1), sets):
+            i, j = np.triu_indices(n, 1)
+            ref = np.sort(_squared_radii((pts[j] - pts[i]).T))
+            assert not (ref == pad).any()
+            assert np.sort(row[row != pad]).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("family,s", [(0, 0.0), (1, 0.5)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n,i,j", [(8, 1, 5), (9, 1, 8)])
+def test_coincident_pair_on_half_or_wrapped_diagonal(rng, n, i, j, family, s, d):
+    # (1, 5) lies on the diagonal n / 2 = 4 of n = 8; (1, 8) of n = 9 is
+    # walked from i = 8 to 8 + 2 mod 9 = 1
+    pts = rng.uniform(-10, 10, size=(n, d))
+    pts[j] = pts[i]
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
+    assert min_r2 == 0.0 and math.isfinite(total)
+    assert total == pytest.approx(_naive_pair_sum(pts, family, s)[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("sets,n,d", [(1, 20000, 1), (2000, 50, 2)])
+def test_pair_sums_memory_is_bounded(rng, sets, n, d):
+    # t1, t2 and the block of a stack of sets of n points take at most about
+    # 3 * _SUM_BUDGET + 5 n entries per coordinate, whatever the number of
+    # points or sets: no triangle of pairs is ever held
+    points = rng.uniform(-10, 10, size=(sets * n, d))
+    tracemalloc.start()
+    try:
+        _fast.pair_sums(points, n * np.arange(sets + 1), log_kernel(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _fast._SUM_BUDGET * d * 8 + points.nbytes
 
 
 def _banded(points, offsets, reach):
