@@ -29,18 +29,15 @@ _SUM_BUDGET = 2**15
 
 def _kernel_sums(r2: np.ndarray, kernel: Kernel, coincident: bool) -> np.ndarray:
     """Sums of ``kernel.g`` over the last axis of squared radii ``r2``,
-    evaluated in place: ``-1/2 sum log r2`` with one scale per sum, or
-    ``sum exp(-(s/2) log r2)``.  With ``coincident`` set, squared radii of 0
-    add nothing."""
+    evaluated in place: ``-1/2 sum log r2`` with one scale per sum, or the
+    sum of ``kernel.g_sq``.  With ``coincident`` set, squared radii of 0 add
+    nothing."""
     if coincident:
         # the squared radius at which the kernel term below is exactly 0
         r2[r2 == 0.0] = 1.0 if kernel.is_log else np.inf
-    np.log(r2, out=r2)
     if kernel.is_log:
-        return -0.5 * r2.sum(axis=-1)
-    np.multiply(r2, -0.5 * kernel.s, out=r2)
-    np.exp(r2, out=r2)
-    return r2.sum(axis=-1)
+        return -0.5 * np.log(r2, out=r2).sum(axis=-1)
+    return kernel.g_sq(r2).sum(axis=-1)
 
 
 def _circular_sums(x: np.ndarray, w: int, arena: np.ndarray,

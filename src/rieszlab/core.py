@@ -93,11 +93,13 @@ class Kernel:
             return -np.log(r)
         return r ** (-self.s)
 
-    def g_sq(self, r2):
-        """The kernel at squared radius ``r2``, which saves a square root."""
-        if self.is_log:
-            return -0.5 * np.log(r2)
-        return r2 ** (-0.5 * self.s)
+    def g_sq(self, r2: np.ndarray) -> np.ndarray:
+        """The kernel at the squared radii of the float array ``r2``, evaluated
+        in place and returned: ``-log(r2) / 2`` or ``exp(-(s/2) log r2)``,
+        which saves a square root and is faster than the power."""
+        np.log(r2, out=r2)
+        np.multiply(r2, -0.5 if self.is_log else -0.5 * self.s, out=r2)
+        return r2 if self.is_log else np.exp(r2, out=r2)
 
 
 def log_kernel(d: int = 1) -> Kernel:

@@ -16,6 +16,7 @@ once per batch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -279,10 +280,12 @@ def _mix(x, y):
 _MASTER_CONSTS = _powers(_INIT_A, _MULT_A, 0, 4 * _POOL)
 
 
+@functools.lru_cache(maxsize=16)
 def _master_pool(master: int) -> np.ndarray:
     """The entropy pool of ``master`` before a spawn key is mixed in, as a
-    ``(4, 1)`` column: the master's two words, zero-padded to the pool size,
-    hashed and mixed with each other."""
+    read-only ``(4, 1)`` column: the master's two words, zero-padded to the
+    pool size, hashed and mixed with each other.  Cached, as one-replica
+    calls would otherwise spend most of their seeding here."""
     c = _MASTER_CONSTS
     pool = [_hashmix(word, c[i], c[i + 1])
             for i, word in enumerate([master & _MASK32, master >> 32, 0, 0])]
@@ -292,7 +295,9 @@ def _master_pool(master: int) -> np.ndarray:
             if dst != src:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[step], c[step + 1]))
                 step += 1
-    return np.array(pool, dtype=np.uint32)[:, None]
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    pool.flags.writeable = False
+    return pool
 
 
 def _key_consts(word: int) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,10 @@ A box containing the origin splits into its 2^d orthant boxes.  The corner
 map ``v = tau * (e_k, e_j u, ...)`` turns each orthant into d pyramids, each
 a radial sum over tau times an angular sum over u (and v).
 ``_orthant_integral`` evaluates the full tensor rule against any weight; it
-serves the background-background and the d >= 2 pair-correlation integrals.
+serves only weighted integrals such as the d >= 2 pair-correlation route.
+The background-background integral needs one pyramid: its unit tent
+``prod_i (1 - |v_i|)`` and ``|v|`` are invariant under every reflection and
+permutation of the axes, so all d 2^d pyramids of [-1, 1]^d are equal.
 
 In d = 2, 3 the point-background integral is batched over all points of a
 call.  The window seen from a point p splits into 2^d orthant boxes with p
@@ -25,7 +28,8 @@ at a corner and edges ``R/2 +- p_i``; the log kernel in d = 2 takes the
 corner antiderivative on all of them at once.  A Riesz kernel is homogeneous,
 ``g(tau rho) = tau^-s g(rho)``, so ``_riesz_orthants`` takes the radial sum
 of the same rule as one constant shared by every orthant and evaluates only
-the (d-1)-dimensional angular sums per orthant.
+the (d-1)-dimensional angular sums per orthant, in place as
+``exp(-(s/2) log rho^2)`` (``Kernel.g_sq``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .core import ArgumentError, Kernel, KernelFamily
 
 # angular quadrature nodes per chunk of the batched point-background integral,
 # which bounds its temporaries for any number of points; chosen by timing
-# 2**12..2**18 at n = 64 and 256 in d = 3 and n = 1024 in d = 2
+# 2**12..2**18 at n = 64 and 256 in d = 3 and n = 1024 in d = 2, and kept
+# after re-timing the in-place sums at 2**13..2**17: 2**15 to 2**17 tie in
+# d = 3, and 2**15 is fastest in d = 2
 _NODE_BUDGET = 2**15
 
 # corner-rule orders of the point-background and background-pair integrals
@@ -215,15 +221,24 @@ def _corner_rule(d: int, order: int, m: int) -> tuple:
     return tau, w_tau, u, w_u
 
 
-def _rho_sq(edges: np.ndarray, k: int, u: tuple) -> np.ndarray:
-    # |v|^2 / tau^2 = e_k^2 + sum_i (e_(k+i) u_i)^2 in pyramid k, for rows of
-    # edges (N, d) on the angular grid u, flattened to shape (N, order^(d-1))
-    n, d = edges.shape
-    lead = (n,) + (1,) * (d - 1)
-    r2 = np.square(edges[:, k]).reshape(lead)
+def _pyramid(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weight, rule: tuple, k: int) -> float:
+    # the corner rule on pyramid k of an orthant box, without the edge product;
+    # |v|^2 / tau^2 = e_k^2 + sum_i (e_(k+i) u_i)^2 on the angular grid
+    tau, w_tau, u, w_u = rule
+    d = edges.size
+    r2 = np.square(edges[k])
     for i in range(1, d):
-        r2 = r2 + np.square(edges[:, (k + i) % d].reshape(lead) * u[i - 1])
-    return r2.reshape(n, -1)
+        r2 = r2 + np.square(edges[(k + i) % d] * u[i - 1])
+    f = kernel.g(tau[:, None] * np.sqrt(r2.ravel()))
+    if weight is not None:
+        coords = [None] * d
+        coords[k] = np.broadcast_to(signs[k] * edges[k] * tau[:, None], f.shape)
+        for i in range(1, d):
+            j = (k + i) % d
+            u_i = np.broadcast_to(u[i - 1], (tau.size,) * (d - 1)).ravel()
+            coords[j] = signs[j] * edges[j] * tau[:, None] * u_i
+        f = f * weight(*coords)
+    return float(w_tau @ f @ w_u)
 
 
 def _orthant_integral(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weight, order: int) -> float:
@@ -231,20 +246,8 @@ def _orthant_integral(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weig
     the origin at a corner, evaluated in original (signed) coordinates: the
     corner rule summed over the d pyramids."""
     d = edges.size
-    tau, w_tau, u, w_u = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
-    shape = (tau.size, w_u.size)
-    total = 0.0
-    for k in range(d):
-        f = kernel.g(tau[:, None] * np.sqrt(_rho_sq(edges[None, :], k, u)))
-        if weight is not None:
-            coords = [None] * d
-            coords[k] = np.broadcast_to(signs[k] * edges[k] * tau[:, None], shape)
-            for i in range(1, d):
-                j = (k + i) % d
-                u_i = np.broadcast_to(u[i - 1], (order,) * (d - 1)).ravel()
-                coords[j] = signs[j] * edges[j] * tau[:, None] * u_i
-            f = f * weight(*coords)
-        total += float(w_tau @ f @ w_u)
+    rule = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
+    total = sum(_pyramid(kernel, edges, signs, weight, rule, k) for k in range(d))
     return float(np.prod(edges)) * total
 
 
@@ -291,11 +294,13 @@ def background_pair_integral(kernel: Kernel, R: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _unit_background_pair_integral(kernel: Kernel) -> float:
+    # all d 2^d pyramids of box_kernel_integral(-1, 1, tent) are equal
     def tent(*coords):
         return functools.reduce(np.multiply, [1.0 - np.abs(c) for c in coords])
 
-    return box_kernel_integral(kernel, -np.ones(kernel.d), np.ones(kernel.d),
-                               weight=tent, order=_BACKGROUND_PAIR_ORDER)
+    d = kernel.d
+    rule = _corner_rule(d, _BACKGROUND_PAIR_ORDER, _power_map(kernel, float(d - 1)))
+    return d * 2**d * _pyramid(kernel, np.ones(d), np.ones(d), tent, rule, 0)
 
 
 def _riesz_orthants(kernel: Kernel, edges: np.ndarray) -> np.ndarray:
@@ -305,17 +310,27 @@ def _riesz_orthants(kernel: Kernel, edges: np.ndarray) -> np.ndarray:
     In each pyramid of the corner rule ``|v| = tau rho(u)``, so ``g(|v|) =
     tau^-s g(rho)``: the radial sum is one constant for every row, and only
     the angular sums over u are evaluated per row, in chunks of about
-    ``_NODE_BUDGET`` nodes.
+    ``_NODE_BUDGET`` nodes.  Per pyramid, ``rho^2 = e_k^2 + e_j^2 u^2 (+
+    e_l^2 v^2)`` fills one buffer, and the kernel is evaluated in place.
     """
     n, d = edges.shape
     tau, w_tau, u, w_u = _corner_rule(d, _POINT_BACKGROUND_ORDER, _power_map(kernel, d - 1.0))
     radial = float(np.sum(w_tau * tau ** -kernel.s))
+    u2 = np.square(u[0].ravel())
+    sq = np.square(edges)
     out = np.empty(n)
     step = max(1, _NODE_BUDGET // w_u.size)
+    buf = np.empty((min(n, step),) + u2.shape * 2) if d == 3 else None
     for i0 in range(0, n, step):
-        e = edges[i0:i0 + step]
-        ang = sum(np.einsum("ij,j->i", kernel.g_sq(_rho_sq(e, k, u)), w_u) for k in range(d))
-        out[i0:i0 + step] = radial * np.prod(e, axis=1) * ang
+        e2 = sq[i0:i0 + step]
+        m = e2.shape[0]
+        ang = np.zeros(m)
+        for k in range(d):
+            r2 = e2[:, k, None] + e2[:, (k + 1) % d, None] * u2
+            if d == 3:
+                r2 = np.add(r2[:, :, None], e2[:, (k + 2) % d, None, None] * u2, out=buf[:m])
+            ang += kernel.g_sq(r2).reshape(m, -1) @ w_u
+        out[i0:i0 + step] = radial * np.prod(edges[i0:i0 + step], axis=1) * ang
     return out
 
 

@@ -30,15 +30,15 @@ class TestKernel:
         assert log_kernel(2).g(math.e) == pytest.approx(-1.0, abs=1e-15)
 
     def test_radiality(self):
-        # the pair sums evaluate g at the squared radius
+        # the pair and angular sums evaluate g in place at the squared radius;
+        # here at those of 50 random vectors per kernel
         rng = np.random.default_rng(7)
         for k in (log_kernel(1), riesz_kernel(0.5, 1), log_kernel(2), riesz_kernel(1.0, 2)):
-            for _ in range(50):
-                v = rng.normal(size=k.d)
-                if np.all(v == 0):
-                    continue
-                assert k.g_sq(v @ v) == pytest.approx(k.g(np.linalg.norm(v)),
-                                                      rel=1e-15, abs=1e-15)
+            v = rng.normal(size=(50, k.d))
+            r2 = np.einsum("ij,ij->i", v, v)
+            want = k.g(np.linalg.norm(v, axis=1))
+            assert k.g_sq(r2) is r2
+            assert r2 == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     def test_validity_constraints(self):
         with pytest.raises(ArgumentError):

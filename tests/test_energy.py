@@ -86,6 +86,35 @@ class TestBackgroundIntegrals:
             got = quadrature.background_pair_integral(kernel, R)
             assert got == pytest.approx(direct, rel=1e-13)
 
+    @pytest.mark.parametrize("kernel", [riesz_kernel(0.5, 2), riesz_kernel(1.0, 2),
+                                        riesz_kernel(1.5, 2), log_kernel(2),
+                                        riesz_kernel(1.0, 3), riesz_kernel(1.5, 3),
+                                        riesz_kernel(2.5, 3)],
+                             ids=["s0.5d2", "s1d2", "s1.5d2", "log2d", "s1d3", "s1.5d3", "s2.5d3"])
+    def test_unit_bb_is_the_full_tent_rule(self, kernel):
+        # one pyramid times d 2^d against all 2^d orthants of the same rule
+        def tent(*coords):
+            return math.prod(1.0 - np.abs(c) for c in coords)
+
+        full = quadrature.box_kernel_integral(
+            kernel, -np.ones(kernel.d), np.ones(kernel.d), weight=tent, order=48)
+        got = quadrature._unit_background_pair_integral.__wrapped__(kernel)
+        assert got == pytest.approx(full, rel=1e-14, abs=0.0)
+
+    def test_bb_makes_no_box_integral(self, monkeypatch):
+        calls = []
+        real = quadrature.box_kernel_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "box_kernel_integral", counting)
+        quadrature._unit_background_pair_integral.cache_clear()
+        for kernel in (riesz_kernel(1.0, 2), log_kernel(2), riesz_kernel(1.5, 3)):
+            assert np.isfinite(quadrature.background_pair_integral(kernel, 3.0))
+        assert calls == []
+
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_bb_riesz_2d_tau_moments(self, s):
         # 8 triangles x major, y = x u; the tent (1 - x)(1 - x u) times x^(1-s)
@@ -538,10 +567,14 @@ class TestPointBackgroundBatched:
             special.append(np.array([R / 2, -R / 2, 0.3]))
         return np.vstack([rng.uniform(-R / 2, R / 2, (n, d))] + special)
 
-    @pytest.mark.parametrize("s, d, R", [(0.8, 2, 5.0), (1.0, 2, 16.0), (1.5, 3, 3.0)])
+    @pytest.mark.parametrize("s, d, R", [(0.8, 2, 5.0), (1.0, 2, 16.0), (1.5, 3, 3.0),
+                                         (0.25, 2, 5.0), (1.0, 3, 3.0), (2.5, 3, 3.0)])
     def test_riesz_matches_per_point(self, s, d, R):
         kernel = riesz_kernel(s, d)
-        pts = self._points(d, R, 20, 7)
+        # orthants of edge 1e-7 and 1e-6 next to a face and a corner
+        near = [np.r_[R / 2 - 1e-7, np.full(d - 1, 0.3)], np.full(d, 1e-6 - R / 2),
+                np.r_[R / 2, np.full(d - 1, -R / 2)]]
+        pts = np.vstack([self._points(d, R, 20, 7)] + near)
         got = quadrature.point_background(kernel, pts, R)
         ref = [quadrature.box_kernel_integral(kernel, -R / 2 - p, R / 2 - p) for p in pts]
         assert got.shape == (pts.shape[0],)

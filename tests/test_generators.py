@@ -254,6 +254,18 @@ class TestSeedStreams:
                     ref = np.random.SeedSequence(entropy=master, spawn_key=(first + j,))
                     assert states[j].tobytes() == ref.generate_state(4, np.uint64).tobytes()
 
+    def test_one_replica_calls_with_a_cached_pool(self):
+        # the master's pool is cached and read-only: repeated calls, and
+        # masters equal mod 2**64, keep numpy's states bit for bit
+        for _ in range(2):
+            for master in (0, 2**32 + 5, 2**64 + 7, -1):
+                for first, n in ((0, 1), (9, 3)):
+                    states = generators._seed_states(master, first, n)
+                    for j in range(n):
+                        ref = np.random.SeedSequence(master % 2**64, spawn_key=(first + j,))
+                        assert states[j].tobytes() == ref.generate_state(4, np.uint64).tobytes()
+        assert not generators._master_pool(5).flags.writeable
+
     def test_masters_are_taken_mod_2_to_the_64(self):
         np.testing.assert_array_equal(generators._seed_states(-3, 5, 3),
                                       generators._seed_states(2**64 - 3, 5, 3))
