@@ -12,6 +12,14 @@ on its model, R and stream, bit for bit, whatever batch it is drawn in, and
 replicas can be drawn by any number of workers without shared state.  In a
 batch, ``len`` counts replicas and ``n`` counts points; the window checks run
 once per batch.
+
+Each replica's stream is read through a bare ``PCG64`` bit generator, one
+replica at a time, in one call where the stream is uniform: numpy's
+``Generator.uniform(low, high)`` is ``low + (high - low) * (word >> 11) *
+2**-53`` on PCG64's raw words, so the samplers read ``random_raw`` and convert
+the words of the whole batch at once, with numpy's points bit for bit.  The
+renewal draw keeps ``Generator.standard_gamma`` for gamma gaps and sums every
+replica's first block of gaps at once.
 """
 
 from __future__ import annotations
@@ -357,85 +365,167 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _streams(master: int, first: int, n: int):
-    """The generators of streams ``(master, first + j)``, made one at a time, so
-    only one replica's generator is alive at once."""
-    for words in _seed_states(master, first, n):
-        yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+def _stream(state: np.ndarray) -> np.random.PCG64:
+    """The bit generator of the stream with PCG64 seed words ``state``, which
+    ``default_rng`` of that stream wraps."""
+    return np.random.PCG64(_SeedWords(state))
+
+
+def _words(states: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` raw words of each stream of ``states``, one row per
+    replica.  The bit generators are made one at a time, so only one
+    replica's is alive at once."""
+    words = np.empty((len(states), count), dtype=np.uint64)
+    for j, state in enumerate(states):
+        words[j] = _stream(state).random_raw(count)
+    return words
+
+
+def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` of the raw PCG64 words ``words``, bit
+    for bit, computed in place: the words' memory is returned as float64.
+
+    numpy draws ``low + (high - low) * next_double``, where ``next_double =
+    (word >> 11) * 2**-53`` keeps a word's top 53 bits.  Scaling by a power of
+    two is exact, so the factor 2**-53 folds into the range and every value
+    rounds as numpy's does.
+    """
+    words >>= 11
+    out = np.multiply(words, (high - low) * 2.0**-53, out=words.view(np.float64))
+    if low:
+        out += low
+    return out
 
 
 # ---------------------------------------------------------------------------
-# samplers: each takes the generators of the n replicas of one rung, draws
-# from each in turn exactly what a one-replica draw would, and returns the
-# points of every replica and their counts; what follows the draws (grid
-# positions, shifts) is computed for the whole batch at once
+# samplers: each takes the seed words of the n replicas of one rung and
+# returns the points of every replica, replica by replica, and their counts.
+# Per replica a draw only builds the bit generator and reads its words, raw
+# where the stream is uniform, in one call (two for a Poisson count or a gamma
+# block); converting the words to uniforms (``_uniform``) and everything that
+# follows (grid cells, shifts, the clip to C_R) is done for the whole batch.
+# The grid draws give each replica a row of as many slots as R allows and
+# keep the slots that hold a point inside C_R
 # ---------------------------------------------------------------------------
 
-def _cells(lo: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinates of the cells of one grid per replica and the
-    replica of each cell.
+def _span_cells(length: float) -> int:
+    """The most unit cells an interval of length ``length`` meets, and so the
+    most integers it holds, in exact arithmetic; rounding can add one, which
+    the draws detect and read again for."""
+    return math.ceil(length) + 1
+
+
+def _grid(lo: np.ndarray, size: np.ndarray, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of one grid per replica, in ``slots`` slots a replica, and
+    which slots hold a cell.
 
     Replica j's grid has ``size[j]`` cells along each axis from ``lo[j]``
-    (both ``(n, d)``), listed in C order: the order of ``np.meshgrid(...,
-    indexing="ij")`` raveled.
+    (both ``(n, d)`` int64), listed in C order (the order of
+    ``np.meshgrid(..., indexing="ij")`` raveled) in its first
+    ``prod(size[j])`` slots; the cells of later slots are meaningless.
     """
-    cells = np.prod(size, axis=1)
-    rep = np.repeat(np.arange(len(cells)), cells)
-    flat = np.arange(rep.size) - np.repeat(np.cumsum(cells) - cells, cells)
-    idx = np.empty((rep.size, size.shape[1]), dtype=np.int64)
-    for a in reversed(range(size.shape[1])):
-        flat, idx[:, a] = np.divmod(flat, size[rep, a])
-    return lo[rep] + idx, rep
+    n, d = size.shape
+    cells = np.empty((n, slots, d), dtype=np.int64)
+    rest = np.arange(slots)
+    for a in range(d - 1, 0, -1):
+        # an empty grid has no cell to list; dividing by 1 keeps numpy quiet
+        rest, cells[:, :, a] = np.divmod(rest, np.maximum(size[:, a, None], 1))
+    cells[:, :, 0] = rest
+    cells += lo[:, None, :]
+    return cells, np.arange(slots) < np.prod(size, axis=1)[:, None]
 
 
-def _draw_poisson(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _shifted(cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cells + u`` (float), computed in the cells' memory."""
+    return np.add(cells, u, out=cells.view(np.float64))
+
+
+def _select(rows: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of ``rows`` (``(n, slots, d)``, its last axis contiguous) in
+    the slots ``keep`` marks, replica by replica, as one ``(N, d)`` array, and
+    each replica's count."""
+    d = rows.shape[2]
+    # each point read as one d-coordinate item, so the mask copies whole points
+    points = rows.view(np.dtype((np.void, 8 * d)))[:, :, 0]
+    return points[keep].view(np.float64).reshape(-1, d), np.count_nonzero(keep, axis=1)
+
+
+def _inside(pts: np.ndarray, half: float) -> np.ndarray:
+    """Which points of ``pts`` (``(..., d)``) lie in the closed cube of
+    half-side ``half``, tested one axis at a time."""
+    inside = (pts[..., 0] >= -half) & (pts[..., 0] <= half)
+    for a in range(1, pts.shape[-1]):
+        inside &= (pts[..., a] >= -half) & (pts[..., a] <= half)
+    return inside
+
+
+def _draw_poisson(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
+    """A Poisson count through ``Generator.poisson``, then that many uniform
+    points read raw from the same bit generator."""
     half, d = R / 2.0, model.d
-    parts = []
-    for rng in rngs:
-        m = rng.poisson(R**d)
-        parts.append(rng.uniform(-half, half, size=(m, d)))
-    return np.concatenate(parts), np.array([len(p) for p in parts])
+    words = []
+    for state in states:
+        bits = _stream(state)
+        words.append(bits.random_raw(np.random.Generator(bits).poisson(R**d) * d))
+    counts = np.array([len(w) for w in words]) // d
+    return _uniform(np.concatenate(words), -half, half).reshape(-1, d), counts
 
 
-def _draw_lattice(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    half = R / 2.0
-    u = np.array([rng.uniform(0.0, 1.0, model.d) for rng in rngs])
+def _draw_lattice(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
+    half, d = R / 2.0, model.d
+    u = _uniform(_words(states, d), 0.0, 1.0)
     lo = np.ceil(-half - u).astype(np.int64)
     size = np.floor(half - u).astype(np.int64) - lo + 1
-    cells, rep = _cells(lo, size)
-    return cells + u[rep], np.prod(size, axis=1)
+    cells, full = _grid(lo, size, int(np.prod(size.max(axis=0))))
+    return _select(_shifted(cells, u[:, None, :]), full)
 
 
-def _draw_bernoulli(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """All tile points before clipping: ``k**d`` uniform points in each tile
-    of side k that meets C_R, tiles shifted by a uniform stationarizing u."""
-    half, d, k = R / 2.0, model.d, model.k
-    u, lo, size, raw = [], [], [], []
-    for rng in rngs:
-        u.append(rng.uniform(0.0, float(k), d).tolist())
-        lo.append([math.floor((-half - x) / k) for x in u[-1]])
-        size.append([math.floor((half - x) / k) - a + 1 for x, a in zip(u[-1], lo[-1])])
-        raw.append(rng.uniform(0.0, float(k), size=(math.prod(size[-1]) * k**d, d)))
-    pts = np.concatenate(raw)
-    raw.clear()
-    size = np.array(size)
-    tiles, rep = _cells(np.array(lo), size)
-    by_tile = pts.reshape(-1, k**d, d)  # a view: the shifts add in place
-    by_tile += (tiles * float(k))[:, None, :]
-    by_tile += np.array(u)[rep, None, :]
-    return pts, np.prod(size, axis=1) * k**d
+def _draw_bernoulli(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
+    """``k**d`` uniform points in each tile of side k that meets C_R, the tiles
+    shifted by a uniform stationarizing u; a replica's stream is u, then the
+    points tile by tile in C order of the tiles."""
+    n, half, d, k = len(states), R / 2.0, model.d, model.k
+    per_tile = k**d
+    tiles = np.full(d, _span_cells(R / k))
+    while True:
+        words = _words(states, d + int(np.prod(tiles)) * per_tile * d)
+        u = _uniform(words[:, :d], 0.0, float(k))
+        lo = np.floor((-half - u) / k).astype(np.int64)
+        size = np.floor((half - u) / k).astype(np.int64) - lo + 1
+        if (size <= tiles).all():
+            break
+        tiles = np.maximum(tiles, size.max(axis=0))
+    cells, full = _grid(lo, size, int(np.prod(tiles)))
+    pts = _uniform(words[:, d:], 0.0, float(k)).reshape(n, -1, per_tile, d)
+    pts += (cells * float(k))[:, :, None, :]
+    pts += u[:, None, None, :]
+    pts = pts.reshape(n, -1, d)
+    return _select(pts, np.repeat(full, per_tile, axis=1) & _inside(pts, half))
 
 
-def _draw_vibrating(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _draw_vibrating(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice shifted by a uniform u, each site jittered uniformly on
+    [-1/k, 1/k]; a replica's stream is u, then one jitter per site that can
+    reach C_R."""
     half, amp = R / 2.0, 1.0 / model.k
-    u, lo, jitter = [], [], []
-    for rng in rngs:
-        u.append(rng.uniform(0.0, 1.0))
-        lo.append(math.ceil(-half - u[-1] - amp))
-        jitter.append(rng.uniform(-amp, amp, math.floor(half - u[-1] + amp) - lo[-1] + 1))
-    size = np.array([[len(x)] for x in jitter])
-    cells, rep = _cells(np.array(lo)[:, None], size)
-    return cells + np.array(u)[rep, None] + np.concatenate(jitter)[:, None], size[:, 0]
+    sites = _span_cells(R + 2.0 * amp)
+    while True:
+        words = _words(states, 1 + sites)
+        u = _uniform(words[:, :1], 0.0, 1.0)
+        lo = np.ceil(-half - u - amp).astype(np.int64)
+        size = np.floor(half - u + amp).astype(np.int64) - lo + 1
+        if size.max() <= sites:
+            break
+        sites = int(size.max())
+    cells, full = _grid(lo, size, sites)
+    pts = _shifted(cells, u[:, None, :])
+    pts += _uniform(words[:, 1:], -amp, amp)[:, :, None]
+    return _select(pts, full & _inside(pts, half))
+
+
+def _renewal_block(span: float) -> int:
+    """The number of gaps a renewal draw takes at once to cover ``span``."""
+    return int(span * 1.25) + int(10.0 * math.sqrt(span)) + 16
 
 
 def _renewal_positions(gap: GapLaw, start: float, target: float,
@@ -445,39 +535,69 @@ def _renewal_positions(gap: GapLaw, start: float, target: float,
     positions = [np.array([start])]
     pos = start
     while pos < target:
-        n = int(span * 1.25) + int(10.0 * math.sqrt(span)) + 16
-        gaps = gap.sample(rng, n)
-        block = positions[-1][-1] + np.cumsum(gaps)
+        block = positions[-1][-1] + np.cumsum(gap.sample(rng, _renewal_block(span)))
         positions.append(block)
         pos = block[-1]
         span = target - pos
     return np.concatenate(positions)
 
 
-def _draw_renewal(model: ProcessModel, R: float, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _draw_renewal(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
+    """Renewal positions across C_R widened by a margin on each side, shifted
+    by a uniform phase u; a replica's stream is u, then its gaps block by block.
+
+    The first block almost always reaches the far end, so it is drawn into one
+    row per replica (gamma gaps through ``Generator.standard_gamma``, hat gaps
+    raw) and summed for the whole batch.  A replica whose first block falls
+    short is drawn again from its stream by ``_renewal_positions``.
+    """
     # oversample well past the window and apply a uniform phase shift over an
     # integer number of mean gaps; the margin covers the mixing length of the
-    # gap law (verified downstream by the empirical-intensity invariant).  The
-    # draw overshoots C_R by 2 * margin, many times a small window, so each
-    # replica is clipped as soon as it is drawn
-    half = R / 2.0
-    margin = float(math.ceil(max(10.0, 10.0 * model.gap.std)))
-    parts = []
-    for rng in rngs:
-        u = rng.uniform(0.0, margin)
-        pts = _renewal_positions(model.gap, -half - margin, half + margin, rng) + u
-        parts.append(pts[np.abs(pts) <= half])
-    return np.concatenate(parts)[:, None], np.array([len(p) for p in parts])
+    # gap law (verified downstream by the empirical-intensity invariant)
+    gap, n, half = model.gap, len(states), R / 2.0
+    margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
+    start, target = -half - margin, half + margin
+    m = _renewal_block(target - start)
+    pos = np.empty((n, m + 1))
+    pos[:, 0] = start
+    gaps = pos[:, 1:]
+    if gap.kind is GapLawKind.GAMMA:
+        phase = np.empty(n, dtype=np.uint64)
+        for j, state in enumerate(states):
+            bits = _stream(state)
+            phase[j] = bits.random_raw()
+            np.random.Generator(bits).standard_gamma(gap.theta, out=gaps[j])
+        gaps *= 1.0 / gap.theta  # Generator.gamma scales standard_gamma
+    else:
+        words = _words(states, 1 + 2 * m)
+        phase, w = words[:, 0], 1.0 / gap.k
+        np.add(1.0, _uniform(words[:, 1:m + 1], -w, w), out=gaps)
+        gaps -= _uniform(words[:, m + 1:], -w, w)
+    u = _uniform(phase, 0.0, margin)
+    np.cumsum(gaps, axis=1, out=gaps)
+    gaps += start
+    short = np.flatnonzero(pos[:, -1] < target)
+    pos += u[:, None]
+    rows = pos[:, :, None]
+    pts, counts = _select(rows, _inside(rows, half))
+    if short.size:
+        parts = np.split(pts, np.cumsum(counts)[:-1])
+        for j in short:
+            bits = _stream(states[j])
+            bits.random_raw()  # the phase
+            row = _renewal_positions(gap, start, target, np.random.Generator(bits)) + u[j]
+            parts[j] = row[np.abs(row) <= half][:, None]
+            counts[j] = len(parts[j])
+        pts = np.concatenate(parts)
+    return pts, counts
 
 
-# per variant: its draw, and whether the batch it returns overshoots C_R by
-# a margin of at most one tile and is clipped at once
 _DRAWS = {
-    Variant.POISSON: (_draw_poisson, False),
-    Variant.LATTICE: (_draw_lattice, False),
-    Variant.BERNOULLI_BLOCK: (_draw_bernoulli, True),
-    Variant.VIBRATING_LATTICE: (_draw_vibrating, True),
-    Variant.RENEWAL: (_draw_renewal, False),
+    Variant.POISSON: _draw_poisson,
+    Variant.LATTICE: _draw_lattice,
+    Variant.BERNOULLI_BLOCK: _draw_bernoulli,
+    Variant.VIBRATING_LATTICE: _draw_vibrating,
+    Variant.RENEWAL: _draw_renewal,
 }
 
 
@@ -490,24 +610,16 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> 
 
     The marginal law inside the window is exact for every variant: block and
     lattice models generate one tile of margin and clip, the renewal model
-    oversamples an enlarged interval and applies a uniform shift.  Block and
-    vibrating-lattice draws are clipped once for the whole batch, and the
-    window checks run once for it.
+    oversamples an enlarged interval and applies a uniform shift.  The
+    clipping, like the window checks, runs once for the whole batch.
     """
     R = _side(R)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
     n = int(n)
-    draw, clipped = _DRAWS[model.variant]
-    pts, counts = draw(model, R, _streams(seed.master, seed.replica + rung * n, n))
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    if clipped:
-        keep = np.all((pts >= -R / 2.0) & (pts <= R / 2.0), axis=1)
-        # a mask of the full shape copies the kept rows without an index array
-        pts = pts[np.broadcast_to(keep[:, None], pts.shape)].reshape(-1, model.d)
-        # each replica's start moves down by the points dropped before it
-        offsets = offsets - np.searchsorted(np.flatnonzero(~keep), offsets)
-    return Replicas(pts, offsets, R)
+    states = _seed_states(seed.master, seed.replica + rung * n, n)
+    pts, counts = _DRAWS[model.variant](model, R, states)
+    return Replicas(pts, np.concatenate([[0], np.cumsum(counts)]), R)
 
 
 # ---------------------------------------------------------------------------

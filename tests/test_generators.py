@@ -28,6 +28,12 @@ ALL_MODELS = [
     ProcessModel.renewal(GapLaw.gamma(2.0)),
     ProcessModel.renewal(GapLaw.uniform_hat(4)),
 ]
+# every variant, in every dimension its sampler has, and both renewal gap laws
+SCHEDULE_MODELS = ALL_MODELS + [
+    ProcessModel.poisson(3),
+    ProcessModel.lattice(3),
+    ProcessModel.bernoulli_block(2, 3),
+]
 
 
 class TestValidation:
@@ -101,8 +107,7 @@ def _reference_draw(model: ProcessModel, R: float, rng: np.random.Generator) -> 
     start, target = -half - margin, half + margin
     positions, pos, span = [np.array([start])], start, target - start
     while pos < target:
-        block = positions[-1][-1] + np.cumsum(
-            gap.sample(rng, int(span * 1.25) + int(10.0 * math.sqrt(span)) + 16))
+        block = positions[-1][-1] + np.cumsum(gap.sample(rng, generators._renewal_block(span)))
         positions.append(block)
         pos, span = block[-1], target - block[-1]
     pts = np.concatenate(positions) + u
@@ -133,23 +138,73 @@ class TestSampling:
         np.testing.assert_array_equal(a.offsets, b.offsets)
         np.testing.assert_array_equal(a.points, b.points)
 
-    @pytest.mark.parametrize("model", ALL_MODELS + [ProcessModel.poisson(3)],
-                             ids=lambda m: m.describe())
+    @pytest.mark.parametrize("model", SCHEDULE_MODELS, ids=lambda m: m.describe())
     def test_replicas_follow_the_seed_schedule(self, model):
         # replica j on rung i draws stream replica + i * n + j, the points of a
-        # one-replica draw from that stream bit for bit; R = 0.5 gives a
-        # rung with empty replicas
-        n, seed = 6, Seed(77, 5)
-        for R in (0.5, 4.0, 6.5):
-            for rung in (0, 1):
-                batch = sample(model, R, n, seed, rung)
-                assert len(batch) == n and batch.R == R and batch.d == model.d
-                assert batch.n == batch.points.shape[0] == batch.counts.sum()
-                for j in range(n):
-                    ref = _reference_draw(model, R, _numpy_rng(77, 5 + rung * n + j))
-                    assert batch[j].R == R
-                    assert batch[j].points.tobytes() == ref.tobytes()
-                    assert batch.counts[j] == len(ref)
+        # one-replica draw from that stream bit for bit.  The sides are R = 0.5
+        # (a rung with empty replicas), integer and non-integer R, and R at a
+        # tile boundary and just past it (the tile side is k for blocks, else 1)
+        tile = model.k if model.variant is Variant.BERNOULLI_BLOCK else 1
+        seed = Seed(77, 5)
+        for R in (0.5, 4.0, 6.5, 3.0 * tile, 3.0 * tile + 1e-9):
+            for n, rungs in ((1, (0, 1)), (2, (0, 1)), (257, (1,))):
+                for rung in rungs:
+                    batch = sample(model, R, n, seed, rung)
+                    assert len(batch) == n and batch.R == R and batch.d == model.d
+                    assert batch.n == batch.points.shape[0] == batch.counts.sum()
+                    for j in range(n):
+                        ref = _reference_draw(model, R, _numpy_rng(77, 5 + rung * n + j))
+                        assert batch[j].R == R
+                        assert batch[j].points.tobytes() == ref.tobytes()
+                        assert batch.counts[j] == len(ref)
+
+    @pytest.mark.parametrize("model", [ProcessModel.bernoulli_block(4),
+                                       ProcessModel.bernoulli_block(2, 2),
+                                       ProcessModel.bernoulli_block(2, 3),
+                                       ProcessModel.vibrating_lattice(8)],
+                             ids=lambda m: m.describe())
+    def test_grid_draws_read_again_when_rounding_adds_a_cell(self, model, monkeypatch):
+        # the grid draws read the words of the most tiles R allows and read
+        # again when a replica needs more; too small a bound only costs time
+        expected = [sample(model, R, 9, Seed(8), 1) for R in (6.0, 7.5, 16.0)]
+        monkeypatch.setattr(generators, "_span_cells", lambda length: math.ceil(length) - 1)
+        for R, want in zip((6.0, 7.5, 16.0), expected):
+            got = sample(model, R, 9, Seed(8), 1)
+            np.testing.assert_array_equal(got.offsets, want.offsets)
+            assert got.points.tobytes() == want.points.tobytes()
+
+    @pytest.mark.parametrize("gap,fraction", [(GapLaw.gamma(0.4), 0.75),
+                                              (GapLaw.uniform_hat(4), 0.5)],
+                             ids=["gamma0.4", "hat4"])
+    def test_renewal_replicas_whose_first_block_falls_short(self, gap, fraction, monkeypatch):
+        # blocks of a fraction of a gap per unit length leave replicas short
+        # of the far end after their first block, some of them inside the
+        # window; those are drawn again from their streams and continued
+        model, R, n = ProcessModel.renewal(gap), 6.0, 128
+        before = sample(model, R, n, Seed(4))
+        monkeypatch.setattr(generators, "_renewal_block",
+                            lambda span: max(1, int(span * fraction)))
+        batch = sample(model, R, n, Seed(4))
+        margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
+        start, target = -R / 2.0 - margin, R / 2.0 + margin
+        first_end = []
+        for j in range(n):
+            rng = _numpy_rng(4, j)
+            rng.uniform(0.0, margin)  # the phase
+            gaps = gap.sample(rng, generators._renewal_block(target - start))
+            first_end.append(start + np.cumsum(gaps)[-1])
+            ref = _reference_draw(model, R, _numpy_rng(4, j))
+            assert batch[j].points.tobytes() == ref.tobytes()
+        first_end = np.array(first_end)
+        # the continuation shows inside the window
+        assert np.any(first_end < R / 2.0 - 1.0)
+        if gap.kind is generators.GapLawKind.GAMMA:
+            # gamma gaps are drawn one after another, so a shorter first block
+            # is a prefix of the longer one: the replicas that reach the far
+            # end in one block are unchanged
+            assert np.any(first_end >= target)
+            for j in np.flatnonzero(first_end >= target):
+                assert batch[j].points.tobytes() == before[j].points.tobytes()
 
     def test_poisson_rung_with_empty_replicas(self):
         batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3), rung=1)
@@ -204,14 +259,17 @@ class TestSampling:
             n_in = int(np.sum((x >= lo) & (x <= lo + L)))
             assert math.floor(L) <= n_in <= math.ceil(L)
 
-    def test_bernoulli_tiles_hold_exactly_k_points(self):
-        # all tile points before the clip, less the shift u (the stream's first draw)
+    def test_bernoulli_tiles_hold_exactly_k_points(self, monkeypatch):
+        # all tile points before the clip (no point is outside), less the shift
+        # u (the stream's first draw)
+        monkeypatch.setattr(generators, "_inside", lambda pts, half: np.ones(pts.shape[:-1], bool))
         k, R = 3, 18.0
-        pts, _ = _draw_bernoulli(ProcessModel.bernoulli_block(k), R, [_numpy_rng(21, 0)])
-        x = pts[:, 0] - _numpy_rng(21, 0).uniform(0.0, float(k), 1)[0]
-        tiles = np.floor(x / k)
-        _, counts = np.unique(tiles, return_counts=True)
-        assert np.all(counts == k)
+        pts, counts = _draw_bernoulli(ProcessModel.bernoulli_block(k), R,
+                                      generators._seed_states(21, 0, 3))
+        for j, replica in enumerate(np.split(pts[:, 0], np.cumsum(counts)[:-1])):
+            x = replica - _numpy_rng(21, j).uniform(0.0, float(k), 1)[0]
+            _, per_tile = np.unique(np.floor(x / k), return_counts=True)
+            assert np.all(per_tile == k)
 
     def test_block_mass_deficit(self):
         # normalized pair integral over the window approaches -1 with an
@@ -271,11 +329,33 @@ class TestSeedStreams:
                                       generators._seed_states(2**64 - 3, 5, 3))
 
     def test_streams_draw_as_numpy_default_rng(self):
+        # a stream's bit generator reads the raw words of numpy's default_rng,
+        # and a Generator on it draws as default_rng does
         for master in self.MASTERS:
             for first, n in self.BATCHES:
-                for j, rng in enumerate(generators._streams(master, first, n)):
-                    ref = _numpy_rng(master, first + j)
-                    assert rng.random(100).tobytes() == ref.random(100).tobytes()
+                for j, state in enumerate(generators._seed_states(master, first, n)):
+                    raw = generators._stream(state).random_raw(100)
+                    ref = _numpy_rng(master, first + j).bit_generator.random_raw(100)
+                    assert raw.tobytes() == ref.tobytes()
+                    rng = np.random.Generator(generators._stream(state))
+                    ref = _numpy_rng(master, first + j).random(100)
+                    assert rng.random(100).tobytes() == ref.tobytes()
+
+    def test_raw_words_convert_as_generator_uniform(self):
+        # Generator.uniform(low, high) is low + (high - low) * (word >> 11) * 2**-53
+        # on the stream's raw words, bit for bit: scalar draws and (m, d)
+        # shapes, at the bounds the samplers use
+        bounds = [(0.0, 1.0), (0.0, 3.0), (0.0, 4.0), (-3.25, 3.25), (-32.0, 32.0),
+                  (-1.0 / 7.0, 1.0 / 7.0), (-0.25, 0.25), (0.0, 10.0), (0.0, 12.0)]
+        for j in range(2000):
+            low, high = bounds[j % len(bounds)]
+            ref, raw = _numpy_rng(5, j), _numpy_rng(5, j).bit_generator
+            got = generators._uniform(raw.random_raw(1), low, high)
+            assert got.tobytes() == np.float64(ref.uniform(low, high)).tobytes()
+            shape = (j % 5, 1 + j % 3)
+            got = generators._uniform(raw.random_raw(shape), low, high)
+            assert got.shape == shape
+            assert got.tobytes() == ref.uniform(low, high, shape).tobytes()
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_sample_builds_no_seed_sequence(self, model, monkeypatch):
