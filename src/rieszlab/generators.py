@@ -497,7 +497,7 @@ def _draw_bernoulli(model: ProcessModel, R: float, states) -> tuple[np.ndarray, 
         tiles = np.maximum(tiles, size.max(axis=0))
     cells, full = _grid(lo, size, int(np.prod(tiles)))
     pts = _uniform(words[:, d:], 0.0, float(k)).reshape(n, -1, per_tile, d)
-    pts += (cells * float(k))[:, :, None, :]
+    pts += np.repeat(cells * float(k), per_tile, axis=1).reshape(pts.shape)
     pts += u[:, None, None, :]
     pts = pts.reshape(n, -1, d)
     return _select(pts, np.repeat(full, per_tile, axis=1) & _inside(pts, half))

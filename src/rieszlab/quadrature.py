@@ -8,28 +8,26 @@ and ``pwlinear_weights`` turns the cell moments ``P_j(b) - P_j(a)``, j <= 2
 (``g_moments``, in a form free of cancellation), into node weights for the
 exact integral of g against a piecewise-linear profile times the tent
 ``R - v``: the d = 1 energy routes and the LP objective are those weights
-applied to node values.  In d = 2, 3 there is
-a corner antiderivative for the planar log kernel and one corner-mapped
-(Duffy) Gauss-Legendre rule, ``_corner_rule``, for boxes with the origin at
-a corner.
+applied to node values.
 
-A box containing the origin splits into its 2^d orthant boxes.  The corner
-map ``v = tau * (e_k, e_j u, ...)`` turns each orthant into d pyramids, each
-a radial sum over tau times an angular sum over u (and v).
-``_orthant_integral`` evaluates the full tensor rule against any weight; it
-serves only weighted integrals such as the d >= 2 pair-correlation route.
-The background-background integral needs one pyramid: its unit tent
-``prod_i (1 - |v_i|)`` and ``|v|`` are invariant under every reflection and
-permutation of the axes, so all d 2^d pyramids of [-1, 1]^d are equal.
+In d = 2, 3 the planar log kernel has a corner antiderivative, and boxes
+with the origin at a corner a corner-mapped (Duffy) Gauss-Legendre rule
+(``_corner_rule``, ``_orthant_integral``) for weighted integrals such as the
+pair-correlation route.  The background-background integral is one pyramid
+``v = tau (1, u, v)`` of the unit tent times d 2^d, by symmetry; on it the
+tent is ``sum_m (-tau)^m e_m(1, u, v)`` (elementary symmetric polynomials),
+each power of tau integrates in closed form, and one angular sum is left.
 
-In d = 2, 3 the point-background integral is batched over all points of a
-call.  The window seen from a point p splits into 2^d orthant boxes with p
-at a corner and edges ``R/2 +- p_i``; the log kernel in d = 2 takes the
-corner antiderivative on all of them at once.  A Riesz kernel is homogeneous,
-``g(tau rho) = tau^-s g(rho)``, so ``_riesz_orthants`` takes the radial sum
-of the same rule as one constant shared by every orthant and evaluates only
-the (d-1)-dimensional angular sums per orthant, in place as
-``exp(-(s/2) log rho^2)`` (``Kernel.g_sq``).
+For the point-background integral of a Riesz kernel, ``div(y |y|^-s) =
+(d - s) |y|^-s`` gives ``(d - s) pb(p) = sum_f h_f int_f |y - p|^-s dS``
+over the faces f at distance h_f.  The foot of p splits each face into
+half-edges (d = 2) or right triangles (d = 3); ``u = h sinh w`` along a
+half-edge, or ``tan theta = sinh w`` across a triangle after its radial
+integral in closed form, makes each piece one integral analytic in the
+strip ``|Im w| < pi/2`` whatever its shape (Johnston & Elliott, Int. J.
+Numer. Meth. Engng 62, 2005).  Gauss-Legendre panels of order 12 and width
+<= 1.5 are then exact to rounding, also next to a face, an edge or a
+corner; every piece is positive, so the sum cancels nothing.
 """
 
 from __future__ import annotations
@@ -41,15 +39,13 @@ import numpy as np
 
 from .core import ArgumentError, Kernel, KernelFamily
 
-# angular quadrature nodes per chunk of the batched point-background integral,
-# which bounds its temporaries for any number of points; chosen by timing
-# 2**12..2**18 at n = 64 and 256 in d = 3 and n = 1024 in d = 2, and kept
-# after re-timing the in-place sums at 2**13..2**17: 2**15 to 2**17 tie in
-# d = 3, and 2**15 is fastest in d = 2
-_NODE_BUDGET = 2**15
+# point-background panels: nodes per chunk, which bounds the temporaries for
+# any number of points, and the Gauss-Legendre order and largest width
+_PANEL_NODE_BUDGET = 2**15
+_PANEL_ORDER = 12
+_PANEL_WIDTH = 1.5
 
-# corner-rule orders of the point-background and background-pair integrals
-_POINT_BACKGROUND_ORDER = 32
+# order of the angular rule of the background-pair integral
 _BACKGROUND_PAIR_ORDER = 48
 
 
@@ -188,16 +184,6 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-def _power_map(kernel: Kernel, extra: float) -> int:
-    # t-exponent of the mapped integrand is extra - s (Riesz); pick a power
-    # substitution making it at least cubic so Gauss-Legendre converges fast
-    if kernel.is_log:
-        return 3
-    gap = extra + 1.0 - kernel.s
-    m = int(np.ceil(4.0 / max(gap, 0.25)))
-    return max(2, min(m, 12))
-
-
 @functools.lru_cache(maxsize=16)
 def _corner_rule(d: int, order: int, m: int) -> tuple:
     """Nodes and weights of the corner map, shared read-only by every caller.
@@ -246,7 +232,9 @@ def _orthant_integral(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weig
     the origin at a corner, evaluated in original (signed) coordinates: the
     corner rule summed over the d pyramids."""
     d = edges.size
-    rule = _corner_rule(d, order, _power_map(kernel, float(d - 1)))
+    # tau = t^m makes the t-exponent d - 1 - s (Riesz) at least cubic for Gauss-Legendre
+    m = 3 if kernel.is_log else max(2, min(int(np.ceil(4.0 / max(d - kernel.s, 0.25))), 12))
+    rule = _corner_rule(d, order, m)
     total = sum(_pyramid(kernel, edges, signs, weight, rule, k) for k in range(d))
     return float(np.prod(edges)) * total
 
@@ -294,56 +282,66 @@ def background_pair_integral(kernel: Kernel, R: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _unit_background_pair_integral(kernel: Kernel) -> float:
-    # all d 2^d pyramids of box_kernel_integral(-1, 1, tent) are equal
-    def tent(*coords):
-        return functools.reduce(np.multiply, [1.0 - np.abs(c) for c in coords])
-
+    # pyramid 0 times d 2^d: with x = (1, u, ...), the tent prod_i (1 - tau x_i)
+    # is sum_m c_m tau^m and tau^(d-1+m) g(tau rho) integrates over tau
     d = kernel.d
-    rule = _corner_rule(d, _BACKGROUND_PAIR_ORDER, _power_map(kernel, float(d - 1)))
-    return d * 2**d * _pyramid(kernel, np.ones(d), np.ones(d), tent, rule, 0)
+    _, _, u, w_u = _corner_rule(d, _BACKGROUND_PAIR_ORDER, 1)
+    c = [1.0]
+    for x in [1.0, *u]:
+        c = [a - x * b for a, b in zip(c + [0.0], [0.0] + c)]
+    rho2 = 1.0 + sum(np.square(x) for x in u)
+    if kernel.is_log:
+        f = sum(c_m * (-0.5 * np.log(rho2) / (d + m) + 1.0 / (d + m) ** 2) for m, c_m in enumerate(c))
+    else:
+        f = rho2 ** (-0.5 * kernel.s) * sum(c_m / (d + m - kernel.s) for m, c_m in enumerate(c))
+    return d * 2**d * float(w_u @ f.ravel())
 
 
-def _riesz_orthants(kernel: Kernel, edges: np.ndarray) -> np.ndarray:
-    """``_orthant_integral`` of a Riesz kernel without weight, for every row of
-    ``edges`` (shape (N, d), all entries positive).
-
-    In each pyramid of the corner rule ``|v| = tau rho(u)``, so ``g(|v|) =
-    tau^-s g(rho)``: the radial sum is one constant for every row, and only
-    the angular sums over u are evaluated per row, in chunks of about
-    ``_NODE_BUDGET`` nodes.  Per pyramid, ``rho^2 = e_k^2 + e_j^2 u^2 (+
-    e_l^2 v^2)`` fills one buffer, and the kernel is evaluated in place.
-    """
-    n, d = edges.shape
-    tau, w_tau, u, w_u = _corner_rule(d, _POINT_BACKGROUND_ORDER, _power_map(kernel, d - 1.0))
-    radial = float(np.sum(w_tau * tau ** -kernel.s))
-    u2 = np.square(u[0].ravel())
-    sq = np.square(edges)
-    out = np.empty(n)
-    step = max(1, _NODE_BUDGET // w_u.size)
-    buf = np.empty((min(n, step),) + u2.shape * 2) if d == 3 else None
-    for i0 in range(0, n, step):
-        e2 = sq[i0:i0 + step]
-        m = e2.shape[0]
-        ang = np.zeros(m)
-        for k in range(d):
-            r2 = e2[:, k, None] + e2[:, (k + 1) % d, None] * u2
-            if d == 3:
-                r2 = np.add(r2[:, :, None], e2[:, (k + 2) % d, None, None] * u2, out=buf[:m])
-            ang += kernel.g_sq(r2).reshape(m, -1) @ w_u
-        out[i0:i0 + step] = radial * np.prod(edges[i0:i0 + step], axis=1) * ang
-    return out
+def _face_integrals(kernel: Kernel, pieces: list[np.ndarray]) -> np.ndarray:
+    """The face pieces of ``point_background``, one column per coordinate,
+    all positive: in d = 2 the half-edge ``(h, l)``, ``h^(2-s) / (2-s)
+    int_0^W cosh^(1-s) w dw`` with ``W = asinh(l/h)``; in d = 3 the triangle
+    ``(h, a, b)`` with legs a, b at distance h, ``h^(3-s) / ((3-s) 2q)
+    int_0^W expm1(q log1p((a cosh w / h)^2)) / cosh w dw`` with
+    ``W = asinh(b/a)``, ``q = 1 - s/2`` (``log1p / 2`` at q = 0).  Each piece
+    sums its own row (``einsum``; a BLAS product depends on the row's place
+    in the chunk), so its value is the same in any batch."""
+    d, h, s = len(pieces), pieces[0], kernel.s
+    W = np.arcsinh(pieces[-1] / pieces[-2])
+    if d == 2 and s == 1.0:
+        return W * h  # the integrand is 1
+    q = 1.0 - 0.5 * s
+    c = np.square(pieces[1] / h)[:, None] if d == 3 else None  # (a/h)^2
+    panels = np.ceil(W / _PANEL_WIDTH).astype(np.int16)  # 16 bits: radix argsort
+    rows, counts = np.argsort(panels, kind="stable"), np.bincount(panels)
+    t, wt = _gl_nodes(_PANEL_ORDER)
+    buf = np.empty((2, max(_PANEL_NODE_BUDGET, t.size * counts.size)))
+    out = np.empty(h.size)
+    for n in np.flatnonzero(counts):
+        x, w = ((np.arange(n)[:, None] + t) / n).ravel(), np.tile(wt / n, n)
+        step = max(1, _PANEL_NODE_BUDGET // x.size)
+        for r in (rows[i:i + step] for i in range(0, counts[n], step)):
+            ch, f = (b[:r.size * x.size].reshape(r.size, x.size) for b in buf)
+            np.cosh(np.multiply.outer(W[r], x, out=ch), out=ch)
+            if d == 2:
+                np.exp(np.multiply(np.log(ch, out=f), 1.0 - s, out=f), out=f)
+            else:
+                np.log1p(np.multiply(np.square(ch, out=f), c[r], out=f), out=f)
+                if q:
+                    np.expm1(np.multiply(f, q, out=f), out=f)
+                f /= ch
+            out[r] = np.einsum("ij,j->i", f, w)
+        rows = rows[counts[n]:]
+    return out * W * h ** (d - s) * (1.0 / (2.0 - s) if d == 2 else 0.5 / ((3.0 - s) * (q or 1.0)))
 
 
 def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
     """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R.
 
-    d = 1 is closed form.  In d = 2, 3 the window seen from p is the union of
-    2^d orthant boxes with p at a corner and edges ``R/2 -+ p_i``, and one
-    batched evaluation covers the boxes of all points: the corner
-    antiderivative for the planar log kernel, and for Riesz kernels the
-    corner rule with its radial sum factored out (``_riesz_orthants``).
-    Boxes of zero width, from points on a face, contribute nothing and are
-    skipped.
+    d = 1 and the planar log kernel are closed forms.  For Riesz kernels in
+    d = 2, 3 each orthant box with p at a corner gives d! face pieces, one
+    per ordering of its edges (the face's distance, then the triangle's
+    legs); boxes of zero width, from points on a face, are skipped.
     """
     d = kernel.d
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -354,8 +352,10 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
     if np.any(np.abs(pts) > R / 2.0):
         raise ArgumentError("points must lie in the closed window")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
-    edges = (R / 2.0 + pts[:, None, :] * signs).reshape(-1, d)
-    keep = np.all(edges > 0.0, axis=1)
-    vals = np.zeros(edges.shape[0])
-    vals[keep] = _riesz_orthants(kernel, edges[keep])
-    return vals.reshape(-1, 2**d).sum(axis=1)
+    perms = np.array(list(itertools.permutations(range(d))))
+    edges = R / 2.0 + pts[:, None, :] * signs
+    pieces = [edges[:, :, perms[:, i]].ravel() for i in range(d)]
+    keep = np.logical_and.reduce([e > 0.0 for e in pieces])
+    vals = np.zeros(keep.size)
+    vals[keep] = _face_integrals(kernel, [e[keep] for e in pieces])
+    return vals.reshape(-1, signs.shape[0] * perms.shape[0]).sum(axis=1)

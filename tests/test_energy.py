@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from rieszlab import quadrature
 from rieszlab import (
@@ -92,12 +93,13 @@ class TestBackgroundIntegrals:
                                         riesz_kernel(2.5, 3)],
                              ids=["s0.5d2", "s1d2", "s1.5d2", "log2d", "s1d3", "s1.5d3", "s2.5d3"])
     def test_unit_bb_is_the_full_tent_rule(self, kernel):
-        # one pyramid times d 2^d against all 2^d orthants of the same rule
+        # one pyramid times d 2^d, exact in tau, against all 2^d orthants of
+        # the corner rule at order 64, where that rule has converged to ~2e-15
         def tent(*coords):
             return math.prod(1.0 - np.abs(c) for c in coords)
 
         full = quadrature.box_kernel_integral(
-            kernel, -np.ones(kernel.d), np.ones(kernel.d), weight=tent, order=48)
+            kernel, -np.ones(kernel.d), np.ones(kernel.d), weight=tent, order=64)
         got = quadrature._unit_background_pair_integral.__wrapped__(kernel)
         assert got == pytest.approx(full, rel=1e-14, abs=0.0)
 
@@ -554,18 +556,88 @@ class TestMonteCarloBlocks:
         np.testing.assert_allclose(blocked, loop, rtol=1e-12, atol=0.0)
 
 
+def _orthant_2d(a, b, s):
+    """``int_[0,a]x[0,b] |y|^-s dy``: two triangles, each
+    ``x y / (2 - s) x^-s 2F1(1/2, s/2; 3/2; -(y/x)^2)``; at s = 1, where
+    scipy's hyp2f1 fails for large arguments, ``a asinh(b/a) + b asinh(a/b)``."""
+    if s == 1.0:
+        return a * math.asinh(b / a) + b * math.asinh(a / b)
+
+    def triangle(x, y):
+        return x * y / (2.0 - s) * x**-s * special.hyp2f1(0.5, 0.5 * s, 1.5, -(y / x) ** 2)
+
+    return triangle(a, b) + triangle(b, a)
+
+
+def _orthant_3d(e, s):
+    """``int_[0,e1]x[0,e2]x[0,e3] |y|^-s dy`` as three pyramids with major edge
+    a: ``a b c / (3 - s) int_0^1 A^(-s/2) 2F1(1/2, s/2; 3/2; -c^2/A) du`` with
+    ``A = a^2 + (b u)^2``.  For a < b the integrand has a peak of width a/b at
+    u = 0, so quad gets breakpoints from a/b to 1 in geometric steps."""
+    total = 0.0
+    for k in range(3):
+        a, b, c = e[k], e[(k + 1) % 3], e[(k + 2) % 3]
+
+        def inner(u):
+            A = a * a + (b * u) ** 2
+            if s == 1.0:
+                return math.asinh(c / math.sqrt(A)) / c
+            return A ** (-0.5 * s) * special.hyp2f1(0.5, 0.5 * s, 1.5, -c * c / A)
+
+        breaks = np.geomspace(a / b, 1.0, 20)[:-1] if a < b else None
+        total += a * b * c / (3.0 - s) * integrate.quad(
+            inner, 0.0, 1.0, points=breaks, epsabs=0.0, epsrel=5e-14, limit=400)[0]
+    return total
+
+
+def _exact_pb(s, d, p, R):
+    """``int_{C_R} |p - y|^-s dy`` as the sum of its orthant boxes with p at
+    a corner, each by ``_orthant_2d`` or ``_orthant_3d``."""
+    total = 0.0
+    for sg in itertools.product((1.0, -1.0), repeat=d):
+        e = R / 2.0 + np.array(sg) * p
+        if np.all(e > 0.0):
+            total += _orthant_2d(*e, s) if d == 2 else _orthant_3d(e, s)
+    return total
+
+
+EXACT_CASES = ([(s, 2, 16.0) for s in (0.25, 0.5, 1.0, 1.5, 1.99)]
+               + [(s, 3, 3.0) for s in (1.0, 1.5, 2.0, 2.01, 2.5)])
+
+
 class TestPointBackgroundBatched:
-    """The batched point-background integral against the per-point
-    corner-split quadrature it reorders, and against independent references."""
+    """The batched point-background integral against exact references: the
+    orthant closed form in d = 2, one adaptive quadrature over the orthant's
+    pyramids in d = 3 (which agrees with 30-digit mpmath to rounding)."""
 
     @staticmethod
     def _points(d, R, n, seed):
         rng = np.random.default_rng(seed)
-        special = [np.zeros(d), np.r_[R / 2, np.zeros(d - 1)],
-                   np.full(d, -R / 2)]
+        special_pts = [np.zeros(d), np.r_[R / 2, np.zeros(d - 1)],
+                       np.full(d, -R / 2)]
         if d == 3:
-            special.append(np.array([R / 2, -R / 2, 0.3]))
-        return np.vstack([rng.uniform(-R / 2, R / 2, (n, d))] + special)
+            special_pts.append(np.array([R / 2, -R / 2, 0.3]))
+        return np.vstack([rng.uniform(-R / 2, R / 2, (n, d))] + special_pts)
+
+    @staticmethod
+    def _faces_edges_corners(d, R):
+        """An interior point, the centre, points on a face, an edge (d = 3)
+        and a corner, and points 1e-2, 1e-4, 1e-7 and 1e-12 from each."""
+        inside = np.array([0.13, -0.07, 0.11])[:d] * R
+        pts = [np.array([0.37, -0.21, 0.29])[:d] * R, np.zeros(d)]
+        for eps in (0.0, 1e-2, 1e-4, 1e-7, 1e-12):
+            for k in range(1, d + 1):  # k coordinates at the boundary
+                p = inside.copy()
+                p[:k] = (R / 2 - eps) * np.array([1.0, -1.0, 1.0])[:k]
+                pts.append(p)
+        return np.array(pts)
+
+    @pytest.mark.parametrize("s, d, R", EXACT_CASES)
+    def test_exact_references(self, s, d, R):
+        pts = self._faces_edges_corners(d, R)
+        got = quadrature.point_background(riesz_kernel(s, d), pts, R)
+        ref = [_exact_pb(s, d, p, R) for p in pts]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("s, d, R", [(0.8, 2, 5.0), (1.0, 2, 16.0), (1.5, 3, 3.0),
                                          (0.25, 2, 5.0), (1.0, 3, 3.0), (2.5, 3, 3.0)])
@@ -576,9 +648,41 @@ class TestPointBackgroundBatched:
                 np.r_[R / 2, np.full(d - 1, -R / 2)]]
         pts = np.vstack([self._points(d, R, 20, 7)] + near)
         got = quadrature.point_background(kernel, pts, R)
-        ref = [quadrature.box_kernel_integral(kernel, -R / 2 - p, R / 2 - p) for p in pts]
+        ref = [_exact_pb(s, d, p, R) for p in pts]
         assert got.shape == (pts.shape[0],)
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("s, d, R", EXACT_CASES)
+    def test_halved_panels_change_nothing(self, s, d, R, monkeypatch):
+        pts = np.vstack([self._points(d, R, 10, 11), self._faces_edges_corners(d, R)])
+        kernel = riesz_kernel(s, d)
+        got = quadrature.point_background(kernel, pts, R)
+        monkeypatch.setattr(quadrature, "_PANEL_WIDTH", quadrature._PANEL_WIDTH / 2)
+        finer = quadrature.point_background(kernel, pts, R)
+        np.testing.assert_allclose(got, finer, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("s, d, R", [(0.5, 2, 16.0), (1.99, 2, 5.0),
+                                         (1.5, 3, 3.0), (2.0, 3, 4.0)])
+    def test_batched_equals_per_point_bitwise(self, s, d, R):
+        kernel = riesz_kernel(s, d)
+        pts = np.vstack([self._points(d, R, 40, 12), self._faces_edges_corners(d, R)])
+        got = quadrature.point_background(kernel, pts, R)
+        one_by_one = [quadrature.point_background(kernel, p[None, :], R)[0] for p in pts]
+        np.testing.assert_array_equal(got, one_by_one)
+
+    @pytest.mark.parametrize("s, d, R", [(0.25, 2, 16.0), (1.99, 2, 16.0),
+                                         (1.0, 3, 3.0), (2.0, 3, 3.0), (2.5, 3, 3.0)])
+    def test_one_ulp_inside_a_face(self, s, d, R):
+        # W = asinh(R / ulp) is about 37, about 25 panels; s = 2 in d = 3 is
+        # the q = 0 branch; nothing may overflow or divide by zero
+        h = np.nextafter(R / 2, 0.0)
+        pts = np.array([np.r_[h, np.full(d - 1, 0.1)], np.r_[h, np.full(d - 1, -h)],
+                        np.full(d, -h)])
+        assert np.arcsinh(R / (R / 2 - h)) / quadrature._PANEL_WIDTH > 24
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = quadrature.point_background(riesz_kernel(s, d), pts, R)
+        ref = [_exact_pb(s, d, p, R) for p in pts]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_log2d_matches_per_point(self):
         R = 16.0
@@ -608,17 +712,19 @@ class TestPointBackgroundBatched:
         out = quadrature.point_background(kernel, np.empty((0, kernel.d)), 4.0)
         assert out.shape == (0,)
 
-    def test_several_chunks(self):
-        # 2**3 orthants per point and 32**2 angular nodes per orthant, so 40
-        # points span about ten chunks of _NODE_BUDGET nodes
+    def test_several_chunks(self, monkeypatch):
+        # 48 face pieces per point of at least 12 panel nodes each, so with a
+        # budget of 2**11 nodes 40 points span at least ten chunks
         kernel = riesz_kernel(1.5, 3)
         R = 4.0
         pts = self._points(3, R, 36, 9)
-        nodes = 8 * pts.shape[0] * 32**2
-        assert nodes >= 8 * quadrature._NODE_BUDGET
+        whole = quadrature.point_background(kernel, pts, R)
+        monkeypatch.setattr(quadrature, "_PANEL_NODE_BUDGET", 2**11)
+        assert 48 * pts.shape[0] * quadrature._PANEL_ORDER >= 10 * quadrature._PANEL_NODE_BUDGET
         got = quadrature.point_background(kernel, pts, R)
-        ref = [quadrature.box_kernel_integral(kernel, -R / 2 - p, R / 2 - p) for p in pts]
-        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(got, whole)
+        ref = [_exact_pb(1.5, 3, p, R) for p in pts]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     def test_outside_window_rejected(self):
         with pytest.raises(ArgumentError):
