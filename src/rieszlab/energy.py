@@ -13,7 +13,9 @@ bare limit claim.
 In d = 1 one profile integral, ``_rho2_value_1d``, evaluates that formula
 for the rho2 route and the lattice series, always with the tent ``R - v``.
 Once the deficit has decayed, its limit in R is the plain integral
-``2 int_0^inf g(v) (rho2(v) - 1) dv``, so no tent-free route is needed.
+``2 int_0^inf g(v) (rho2(v) - 1) dv``, so no tent-free route is needed.  In
+d >= 2 the deficit is 0 or the separable block deficit, and
+``_rho2_value_general`` is one exact box integral per rung.
 """
 
 from __future__ import annotations
@@ -214,19 +216,23 @@ def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
 
 
 def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
-    def weight(*coords):
-        tent = np.prod([R - np.abs(c) for c in coords], axis=0)
-        return (rho2.continuous_part(np.stack(coords, axis=-1)) - 1.0) * tent
-
-    box = np.full(kernel.d, R)
-    return quadrature.box_kernel_integral(kernel, -box, box, weight=weight, order=24) / R**kernel.d
+    """``R^-d int_{[-R, R]^d} g(v) (rho2(v) - 1) prod_i (R - |v_i|) dv`` in
+    d >= 2, where the deficit is 0 or the block's ``-k^-d prod_i (1 -
+    |v_i|/k)_+``: one box integral of side ``min(k, R)`` with the per-axis
+    polynomial ``(1 - x/k)(R - x)``."""
+    k = rho2.block
+    if k is None:
+        return 0.0
+    p = (R, -1.0 - R / k, 1.0 / k)
+    return -quadrature.box_kernel_integral(kernel, min(k, R), p) / (k * R) ** kernel.d
 
 
 def wint_from_rho2(rho2: Rho2Analytic, kernel: Kernel, R_list) -> EnergyReport:
     """Tent-weighted quadrature of the pair-correlation deficit on an R ladder.
 
-    In d = 1 the integrand is handled exactly (piecewise-linear profile times
-    closed-form kernel moments).  A head check rejects deficits that are not
+    Exact up to rounding in every d: in d = 1 a piecewise-linear profile
+    times closed-form kernel moments, in d >= 2 one box integral exact in
+    the radial variable.  A head check rejects deficits that are not
     integrable against the kernel; a ladder check flags non-convergence in R
     instead of fabricating a number.
     """

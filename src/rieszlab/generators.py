@@ -630,8 +630,11 @@ class Rho2Analytic:
     """Two-point correlation of a stationary model in dimension ``d``: a
     continuous density and atoms on the positive half-line (mirrored by
     symmetry).  ``continuous_part(v)`` gives one density value per separation,
-    ``v`` of shape (..., d) in d >= 2; the energy routes consume ``nodes_upto``
-    whose piecewise-linear interpolation is exact for every built-in model.
+    ``v`` of shape (..., d) in d >= 2.  In d = 1 the energy routes consume
+    ``nodes_upto``, whose piecewise-linear interpolation is exact for every
+    built-in model; in d >= 2 they read only ``block``: the side k of the
+    separable deficit ``rho2 - 1 = -k^-d prod_i (1 - |v_i|/k)_+``, or None
+    for no deficit.
     """
 
     def __init__(
@@ -642,6 +645,7 @@ class Rho2Analytic:
         atoms_fn: Callable[[float], np.ndarray] | None = None,
         head_exponent: float = 0.0,
         tail_flat: bool = True,
+        block: float | None = None,
     ):
         self.d = d
         self.continuous_part = continuous_part
@@ -649,6 +653,7 @@ class Rho2Analytic:
         self._atoms_fn = atoms_fn or (lambda limit: np.empty((0, 2)))
         self.head_exponent = head_exponent
         self.tail_flat = tail_flat
+        self.block = block
 
     def nodes_upto(self, limit: float) -> np.ndarray:
         nodes = np.asarray(self._nodes_fn(limit), dtype=float)
@@ -708,6 +713,7 @@ def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
         d=d,
         continuous_part=cont,
         nodes_fn=lambda limit: np.array([0.0, kk, limit]),
+        block=kk,
     )
 
 

@@ -59,11 +59,6 @@ class Discretization:
     def half_grid(self) -> np.ndarray:
         return self.step * np.arange(self.n_half + 1)
 
-    @property
-    def freq_grid(self) -> np.ndarray:
-        # DCT-I frequencies j / (2 v_max), up to the grid Nyquist 1 / (2 step)
-        return np.arange(self.n_half + 1) / (2.0 * self.v_max)
-
 
 def cosine_transform(disc: Discretization, half_values: np.ndarray) -> np.ndarray:
     """Samples of ``int T2(v) cos(2 pi xi v) dv`` on the frequency grid,

@@ -10,13 +10,13 @@ exact integral of g against a piecewise-linear profile times the tent
 ``R - v``: the d = 1 energy routes and the LP objective are those weights
 applied to node values.
 
-In d = 2, 3 the planar log kernel has a corner antiderivative, and boxes
-with the origin at a corner a corner-mapped (Duffy) Gauss-Legendre rule
-(``_corner_rule``, ``_orthant_integral``) for weighted integrals such as the
-pair-correlation route.  The background-background integral is one pyramid
-``v = tau (1, u, v)`` of the unit tent times d 2^d, by symmetry; on it the
-tent is ``sum_m (-tau)^m e_m(1, u, v)`` (elementary symmetric polynomials),
-each power of tau integrates in closed form, and one angular sum is left.
+In d = 2, 3 the planar log kernel has a corner antiderivative, and
+``box_kernel_integral`` takes every box term: g against a product of one
+polynomial per axis over a centred cube, which is the background-background
+tent and the block deficit of the pair-correlation route.  By symmetry it is
+d 2^d times one pyramid ``v = a tau (1, u, w)``; there the weight is a
+polynomial in tau, each power of tau integrates in closed form, and one
+smooth angular sum is left.
 
 For the point-background integral of a Riesz kernel, ``div(y |y|^-s) =
 (d - s) |y|^-s`` gives ``(d - s) pb(p) = sum_f h_f int_f |y - p|^-s dS``
@@ -45,8 +45,8 @@ _PANEL_NODE_BUDGET = 2**15
 _PANEL_ORDER = 12
 _PANEL_WIDTH = 1.5
 
-# order of the angular rule of the background-pair integral
-_BACKGROUND_PAIR_ORDER = 48
+# Gauss-Legendre order per minor axis of the angular sum of box integrals
+_ANGULAR_ORDER = 48
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def _log_boxes_2d(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# corner-mapped Gauss-Legendre for boxes with the origin at a corner, d = 2, 3
+# d = 2, 3: box integrals with a per-axis polynomial weight
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=8)
@@ -184,82 +184,38 @@ def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     return t, wt
 
 
-@functools.lru_cache(maxsize=16)
-def _corner_rule(d: int, order: int, m: int) -> tuple:
-    """Nodes and weights of the corner map, shared read-only by every caller.
+def box_kernel_integral(kernel: Kernel, a: float, p) -> float:
+    """``int_{[-a, a]^d} g(|v|) prod_i p(|v_i|) dv`` in d = 2, 3, for the
+    per-axis polynomial ``p(x) = sum_j p[j] x^j``, exact up to the angular sum.
 
-    An orthant box with edges e and the origin at a corner splits into d
-    pyramids; pyramid k has major axis k and minor axes ``(k + i) mod d``,
-    i = 1..d-1, and maps ``v_k = e_k tau``, ``v_(k+i) = e_(k+i) tau u_i``.
-    Returns the radial nodes ``tau = t^m`` with weights that include the
-    Jacobian ``tau^(d-1) m t^(m-1)``, and the tensor angular grid: a tuple of
-    d-1 sparse node arrays u_i (axis i-1 of an ``(order,) * (d-1)`` grid)
-    and the flattened weights of that grid.  The mapped volume element also
-    carries the edge product, which the callers apply.
+    The integrand is symmetric in the signs and the order of the
+    coordinates, so the box is d 2^d copies of pyramid 0, ``v = a tau x``
+    with ``x = (1, u_1, ...)``, tau and u_i in [0, 1], volume element
+    ``a^d tau^(d-1)``.  There ``prod_i p(a tau x_i) = sum_m c_m(u) tau^m``
+    and each ``tau^(d-1+m) g(a tau |x|)`` integrates over tau in closed
+    form; the angular sum left is smooth, by Gauss-Legendre per minor axis.
     """
-    t, wt = _gl_nodes(order)
-    tau = t**m
-    w_tau = wt * m * t ** (m - 1) * tau ** (d - 1)
-    u = tuple(np.meshgrid(*[t] * (d - 1), indexing="ij", sparse=True))
+    d = kernel.d
+    if d not in (2, 3):
+        raise ArgumentError("box integrals support d = 2 or 3")
+    t, wt = _gl_nodes(_ANGULAR_ORDER)
+    u = np.meshgrid(*[t] * (d - 1), indexing="ij", sparse=True)  # u_i along axis i - 1
     w_u = functools.reduce(np.multiply.outer, [wt] * (d - 1)).ravel()
-    for a in (tau, w_tau, w_u) + u:
-        a.flags.writeable = False
-    return tau, w_tau, u, w_u
-
-
-def _pyramid(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weight, rule: tuple, k: int) -> float:
-    # the corner rule on pyramid k of an orthant box, without the edge product;
-    # |v|^2 / tau^2 = e_k^2 + sum_i (e_(k+i) u_i)^2 on the angular grid
-    tau, w_tau, u, w_u = rule
-    d = edges.size
-    r2 = np.square(edges[k])
-    for i in range(1, d):
-        r2 = r2 + np.square(edges[(k + i) % d] * u[i - 1])
-    f = kernel.g(tau[:, None] * np.sqrt(r2.ravel()))
-    if weight is not None:
-        coords = [None] * d
-        coords[k] = np.broadcast_to(signs[k] * edges[k] * tau[:, None], f.shape)
-        for i in range(1, d):
-            j = (k + i) % d
-            u_i = np.broadcast_to(u[i - 1], (tau.size,) * (d - 1)).ravel()
-            coords[j] = signs[j] * edges[j] * tau[:, None] * u_i
-        f = f * weight(*coords)
-    return float(w_tau @ f @ w_u)
-
-
-def _orthant_integral(kernel: Kernel, edges: np.ndarray, signs: np.ndarray, weight, order: int) -> float:
-    """Integral of g(|v|) * weight(v) over the orthant box [0, e1] x ... with
-    the origin at a corner, evaluated in original (signed) coordinates: the
-    corner rule summed over the d pyramids."""
-    d = edges.size
-    # tau = t^m makes the t-exponent d - 1 - s (Riesz) at least cubic for Gauss-Legendre
-    m = 3 if kernel.is_log else max(2, min(int(np.ceil(4.0 / max(d - kernel.s, 0.25))), 12))
-    rule = _corner_rule(d, order, m)
-    total = sum(_pyramid(kernel, edges, signs, weight, rule, k) for k in range(d))
-    return float(np.prod(edges)) * total
-
-
-def box_kernel_integral(kernel: Kernel, lo, hi, weight=None, order: int = 32) -> float:
-    """``int_box g(|v|) weight(v) dv`` for an axis-aligned box that contains
-    the origin, in d = 2 or 3.
-
-    The box splits into its 2^d orthant boxes, each with the origin at a
-    corner and integrated by the corner rule; orthants of zero width are
-    skipped.  ``weight`` is called with one array per coordinate.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if lo.size not in (2, 3):
-        raise ArgumentError("corner-mapped quadrature supports d = 2 or 3")
-    if np.any(lo > 0.0) or np.any(hi < 0.0):
-        raise ArgumentError("the box must contain the origin")
-    total = 0.0
-    for signs in itertools.product((-1.0, 1.0), repeat=lo.size):
-        signs = np.array(signs)
-        edges = np.where(signs > 0.0, hi, -lo)
-        if np.all(edges > 0.0):
-            total += _orthant_integral(kernel, edges, signs, weight, order)
-    return total
+    c = [1.0]
+    for x in [1.0, *u]:
+        px = [p_j * (a * x) ** j for j, p_j in enumerate(p)]
+        c = [sum(px[j] * c[m - j] for j in range(len(px)) if 0 <= m - j < len(c))
+             for m in range(len(c) + len(px) - 1)]
+    rho2 = 1.0 + sum(np.square(x) for x in u)
+    if kernel.is_log:
+        # int_0^1 tau^(n-1) (-log(a rho) - log tau) dtau = -log(a rho)/n + 1/n^2
+        log_ar = -0.5 * np.log(rho2) - np.log(a)
+        f = sum(c_m * (log_ar / (d + m) + 1.0 / (d + m) ** 2) for m, c_m in enumerate(c))
+        scale = a**d
+    else:
+        f = rho2 ** (-0.5 * kernel.s) * sum(c_m / (d + m - kernel.s) for m, c_m in enumerate(c))
+        scale = a ** (d - kernel.s)
+    return d * 2**d * scale * float(w_u @ f.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +238,7 @@ def background_pair_integral(kernel: Kernel, R: float) -> float:
 
 @functools.lru_cache(maxsize=64)
 def _unit_background_pair_integral(kernel: Kernel) -> float:
-    # pyramid 0 times d 2^d: with x = (1, u, ...), the tent prod_i (1 - tau x_i)
-    # is sum_m c_m tau^m and tau^(d-1+m) g(tau rho) integrates over tau
-    d = kernel.d
-    _, _, u, w_u = _corner_rule(d, _BACKGROUND_PAIR_ORDER, 1)
-    c = [1.0]
-    for x in [1.0, *u]:
-        c = [a - x * b for a, b in zip(c + [0.0], [0.0] + c)]
-    rho2 = 1.0 + sum(np.square(x) for x in u)
-    if kernel.is_log:
-        f = sum(c_m * (-0.5 * np.log(rho2) / (d + m) + 1.0 / (d + m) ** 2) for m, c_m in enumerate(c))
-    else:
-        f = rho2 ** (-0.5 * kernel.s) * sum(c_m / (d + m - kernel.s) for m, c_m in enumerate(c))
-    return d * 2**d * float(w_u @ f.ravel())
+    return box_kernel_integral(kernel, 1.0, (1.0, -1.0))  # the unit tent 1 - x
 
 
 def _face_integrals(kernel: Kernel, pieces: list[np.ndarray]) -> np.ndarray:

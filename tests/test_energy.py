@@ -78,73 +78,61 @@ class TestBackgroundIntegrals:
         (riesz_kernel(1.5, 3), (2.0, 3.0, 4.0)),
     ])
     def test_bb_scaling_matches_direct_quadrature(self, kernel, R_values):
+        # the cached unit value scaled to R against the tent R - x on [-R, R]^d
         for R in R_values:
-            def tent(*coords):
-                return math.prod(R - np.abs(c) for c in coords)
-
-            direct = quadrature.box_kernel_integral(
-                kernel, np.full(kernel.d, -R), np.full(kernel.d, R), weight=tent, order=48)
+            direct = quadrature.box_kernel_integral(kernel, R, (R, -1.0))
             got = quadrature.background_pair_integral(kernel, R)
             assert got == pytest.approx(direct, rel=1e-13)
 
-    @pytest.mark.parametrize("kernel", [riesz_kernel(0.5, 2), riesz_kernel(1.0, 2),
-                                        riesz_kernel(1.5, 2), log_kernel(2),
-                                        riesz_kernel(1.0, 3), riesz_kernel(1.5, 3),
-                                        riesz_kernel(2.5, 3)],
-                             ids=["s0.5d2", "s1d2", "s1.5d2", "log2d", "s1d3", "s1.5d3", "s2.5d3"])
-    def test_unit_bb_is_the_full_tent_rule(self, kernel):
-        # one pyramid times d 2^d, exact in tau, against all 2^d orthants of
-        # the corner rule at order 64, where that rule has converged to ~2e-15
-        def tent(*coords):
-            return math.prod(1.0 - np.abs(c) for c in coords)
-
-        full = quadrature.box_kernel_integral(
-            kernel, -np.ones(kernel.d), np.ones(kernel.d), weight=tent, order=64)
+    # references: the full tent rule, all 2^d orthants and d pyramids of a
+    # corner-mapped (Duffy) Gauss-Legendre rule at order 64, converged to
+    # ~2e-15; its values frozen
+    @pytest.mark.parametrize("kernel, full", [
+        (riesz_kernel(0.5, 2), 1.5844091715698898), (riesz_kernel(1.0, 2), 2.973209598247383),
+        (riesz_kernel(1.5, 2), 8.0556092819184), (log_kernel(2), 0.8050867219500883),
+        (riesz_kernel(1.0, 3), 1.8823126443896636), (riesz_kernel(1.5, 3), 2.980010064004011),
+        (riesz_kernel(2.5, 3), 15.553034498351705),
+    ], ids=["s0.5d2", "s1d2", "s1.5d2", "log2d", "s1d3", "s1.5d3", "s2.5d3"])
+    def test_unit_bb_is_the_full_tent_rule(self, kernel, full):
+        # one pyramid times d 2^d, exact in tau
         got = quadrature._unit_background_pair_integral.__wrapped__(kernel)
         assert got == pytest.approx(full, rel=1e-14, abs=0.0)
 
-    def test_bb_makes_no_box_integral(self, monkeypatch):
-        calls = []
-        real = quadrature.box_kernel_integral
+    # (box half-width a, per-axis polynomial p): the unit tent 1 - x, and the
+    # block k = 2 rung at R = 3, (1 - x/2)(3 - x) on [-2, 2]^d
+    BOX_WEIGHTS = [(1.0, (1.0, -1.0)), (2.0, (3.0, -2.5, 0.5))]
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(quadrature, "box_kernel_integral", counting)
-        quadrature._unit_background_pair_integral.cache_clear()
-        for kernel in (riesz_kernel(1.0, 2), log_kernel(2), riesz_kernel(1.5, 3)):
-            assert np.isfinite(quadrature.background_pair_integral(kernel, 3.0))
-        assert calls == []
+    @staticmethod
+    def _tau_moments(a, p, x, d, s):
+        # prod_i p(a tau x_i) = sum_m c_m tau^m, and int_0^1 tau^(d-1+m-s) dtau
+        c = [1.0]
+        for x_i in x:
+            c = np.polynomial.polynomial.polymul(c, [p_j * (a * x_i) ** j for j, p_j in enumerate(p)])
+        return sum(c_m / (d + m - s) for m, c_m in enumerate(c))
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
     def test_bb_riesz_2d_tau_moments(self, s):
-        # 8 triangles x major, y = x u; the tent (1 - x)(1 - x u) times x^(1-s)
-        # integrates exactly in x, leaving a smooth integral over u
-        def inner(u):
-            return (1.0 + u * u) ** (-0.5 * s) * (
-                1.0 / (2.0 - s) - (1.0 + u) / (3.0 - s) + u / (4.0 - s))
+        # 8 triangles x major, y = x u; the weight times x^(1-s) integrates
+        # exactly in x, leaving a smooth integral over u
+        for a, p in self.BOX_WEIGHTS:
+            def inner(u):
+                return (1.0 + u * u) ** (-0.5 * s) * self._tau_moments(a, p, (1.0, u), 2, s)
 
-        ref = 8.0 * integrate.quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
-        got = quadrature.background_pair_integral(riesz_kernel(s, 2), 1.0)
-        assert got == pytest.approx(ref, rel=1e-12)
+            ref = 8.0 * a ** (2.0 - s) * integrate.quad(inner, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+            got = quadrature.box_kernel_integral(riesz_kernel(s, 2), a, p)
+            assert got == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("s", [1.0, 1.5, 2.5])
     def test_bb_riesz_3d_tau_moments(self, s):
-        # 24 pyramids, as in d = 2 with the tent (1 - x)(1 - x u)(1 - x w)
-        def inner(w, u):
-            return (1.0 + u * u + w * w) ** (-0.5 * s) * (
-                1.0 / (3.0 - s) - (1.0 + u + w) / (4.0 - s)
-                + (u + w + u * w) / (5.0 - s) - u * w / (6.0 - s))
+        # 24 pyramids, as in d = 2 with z = x w
+        for a, p in self.BOX_WEIGHTS:
+            def inner(w, u):
+                return (1.0 + u * u + w * w) ** (-0.5 * s) * self._tau_moments(a, p, (1.0, u, w), 3, s)
 
-        ref = 24.0 * integrate.dblquad(inner, 0.0, 1.0, 0.0, 1.0,
-                                       epsabs=0.0, epsrel=1e-13)[0]
-        got = quadrature.background_pair_integral(riesz_kernel(s, 3), 1.0)
-        assert got == pytest.approx(ref, rel=1e-12)
-
-    def test_box_without_origin_rejected(self):
-        with pytest.raises(ArgumentError):
-            quadrature.box_kernel_integral(riesz_kernel(1.0, 2), [0.5, -1.0], [2.0, 1.0])
+            ref = 24.0 * a ** (3.0 - s) * integrate.dblquad(
+                inner, 0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)[0]
+            got = quadrature.box_kernel_integral(riesz_kernel(s, 3), a, p)
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_pb_examples_and_quadrature(self):
         def pb(p):
@@ -410,6 +398,39 @@ class TestRho2Route:
         rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(1, 3)),
                              riesz_kernel(s, 3), [2.0, 4.0])
         assert all(math.isfinite(v) for _, v, _ in rep.entries)
+
+    @pytest.mark.parametrize("kernel, k, R, ref", [
+        (log_kernel(2), 2, 16.0, -0.1253610099919386),
+        (riesz_kernel(1.0, 2), 2, 16.0, -1.4083237344355846),
+        (log_kernel(2), 2, 1.0, -0.15996382402538967),
+        (riesz_kernel(1.0, 2), 2, 1.0, -0.5946890692408533),
+        (riesz_kernel(1.5, 3), 2, 4.0, -0.7461478221302684),
+    ], ids=["log2d_R16", "riesz1_R16", "log2d_R1", "riesz1_R1", "riesz1.5_d3_R4"])
+    def test_block_rung_vs_adaptive(self, kernel, k, R, ref):
+        # references: scipy dblquad of -k^-2 (1 - x/k)(1 - y/k)(R - x)(R - y) g
+        # over the positive quadrant of [-min(k, R), min(k, R)]^2 split on its
+        # diagonal, times 4 / R^2; in d = 3 nquad over one of the 48 wedges,
+        # with y = x u and z = y w taking out the singularity
+        rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(k, kernel.d)),
+                             kernel, [R])
+        assert rep.entries[0][1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_poisson_exact_zero_multid(self, d):
+        kernel = log_kernel(2) if d == 2 else riesz_kernel(1.5, 3)
+        rep = wint_from_rho2(rho2_analytic(ProcessModel.poisson(d)), kernel, [2.0, 4.0, 8.0])
+        assert all(v == 0.0 for _, v, _ in rep.entries)
+        assert rep.extrapolated == 0.0
+
+    @pytest.mark.parametrize("kernel, master", [(log_kernel(2), 421), (riesz_kernel(1.0, 2), 422)],
+                             ids=["log2d", "riesz1"])
+    def test_block_rung_vs_monte_carlo(self, kernel, master):
+        # at one fixed R the Monte Carlo rung mean has the rho2 rung as its
+        # exact expectation, so the band carries no extrapolation error
+        model = ProcessModel.bernoulli_block(2, 2)
+        (_, mean, stderr), = wint_monte_carlo(model, kernel, [8.0], 2000, Seed(master)).entries
+        (_, exact, _), = wint_from_rho2(rho2_analytic(model), kernel, [8.0]).entries
+        assert abs(mean - exact) <= 3.0 * stderr
 
     def test_undecayed_grid_rejected(self):
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.gamma(2.0)))
