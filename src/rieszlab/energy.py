@@ -10,11 +10,11 @@ d = 1.  Each route hands its ladder of centred cubes C_R (``core.ladder``) to
 ``_report``, which extrapolates it in 1/R with an honest residual, never a
 bare limit claim.
 
-In d = 1 one profile integral, ``_rho2_value_1d``, evaluates that formula
-for the rho2 route and the lattice series, always with the tent ``R - v``.
-Once the deficit has decayed, its limit in R is the plain integral
-``2 int_0^inf g(v) (rho2(v) - 1) dv``, so no tent-free route is needed.  In
-d >= 2 the deficit is 0 or the separable block deficit, and
+In d = 1 one ladder of profile integrals, ``_rho2_ladder_1d``, evaluates
+that formula for the rho2 route and the lattice series, always with the tent
+``R - v``.  Once the deficit has decayed, its limit in R is the plain
+integral ``2 int_0^inf g(v) (rho2(v) - 1) dv``, so no tent-free route is
+needed.  In d >= 2 the deficit is 0 or the separable block deficit, and
 ``_rho2_value_general`` is one exact box integral per rung.
 """
 
@@ -201,18 +201,42 @@ def _head_convergence_check(rho2: Rho2Analytic, kernel: Kernel) -> None:
         )
 
 
-def _rho2_value_1d(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
-    """``(2/R) int_0^R g(v) (rho2(v) - 1) (R - v) dv``: the continuous deficit
-    exactly as the piecewise-linear profile on ``rho2.nodes_upto(R)``, plus
-    the atoms."""
-    nodes = rho2.nodes_upto(R)
+def _rho2_ladder_1d(rho2: Rho2Analytic, kernel: Kernel, R_list: list[float]) -> list[float]:
+    """``(2/R) int_0^R g(v) (rho2(v) - 1) (R - v) dv`` for every R of the
+    ladder: the continuous deficit exactly as the piecewise-linear profile on
+    ``rho2.nodes_upto(R)``, plus the atoms.
+
+    For every built-in model ``nodes_upto(R)`` is the part of the top rung's
+    nodes below R, then R, and ``atoms_upto(R)`` the top rung's atoms up to
+    R.  So the deficit, the kernel moments of the cells and the kernel at the
+    atoms are evaluated once, on the top rung; each rung computes only its
+    last cell [a, R] again, and its values equal those of a rung on its own
+    bit for bit.
+    """
+    nodes = rho2.nodes_upto(R_list[-1])
     deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
-    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=R)
-    atoms = rho2.atoms_upto(R)
-    if atoms.size:
-        weight = kernel.g(atoms[:, 0]) * (R - atoms[:, 0])
-        total += float(np.sum(weight * atoms[:, 1]))
-    return 2.0 * total / R
+    moments = quadrature.g_moments(kernel, nodes[:-1], nodes[1:])
+    ends = np.asarray(R_list)
+    below = np.searchsorted(nodes, ends)  # nodes[:below] lie below the rung's R
+    end_deficit = np.asarray(rho2.continuous_part(ends), dtype=float) - 1.0
+    end_moments = quadrature.g_moments(kernel, nodes[below - 1], ends)
+    atoms = rho2.atoms_upto(R_list[-1])
+    g_atoms = kernel.g(atoms[:, 0])
+    upto = np.searchsorted(atoms[:, 0], ends, side="right")
+    values = []
+    for i, R in enumerate(R_list):
+        n = below[i]
+        total = quadrature.integrate_g_pwlinear(
+            kernel, np.append(nodes[:n], R), np.append(deficit[:n], end_deficit[i]), R,
+            moments=[np.append(m[:n - 1], e[i]) for m, e in zip(moments, end_moments)])
+        if upto[i]:
+            # in place, so a rung holds one temporary the size of its atoms
+            weight = R - atoms[:upto[i], 0]
+            weight *= g_atoms[:upto[i]]
+            weight *= atoms[:upto[i], 1]
+            total += float(np.sum(weight))
+        values.append(2.0 * total / R)
+    return values
 
 
 def _rho2_value_general(rho2: Rho2Analytic, kernel: Kernel, R: float) -> float:
@@ -242,8 +266,10 @@ def wint_from_rho2(rho2: Rho2Analytic, kernel: Kernel, R_list) -> EnergyReport:
     _head_convergence_check(rho2, kernel)
     if not rho2.tail_flat:
         raise DivergenceError("pair deficit has not decayed over the available grid")
-    value = _rho2_value_1d if kernel.d == 1 else _rho2_value_general
-    values = [value(rho2, kernel, R) for R in R_list]
+    if kernel.d == 1:
+        values = _rho2_ladder_1d(rho2, kernel, R_list)
+    else:
+        values = [_rho2_value_general(rho2, kernel, R) for R in R_list]
     if len(values) >= 3:
         steps = np.abs(np.diff(values))
         if steps[-1] > 4.0 * (steps[0] + 1e-15) and steps[-1] > 1e-9:
@@ -264,5 +290,4 @@ def wint_lattice_series(kernel: Kernel, R_list) -> EnergyReport:
         raise ArgumentError("the lattice series is one-dimensional")
     R_list = ladder(R_list)
     lattice = rho2_analytic(ProcessModel.lattice(1))
-    values = [_rho2_value_1d(lattice, kernel, R) for R in R_list]
-    return _report("LatticeSeries", kernel, R_list, values, 4)
+    return _report("LatticeSeries", kernel, R_list, _rho2_ladder_1d(lattice, kernel, R_list), 4)

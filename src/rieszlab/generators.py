@@ -629,12 +629,11 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> 
 class Rho2Analytic:
     """Two-point correlation of a stationary model in dimension ``d``: a
     continuous density and atoms on the positive half-line (mirrored by
-    symmetry).  ``continuous_part(v)`` gives one density value per separation,
-    ``v`` of shape (..., d) in d >= 2.  In d = 1 the energy routes consume
-    ``nodes_upto``, whose piecewise-linear interpolation is exact for every
-    built-in model; in d >= 2 they read only ``block``: the side k of the
-    separable deficit ``rho2 - 1 = -k^-d prod_i (1 - |v_i|/k)_+``, or None
-    for no deficit.
+    symmetry).  In d = 1 ``continuous_part(v)`` gives one density value per
+    separation, and the energy routes consume it on ``nodes_upto``, whose
+    piecewise-linear interpolation is exact for every built-in model; in
+    d >= 2 they read only ``block``: the side k of the separable deficit
+    ``rho2 - 1 = -k^-d prod_i (1 - |v_i|/k)_+``, or None for no deficit.
     """
 
     def __init__(
@@ -648,12 +647,18 @@ class Rho2Analytic:
         block: float | None = None,
     ):
         self.d = d
-        self.continuous_part = continuous_part
+        self._continuous_part = continuous_part
         self._nodes_fn = nodes_fn
         self._atoms_fn = atoms_fn or (lambda limit: np.empty((0, 2)))
         self.head_exponent = head_exponent
         self.tail_flat = tail_flat
         self.block = block
+
+    def continuous_part(self, v) -> np.ndarray:
+        if self.d != 1:
+            raise NotApplicableError("the continuous part is evaluated in d = 1 only; "
+                                     "in d >= 2 the block side gives the deficit")
+        return self._continuous_part(v)
 
     def nodes_upto(self, limit: float) -> np.ndarray:
         nodes = np.asarray(self._nodes_fn(limit), dtype=float)
@@ -669,13 +674,9 @@ class Rho2Analytic:
 
 
 def _rho2_poisson(d: int) -> Rho2Analytic:
-    def cont(v):
-        shape = np.shape(v)
-        return np.ones(shape if d == 1 else shape[:-1])
-
     return Rho2Analytic(
         d=d,
-        continuous_part=cont,
+        continuous_part=lambda v: np.ones(np.shape(v)),
         nodes_fn=lambda limit: np.array([0.0, limit]),
     )
 
@@ -702,12 +703,7 @@ def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
 
     def cont(v):
         v = np.asarray(v, dtype=float)
-        if d == 1:
-            return 1.0 - np.maximum(0.0, 1.0 - np.abs(v) / kk) / kk
-        # product structure over coordinates for vector input
-        v2 = np.atleast_2d(v)
-        prof = np.prod(np.maximum(0.0, 1.0 - np.abs(v2) / kk), axis=-1)
-        return 1.0 - prof / kk**d
+        return 1.0 - np.maximum(0.0, 1.0 - np.abs(v) / kk) / kk
 
     return Rho2Analytic(
         d=d,

@@ -9,6 +9,7 @@ asymptotic regimes of the free energy are reachable on one axis.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .core import (
     Replicas,
     _require_replicas,
     in_cube,
+    ladder,
     mean_stderr,
 )
 from .energy import wint_from_rho2
@@ -170,6 +172,25 @@ SCAN_R_LIST = (128.0, 256.0, 512.0, 1024.0)
 _REFINE_TOL = 0.02
 
 
+@functools.lru_cache(maxsize=1024)
+def _shape_parts(theta: float, kernel: Kernel,
+                 R_list: tuple[float, ...]) -> tuple[float, float] | None:
+    """The beta-free parts of the free energy of the Gamma(theta) renewal
+    shape: its rho2-route energy on ``R_list`` and its entropy rate, or None
+    when the energy quadrature diverges.
+
+    Cached per process, so scans at several betas evaluate each shape once;
+    only scalars are kept.  Any other error, such as the ``DomainError`` of a
+    gap law too narrow for the density grid, is raised again on every call.
+    """
+    gap = GapLaw.gamma(theta)
+    try:
+        rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)), kernel, R_list)
+    except DivergenceError:
+        return None
+    return rep.extrapolated, renewal_entropy_rate(gap)
+
+
 def _golden_section(fn, lo: float, hi: float, tol: float) -> tuple[float, float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -192,7 +213,8 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
                      R_list=SCAN_R_LIST) -> FreeEnergyScan:
     """Scan ``beta * energy + entropy rate`` over Gamma gap shapes and refine
     the minimizer by golden section inside the bracketing grid interval.  Each
-    energy is the rho2 route on the ladder ``R_list``.
+    energy is the rho2 route on the ladder ``R_list``; neither part depends on
+    beta, so both come from the per-process cache ``_shape_parts``.
 
     Shapes whose energy quadrature diverges (too much clustering for the
     kernel) are marked infeasible and excluded from the minimization.
@@ -204,19 +226,12 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
         raise ArgumentError("theta_grid must be increasing")
     if not any(t == 1.0 for t in thetas):
         raise ArgumentError("theta_grid must include theta = 1")
-
-    def parts(theta: float):
-        gap = GapLaw.gamma(theta)
-        try:
-            rep = wint_from_rho2(rho2_analytic(ProcessModel.renewal(gap)), kernel, R_list)
-        except DivergenceError:
-            return None
-        return rep.extrapolated, renewal_entropy_rate(gap)
+    R_list = tuple(ladder(R_list))
 
     entries = []
     feas = []
     for t in thetas:
-        p = parts(t)
+        p = _shape_parts(t, kernel, R_list)
         if p is None:
             entries.append((t, math.nan, math.nan, math.nan, False))
         else:
@@ -229,7 +244,7 @@ def free_energy_scan(beta: float, kernel: Kernel, theta_grid,
     idx = thetas.index(t_best)
 
     def f_of(theta: float) -> float:
-        p = parts(theta)
+        p = _shape_parts(theta, kernel, R_list)
         return math.inf if p is None else beta * p[0] + p[1]
 
     if idx == len(thetas) - 1 or not entries[idx + 1][4]:

@@ -110,14 +110,15 @@ def tent_kernel_integral_1d(kernel: Kernel, R: float) -> float:
     return float(2.0 * (R * _g_primitive(kernel, R, 0) - _g_primitive(kernel, R, 1)))
 
 
-def pwlinear_weights(kernel: Kernel, nodes, tent_R: float) -> np.ndarray:
+def pwlinear_weights(kernel: Kernel, nodes, tent_R: float, moments=None) -> np.ndarray:
     """Node weights w with ``w @ values = int g(v) L(v) (tent_R - v) dv`` over
     [nodes[0], nodes[-1]], where L interpolates ``values`` linearly between
     the nodes.
 
     Exact up to rounding: on a cell [a, b] each hat function, ``(b - v)/(b - a)``
     or ``(v - a)/(b - a)``, times the tent is a quadratic, integrated through
-    the kernel moments of ``g_moments``, also on cells touching 0.
+    the kernel moments of ``g_moments``, also on cells touching 0.  A caller
+    that already holds those moments of the cells passes them as ``moments``.
     """
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 1 or nodes.size < 2:
@@ -125,7 +126,7 @@ def pwlinear_weights(kernel: Kernel, nodes, tent_R: float) -> np.ndarray:
     if np.any(np.diff(nodes) <= 0.0) or nodes[0] < 0.0:
         raise ArgumentError("nodes must be strictly increasing and nonnegative")
     a, b = nodes[:-1], nodes[1:]
-    M0, M1, M2 = g_moments(kernel, a, b)
+    M0, M1, M2 = g_moments(kernel, a, b) if moments is None else moments
     left = b * tent_R * M0 - (b + tent_R) * M1 + M2
     right = (a + tent_R) * M1 - a * tent_R * M0 - M2
     w = np.zeros(nodes.size)
@@ -134,13 +135,16 @@ def pwlinear_weights(kernel: Kernel, nodes, tent_R: float) -> np.ndarray:
     return w
 
 
-def integrate_g_pwlinear(kernel: Kernel, nodes, values, tent_R: float) -> float:
+def integrate_g_pwlinear(kernel: Kernel, nodes, values, tent_R: float,
+                         moments=None) -> float:
     """``int g(v) L(v) (tent_R - v) dv`` as in ``pwlinear_weights``, for the
-    profile with node values ``values``."""
+    profile with node values ``values``.  The dot is numpy's pairwise sum of
+    the products, whose order depends only on the length: a BLAS dot splits
+    long sums across threads, and its result then depends on how many run."""
     values = np.asarray(values, dtype=float)
     if values.shape != np.shape(nodes):
         raise ArgumentError("nodes and values must be matching 1d arrays")
-    return float(pwlinear_weights(kernel, nodes, tent_R) @ values)
+    return float(np.sum(pwlinear_weights(kernel, nodes, tent_R, moments) * values))
 
 
 # ---------------------------------------------------------------------------

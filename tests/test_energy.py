@@ -1,11 +1,15 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from rieszlab import quadrature
+from rieszlab import energy, quadrature
 from rieszlab import (
     ArgumentError,
     DivergenceError,
@@ -188,7 +192,9 @@ class TestClosedForms1d:
         ref = sum(cell(i) for i in range(nodes.size - 1))
         got = quadrature.pwlinear_weights(kernel, nodes, tent_R) @ values
         assert got == pytest.approx(ref, rel=1e-10)
-        assert quadrature.integrate_g_pwlinear(kernel, nodes, values, tent_R) == got
+        # the profile integral sums the same products in numpy's fixed pairwise order
+        fixed = np.sum(quadrature.pwlinear_weights(kernel, nodes, tent_R) * values)
+        assert quadrature.integrate_g_pwlinear(kernel, nodes, values, tent_R) == fixed
 
     @pytest.mark.parametrize("kernel", D1_KERNELS[:2], ids=D1_IDS[:2])
     def test_far_cells_vs_mpmath(self, kernel):
@@ -437,6 +443,79 @@ class TestRho2Route:
         r2.tail_flat = False
         with pytest.raises(DivergenceError):
             wint_from_rho2(r2, K_RSZ, [64.0, 128.0, 256.0])
+
+
+LADDER_MODELS = {
+    "renewal_gamma0.75": lambda: rho2_analytic(ProcessModel.renewal(GapLaw.gamma(0.75))),
+    "renewal_gamma32": lambda: rho2_analytic(ProcessModel.renewal(GapLaw.gamma(32.0))),
+    "vibrating8": lambda: rho2_analytic(ProcessModel.vibrating_lattice(8)),
+    "block4": lambda: rho2_analytic(ProcessModel.bernoulli_block(4, 1)),
+    "lattice": lambda: rho2_analytic(ProcessModel.lattice(1)),
+    "hardcore": rho2_hardcore,
+}
+# rungs on a node of the top rung (4 and 64 lie on the block, lattice and
+# renewal grids) and off it, inside and past the renewal grids
+LADDER = [0.75, 4.0, 6.3, 64.0, 127.3, 256.0]
+
+
+def _rung_by_itself(rho2, kernel, R):
+    # one rung on its own nodes, as before the ladder shared its cells
+    nodes = rho2.nodes_upto(R)
+    deficit = np.asarray(rho2.continuous_part(nodes), dtype=float) - 1.0
+    total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=R)
+    atoms = rho2.atoms_upto(R)
+    if atoms.size:
+        total += float(np.sum(kernel.g(atoms[:, 0]) * (R - atoms[:, 0]) * atoms[:, 1]))
+    return 2.0 * total / R
+
+
+class TestRho2Ladder:
+    @pytest.mark.parametrize("name", LADDER_MODELS)
+    def test_nodes_and_atoms_are_prefixes(self, name):
+        r2 = LADDER_MODELS[name]()
+        top, top_atoms = r2.nodes_upto(LADDER[-1]), r2.atoms_upto(LADDER[-1])
+        for R in LADDER:
+            assert r2.nodes_upto(R).tobytes() == np.append(top[top < R], R).tobytes()
+            assert r2.atoms_upto(R).tobytes() == top_atoms[top_atoms[:, 0] <= R].tobytes()
+
+    @pytest.mark.parametrize("kernel", [K_LOG, K_RSZ], ids=["log", "riesz"])
+    @pytest.mark.parametrize("name", LADDER_MODELS)
+    def test_ladder_equals_rungs_by_themselves(self, name, kernel):
+        r2 = LADDER_MODELS[name]()
+        got = energy._rho2_ladder_1d(r2, kernel, LADDER)
+        want = [_rung_by_itself(r2, kernel, R) for R in LADDER]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_one_profile_integral_per_rung(self, monkeypatch):
+        cells = []
+        real = quadrature.integrate_g_pwlinear
+
+        def spy(kernel, nodes, values, tent_R, moments=None):
+            cells.append(len(nodes) - 1)
+            return real(kernel, nodes, values, tent_R, moments)
+
+        monkeypatch.setattr(quadrature, "integrate_g_pwlinear", spy)
+        r2 = LADDER_MODELS["vibrating8"]()
+        energy._rho2_ladder_1d(r2, K_RSZ, LADDER)
+        assert cells == [len(r2.nodes_upto(R)) - 1 for R in LADDER]
+
+    def test_profile_dot_ignores_blas_threads(self):
+        # the dot of the 1e5-node Gamma(32) profiles must not depend on how
+        # many threads share the sum
+        code = ("from rieszlab import *\n"
+                "r = wint_from_rho2(rho2_analytic(ProcessModel.renewal(GapLaw.gamma(32.0))),"
+                " riesz_kernel(0.5, 1), [128.0, 256.0, 512.0, 1024.0])\n"
+                "print([v.hex() for _, v, _ in r.entries])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
 
 class TestMonteCarloRoute:

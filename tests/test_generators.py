@@ -378,10 +378,20 @@ class TestRho2Analytic:
     @pytest.mark.parametrize("k,d", [(2, 1), (4, 1), (2, 2)])
     def test_block_same_tile_value(self, k, d):
         r2 = rho2_analytic(ProcessModel.bernoulli_block(k, d))
-        v0 = np.zeros(d) if d > 1 else np.array([0.0])
-        assert float(np.atleast_1d(r2.continuous_part(v0))[0]) == pytest.approx(
-            1.0 - 1.0 / k**d, rel=1e-14
-        )
+        if d == 1:
+            value = float(r2.continuous_part(np.array([0.0]))[0])
+        else:
+            # d >= 2 routes read the block side: rho2(0) = 1 - k^-d prod_i (1 - 0/k)
+            value = 1.0 - r2.block ** -d
+        assert value == pytest.approx(1.0 - 1.0 / k**d, rel=1e-14)
+
+    @pytest.mark.parametrize("model", [ProcessModel.poisson(2), ProcessModel.poisson(3),
+                                       ProcessModel.bernoulli_block(2, 2)],
+                             ids=lambda m: m.describe())
+    def test_continuous_part_is_one_dimensional(self, model):
+        # in d >= 2 no route reads the density; a call must not return the d = 1 formula
+        with pytest.raises(NotApplicableError, match="d = 1 only"):
+            rho2_analytic(model).continuous_part(np.zeros((3, model.d)))
 
     def test_block_profile_1d(self):
         k = 4

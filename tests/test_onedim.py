@@ -19,6 +19,7 @@ from rieszlab import (
     riesz_kernel,
     sample,
 )
+from rieszlab import onedim
 from rieszlab.core import mean_stderr, points_in_cube
 
 # quadrature-oracle values for the triangular gap laws, frozen; they agree
@@ -248,3 +249,61 @@ class TestFreeEnergyScan:
             free_energy_scan(1.0, riesz_kernel(0.5, 1), [0.5, 2.0])
         with pytest.raises(DomainError):
             free_energy_scan(-1.0, riesz_kernel(0.5, 1), [1.0, 2.0])
+
+
+def _scan_bits(scan):
+    # every number of a scan as hex, so that equality is bit for bit
+    return ([tuple(x.hex() if isinstance(x, float) else x for x in e) for e in scan.entries],
+            scan.argmin_theta.hex(), [b.hex() for b in scan.bracket])
+
+
+class TestShapeMemo:
+    KERNEL = riesz_kernel(0.5, 1)
+
+    @staticmethod
+    def _spy_shapes(monkeypatch):
+        shapes = []
+        real = onedim.rho2_analytic
+
+        def spy(model):
+            shapes.append(model.gap.theta)
+            return real(model)
+
+        monkeypatch.setattr(onedim, "rho2_analytic", spy)
+        return shapes
+
+    def test_second_beta_evaluates_only_its_golden_section_shapes(self, monkeypatch):
+        onedim._shape_parts.cache_clear()
+        free_energy_scan(1.0, self.KERNEL, SCAN_GRID)
+        golden = []
+        real_golden = onedim._golden_section
+
+        def golden_spy(fn, lo, hi, tol):
+            def recorded(theta):
+                golden.append(theta)
+                return fn(theta)
+            return real_golden(recorded, lo, hi, tol)
+
+        monkeypatch.setattr(onedim, "_golden_section", golden_spy)
+        shapes = self._spy_shapes(monkeypatch)
+        warm = free_energy_scan(0.01, self.KERNEL, SCAN_GRID)
+        assert golden and shapes == golden
+        onedim._shape_parts.cache_clear()
+        cold = free_energy_scan(0.01, self.KERNEL, SCAN_GRID)
+        assert _scan_bits(warm) == _scan_bits(cold)
+
+    def test_divergent_shape_stays_infeasible(self, monkeypatch):
+        onedim._shape_parts.cache_clear()
+        grid, R_list = [0.4, 1.0, 2.0], (64.0, 128.0, 256.0)
+        cold = free_energy_scan(1.0, self.KERNEL, grid, R_list=R_list)
+        shapes = self._spy_shapes(monkeypatch)
+        warm = free_energy_scan(1.0, self.KERNEL, grid, R_list=R_list)
+        assert shapes == []
+        assert [e[4] for e in warm.entries] == [False, True, True]
+        assert _scan_bits(warm) == _scan_bits(cold)
+
+    def test_too_narrow_gap_law_raises_every_call(self):
+        onedim._shape_parts.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="too narrow"):
+                free_energy_scan(1.0, self.KERNEL, [1.0, 1e5])
