@@ -345,7 +345,7 @@ def _read_json(path: str):
 def _load_spec(command: str, config_path: str | None, seed: int | None,
                out: str | None) -> dict:
     """The spec as written plus the flag overrides (flag > file > default),
-    validated but without the defaults filled in."""
+    without the defaults filled in; ``run`` validates it."""
     spec = {} if config_path is None else _read_json(config_path)
     if not isinstance(spec, dict):
         raise ValidationFailure("config must be a JSON object")
@@ -356,7 +356,6 @@ def _load_spec(command: str, config_path: str | None, seed: int | None,
         spec["seed"] = int(seed)
     if out is not None:
         spec["out"] = out
-    _validate(spec)
     return spec
 
 

@@ -167,8 +167,8 @@ class Replicas:
     ``offsets[j]:offsets[j + 1]``; ``counts`` are the rows per replica.  As
     for a ``PointConfiguration``, ``n`` is the total number of points, while
     ``len(batch)`` is the number of replicas.  ``batch[j]`` is replica j as a
-    ``PointConfiguration`` and ``batch[a:b]`` the replicas a..b-1 as a batch.
-    The points are checked once for the whole batch, as a configuration's are.
+    ``PointConfiguration``.  The points are checked once for the whole batch,
+    as a configuration's are.
     """
 
     __slots__ = ("R", "points", "offsets")
@@ -198,14 +198,8 @@ class Replicas:
     def __len__(self) -> int:
         return self.offsets.size - 1
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            a, b, step = key.indices(len(self))
-            if step != 1:
-                raise ArgumentError("replica slices take consecutive replicas")
-            offsets = self.offsets[a:max(a, b) + 1]
-            return Replicas(self.points[offsets[0]:offsets[-1]], offsets - offsets[0], self.R)
-        j = range(len(self))[key]  # an int, negative from the end; IndexError past it
+    def __getitem__(self, key: int) -> PointConfiguration:
+        j = range(len(self))[key]  # negative from the end; IndexError past it
         return PointConfiguration(self.points[self.offsets[j]:self.offsets[j + 1]], self.R)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -5,10 +5,10 @@ configuration-minus-background against itself, computed along three routes.
 point-background, and background-background terms and averages over sampled
 replicas.  ``Rho2Quadrature`` integrates the tent-weighted pair correlation
 deficit (the explicit formula of Borodin & Serfaty).  ``LatticeSeries`` is
-the same formula for the atomic two-point function of the unit lattice in
-d = 1.  Each route hands its ladder of centred cubes C_R (``core.ladder``) to
-``_report``, which extrapolates it in 1/R with an honest residual, never a
-bare limit claim.
+the same formula for the unit lattice in d = 1, whose two-point function is
+one unit mass at each nonzero integer.  Each route hands its ladder of
+centred cubes C_R (``core.ladder``) to ``_report``, which extrapolates it in
+1/R with an honest residual, never a bare limit claim.
 
 In d = 1 one ladder of profile integrals, ``_rho2_ladder_1d``, evaluates
 that formula for the rho2 route and the lattice series, always with the tent
@@ -204,7 +204,8 @@ def _head_convergence_check(rho2: Rho2Analytic, kernel: Kernel) -> None:
 def _rho2_ladder_1d(rho2: Rho2Analytic, kernel: Kernel, R_list: list[float]) -> list[float]:
     """``(2/R) int_0^R g(v) (rho2(v) - 1) (R - v) dv`` for every R of the
     ladder: the continuous deficit exactly as the piecewise-linear profile on
-    ``rho2.nodes_upto(R)``, plus the atoms.
+    ``rho2.nodes_upto(R)``, plus ``g(a) (R - a)`` for the unit mass at each
+    atom a of ``rho2.atoms_upto(R)``.
 
     For every built-in model ``nodes_upto(R)`` is the part of the top rung's
     nodes below R, then R, and ``atoms_upto(R)`` the top rung's atoms up to
@@ -221,8 +222,8 @@ def _rho2_ladder_1d(rho2: Rho2Analytic, kernel: Kernel, R_list: list[float]) -> 
     end_deficit = np.asarray(rho2.continuous_part(ends), dtype=float) - 1.0
     end_moments = quadrature.g_moments(kernel, nodes[below - 1], ends)
     atoms = rho2.atoms_upto(R_list[-1])
-    g_atoms = kernel.g(atoms[:, 0])
-    upto = np.searchsorted(atoms[:, 0], ends, side="right")
+    g_atoms = kernel.g(atoms)
+    upto = np.searchsorted(atoms, ends, side="right")
     values = []
     for i, R in enumerate(R_list):
         n = below[i]
@@ -231,9 +232,8 @@ def _rho2_ladder_1d(rho2: Rho2Analytic, kernel: Kernel, R_list: list[float]) -> 
             moments=[np.append(m[:n - 1], e[i]) for m, e in zip(moments, end_moments)])
         if upto[i]:
             # in place, so a rung holds one temporary the size of its atoms
-            weight = R - atoms[:upto[i], 0]
+            weight = R - atoms[:upto[i]]
             weight *= g_atoms[:upto[i]]
-            weight *= atoms[:upto[i], 1]
             total += float(np.sum(weight))
         values.append(2.0 * total / R)
     return values

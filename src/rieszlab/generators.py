@@ -626,95 +626,75 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> 
 # analytic two-point correlation functions
 # ---------------------------------------------------------------------------
 
+def _no_points(limit: float) -> np.ndarray:
+    return np.empty(0)
+
+
+@dataclass
 class Rho2Analytic:
     """Two-point correlation of a stationary model in dimension ``d``: a
-    continuous density and atoms on the positive half-line (mirrored by
-    symmetry).  In d = 1 ``continuous_part(v)`` gives one density value per
-    separation, and the energy routes consume it on ``nodes_upto``, whose
-    piecewise-linear interpolation is exact for every built-in model; in
-    d >= 2 they read only ``block``: the side k of the separable deficit
-    ``rho2 - 1 = -k^-d prod_i (1 - |v_i|/k)_+``, or None for no deficit.
+    continuous density and unit-mass atoms on the positive half-line
+    (mirrored by symmetry).
+
+    In d = 1 ``continuous_part(v)`` gives one density value per separation,
+    and the energy routes consume it on ``nodes_upto``, whose
+    piecewise-linear interpolation is exact for every built-in model, plus
+    one unit mass at each position of ``atoms_upto``.  ``nodes_fn`` and
+    ``atoms_fn`` may return positions outside the range asked for; the two
+    ``*_upto`` methods keep those in range, and ``nodes_upto`` adds 0 and
+    the limit.  In d >= 2 the routes read only ``block``: the side k of the
+    separable deficit ``rho2 - 1 = -k^-d prod_i (1 - |v_i|/k)_+``, or None
+    for no deficit.
     """
 
-    def __init__(
-        self,
-        d: int,
-        continuous_part: Callable[[np.ndarray], np.ndarray],
-        nodes_fn: Callable[[float], np.ndarray],
-        atoms_fn: Callable[[float], np.ndarray] | None = None,
-        head_exponent: float = 0.0,
-        tail_flat: bool = True,
-        block: float | None = None,
-    ):
-        self.d = d
-        self._continuous_part = continuous_part
-        self._nodes_fn = nodes_fn
-        self._atoms_fn = atoms_fn or (lambda limit: np.empty((0, 2)))
-        self.head_exponent = head_exponent
-        self.tail_flat = tail_flat
-        self.block = block
+    d: int
+    density: Callable[[np.ndarray], np.ndarray]
+    nodes_fn: Callable[[float], np.ndarray] = _no_points
+    atoms_fn: Callable[[float], np.ndarray] = _no_points
+    head_exponent: float = 0.0
+    tail_flat: bool = True
+    block: float | None = None
 
     def continuous_part(self, v) -> np.ndarray:
         if self.d != 1:
             raise NotApplicableError("the continuous part is evaluated in d = 1 only; "
                                      "in d >= 2 the block side gives the deficit")
-        return self._continuous_part(v)
+        return self.density(v)
 
     def nodes_upto(self, limit: float) -> np.ndarray:
-        nodes = np.asarray(self._nodes_fn(limit), dtype=float)
+        nodes = np.asarray(self.nodes_fn(limit), dtype=float)
         nodes = nodes[(nodes >= 0.0) & (nodes <= limit)]
-        nodes = np.unique(np.concatenate([nodes, [0.0, limit]]))
-        return nodes
+        return np.unique(np.concatenate([nodes, [0.0, limit]]))
 
     def atoms_upto(self, limit: float) -> np.ndarray:
-        atoms = np.asarray(self._atoms_fn(limit), dtype=float).reshape(-1, 2)
-        if atoms.size:
-            atoms = atoms[(atoms[:, 0] > 0.0) & (atoms[:, 0] <= limit)]
-        return atoms
+        atoms = np.asarray(self.atoms_fn(limit), dtype=float)
+        return atoms[(atoms > 0.0) & (atoms <= limit)]
 
 
-def _rho2_poisson(d: int) -> Rho2Analytic:
-    return Rho2Analytic(
-        d=d,
-        continuous_part=lambda v: np.ones(np.shape(v)),
-        nodes_fn=lambda limit: np.array([0.0, limit]),
-    )
+def _rho2_poisson(model: ProcessModel) -> Rho2Analytic:
+    return Rho2Analytic(model.d, lambda v: np.ones(np.shape(v)))
 
 
-def _rho2_lattice(d: int) -> Rho2Analytic:
-    if d != 1:
+def _rho2_lattice(model: ProcessModel) -> Rho2Analytic:
+    if model.d != 1:
         # the energy routes integrate atoms in d = 1 only
         raise NotApplicableError("atomic two-point parts are supported in d = 1 only")
-
-    def atoms_fn(limit: float) -> np.ndarray:
-        locs = np.arange(1.0, math.floor(limit) + 1.0)
-        return np.stack([locs, np.ones_like(locs)], axis=1)
-
-    return Rho2Analytic(
-        d=1,
-        continuous_part=lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-        nodes_fn=lambda limit: np.array([0.0, limit]),
-        atoms_fn=atoms_fn,
-    )
+    return Rho2Analytic(1, lambda v: np.zeros_like(np.asarray(v, dtype=float)),
+                        atoms_fn=lambda limit: np.arange(1.0, math.floor(limit) + 1.0))
 
 
-def _rho2_bernoulli(k: int, d: int) -> Rho2Analytic:
-    kk = float(k)
+def _rho2_bernoulli(model: ProcessModel) -> Rho2Analytic:
+    kk = float(model.k)
 
     def cont(v):
         v = np.asarray(v, dtype=float)
         return 1.0 - np.maximum(0.0, 1.0 - np.abs(v) / kk) / kk
 
-    return Rho2Analytic(
-        d=d,
-        continuous_part=cont,
-        nodes_fn=lambda limit: np.array([0.0, kk, limit]),
-        block=kk,
-    )
+    return Rho2Analytic(model.d, cont, nodes_fn=lambda limit: np.array([kk]), block=kk)
 
 
-def _rho2_vibrating(k: int) -> Rho2Analytic:
-    w = 2.0 / k
+def _rho2_vibrating(model: ProcessModel) -> Rho2Analytic:
+    w = 2.0 / model.k
     reach = int(math.ceil(w)) + 1
 
     def cont(v):
@@ -730,14 +710,9 @@ def _rho2_vibrating(k: int) -> Rho2Analytic:
 
     def nodes_fn(limit: float) -> np.ndarray:
         ms = np.arange(1.0, math.floor(limit + w) + 1.0)
-        pts = np.concatenate([ms - w, ms, ms + w, w - ms])
-        return pts[(pts >= 0.0) & (pts <= limit)]
+        return np.concatenate([ms - w, ms, ms + w, w - ms])
 
-    return Rho2Analytic(
-        d=1,
-        continuous_part=cont,
-        nodes_fn=nodes_fn,
-    )
+    return Rho2Analytic(1, cont, nodes_fn=nodes_fn)
 
 
 # extent and step of the renewal density grid (the extent grows with the
@@ -789,35 +764,20 @@ def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     return edges[: m + 1], vals, tail_flat
 
 
-def _renewal_nodes(grid: np.ndarray):
+def _rho2_renewal(model: ProcessModel) -> Rho2Analytic:
+    gap = model.gap
+    grid, vals, tail_flat = _renewal_density_grid(gap)
     # one extra node just past the grid closes the deficit to exactly zero;
     # without it the integrator would bridge any residual linearly to the
     # far tent edge and amplify it by sqrt(R)
-    h = grid[1] - grid[0]
-
-    def nodes_fn(limit: float) -> np.ndarray:
-        nodes = grid[grid <= limit]
-        if limit > grid[-1]:
-            nodes = np.append(nodes, min(limit, grid[-1] + h))
-        return nodes
-
-    return nodes_fn
-
-
-def _rho2_renewal(gap: GapLaw) -> Rho2Analytic:
-    grid, vals, tail_flat = _renewal_density_grid(gap)
+    nodes = np.append(grid, grid[-1] + (grid[1] - grid[0]))
 
     def cont(v):
         v = np.abs(np.asarray(v, dtype=float))
         return np.interp(v, grid, vals, right=1.0)
 
-    return Rho2Analytic(
-        d=1,
-        continuous_part=cont,
-        nodes_fn=_renewal_nodes(grid),
-        head_exponent=gap.head_exponent,
-        tail_flat=tail_flat,
-    )
+    return Rho2Analytic(1, cont, nodes_fn=lambda limit: nodes,
+                        head_exponent=gap.head_exponent, tail_flat=tail_flat)
 
 
 _HARDCORE_TRANSITION = 2.0**-20
@@ -834,24 +794,20 @@ def rho2_hardcore() -> Rho2Analytic:
         v = np.abs(np.asarray(v, dtype=float))
         return np.clip((v - 0.5) / t + 0.5, 0.0, 1.0)
 
-    return Rho2Analytic(
-        d=1,
-        continuous_part=cont,
-        nodes_fn=lambda limit: np.array([0.0, 0.5 - t / 2.0, 0.5 + t / 2.0, limit]),
-    )
+    return Rho2Analytic(1, cont, nodes_fn=lambda limit: np.array([0.5 - t / 2.0, 0.5 + t / 2.0]))
+
+
+_RHO2 = {
+    Variant.POISSON: _rho2_poisson,
+    Variant.LATTICE: _rho2_lattice,
+    Variant.BERNOULLI_BLOCK: _rho2_bernoulli,
+    Variant.VIBRATING_LATTICE: _rho2_vibrating,
+    Variant.RENEWAL: _rho2_renewal,
+}
 
 
 def rho2_analytic(model: ProcessModel) -> Rho2Analytic:
     """Analytic (or numerically convolved, for renewal gaps) two-point
     correlation of ``model``, normalized so that Poisson gives identically 1.
     """
-    v = model.variant
-    if v is Variant.POISSON:
-        return _rho2_poisson(model.d)
-    if v is Variant.LATTICE:
-        return _rho2_lattice(model.d)
-    if v is Variant.BERNOULLI_BLOCK:
-        return _rho2_bernoulli(model.k, model.d)
-    if v is Variant.VIBRATING_LATTICE:
-        return _rho2_vibrating(model.k)
-    return _rho2_renewal(model.gap)
+    return _RHO2[model.variant](model)

@@ -34,8 +34,8 @@ class Discretization:
     implied cosine-transform frequency grid."""
 
     v_max: float
-    step: float = 2.0**-8
-    R: float | None = None
+    step: float
+    R: float
 
     def __post_init__(self) -> None:
         if not (self.step > 0.0 and self.v_max > 0.0):
@@ -43,7 +43,7 @@ class Discretization:
         n = self.v_max / self.step
         if abs(n - round(n)) > 1e-9:
             raise ArgumentError("v_max must be an integer multiple of step")
-        object.__setattr__(self, "R", float(self.R) if self.R is not None else self.v_max)
+        object.__setattr__(self, "R", float(self.R))
         if self.R < self.v_max:
             raise DomainError("tent parameter R must be at least v_max")
 

@@ -80,22 +80,21 @@ class FreeEnergyScan:
     bracket: tuple[float, float]
 
 
-def kth_neighbor_density(samples: Replicas, k: int | Sequence[int], L: float, x_max: float,
-                         step: float = 1.0 / 32.0) -> NeighborDensity | list[NeighborDensity]:
-    """Edge-corrected histogram of k-th neighbor distances in [-L/2, L/2],
-    one per replica of the batch ``samples``, and their mean.
+def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: float,
+                         step: float = 1.0 / 32.0) -> list[NeighborDensity]:
+    """Edge-corrected histograms of k-th neighbor distances in [-L/2, L/2],
+    one per order in the sequence ``k``: each the mean of one histogram per
+    replica of the batch ``samples``.
 
     A point y is the k-th neighbor of x when x < y and [x, y] contains
     exactly k + 1 points; restricting to the window is exact because [x, y]
     is contained in it.  Each pair is weighted by ``1 / (L (1 - x/L))``,
     which removes the boundary bias of the window.  One sort orders every
     replica's points; each replica's gaps are added to its own row in their
-    order along the line, as a loop over replicas would add them.  A
-    sequence of orders ``k`` gives a list of densities, one per order, from
-    that one sort.
+    order along the line, as a loop over replicas would add them.  The
+    densities of every order come from that one sort, in the order of ``k``.
     """
-    single = isinstance(k, (int, np.integer))
-    orders = [k] if single else list(k)
+    orders = list(k)
     if not orders or min(orders) < 1:
         raise ArgumentError("neighbor order k must be at least 1")
     if not x_max < L:
@@ -123,7 +122,7 @@ def kth_neighbor_density(samples: Replicas, k: int | Sequence[int], L: float, x_
             k=order, centers=step * np.arange(n_bins), values=values, stderr=stderr, step=step,
             total_mass=float(values.sum() * step), n_replicas=len(samples),
         ))
-    return densities[0] if single else densities
+    return densities
 
 
 def crystallization_gap(densities: list[NeighborDensity], s_exponent: float,
@@ -156,14 +155,15 @@ def renewal_entropy_rate(gap: GapLaw) -> float:
     differential entropy h, in closed form: ``h = theta - log theta +
     lnGamma(theta) + (1 - theta) psi(theta)`` for Gamma(theta, rate theta)
     (theta = 1 is the exponential law) and ``h = 1/2 + log(2/k)`` for the
-    triangle of half-width 2/k.
+    triangle of half-width 2/k.  The rate is a relative entropy, so it is
+    clamped at 0: next to theta = 1 the closed form rounds to -2e-16.
     """
     if gap.kind is GapLawKind.UNIFORM_HAT:
         return 0.5 + math.log(gap.k / 2.0)
     theta = gap.theta
     entropy = (theta - math.log(theta) + special.gammaln(theta)
                + (1.0 - theta) * special.digamma(theta))
-    return 1.0 - float(entropy)
+    return max(0.0, 1.0 - float(entropy))
 
 
 # default energy ladder of the scan, and the relative bracket width at which

@@ -152,7 +152,7 @@ def test_c05_crystallization_ordering(replicas):
 
     def gap_value(model, master):
         samples = replicas(model, 48.0, 400, master=master)
-        dens = [kth_neighbor_density(samples, k, 48.0, 20.0) for k in range(1, 9)]
+        dens = kth_neighbor_density(samples, range(1, 9), 48.0, 20.0)
         return crystallization_gap(dens, 0.5, 8).value
 
     g_poisson = gap_value(ProcessModel.poisson(1), 511)

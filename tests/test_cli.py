@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from rieszlab.cli import main, run, _load_spec
+from rieszlab.cli import main, run, _load_spec, _validate
 from rieszlab.core import SingularConfigurationError
 from rieszlab._io import config_from_csv
 
@@ -356,7 +356,17 @@ class TestSpecLayer:
         _reject(runner, tmp_path, "pinsker", {**spec, "seed": 2**64 - 1},
                 "config.seed: pinsker draws the baseline from seed + 1")
         cfg = _write(tmp_path, "ok.json", {**spec, "seed": 2**64 - 2})
-        assert _load_spec("pinsker", cfg, None, None)["seed"] == 2**64 - 2
+        assert _validate(_load_spec("pinsker", cfg, None, None))[0]["seed"] == 2**64 - 2
+
+    def test_pinsker_next_to_the_exponential_law(self, tmp_path, runner):
+        # a valid spec whose entropy rate rounds to -2e-16 before its clamp at 0
+        gap = {"law": "gamma", "theta": 0.999999999999}
+        cfg = _write(tmp_path, "p.json", {"model": {"variant": "renewal", "gap": gap},
+                                          "R_list": [2, 4], "n_replicas": 800,
+                                          "tile_count": 2})
+        res = runner.invoke(main, ["pinsker", "--config", cfg, "--out", str(tmp_path / "p")])
+        assert res.exit_code == 0, res.output
+        assert (tmp_path / "p" / "pinsker.json").exists()
 
     @pytest.mark.parametrize("command, spec, needle", [
         ("variance", {"model": {"variant": "poisson"}, "R_list": [4, 8, 16, 32],
@@ -531,6 +541,7 @@ class TestSpecLayer:
         spec = _load_spec(match.group(3), str(cfg), None, str(tmp_path))
         assert spec == {**json.loads(match.group(2)), "command": match.group(3),
                         "out": str(tmp_path)}
+        _validate(spec)
 
     def test_readme_lists_descriptor_keys(self):
         from rieszlab.cli import GAP_LAW, KERNEL, MODEL

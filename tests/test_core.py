@@ -146,15 +146,6 @@ class TestReplicas:
             batch[4]
         assert [cfg.n for cfg in batch] == [1, 0, 3, 0]
 
-    def test_slice_gives_a_batch(self):
-        part = self._batch()[1:3]
-        assert isinstance(part, Replicas) and part.R == 2.0
-        assert part.offsets.tolist() == [0, 0, 3]
-        np.testing.assert_array_equal(part.points, self.POINTS[1:])
-        assert len(self._batch()[3:1]) == 0 and self._batch()[3:1].n == 0
-        with pytest.raises(ArgumentError, match="consecutive"):
-            self._batch()[::2]
-
     def test_checks_run_on_the_whole_batch(self):
         with pytest.raises(DomainError, match="outside the window"):
             Replicas(self.POINTS, [0, 1, 1, 4, 4], 1.5)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,6 +337,19 @@ class TestLatticeSeries:
         fitted_c = [abs(b[1] - a[1]) * a[0] for a, b in zip(rep.entries, rep.entries[1:])]
         assert max(fitted_c) < 10.0
 
+    def test_peak_memory_of_the_atoms(self):
+        # the 2^18 atoms of the top rung are 2 MiB of positions; the series
+        # holds them, the kernel at them and one rung's weights at a time
+        Rs = [2.0**j for j in range(12, 19)]
+        tracemalloc.start()
+        try:
+            value = wint_lattice_series(K_RSZ, Rs).extrapolated
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(LATTICE_LIMIT_RSZ_HALF, abs=1e-8)
+        assert peak < 8.5 * 2**20
+
 
 class TestRho2Route:
     def test_zero_law_exact(self):
@@ -465,7 +479,7 @@ def _rung_by_itself(rho2, kernel, R):
     total = quadrature.integrate_g_pwlinear(kernel, nodes, deficit, tent_R=R)
     atoms = rho2.atoms_upto(R)
     if atoms.size:
-        total += float(np.sum(kernel.g(atoms[:, 0]) * (R - atoms[:, 0]) * atoms[:, 1]))
+        total += float(np.sum(kernel.g(atoms) * (R - atoms)))
     return 2.0 * total / R
 
 
@@ -476,7 +490,7 @@ class TestRho2Ladder:
         top, top_atoms = r2.nodes_upto(LADDER[-1]), r2.atoms_upto(LADDER[-1])
         for R in LADDER:
             assert r2.nodes_upto(R).tobytes() == np.append(top[top < R], R).tobytes()
-            assert r2.atoms_upto(R).tobytes() == top_atoms[top_atoms[:, 0] <= R].tobytes()
+            assert r2.atoms_upto(R).tobytes() == top_atoms[top_atoms <= R].tobytes()
 
     @pytest.mark.parametrize("kernel", [K_LOG, K_RSZ], ids=["log", "riesz"])
     @pytest.mark.parametrize("name", LADDER_MODELS)

@@ -126,7 +126,7 @@ class TestEstimateRho2:
         with pytest.raises(DomainError):
             estimate_rho2(samples, GridSpec(16.0, 8))  # v_max not below R
         with pytest.raises(ArgumentError):
-            estimate_rho2(samples[:1], GridSpec(4.0, 8))
+            estimate_rho2(replicas(ProcessModel.poisson(1), 16.0, 1), GridSpec(4.0, 8))
         with pytest.raises(ArgumentError, match="at least 2 replicas"):
             estimate_rho2([], GridSpec(4.0, 8))
 
@@ -262,9 +262,10 @@ class TestTotalVariation:
 
     def test_one_sample_rejected(self, replicas):
         # one sample per side makes any two count vectors look disjoint
-        p = replicas(ProcessModel.renewal(GapLaw.gamma(2.0)), 8.0, 2, master=63)
-        q = replicas(ProcessModel.poisson(1), 8.0, 2, master=64)
-        for a, b in ((p[:1], q), (p, q[:1]), ([], q)):
+        renewal, poisson = ProcessModel.renewal(GapLaw.gamma(2.0)), ProcessModel.poisson(1)
+        p, q = replicas(renewal, 8.0, 2, master=63), replicas(poisson, 8.0, 2, master=64)
+        p1, q1 = replicas(renewal, 8.0, 1, master=63), replicas(poisson, 8.0, 1, master=64)
+        for a, b in ((p1, q), (p, q1), ([], q)):
             with pytest.raises(ArgumentError, match="at least 2 replicas"):
                 tv_lower_bound(a, b, 4.0, 2)
 

@@ -218,8 +218,9 @@ class TestSampling:
         # replicas 3..8 of a rung of 12 are the batch of 6 that starts at stream 3
         whole = sample(model, 7.0, 12, Seed(5, 2), rung=1)
         part = sample(model, 7.0, 6, Seed(5, 2 + 12 + 3))
-        np.testing.assert_array_equal(whole[3:9].offsets, part.offsets)
-        assert whole[3:9].points.tobytes() == part.points.tobytes()
+        rows = whole.offsets[3:10]
+        np.testing.assert_array_equal(rows - rows[0], part.offsets)
+        assert whole.points[rows[0]:rows[-1]].tobytes() == part.points.tobytes()
 
     def test_replica_count_must_be_positive(self):
         for n in (0, -1, 2.0):
@@ -497,8 +498,13 @@ class TestRho2Analytic:
         v = np.linspace(0.0, 12.0, 4001)
         assert np.min(r2.continuous_part(v)) >= 0.0
         atoms = r2.atoms_upto(12.0)
-        if atoms.size:
-            assert np.all(atoms[:, 1] > 0.0) and np.all(atoms[:, 0] > 0.0)
+        assert atoms.ndim == 1 and np.all(atoms > 0.0)
+
+    @pytest.mark.parametrize("R", [0.5, 1.0, 7.5, 12.0])
+    def test_lattice_atoms_are_unit_masses_at_the_integers(self, R):
+        atoms = rho2_analytic(ProcessModel.lattice(1)).atoms_upto(R)
+        assert atoms.shape == (math.floor(R),)
+        assert atoms.tobytes() == np.arange(1.0, math.floor(R) + 1.0).tobytes()
 
     def test_empirical_rho2_matches_analytic(self, replicas):
         # cross-module consistency: binned pair statistics against the

@@ -27,9 +27,9 @@ def disc():
 class TestDiscretization:
     def test_validation(self):
         with pytest.raises(DomainError):
-            Discretization(v_max=4.0, step=-0.1)
+            Discretization(v_max=4.0, step=-0.1, R=4.0)
         with pytest.raises(ArgumentError):
-            Discretization(v_max=4.0, step=0.3)
+            Discretization(v_max=4.0, step=0.3, R=4.0)
         with pytest.raises(DomainError):
             Discretization(v_max=4.0, step=2.0**-6, R=2.0)
 

@@ -62,18 +62,23 @@ class TestEntropyRate:
         rates = [renewal_entropy_rate(GapLaw.gamma(t)) for t in (0.25, 0.5, 0.9, 1.1, 3.0, 16.0)]
         assert all(r > 0.0 for r in rates)
 
+    @pytest.mark.parametrize("theta", [1.0 - 1e-12, 1.0 + 1e-12])
+    def test_nonnegative_next_to_the_exponential(self, theta):
+        # the closed form rounds to -2e-16 at 1 - 1e-12 without its clamp
+        assert renewal_entropy_rate(GapLaw.gamma(theta)) >= 0.0
+
 
 class TestKthNeighborDensity:
     def test_lattice_mass_at_k(self, replicas):
         samples = replicas(ProcessModel.lattice(1), 32.0, 40)
-        nd = kth_neighbor_density(samples, 3, 32.0, 8.0)
+        nd, = kth_neighbor_density(samples, [3], 32.0, 8.0)
         j = int(round(3.0 / nd.step))
         assert nd.values[j] * nd.step == pytest.approx(nd.total_mass, rel=1e-12)
         assert nd.total_mass == pytest.approx(1.0, abs=0.15)  # edge weighting
 
     def test_poisson_second_neighbor_is_gamma2(self, replicas):
         samples = replicas(ProcessModel.poisson(1), 48.0, 600, master=301)
-        nd = kth_neighbor_density(samples, 2, 48.0, 12.0, step=1.0 / 8.0)
+        nd, = kth_neighbor_density(samples, [2], 48.0, 12.0, step=1.0 / 8.0)
         pdf = nd.centers * np.exp(-nd.centers)
         # compare bin averages where the Monte Carlo error is meaningful
         good = nd.stderr > 1e-9
@@ -84,7 +89,7 @@ class TestKthNeighborDensity:
     def test_renewal_first_neighbor_is_gap_density(self, replicas):
         gap = GapLaw.gamma(4.0)
         samples = replicas(ProcessModel.renewal(gap), 48.0, 600, master=303)
-        nd = kth_neighbor_density(samples, 1, 48.0, 6.0, step=1.0 / 8.0)
+        nd, = kth_neighbor_density(samples, [1], 48.0, 6.0, step=1.0 / 8.0)
         pdf = gap.density(nd.centers)
         good = nd.stderr > 1e-9
         dev = np.abs(nd.values - pdf)[good] / nd.stderr[good]
@@ -92,18 +97,15 @@ class TestKthNeighborDensity:
 
     def test_mean_positions_track_order(self, replicas):
         samples = replicas(ProcessModel.vibrating_lattice(4), 64.0, 200, master=305)
-        for k in (1, 2, 5):
-            nd = kth_neighbor_density(samples, k, 64.0, 16.0)
-            assert nd.mean_position() == pytest.approx(float(k), abs=0.05)
+        for nd in kth_neighbor_density(samples, [1, 2, 5], 64.0, 16.0):
+            assert nd.mean_position() == pytest.approx(float(nd.k), abs=0.05)
 
     def test_decomposition_reconstructs_pair_density(self, replicas):
         # summing neighbor orders recovers the positive part of rho2
         samples = replicas(ProcessModel.poisson(1), 32.0, 500, master=307)
-        total = None
         step = 1.0 / 8.0
-        for k in range(1, 13):
-            nd = kth_neighbor_density(samples, k, 32.0, 4.0, step=step)
-            total = nd.values if total is None else total + nd.values
+        total = sum(nd.values for nd in kth_neighbor_density(samples, range(1, 13), 32.0, 4.0,
+                                                             step=step))
         est = estimate_rho2(samples, GridSpec(4.0, 64))
         # rho2 = 1 everywhere; the neighbor sum approximates it away from 0
         centers = step * np.arange(total.size)
@@ -113,7 +115,7 @@ class TestKthNeighborDensity:
 
     def test_total_mass_grows_toward_one(self, replicas):
         samples = replicas(ProcessModel.poisson(1), 40.0, 150, master=309)
-        masses = [kth_neighbor_density(samples, 3, 40.0, xm).total_mass
+        masses = [kth_neighbor_density(samples, [3], 40.0, xm)[0].total_mass
                   for xm in (2.0, 6.0, 12.0)]
         assert masses[0] < masses[1] < masses[2]
         assert masses[2] == pytest.approx(1.0, abs=0.05)
@@ -122,14 +124,14 @@ class TestKthNeighborDensity:
     def test_domain_checks(self, replicas):
         samples = replicas(ProcessModel.poisson(1), 16.0, 5)
         with pytest.raises(DomainError):
-            kth_neighbor_density(samples, 1, 16.0, 16.0)
-        for k in (0, [], [2, 0]):
+            kth_neighbor_density(samples, [1], 16.0, 16.0)
+        for k in ([0], [], [2, 0]):
             with pytest.raises(ArgumentError):
                 kth_neighbor_density(samples, k, 16.0, 4.0)
         for x_max, step in [(-2.0, 1.0 / 32.0), (4.0, 0.0), (4.0, -0.5)]:
             with pytest.raises(DomainError, match="neighbor grid"):
-                kth_neighbor_density(samples, 1, 16.0, x_max, step)
-        assert kth_neighbor_density(samples, 1, 16.0, 0.0).centers.tolist() == [0.0]
+                kth_neighbor_density(samples, [1], 16.0, x_max, step)
+        assert kth_neighbor_density(samples, [1], 16.0, 0.0)[0].centers.tolist() == [0.0]
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("R, L, x_max, step", [(4.0, 3.0, 2.0, 1.0 / 8.0),
@@ -142,7 +144,7 @@ class TestKthNeighborDensity:
         # order of the additions shows in the sums
         batch = sample(ProcessModel.poisson(1), R, 120, Seed(9))
         assert R > 4.0 or (batch.counts == 0).any()
-        nd = kth_neighbor_density(batch, k, L, x_max, step)
+        nd, = kth_neighbor_density(batch, [k], L, x_max, step)
         per = np.zeros((len(batch), len(nd.centers)))
         for i, cfg in enumerate(batch):
             x = np.sort(points_in_cube(cfg, L)[:, 0])
@@ -161,7 +163,7 @@ class TestKthNeighborDensity:
         many = kth_neighbor_density(batch, range(8, 0, -3), 40.0, 20.0)
         assert [nd.k for nd in many] == [8, 5, 2]
         for nd in many:
-            one = kth_neighbor_density(batch, nd.k, 40.0, 20.0)
+            one, = kth_neighbor_density(batch, [nd.k], 40.0, 20.0)
             for field in ("centers", "values", "stderr"):
                 assert getattr(nd, field).tobytes() == getattr(one, field).tobytes()
             assert (nd.total_mass, nd.n_replicas) == (one.total_mass, one.n_replicas)
@@ -171,13 +173,13 @@ class TestKthNeighborDensity:
         samples = replicas(ProcessModel.poisson(1), 16.0, 1)
         for few in ([], samples):
             with pytest.raises(ArgumentError, match="at least 2 replicas"):
-                kth_neighbor_density(few, 1, 16.0, 4.0)
+                kth_neighbor_density(few, [1], 16.0, 4.0)
 
 
 class TestCrystallizationGap:
     def _densities(self, replicas, model, k_max=8, n=300, master=311):
         samples = replicas(model, 48.0, n, master=master)
-        return [kth_neighbor_density(samples, k, 48.0, 20.0) for k in range(1, k_max + 1)]
+        return kth_neighbor_density(samples, range(1, k_max + 1), 48.0, 20.0)
 
     def test_exact_lattice_is_zero(self, replicas):
         dens = self._densities(replicas, ProcessModel.lattice(1), n=50)
