@@ -241,7 +241,9 @@ COMMANDS = {
         "model": (MODEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "n_replicas": (COUNT, 200), "c_log": (float, None)},
         ((lambda a: "c_log" not in a or a["model"].d <= 2,
-          "config.c_log: the logarithmic term needs a model in d = 1 or 2"),)),
+          "config.c_log: the logarithmic term needs a model in d = 1 or 2"),
+         (lambda a: "c_log" not in a or a["c_log"] > 0.0,
+          "config.c_log must be positive"))),
     "energy": Command("Energy ladder via mc | rho2 | series route.", _energy, {
         "kernel": (KERNEL, REQUIRED), "R_list": (FLOATS, REQUIRED),
         "route": (Tag({

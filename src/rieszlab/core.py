@@ -5,8 +5,8 @@ power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
 window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
 names by its side R, and every energy is a limit over an increasing ladder of
 sides R (``ladder``).  ``Replicas`` holds the replicas of one rung as one
-batch, ``in_cube`` gives every window count, and ``mean_stderr`` reduces
-every estimate over replicas.
+batch, ``in_window`` is the one closed-window test, ``counts_in_cube`` gives
+every window count, and ``mean_stderr`` reduces every estimate over replicas.
 All operations are pure functions of their arguments, so safe in parallel.
 """
 
@@ -117,9 +117,18 @@ def _side(R) -> float:
     return float(R)
 
 
+def in_window(points: np.ndarray, half: float) -> np.ndarray:
+    """Which points of ``points`` (``(..., d)``) lie in the closed cube
+    ``[-half, half]^d``: exact comparisons, one axis at a time; NaN is outside."""
+    inside = (points[..., 0] >= -half) & (points[..., 0] <= half)
+    for a in range(1, points.shape[-1]):
+        inside &= (points[..., a] >= -half) & (points[..., a] <= half)
+    return inside
+
+
 def _window_points(points, R: float) -> np.ndarray:
     """``points`` as a contiguous ``(n, d)`` float64 array, checked to lie
-    inside C_R (closed faces, exact comparison) with d in [1, 3]."""
+    inside C_R (``in_window``) with d in [1, 3]."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -127,7 +136,7 @@ def _window_points(points, R: float) -> np.ndarray:
         raise ArgumentError(f"points must have shape (n, d <= 3), got {np.shape(points)}")
     if np.isnan(pts).any():
         raise ArgumentError("points contain NaN coordinates")
-    if ((pts < -R / 2.0) | (pts > R / 2.0)).any():
+    if not in_window(pts, R / 2.0).all():
         raise DomainError("points fall outside the window")
     return np.ascontiguousarray(pts)
 
@@ -232,7 +241,7 @@ def in_cube(config: PointConfiguration | Replicas, R: float) -> np.ndarray:
     the centered cube of side R (closed faces)."""
     if R > config.R:
         raise DomainError("cube side exceeds the configuration window")
-    return np.all(np.abs(config.points) <= R / 2.0, axis=1)
+    return in_window(config.points, R / 2.0)
 
 
 def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
@@ -240,9 +249,15 @@ def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
     return config.points[in_cube(config, R)]
 
 
-def counts_in_cube(batch: Replicas, R: float) -> np.ndarray:
-    """Per replica of ``batch``, its number of points inside the centered
-    cube of side R (closed faces)."""
-    inside = np.concatenate([[0], np.cumsum(in_cube(batch, R))])
-    return np.diff(inside[batch.offsets])
+def counts_in_cube(batch: Replicas, R: float, tiles: int) -> np.ndarray:
+    """One row per replica of ``batch``: its point counts in ``tiles`` equal
+    slabs, along the first axis, of the centered cube of side R (closed
+    faces).  A slab boundary counts in the upper slab, the upper face in the last."""
+    inside = in_cube(batch, R)
+    replica = np.repeat(np.arange(len(batch)), batch.counts)[inside]
+    edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
+    tile = np.clip(np.searchsorted(edges, batch.points[inside, 0], side="right") - 1,
+                   0, tiles - 1)
+    cells = np.bincount(replica * tiles + tile, minlength=len(batch) * tiles)
+    return cells.reshape(len(batch), tiles)
 

@@ -20,7 +20,6 @@ from .core import (
     _require_replicas,
     _side,
     counts_in_cube,
-    in_cube,
     ladder,
     mean_stderr,
 )
@@ -122,7 +121,8 @@ def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: i
     # (R, mean D_R^2, stderr) per window size
     entries = []
     for i, R in enumerate(R_list):
-        d2 = (sample(model, R, n_replicas, seed, i).counts - R**model.d) ** 2
+        batch = sample(model, R, n_replicas, Seed(seed.master, seed.replica + i * n_replicas))
+        d2 = (batch.counts - R**model.d) ** 2
         mean, stderr = mean_stderr(d2)
         entries.append((R, float(mean), float(stderr)))
     return entries
@@ -130,7 +130,8 @@ def _discrepancy_moments(model: ProcessModel, R_list: list[float], n_replicas: i
 
 def number_variance_curve(model: ProcessModel, R_list, n_replicas: int,
                           seed: Seed) -> VarianceCurve:
-    """Mean squared discrepancy per window size, with a log-log slope fit."""
+    """Mean squared discrepancy per window size, with a log-log slope fit;
+    rung i is one batch from streams ``seed.replica + i * n_replicas`` on."""
     R_list = ladder(R_list)
     if len(R_list) < 4 or R_list[-1] < 10.0 * R_list[0]:
         raise ArgumentError("R_list needs at least 4 values spanning at least one decade")
@@ -160,7 +161,7 @@ def _fit_loglog_slope(entries) -> tuple[float, tuple[float, float]]:
 def discrepancy_identity_check(samples: Replicas, R: float) -> IdentityCheck:
     """Estimate both sides of the pair-integral identity from one batch."""
     _require_replicas(len(samples))
-    counts = counts_in_cube(samples, R).astype(float)
+    counts = counts_in_cube(samples, R, 1)[:, 0].astype(float)
     vol = float(R) ** samples.d
     m1 = counts.mean()
     m2 = (counts**2).mean()
@@ -187,7 +188,10 @@ class DlogCurve:
     @classmethod
     def from_variance(cls, entries, d: int, c_log: float) -> "DlogCurve":
         """The ``(R, mean D_R^2, stderr)`` entries of a variance curve in
-        dimension d, scaled by ``c_log * log R / R^d``, with their trend."""
+        dimension d, scaled by ``c_log * log R / R^d``, with their trend;
+        ``c_log`` > 0, as the trend fits the scaled values' logarithms."""
+        if not c_log > 0.0:
+            raise DomainError(f"c_log must be positive, got {c_log}")
         scaled = []
         for R, mean, stderr in entries:
             scale = c_log * math.log(R) / R**d
@@ -201,8 +205,9 @@ def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
 
     The limsup of this sequence is the extra logarithmic term of the energy;
     only its finiteness or vanishing matters downstream, so the constant is a
-    free parameter.  Classification: last-decade log-log slope above 0.1 is
-    "diverging", below -0.1 is "bounded->0", otherwise "bounded->positive".
+    free positive parameter.  Classification: the log-log slope of the
+    last decade's positive values (zero at R = 1) above 0.1 is "diverging",
+    below -0.1 is "bounded->0", otherwise "bounded->positive".
     """
     if kernel.d != model.d:
         raise ArgumentError("kernel and model dimensions differ")
@@ -214,30 +219,17 @@ def dlog_estimate(model: ProcessModel, kernel: Kernel, R_list, n_replicas: int,
 
 def _classify_trend(entries) -> str:
     R_last = entries[-1][0]
-    decade = [(R, v) for R, v, _ in entries if R >= R_last / 10.0]
+    decade = [e for e in entries if e[0] >= R_last / 10.0]
     if len(decade) < 2:
         decade = entries[-2:]
     if entries[-1][1] <= 1e-12:
         return "bounded->0"
-    lx = np.log([max(p[0], 1e-300) for p in decade])
-    ly = np.log([max(p[1], 1e-300) for p in decade])
-    slope = float(np.polyfit(lx, ly, 1)[0])
+    slope, _ = _fit_loglog_slope(decade)
     if slope > 0.1:
         return "diverging"
     if slope < -0.1:
         return "bounded->0"
     return "bounded->positive"
-
-
-def _count_vectors(samples: Replicas, R: float, tiles: int) -> np.ndarray:
-    # one row per replica: its point counts in the tiles of C_R
-    inside = in_cube(samples, R)
-    replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
-    edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
-    tile = np.clip(np.searchsorted(edges, samples.points[inside, 0], side="right") - 1,
-                   0, tiles - 1)
-    cells = np.bincount(replica * tiles + tile, minlength=len(samples) * tiles)
-    return cells.reshape(len(samples), tiles)
 
 
 def tv_lower_bound(samples_p: Replicas, samples_q: Replicas,
@@ -255,8 +247,8 @@ def tv_lower_bound(samples_p: Replicas, samples_q: Replicas,
     if min(samples_p.R, samples_q.R) < window_R:
         raise DomainError("samples were drawn on a window smaller than requested")
     n_p, n_q = len(samples_p), len(samples_q)
-    rows = np.concatenate([_count_vectors(samples_p, window_R, tile_count),
-                           _count_vectors(samples_q, window_R, tile_count)])
+    rows = np.concatenate([counts_in_cube(samples_p, window_R, tile_count),
+                           counts_in_cube(samples_q, window_R, tile_count)])
     support, cell = np.unique(rows, axis=0, return_inverse=True)
     cp = np.bincount(cell[:n_p], minlength=len(support))
     cq = np.bincount(cell[n_p:], minlength=len(support))

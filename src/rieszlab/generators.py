@@ -1,17 +1,17 @@
 """Samplers for the concrete stationary processes and their analytic
 two-point correlation functions.
 
-All models have intensity 1.  ``sample(model, R, n, seed, rung)`` is the one
-sampler and the one seed schedule: it draws the n replicas of rung ``rung``
-of an R ladder as one ``Replicas`` batch, replica j from its own stream
-``Seed(seed.master, seed.replica + rung * n + j)``.  Stream ``Seed(m, r)`` is
-numpy's ``default_rng(SeedSequence(entropy=m, spawn_key=(r,)))`` with m taken
-mod 2**64; ``sample`` derives the seed words of every stream of a batch in one
-vectorised pass of the SeedSequence hash.  So a replica's points depend only
-on its model, R and stream, bit for bit, whatever batch it is drawn in, and
-replicas can be drawn by any number of workers without shared state.  In a
-batch, ``len`` counts replicas and ``n`` counts points; the window checks run
-once per batch.
+All models have intensity 1.  ``sample(model, R, n, seed)`` is the one
+sampler and the one seed schedule: it draws n replicas as one ``Replicas``
+batch, replica j from stream ``Seed(seed.master, seed.replica + j)``, so a
+caller drawing several batches offsets ``seed.replica``.  Stream ``Seed(m,
+r)`` is numpy's ``default_rng(SeedSequence(entropy=m, spawn_key=(r,)))`` with
+m taken mod 2**64; ``sample`` mixes the spawn keys of a batch into numpy's
+pool of m in one vectorised pass of the SeedSequence hash.  So a replica's
+points depend only on its model, R and stream, bit for bit, whatever batch
+it is drawn in, and replicas can be drawn by any number of workers without
+shared state.  In a batch, ``len`` counts replicas and ``n`` counts points;
+the window checks run once per batch.
 
 Each replica's stream is read through a bare ``PCG64`` bit generator, one
 replica at a time, in one call where the stream is uniform: numpy's
@@ -41,6 +41,7 @@ from .core import (
     NotApplicableError,
     Replicas,
     _side,
+    in_window,
 )
 
 
@@ -284,33 +285,19 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-# the 16 hashmix steps that make the pool from the master come first
-_MASTER_CONSTS = _powers(_INIT_A, _MULT_A, 0, 4 * _POOL)
-
-
 @functools.lru_cache(maxsize=16)
 def _master_pool(master: int) -> np.ndarray:
-    """The entropy pool of ``master`` before a spawn key is mixed in, as a
-    read-only ``(4, 1)`` column: the master's two words, zero-padded to the
-    pool size, hashed and mixed with each other.  Cached, as one-replica
-    calls would otherwise spend most of their seeding here."""
-    c = _MASTER_CONSTS
-    pool = [_hashmix(word, c[i], c[i + 1])
-            for i, word in enumerate([master & _MASK32, master >> 32, 0, 0])]
-    step = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[step], c[step + 1]))
-                step += 1
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    """The entropy pool of ``master`` before a spawn key is mixed in (a key
+    only appends words), as a read-only ``(4, 1)`` column: numpy's
+    ``SeedSequence(master).pool``, cached so that no replica builds one."""
+    pool = np.random.SeedSequence(master).pool[:, None]
     pool.flags.writeable = False
     return pool
 
 
 def _key_consts(word: int) -> tuple[np.ndarray, np.ndarray]:
     """The xor and multiplier constants, as ``(4, 1)`` columns, of the hash
-    steps of spawn-key word ``word``: one step per pool word it mixes into."""
+    steps of spawn-key word ``word`` (after the pool's 16), one per pool word."""
     consts = np.array(_powers(_INIT_A, _MULT_A, 4 * _POOL + _POOL * word, _POOL),
                       dtype=np.uint32)[:, None]
     return consts[:-1], consts[1:]
@@ -398,7 +385,7 @@ def _uniform(words: np.ndarray, low: float, high: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# samplers: each takes the seed words of the n replicas of one rung and
+# samplers: each takes the seed words of the n replicas of one batch and
 # returns the points of every replica, replica by replica, and their counts.
 # Per replica a draw only builds the bit generator and reads its words, raw
 # where the stream is uniform, in one call (two for a Poisson count or a gamma
@@ -450,15 +437,6 @@ def _select(rows: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return points[keep].view(np.float64).reshape(-1, d), np.count_nonzero(keep, axis=1)
 
 
-def _inside(pts: np.ndarray, half: float) -> np.ndarray:
-    """Which points of ``pts`` (``(..., d)``) lie in the closed cube of
-    half-side ``half``, tested one axis at a time."""
-    inside = (pts[..., 0] >= -half) & (pts[..., 0] <= half)
-    for a in range(1, pts.shape[-1]):
-        inside &= (pts[..., a] >= -half) & (pts[..., a] <= half)
-    return inside
-
-
 def _draw_poisson(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
     """A Poisson count through ``Generator.poisson``, then that many uniform
     points read raw from the same bit generator."""
@@ -500,7 +478,7 @@ def _draw_bernoulli(model: ProcessModel, R: float, states) -> tuple[np.ndarray, 
     pts += np.repeat(cells * float(k), per_tile, axis=1).reshape(pts.shape)
     pts += u[:, None, None, :]
     pts = pts.reshape(n, -1, d)
-    return _select(pts, np.repeat(full, per_tile, axis=1) & _inside(pts, half))
+    return _select(pts, np.repeat(full, per_tile, axis=1) & in_window(pts, half))
 
 
 def _draw_vibrating(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
@@ -520,7 +498,7 @@ def _draw_vibrating(model: ProcessModel, R: float, states) -> tuple[np.ndarray, 
     cells, full = _grid(lo, size, sites)
     pts = _shifted(cells, u[:, None, :])
     pts += _uniform(words[:, 1:], -amp, amp)[:, :, None]
-    return _select(pts, full & _inside(pts, half))
+    return _select(pts, full & in_window(pts, half))
 
 
 def _renewal_block(span: float) -> int:
@@ -579,14 +557,14 @@ def _draw_renewal(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np
     short = np.flatnonzero(pos[:, -1] < target)
     pos += u[:, None]
     rows = pos[:, :, None]
-    pts, counts = _select(rows, _inside(rows, half))
+    pts, counts = _select(rows, in_window(rows, half))
     if short.size:
         parts = np.split(pts, np.cumsum(counts)[:-1])
         for j in short:
             bits = _stream(states[j])
             bits.random_raw()  # the phase
-            row = _renewal_positions(gap, start, target, np.random.Generator(bits)) + u[j]
-            parts[j] = row[np.abs(row) <= half][:, None]
+            row = u[j] + _renewal_positions(gap, start, target, np.random.Generator(bits))[:, None]
+            parts[j] = row[in_window(row, half)]
             counts[j] = len(parts[j])
         pts = np.concatenate(parts)
     return pts, counts
@@ -601,12 +579,11 @@ _DRAWS = {
 }
 
 
-def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> Replicas:
-    """The ``n`` replicas of ``model`` in the centred cube of side ``R`` on rung
-    ``rung`` of an R ladder, as one batch; replica j draws from
-    ``Seed(seed.master, seed.replica + rung * n + j)``, that is from
-    ``default_rng(SeedSequence(entropy=seed.master mod 2**64,
-    spawn_key=(seed.replica + rung * n + j,)))``.
+def sample(model: ProcessModel, R: float, n: int, seed: Seed) -> Replicas:
+    """The ``n`` replicas of ``model`` in the centred cube of side ``R`` as
+    one batch; replica j draws from ``Seed(seed.master, seed.replica + j)``,
+    that is from ``default_rng(SeedSequence(entropy=seed.master mod 2**64,
+    spawn_key=(seed.replica + j,)))``.
 
     The marginal law inside the window is exact for every variant: block and
     lattice models generate one tile of margin and clip, the renewal model
@@ -617,7 +594,7 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed, rung: int = 0) -> 
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
     n = int(n)
-    states = _seed_states(seed.master, seed.replica + rung * n, n)
+    states = _seed_states(seed.master, seed.replica, n)
     pts, counts = _DRAWS[model.variant](model, R, states)
     return Replicas(pts, np.concatenate([[0], np.cumsum(counts)]), R)
 

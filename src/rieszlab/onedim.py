@@ -90,8 +90,8 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
     exactly k + 1 points; restricting to the window is exact because [x, y]
     is contained in it.  Each pair is weighted by ``1 / (L (1 - x/L))``,
     which removes the boundary bias of the window.  One sort orders every
-    replica's points; each replica's gaps are added to its own row in their
-    order along the line, as a loop over replicas would add them.  The
+    replica's points; one bincount adds each replica's gaps to its own row in
+    their order along the line, as a loop over replicas would add them.  The
     densities of every order come from that one sort, in the order of ``k``.
     """
     orders = list(k)
@@ -115,9 +115,9 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
         keep = (replica[order:] == replica[:-order]) & (gaps < min(x_max + step / 2.0, L))
         gaps, rows = gaps[keep], replica[order:][keep]
         idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
-        per = np.zeros((len(samples), n_bins))
-        np.add.at(per, (rows, idx), 1.0 / (L * (1.0 - gaps / L) * step))
-        values, stderr = mean_stderr(per)
+        per = np.bincount(rows * n_bins + idx, 1.0 / (L * (1.0 - gaps / L) * step),
+                          minlength=len(samples) * n_bins)
+        values, stderr = mean_stderr(per.reshape(len(samples), n_bins))
         densities.append(NeighborDensity(
             k=order, centers=step * np.arange(n_bins), values=values, stderr=stderr, step=step,
             total_mass=float(values.sum() * step), n_replicas=len(samples),

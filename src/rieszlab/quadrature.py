@@ -37,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from .core import ArgumentError, Kernel, KernelFamily
+from .core import ArgumentError, Kernel, KernelFamily, in_window
 
 # point-background panels: nodes per chunk, which bounds the temporaries for
 # any number of points, and the Gauss-Legendre order and largest width
@@ -284,7 +284,8 @@ def _face_integrals(kernel: Kernel, pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
-    """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R.
+    """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R
+    (``core.in_window``); a point outside it or with a NaN raises ``ArgumentError``.
 
     d = 1 and the planar log kernel are closed forms.  For Riesz kernels in
     d = 2, 3 each orthant box with p at a corner gives d! face pieces, one
@@ -293,12 +294,12 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
     """
     d = kernel.d
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if not in_window(pts, R / 2.0).all():
+        raise ArgumentError("points must lie in the closed window")
     if d == 1:
         return point_background_1d(kernel, pts[:, 0], R)
     if kernel.family is KernelFamily.LOG2D:
         return -_log_boxes_2d(-R / 2.0 - pts, R / 2.0 - pts)
-    if np.any(np.abs(pts) > R / 2.0):
-        raise ArgumentError("points must lie in the closed window")
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
     perms = np.array(list(itertools.permutations(range(d))))
     edges = R / 2.0 + pts[:, None, :] * signs

@@ -193,6 +193,16 @@ class TestCommands:
         rep = json.loads((out / "pinsker.json").read_text())
         assert all(r["satisfied"] for r in rep["reports"])
 
+    def test_hyperuniform_dlog_trend_with_a_rung_at_one(self, tmp_path, runner):
+        # the value at R = 1 is 0 (log 1 = 0) and must not read as divergence
+        out = tmp_path / "v"
+        cfg = _write(tmp_path, "v.json", {
+            "model": {"variant": "bernoulli_block", "k": 4}, "R_list": [1, 2, 4, 10],
+            "n_replicas": 400, "seed": 3, "c_log": 1.0})
+        res = runner.invoke(main, ["variance", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert json.loads((out / "variance.json").read_text())["dlog_trend"] == "bounded->0"
+
     def test_lp_and_freemin_and_crystal(self, tmp_path, runner):
         out = tmp_path / "misc"
         cfg = _write(tmp_path, "lp.json", {
@@ -330,6 +340,13 @@ class TestSpecLayer:
         _reject(runner, tmp_path, "variance", spec, "config.c_log")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("c_log", [0, -1.0])
+    def test_nonpositive_c_log_writes_nothing(self, tmp_path, runner, c_log):
+        spec = {"model": {"variant": "poisson"}, "R_list": [8, 16, 32, 64, 128],
+                "n_replicas": 400, "seed": 3, "c_log": c_log}
+        _reject(runner, tmp_path, "variance", spec, "config.c_log must be positive")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("seed", [-3, -1, 2**64, 2**64 + 5, True, 1.0])
     def test_seed_outside_the_stream_domain(self, tmp_path, runner, seed):
         # masters are taken mod 2**64, so -3 and 2**64 - 3 would draw the same streams
@@ -453,9 +470,9 @@ class TestSpecLayer:
 
         real, calls = generators.sample, []
 
-        def counting(model, R, n, seed, rung=0):
+        def counting(model, R, n, seed):
             calls.append(n)
-            return real(model, R, n, seed, rung)
+            return real(model, R, n, seed)
 
         monkeypatch.setattr(estimators, "sample", counting)
         R_list = [4, 8, 16, 32, 64]
@@ -542,6 +559,15 @@ class TestSpecLayer:
         assert spec == {**json.loads(match.group(2)), "command": match.group(3),
                         "out": str(tmp_path)}
         _validate(spec)
+
+    def test_readme_library_tour_runs(self, capsys):
+        # the tour's code runs against the library as it is
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        match = re.search(r"## Library tour\n\n```python\n(.*?)\n```", readme, re.S)
+        assert match, "README has no library tour block"
+        exec(compile(match.group(1), "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 3 and printed[0].endswith(" 2 8.0")
 
     def test_readme_lists_descriptor_keys(self):
         from rieszlab.cli import GAP_LAW, KERNEL, MODEL

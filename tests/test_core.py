@@ -16,7 +16,8 @@ from rieszlab import (
     riesz_kernel,
     sample,
 )
-from rieszlab.core import counts_in_cube, mean_stderr, points_in_cube
+from rieszlab import quadrature
+from rieszlab.core import counts_in_cube, in_cube, in_window, mean_stderr, points_in_cube
 
 
 def _count(cfg, R):
@@ -159,10 +160,59 @@ class TestReplicas:
 
     def test_window_counts(self):
         batch = self._batch()
-        assert counts_in_cube(batch, 2.0).tolist() == [1, 0, 3, 0]
-        assert counts_in_cube(batch, 1.0).tolist() == [1, 0, 1, 0]
+        assert counts_in_cube(batch, 2.0, 1).tolist() == [[1], [0], [3], [0]]
+        assert counts_in_cube(batch, 1.0, 1).tolist() == [[1], [0], [1], [0]]
+        # a point on a slab boundary counts in the upper slab, one on the
+        # upper face in the last
+        assert counts_in_cube(batch, 2.0, 4).tolist() == [[0, 0, 0, 1], [0, 0, 0, 0],
+                                                          [1, 0, 1, 1], [0, 0, 0, 0]]
         with pytest.raises(DomainError):
-            counts_in_cube(batch, 3.0)
+            counts_in_cube(batch, 3.0, 1)
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("d,s", [(1, 0.5), (2, 1.0), (3, 1.5)])
+    def test_one_closed_window(self, d, s):
+        # the faces, one ulp inside and outside them, and -0.0, on each axis:
+        # the predicate, window counts, batch construction and the Riesz
+        # point-background integral accept and reject the same points
+        R = 3.0
+        half = R / 2.0
+        values = [half, -half, np.nextafter(half, 0.0), np.nextafter(-half, 0.0),
+                  np.nextafter(half, np.inf), np.nextafter(-half, -np.inf), -0.0]
+        pts = []
+        for a in range(d):
+            for v in values:
+                p = np.full(d, 0.25)
+                p[a] = v
+                pts.append(p)
+        pts += [np.full(d, half), np.full(d, -half), np.r_[np.full(d - 1, half),
+                                                           np.nextafter(half, np.inf)]]
+        pts = np.array(pts)
+        want = np.all(np.abs(pts) <= half, axis=1)
+        assert want.any() and not want.all()
+        np.testing.assert_array_equal(in_window(pts, half), want)
+        batch = Replicas(pts, np.arange(len(pts) + 1), 2.0 * R)
+        np.testing.assert_array_equal(in_cube(batch, R), want)
+        np.testing.assert_array_equal(counts_in_cube(batch, R, 1)[:, 0], want)
+        kernel = riesz_kernel(s, d)
+        for p, inside in zip(pts, want):
+            if inside:
+                Replicas(p[None], [0, 1], R)
+                assert np.isfinite(quadrature.point_background(kernel, p[None], R)).all()
+            else:
+                with pytest.raises(DomainError, match="outside the window"):
+                    Replicas(p[None], [0, 1], R)
+                with pytest.raises(ArgumentError, match="closed window"):
+                    quadrature.point_background(kernel, p[None], R)
+
+    def test_nan_is_outside(self):
+        pts = np.array([[0.0, np.nan]])
+        assert not in_window(pts, 1.0).any()
+        with pytest.raises(ArgumentError, match="NaN"):
+            Replicas(pts, [0, 1], 2.0)
+        with pytest.raises(ArgumentError, match="closed window"):
+            quadrature.point_background(riesz_kernel(1.0, 2), pts, 2.0)
 
 
 class TestMeanStderr:

@@ -643,7 +643,7 @@ class TestMonteCarloBlocks:
         wint_monte_carlo(model, kernel, R_list, 40, Seed(83, 2))
         assert [len(b) for b in blocks] == [7] * 5 + [5] + [7] * 5 + [5]
         for i, R in enumerate(R_list):
-            rung = sample(model, R, 40, Seed(83, 2), i)
+            rung = sample(model, R, 40, Seed(83, 2 + i * 40))
             drawn = blocks[6 * i:6 * i + 6]
             assert np.concatenate([b.points for b in drawn]).tobytes() == rung.points.tobytes()
             np.testing.assert_array_equal(np.concatenate([b.counts for b in drawn]),
@@ -666,7 +666,7 @@ class TestMonteCarloBlocks:
         wint_monte_carlo(model, kernel, R_list, 40, Seed(83))
         blocked = np.concatenate(seen)  # before hint_R adds its batches of one
         loop = [hint_R(cfg, R, kernel) for i, R in enumerate(R_list)
-                for cfg in sample(model, R, 40, Seed(83), i)]
+                for cfg in sample(model, R, 40, Seed(83, i * 40))]
         np.testing.assert_allclose(blocked, loop, rtol=1e-12, atol=0.0)
 
 

@@ -22,6 +22,7 @@ from rieszlab import (
     tv_lower_bound,
 )
 from rieszlab.core import mean_stderr, points_in_cube
+from rieszlab.estimators import DlogCurve
 
 
 def _ragged(model, R, n, master):
@@ -221,6 +222,34 @@ class TestDlog:
                           [8.0, 16.0, 32.0, 64.0, 80.0], 300, Seed(37), c_log=2.5)
         np.testing.assert_allclose([2.5 * x[1] for x in a.entries],
                                    [x[1] for x in b.entries], rtol=1e-12)
+
+    @pytest.mark.parametrize("R_list", [[1, 2, 4, 10], [2, 4, 8, 20], [8, 16, 32, 64, 128]])
+    def test_block_vanishes_with_a_rung_at_one(self, R_list):
+        # log 1 = 0 makes the value at R = 1 exactly 0; it drops out of the
+        # trend's fit instead of pulling its slope up
+        curve = dlog_estimate(ProcessModel.bernoulli_block(4), log_kernel(1), R_list, 400,
+                              Seed(3))
+        assert curve.trend == "bounded->0"
+        variance = number_variance_curve(ProcessModel.bernoulli_block(4), R_list, 400, Seed(3))
+        assert DlogCurve.from_variance(variance.entries, 1, 1.0).trend == "bounded->0"
+        poisson = dlog_estimate(ProcessModel.poisson(1), log_kernel(1), R_list, 400, Seed(3))
+        assert poisson.trend == "diverging"
+
+    def test_decade_with_one_positive_value_rejected(self):
+        entries = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (4.0, 0.0, 0.0), (10.0, 3.0, 1.0)]
+        with pytest.raises(ArgumentError, match="degenerate fit"):
+            DlogCurve.from_variance(entries, 1, 1.0)
+
+    @pytest.mark.parametrize("c_log", [0.0, -1.0])
+    def test_nonpositive_constant_rejected(self, c_log):
+        # a nonpositive constant turned Poisson's diverging term into "bounded->0"
+        variance = number_variance_curve(ProcessModel.poisson(1), [8, 16, 32, 64, 128], 400,
+                                         Seed(3))
+        with pytest.raises(DomainError, match="c_log must be positive"):
+            DlogCurve.from_variance(variance.entries, 1, c_log)
+        with pytest.raises(DomainError, match="c_log must be positive"):
+            dlog_estimate(ProcessModel.poisson(1), log_kernel(1), [8, 16, 32, 64, 128], 30,
+                          Seed(3), c_log=c_log)
 
 
 class TestTotalVariation:

@@ -140,20 +140,20 @@ class TestSampling:
 
     @pytest.mark.parametrize("model", SCHEDULE_MODELS, ids=lambda m: m.describe())
     def test_replicas_follow_the_seed_schedule(self, model):
-        # replica j on rung i draws stream replica + i * n + j, the points of a
-        # one-replica draw from that stream bit for bit.  The sides are R = 0.5
-        # (a rung with empty replicas), integer and non-integer R, and R at a
-        # tile boundary and just past it (the tile side is k for blocks, else 1)
+        # replica j of a batch from Seed(77, first) draws stream first + j,
+        # the points of a one-replica draw from that stream bit for bit.  The
+        # sides are R = 0.5 (a batch with empty replicas), integer and
+        # non-integer R, and R at a tile boundary and just past it (the tile
+        # side is k for blocks, else 1)
         tile = model.k if model.variant is Variant.BERNOULLI_BLOCK else 1
-        seed = Seed(77, 5)
         for R in (0.5, 4.0, 6.5, 3.0 * tile, 3.0 * tile + 1e-9):
-            for n, rungs in ((1, (0, 1)), (2, (0, 1)), (257, (1,))):
-                for rung in rungs:
-                    batch = sample(model, R, n, seed, rung)
+            for n, firsts in ((1, (5, 6)), (2, (5, 7)), (257, (262,))):
+                for first in firsts:
+                    batch = sample(model, R, n, Seed(77, first))
                     assert len(batch) == n and batch.R == R and batch.d == model.d
                     assert batch.n == batch.points.shape[0] == batch.counts.sum()
                     for j in range(n):
-                        ref = _reference_draw(model, R, _numpy_rng(77, 5 + rung * n + j))
+                        ref = _reference_draw(model, R, _numpy_rng(77, first + j))
                         assert batch[j].R == R
                         assert batch[j].points.tobytes() == ref.tobytes()
                         assert batch.counts[j] == len(ref)
@@ -166,10 +166,10 @@ class TestSampling:
     def test_grid_draws_read_again_when_rounding_adds_a_cell(self, model, monkeypatch):
         # the grid draws read the words of the most tiles R allows and read
         # again when a replica needs more; too small a bound only costs time
-        expected = [sample(model, R, 9, Seed(8), 1) for R in (6.0, 7.5, 16.0)]
+        expected = [sample(model, R, 9, Seed(8, 9)) for R in (6.0, 7.5, 16.0)]
         monkeypatch.setattr(generators, "_span_cells", lambda length: math.ceil(length) - 1)
         for R, want in zip((6.0, 7.5, 16.0), expected):
-            got = sample(model, R, 9, Seed(8), 1)
+            got = sample(model, R, 9, Seed(8, 9))
             np.testing.assert_array_equal(got.offsets, want.offsets)
             assert got.points.tobytes() == want.points.tobytes()
 
@@ -207,7 +207,7 @@ class TestSampling:
                 assert batch[j].points.tobytes() == before[j].points.tobytes()
 
     def test_poisson_rung_with_empty_replicas(self):
-        batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3), rung=1)
+        batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3, 40))
         assert (batch.counts == 0).any() and (batch.counts > 0).any()
         for j in range(len(batch)):
             ref = _reference_draw(ProcessModel.poisson(1), 0.5, _numpy_rng(3, 40 + j))
@@ -215,8 +215,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_a_replica_does_not_depend_on_its_batch(self, model):
-        # replicas 3..8 of a rung of 12 are the batch of 6 that starts at stream 3
-        whole = sample(model, 7.0, 12, Seed(5, 2), rung=1)
+        # replicas 3..8 of a batch of 12 are the batch of 6 that starts at its
+        # stream 3
+        whole = sample(model, 7.0, 12, Seed(5, 2 + 12))
         part = sample(model, 7.0, 6, Seed(5, 2 + 12 + 3))
         rows = whole.offsets[3:10]
         np.testing.assert_array_equal(rows - rows[0], part.offsets)
@@ -263,7 +264,8 @@ class TestSampling:
     def test_bernoulli_tiles_hold_exactly_k_points(self, monkeypatch):
         # all tile points before the clip (no point is outside), less the shift
         # u (the stream's first draw)
-        monkeypatch.setattr(generators, "_inside", lambda pts, half: np.ones(pts.shape[:-1], bool))
+        monkeypatch.setattr(generators, "in_window",
+                            lambda pts, half: np.ones(pts.shape[:-1], bool))
         k, R = 3, 18.0
         pts, counts = _draw_bernoulli(ProcessModel.bernoulli_block(k), R,
                                       generators._seed_states(21, 0, 3))
@@ -360,14 +362,35 @@ class TestSeedStreams:
 
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
     def test_sample_builds_no_seed_sequence(self, model, monkeypatch):
+        # no SeedSequence per replica: once the master's pool is cached, a
+        # batch builds none at all
         def refuse(*args, **kwargs):
             raise AssertionError("sample built a SeedSequence")
 
-        expected = sample(model, 6.0, 5, Seed(4, 9), rung=2)
+        expected = sample(model, 6.0, 5, Seed(4, 19))
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        batch = sample(model, 6.0, 5, Seed(4, 9), rung=2)
+        batch = sample(model, 6.0, 5, Seed(4, 19))
         np.testing.assert_array_equal(batch.offsets, expected.offsets)
         assert batch.points.tobytes() == expected.points.tobytes()
+
+
+    @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.describe())
+    def test_a_cold_pool_builds_one_seed_sequence(self, model, monkeypatch):
+        # the master's pool is numpy's SeedSequence(master).pool: one build
+        # for a batch of 257 replicas, none per replica, and the same points
+        warm = sample(model, 6.0, 257, Seed(12, 3))
+        built, real = [], np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        generators._master_pool.cache_clear()
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        cold = sample(model, 6.0, 257, Seed(12, 3))
+        assert built == [(12,)]
+        np.testing.assert_array_equal(cold.offsets, warm.offsets)
+        assert cold.points.tobytes() == warm.points.tobytes()
 
 
 class TestRho2Analytic:
