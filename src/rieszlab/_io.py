@@ -30,23 +30,11 @@ def write_csv(path, header, rows) -> None:
     _write_lines(path, [",".join(header)] + [",".join(map(fmt, row)) for row in rows])
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
 def write_json(path, obj) -> None:
-    # a non-finite value raises ValueError rather than writing invalid JSON
-    text = json.dumps(_jsonify(obj), sort_keys=True, indent=2, allow_nan=False)
+    # numpy scalars and arrays are written through ``tolist``; a non-finite
+    # value raises ValueError rather than writing invalid JSON
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+                      default=lambda o: o.tolist())
     _write_lines(path, [text])
 
 

@@ -18,8 +18,13 @@ replica at a time, in one call where the stream is uniform: numpy's
 ``Generator.uniform(low, high)`` is ``low + (high - low) * (word >> 11) *
 2**-53`` on PCG64's raw words, so the samplers read ``random_raw`` and convert
 the words of the whole batch at once, with numpy's points bit for bit.  The
-renewal draw keeps ``Generator.standard_gamma`` for gamma gaps and sums every
-replica's first block of gaps at once.
+renewal draw keeps ``Generator.standard_gamma`` for gamma gaps; hat gap i is
+``1 + U[2i] - U[2i + 1]`` over the uniforms after the phase.  The block,
+vibrating and renewal draws read a bound on the words a replica can need, and
+when a replica needs more they read the whole batch again with a larger bound:
+a longer read extends each replica's row bit for bit, so the points do not
+depend on the bound.  A batch that would need more than ``_BATCH_LIMIT``
+words raises ``DomainError`` before it is allocated.
 """
 
 from __future__ import annotations
@@ -148,12 +153,6 @@ class GapLaw:
         # for a mean-1 gamma law, E[X 1_{X <= x}] is the regularized lower
         # incomplete gamma with shape theta + 1
         return special.gammainc(self.theta + 1.0, self.theta * np.maximum(x, 0.0))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.kind is GapLawKind.GAMMA:
-            return rng.gamma(self.theta, 1.0 / self.theta, n)
-        half = 1.0 / self.k
-        return 1.0 + rng.uniform(-half, half, n) - rng.uniform(-half, half, n)
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +357,25 @@ def _stream(state: np.ndarray) -> np.random.PCG64:
     return np.random.PCG64(_SeedWords(state))
 
 
+# the most 8-byte words one batch array of a draw may hold (1 GiB): a window
+# or block that needs more raises DomainError before numpy is asked for it
+_BATCH_LIMIT = 2**27
+
+
+def _batch(n: int, count: int, dtype=np.float64) -> np.ndarray:
+    """An empty ``(n, count)`` array of 8-byte ``dtype``, one row per replica,
+    checked against ``_BATCH_LIMIT``."""
+    if n * count > _BATCH_LIMIT:
+        raise DomainError(f"the draw needs {n} x {count} words, more than the "
+                          f"{_BATCH_LIMIT} a batch may hold")
+    return np.empty((n, count), dtype=dtype)
+
+
 def _words(states: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` raw words of each stream of ``states``, one row per
     replica.  The bit generators are made one at a time, so only one
     replica's is alive at once."""
-    words = np.empty((len(states), count), dtype=np.uint64)
+    words = _batch(len(states), count, np.uint64)
     for j, state in enumerate(states):
         words[j] = _stream(state).random_raw(count)
     return words
@@ -412,7 +425,7 @@ def _grid(lo: np.ndarray, size: np.ndarray, slots: int) -> tuple[np.ndarray, np.
     ``prod(size[j])`` slots; the cells of later slots are meaningless.
     """
     n, d = size.shape
-    cells = np.empty((n, slots, d), dtype=np.int64)
+    cells = _batch(n, slots * d, np.int64).reshape(n, slots, d)
     rest = np.arange(slots)
     for a in range(d - 1, 0, -1):
         # an empty grid has no cell to list; dividing by 1 keeps numpy quiet
@@ -502,32 +515,20 @@ def _draw_vibrating(model: ProcessModel, R: float, states) -> tuple[np.ndarray, 
 
 
 def _renewal_block(span: float) -> int:
-    """The number of gaps a renewal draw takes at once to cover ``span``."""
+    """The number of gaps a renewal draw reads first to cover ``span``."""
     return int(span * 1.25) + int(10.0 * math.sqrt(span)) + 16
-
-
-def _renewal_positions(gap: GapLaw, start: float, target: float,
-                       rng: np.random.Generator) -> np.ndarray:
-    # renewal positions from ``start`` until one passes ``target``
-    span = target - start
-    positions = [np.array([start])]
-    pos = start
-    while pos < target:
-        block = positions[-1][-1] + np.cumsum(gap.sample(rng, _renewal_block(span)))
-        positions.append(block)
-        pos = block[-1]
-        span = target - pos
-    return np.concatenate(positions)
 
 
 def _draw_renewal(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
     """Renewal positions across C_R widened by a margin on each side, shifted
-    by a uniform phase u; a replica's stream is u, then its gaps block by block.
+    by a uniform phase u; a replica's stream is u, then its gaps one after
+    another (gamma gaps through ``Generator.standard_gamma``, hat gap i from
+    the uniforms 2i and 2i + 1 after u), summed in one running sum per row.
 
-    The first block almost always reaches the far end, so it is drawn into one
-    row per replica (gamma gaps through ``Generator.standard_gamma``, hat gaps
-    raw) and summed for the whole batch.  A replica whose first block falls
-    short is drawn again from its stream by ``_renewal_positions``.
+    The first m gaps of every replica almost always reach the far end; when a
+    replica ends short of it, the whole batch is read again with 2m gaps.
+    A longer read extends each row bit for bit, and positions past the far
+    end fall outside C_R, so the points do not depend on m.
     """
     # oversample well past the window and apply a uniform phase shift over an
     # integer number of mean gaps; the margin covers the mixing length of the
@@ -536,38 +537,31 @@ def _draw_renewal(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np
     margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
     start, target = -half - margin, half + margin
     m = _renewal_block(target - start)
-    pos = np.empty((n, m + 1))
-    pos[:, 0] = start
-    gaps = pos[:, 1:]
-    if gap.kind is GapLawKind.GAMMA:
-        phase = np.empty(n, dtype=np.uint64)
-        for j, state in enumerate(states):
-            bits = _stream(state)
-            phase[j] = bits.random_raw()
-            np.random.Generator(bits).standard_gamma(gap.theta, out=gaps[j])
-        gaps *= 1.0 / gap.theta  # Generator.gamma scales standard_gamma
-    else:
-        words = _words(states, 1 + 2 * m)
-        phase, w = words[:, 0], 1.0 / gap.k
-        np.add(1.0, _uniform(words[:, 1:m + 1], -w, w), out=gaps)
-        gaps -= _uniform(words[:, m + 1:], -w, w)
-    u = _uniform(phase, 0.0, margin)
-    np.cumsum(gaps, axis=1, out=gaps)
-    gaps += start
-    short = np.flatnonzero(pos[:, -1] < target)
-    pos += u[:, None]
+    while True:
+        pos = _batch(n, m + 1)
+        pos[:, 0] = start
+        gaps = pos[:, 1:]
+        if gap.kind is GapLawKind.GAMMA:
+            phase = np.empty(n, dtype=np.uint64)
+            for j, state in enumerate(states):
+                bits = _stream(state)
+                phase[j] = bits.random_raw()
+                np.random.Generator(bits).standard_gamma(gap.theta, out=gaps[j])
+            gaps *= 1.0 / gap.theta  # Generator.gamma scales standard_gamma
+        else:
+            words = _words(states, 1 + 2 * m)
+            phase, w = words[:, 0], 1.0 / gap.k
+            v = _uniform(words[:, 1:], -w, w)
+            np.add(1.0, v[:, 0::2], out=gaps)
+            gaps -= v[:, 1::2]
+        np.cumsum(gaps, axis=1, out=gaps)
+        gaps += start
+        if (pos[:, -1] >= target).all():
+            break
+        m *= 2
+    pos += _uniform(phase, 0.0, margin)[:, None]
     rows = pos[:, :, None]
-    pts, counts = _select(rows, in_window(rows, half))
-    if short.size:
-        parts = np.split(pts, np.cumsum(counts)[:-1])
-        for j in short:
-            bits = _stream(states[j])
-            bits.random_raw()  # the phase
-            row = u[j] + _renewal_positions(gap, start, target, np.random.Generator(bits))[:, None]
-            parts[j] = row[in_window(row, half)]
-            counts[j] = len(parts[j])
-        pts = np.concatenate(parts)
-    return pts, counts
+    return _select(rows, in_window(rows, half))
 
 
 _DRAWS = {

@@ -284,8 +284,9 @@ def _face_integrals(kernel: Kernel, pieces: list[np.ndarray]) -> np.ndarray:
 
 
 def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
-    """``int_{C_R} g(p - y) dy`` for each point p of the closed window C_R
-    (``core.in_window``); a point outside it or with a NaN raises ``ArgumentError``.
+    """``int_{C_R} g(p - y) dy`` for each point p, a row of the ``(N,
+    kernel.d)`` array ``pts``, of the closed window C_R (``core.in_window``);
+    another shape, or a point outside C_R or with a NaN, raises ``ArgumentError``.
 
     d = 1 and the planar log kernel are closed forms.  For Riesz kernels in
     d = 2, 3 each orthant box with p at a corner gives d! face pieces, one
@@ -293,7 +294,9 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
     legs); boxes of zero width, from points on a face, are skipped.
     """
     d = kernel.d
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ArgumentError(f"points must have shape (N, {d}), got {pts.shape}")
     if not in_window(pts, R / 2.0).all():
         raise ArgumentError("points must lie in the closed window")
     if d == 1:

@@ -844,6 +844,16 @@ class TestPointBackgroundBatched:
         with pytest.raises(ArgumentError):
             quadrature.point_background(riesz_kernel(1.0, 2), np.array([[2.5, 0.0]]), 4.0)
 
+    @pytest.mark.parametrize("kernel,pts", [
+        (riesz_kernel(0.5, 1), np.array([0.1, 0.2, 0.3])),
+        (riesz_kernel(1.0, 2), np.array([[0.1], [0.2], [0.3]])),
+        (log_kernel(2), np.array([[0.1], [0.2], [0.3]])),
+    ], ids=["flat_1d", "riesz2_one_column", "log2d_one_column"])
+    def test_points_must_have_the_kernels_dimension(self, kernel, pts):
+        # one point per row, one column per axis of the kernel
+        with pytest.raises(ArgumentError, match=r"shape \(N, \d\)"):
+            quadrature.point_background(kernel, pts, 2.0)
+
     def test_3d_riesz_vs_radial_reduction(self):
         # each orthant pyramid with major edge a integrates in t exactly:
         # abc / (d - s) * iint (a^2 + (b u)^2 + (c v)^2)^(-s/2) du dv

@@ -15,7 +15,7 @@ from rieszlab import (
 )
 from rieszlab import generators
 from rieszlab._io import config_from_csv, config_to_csv
-from rieszlab.generators import Variant, _draw_bernoulli
+from rieszlab.generators import GapLawKind, Variant, _draw_bernoulli
 
 ALL_MODELS = [
     ProcessModel.poisson(1),
@@ -105,13 +105,19 @@ def _reference_draw(model: ProcessModel, R: float, rng: np.random.Generator) -> 
     margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
     u = rng.uniform(0.0, margin)
     start, target = -half - margin, half + margin
-    positions, pos, span = [np.array([start])], start, target - start
-    while pos < target:
-        block = positions[-1][-1] + np.cumsum(gap.sample(rng, generators._renewal_block(span)))
-        positions.append(block)
-        pos, span = block[-1], target - block[-1]
-    pts = np.concatenate(positions) + u
+    gaps = np.empty(0)
+    while not gaps.size or start + np.cumsum(gaps)[-1] < target:
+        gaps = np.concatenate([gaps, _reference_gaps(gap, rng, 64)])
+    pts = np.concatenate([[start], start + np.cumsum(gaps)]) + u
     return pts[(pts >= -half) & (pts <= half)][:, None]
+
+
+def _reference_gaps(gap: GapLaw, rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` gaps of ``gap`` from ``rng``, one after another."""
+    if gap.kind is GapLawKind.GAMMA:
+        return rng.gamma(gap.theta, 1.0 / gap.theta, count)
+    v = rng.uniform(-1.0 / gap.k, 1.0 / gap.k, 2 * count)
+    return 1.0 + v[0::2] - v[1::2]
 
 
 class TestSampling:
@@ -130,13 +136,16 @@ class TestSampling:
         exponential = ProcessModel.renewal(GapLaw.exponential())
         gamma_one = ProcessModel.renewal(GapLaw.gamma(1.0))
         assert exponential.describe() == gamma_one.describe() == "renewal(exponential)"
-        for replica in range(5):
-            draws = GapLaw.gamma(1.0).sample(_numpy_rng(3, replica), 1000)
-            np.testing.assert_array_equal(draws, _numpy_rng(3, replica).exponential(1.0, 1000))
         a = sample(exponential, 40.0, 5, Seed(9))
         b = sample(gamma_one, 40.0, 5, Seed(9))
         np.testing.assert_array_equal(a.offsets, b.offsets)
         np.testing.assert_array_equal(a.points, b.points)
+        for j in range(5):
+            # the margin is 10 mean gaps; 1000 gaps reach far past the window
+            rng = _numpy_rng(9, j)
+            u = rng.uniform(0.0, 10.0)
+            pts = (-30.0 + np.cumsum(rng.exponential(1.0, 1000))) + u
+            assert b[j].points.tobytes() == pts[(pts >= -20.0) & (pts <= 20.0)].tobytes()
 
     @pytest.mark.parametrize("model", SCHEDULE_MODELS, ids=lambda m: m.describe())
     def test_replicas_follow_the_seed_schedule(self, model):
@@ -173,38 +182,38 @@ class TestSampling:
             np.testing.assert_array_equal(got.offsets, want.offsets)
             assert got.points.tobytes() == want.points.tobytes()
 
-    @pytest.mark.parametrize("gap,fraction", [(GapLaw.gamma(0.4), 0.75),
-                                              (GapLaw.uniform_hat(4), 0.5)],
-                             ids=["gamma0.4", "hat4"])
-    def test_renewal_replicas_whose_first_block_falls_short(self, gap, fraction, monkeypatch):
-        # blocks of a fraction of a gap per unit length leave replicas short
-        # of the far end after their first block, some of them inside the
-        # window; those are drawn again from their streams and continued
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.4), GapLaw.gamma(2.0),
+                                     GapLaw.uniform_hat(4)],
+                             ids=["gamma0.4", "gamma2", "hat4"])
+    def test_renewal_replicas_whose_first_block_falls_short(self, gap, monkeypatch):
+        # a first read of a tenth of the gaps leaves replicas short of the
+        # window's far side, and the batch is read again with twice the gaps
+        # until every replica reaches the far end; a first read of three times
+        # the gaps reaches it at once.  Gaps are read and summed in turn and
+        # positions past the far end are clipped, so no point moves
         model, R, n = ProcessModel.renewal(gap), 6.0, 128
-        before = sample(model, R, n, Seed(4))
-        monkeypatch.setattr(generators, "_renewal_block",
-                            lambda span: max(1, int(span * fraction)))
-        batch = sample(model, R, n, Seed(4))
+        want = sample(model, R, n, Seed(4))
+        for j in range(n):
+            ref = _reference_draw(model, R, _numpy_rng(4, j))
+            assert want[j].points.tobytes() == ref.tobytes()
+        block = generators._renewal_block
         margin = float(math.ceil(max(10.0, 10.0 * gap.std)))
-        start, target = -R / 2.0 - margin, R / 2.0 + margin
-        first_end = []
+        first = int(0.1 * block(R + 2.0 * margin))
+        ends = []
         for j in range(n):
             rng = _numpy_rng(4, j)
             rng.uniform(0.0, margin)  # the phase
-            gaps = gap.sample(rng, generators._renewal_block(target - start))
-            first_end.append(start + np.cumsum(gaps)[-1])
-            ref = _reference_draw(model, R, _numpy_rng(4, j))
-            assert batch[j].points.tobytes() == ref.tobytes()
-        first_end = np.array(first_end)
-        # the continuation shows inside the window
-        assert np.any(first_end < R / 2.0 - 1.0)
-        if gap.kind is generators.GapLawKind.GAMMA:
-            # gamma gaps are drawn one after another, so a shorter first block
-            # is a prefix of the longer one: the replicas that reach the far
-            # end in one block are unchanged
-            assert np.any(first_end >= target)
-            for j in np.flatnonzero(first_end >= target):
-                assert batch[j].points.tobytes() == before[j].points.tobytes()
+            ends.append(-R / 2.0 - margin + np.cumsum(_reference_gaps(gap, rng, first))[-1])
+        assert min(ends) < R / 2.0
+        for factor in (0.1, 3.0):
+            monkeypatch.setattr(generators, "_renewal_block",
+                                lambda span, factor=factor: int(factor * block(span)))
+            got = sample(model, R, n, Seed(4))
+            np.testing.assert_array_equal(got.offsets, want.offsets)
+            assert got.points.tobytes() == want.points.tobytes()
+            for j in range(n):
+                alone = sample(model, R, 1, Seed(4, j))
+                assert alone.points.tobytes() == got[j].points.tobytes()
 
     def test_poisson_rung_with_empty_replicas(self):
         batch = sample(ProcessModel.poisson(1), 0.5, 40, Seed(3, 40))
@@ -227,6 +236,20 @@ class TestSampling:
         for n in (0, -1, 2.0):
             with pytest.raises(ArgumentError, match="number of replicas"):
                 sample(ProcessModel.poisson(1), 4.0, n, Seed(0))
+
+    @pytest.mark.parametrize("model,R", [
+        (ProcessModel.bernoulli_block(1000, 3), 1.0),
+        (ProcessModel.lattice(3), 1e4),
+        (ProcessModel.vibrating_lattice(4), 1e12),
+        (ProcessModel.renewal(GapLaw.gamma(2.0)), 1e9),
+        (ProcessModel.renewal(GapLaw.uniform_hat(4)), 1e9),
+    ], ids=["block_words", "lattice_cells", "vibrating_words", "gamma_gaps", "hat_gaps"])
+    def test_a_batch_too_large_is_rejected_before_allocation(self, model, R):
+        # each needs far more than 2**27 words: 3 * 10**9 for a block of side
+        # 1000 in d = 3 however small the window, 3 * 10**12 for the lattice
+        # cells, and a word per site or gap of a line 10**9 or 10**12 long
+        with pytest.raises(DomainError, match="a batch may hold"):
+            sample(model, R, 1, Seed(0))
 
     def test_side_must_be_positive(self):
         for R in (0.0, -2.0):
