@@ -109,7 +109,7 @@ def _window_energies(points: np.ndarray, offsets: np.ndarray, R: float, kernel: 
     are summed as the rows of one matrix, and a row sum equals that row's
     own sum bit for bit, so a set's energy depends only on its own points.
     """
-    pair, min_r2 = _fast.pair_sums(points, offsets, kernel)
+    pair, min_r2 = _fast.pair_sums(points, offsets, kernel, R)
     terms = quadrature.point_background(kernel, points, R)
     counts = np.diff(offsets)
     pb = np.zeros(counts.size)

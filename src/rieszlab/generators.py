@@ -362,12 +362,18 @@ def _stream(state: np.ndarray) -> np.random.PCG64:
 _BATCH_LIMIT = 2**27
 
 
+def _check_batch(n: int, count: float) -> None:
+    """Raise ``DomainError`` when ``n`` rows of ``count`` 8-byte words
+    exceed ``_BATCH_LIMIT``."""
+    if n * count > _BATCH_LIMIT:
+        raise DomainError(f"the draw needs {n} x {count:.15g} words, more than the "
+                          f"{_BATCH_LIMIT} a batch may hold")
+
+
 def _batch(n: int, count: int, dtype=np.float64) -> np.ndarray:
     """An empty ``(n, count)`` array of 8-byte ``dtype``, one row per replica,
     checked against ``_BATCH_LIMIT``."""
-    if n * count > _BATCH_LIMIT:
-        raise DomainError(f"the draw needs {n} x {count} words, more than the "
-                          f"{_BATCH_LIMIT} a batch may hold")
+    _check_batch(n, count)
     return np.empty((n, count), dtype=dtype)
 
 
@@ -454,6 +460,10 @@ def _draw_poisson(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np
     """A Poisson count through ``Generator.poisson``, then that many uniform
     points read raw from the same bit generator."""
     half, d = R / 2.0, model.d
+    # the mean count, checked before numpy is asked to draw it; R is capped
+    # at twice the limit, past which the batch is too large anyway, so that
+    # R**d cannot overflow
+    _check_batch(len(states), min(R, 2.0 * _BATCH_LIMIT)**d * d)
     words = []
     for state in states:
         bits = _stream(state)

@@ -428,13 +428,15 @@ class TestSpecLayer:
          "renewal gap law too narrow"),
         ("generate", {"model": {"variant": "bernoulli_block", "k": 1000, "d": 3}, "R": 1},
          "a batch may hold"),
+        ("generate", {"model": {"variant": "poisson", "d": 3}, "R": 1e7}, "a batch may hold"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
             "rho2_negative_side", "generate_infinite_side", "series_infinite_rung",
             "generate_long_integer_side", "rho2_zero_rung", "pinsker_negative_rung",
             "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
-            "crystal_negative_x_max", "renewal_too_narrow", "block_too_large"])
+            "crystal_negative_x_max", "renewal_too_narrow", "block_too_large",
+            "poisson_too_large"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

@@ -514,12 +514,16 @@ class TestRho2Ladder:
         assert cells == [len(r2.nodes_upto(R)) - 1 for R in LADDER]
 
     def test_profile_dot_ignores_blas_threads(self):
-        # the dot of the 1e5-node Gamma(32) profiles must not depend on how
-        # many threads share the sum
+        # the dot of the 1e5-node Gamma(32) profiles, and the far field of the
+        # Monte Carlo pair sums over rows of about 2048 points, must not
+        # depend on how many threads share the sum
         code = ("from rieszlab import *\n"
                 "r = wint_from_rho2(rho2_analytic(ProcessModel.renewal(GapLaw.gamma(32.0))),"
                 " riesz_kernel(0.5, 1), [128.0, 256.0, 512.0, 1024.0])\n"
-                "print([v.hex() for _, v, _ in r.entries])\n")
+                "print([v.hex() for _, v, _ in r.entries])\n"
+                "m = wint_monte_carlo(ProcessModel.vibrating_lattice(8), riesz_kernel(0.5, 1),"
+                " [2048.0], 30, Seed(29))\n"
+                "print([(v.hex(), e.hex()) for _, v, e in m.entries])\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         outs = []
         for threads in ("1", "2"):
@@ -594,7 +598,7 @@ class TestMonteCarloRoute:
 
         calls = []
 
-        def flaky_pair_sums(points, offsets, kernel):
+        def flaky_pair_sums(points, offsets, kernel, R=None):
             min_r2 = []
             for _ in offsets[1:]:
                 calls.append(kernel)

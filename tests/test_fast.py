@@ -218,7 +218,7 @@ def _frozen_circular_walk(pts, budget):
             yield np.concatenate(rows, axis=1)
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2, 181), (3, 182), (1, 2048), (2, 4, 7),
+@pytest.mark.parametrize("shape", [(1, 2), (2, 181), (3, 182), (2, 2048), (2, 4, 7),
                                    (1, 3, 181), (3, 2, 182)])
 def test_full_walk_keeps_its_block_schedule(rng, blocks, shape):
     # the stacks, blocks, their order and their values are those of the
@@ -269,7 +269,10 @@ def test_coincident_pair_on_half_or_wrapped_diagonal(rng, n, i, j, family, s, d)
 def test_pair_sums_memory_is_bounded(rng, sets, n, d):
     # t1, t2 and the block of a stack of sets of n points take at most about
     # 3 * _SUM_BUDGET + 5 n entries per coordinate, whatever the number of
-    # points or sets: no triangle of pairs is ever held
+    # points or sets: no triangle of pairs is ever held.  The d = 1 set of
+    # 20000 points takes the near/far split, whose far-field blocks hold
+    # about 3.5 * _SUM_BUDGET entries, its near blocks and basis chunks
+    # about _SUM_BUDGET each, and its per-point arrays a few n
     points = rng.uniform(-10, 10, size=(sets * n, d))
     tracemalloc.start()
     try:
@@ -278,6 +281,119 @@ def test_pair_sums_memory_is_bounded(rng, sets, n, d):
     finally:
         tracemalloc.stop()
     assert peak < 8 * _fast._SUM_BUDGET * d * 8 + points.nbytes
+
+
+FAR_KERNELS = [log_kernel(1), riesz_kernel(0.25, 1), riesz_kernel(0.5, 1),
+               riesz_kernel(0.75, 1)]
+FAR_IDS = ["log1d", "riesz0.25", "riesz0.5", "riesz0.75"]
+
+
+def _fsum_pair_sum(x, kernel):
+    # the correctly rounded sum of g over the pairs of the d = 1 row x,
+    # coincident pairs left out, and the sum of |g|, row by row
+    x = np.sort(x)
+    scale = 0.0
+
+    def terms():
+        nonlocal scale
+        for i in range(len(x) - 1):
+            r = x[i + 1:] - x[i]
+            g = kernel.g(r[r > 0.0])
+            scale += float(np.abs(g).sum())
+            yield from g.tolist()
+
+    return math.fsum(terms()), scale
+
+
+def _assert_far_field_exact(x, kernel, R):
+    # the near/far split within 1e-14 of sum |g| of the exact sum, and the
+    # minimal squared distance of neighbours exactly
+    total, min_r2 = _fast.pair_sum(x[:, None], kernel, R)
+    exact, scale = _fsum_pair_sum(x, kernel)
+    assert abs(total - exact) <= 1e-14 * scale
+    assert min_r2 == np.min(np.diff(np.sort(x)) ** 2)
+    return total, min_r2
+
+
+@pytest.mark.parametrize("n", [_fast._FAR_MIN, 1500, 4096])
+@pytest.mark.parametrize("kernel", FAR_KERNELS, ids=FAR_IDS)
+def test_far_field_matches_exact_sum(rng, kernel, n):
+    # unsorted rows of n uniform points in C_R at unit density, so that
+    # boxes hold uneven counts, from the threshold to 4096 points
+    R = float(n)
+    _assert_far_field_exact(rng.uniform(-R / 2, R / 2, n), kernel, R)
+
+
+@pytest.mark.parametrize("kernel", FAR_KERNELS, ids=FAR_IDS)
+def test_far_field_of_the_closest_far_pairs(rng, kernel):
+    # one point in box 0 and one in box 2 of width 16, at most 3.6 apart
+    # beyond the box between them: there the interpolation error
+    # (3 + 2 sqrt 2)^-p is largest, and _CHEB_P nodes take it to rounding
+    # (18 nodes leave 3e-14, 16 leave 1e-12)
+    h, boxes = 16.0, 8
+    transfer = _fast._far_transfer(kernel, h, boxes)
+    ends = [(h - 1e-9, 2 * h)] + [(h * rng.uniform(0.9, 1.0), h * rng.uniform(2.0, 2.125))
+                                   for _ in range(100)]
+    for a, b in ends:
+        x = np.array([a, b])
+        far = _fast._far_sum(x, (x // h).astype(np.intp), 0.0, h, transfer)
+        assert abs(far - kernel.g(b - a)) <= 4e-15 * abs(kernel.g(b - a))
+
+
+def test_only_rows_below_the_threshold_walk_the_circle(rng, blocks):
+    for n, walked in [(_fast._FAR_MIN - 1, True), (_fast._FAR_MIN, False)]:
+        blocks.clear()
+        _fast.pair_sum(rng.uniform(-n / 2, n / 2, (n, 1)), riesz_kernel(0.5, 1), float(n))
+        assert bool(blocks) == walked
+
+
+@pytest.mark.parametrize("kernel", FAR_KERNELS, ids=FAR_IDS)
+def test_far_field_points_on_box_edges(rng, kernel):
+    # 1024 points in C_R of side 1024 make boxes of width 1024 / B, a power
+    # of two; a point sits on every box edge, both ends of C_R among them
+    R, n = 1024.0, 1024
+    boxes = min(_fast._MAX_BOXES, round(n / _fast._BOX_POINTS))
+    edges = -R / 2 + (R / boxes) * np.arange(boxes + 1)
+    assert edges[-1] == R / 2
+    x = np.concatenate([edges, rng.uniform(-R / 2, R / 2, n - edges.size)])
+    _assert_far_field_exact(rng.permutation(x), kernel, R)
+
+
+@pytest.mark.parametrize("where", ["inside_a_box", "on_a_box_edge"])
+@pytest.mark.parametrize("kernel", [log_kernel(1), riesz_kernel(0.5, 1)],
+                         ids=["log1d", "riesz0.5"])
+def test_far_field_leaves_a_coincident_pair_out(rng, kernel, where):
+    R, n = 1024.0, 1024
+    x = rng.uniform(-R / 2, R / 2, n)
+    boxes = min(_fast._MAX_BOXES, round(n / _fast._BOX_POINTS))
+    x[[5, 700]] = 3.3 if where == "inside_a_box" else -R / 2 + (R / boxes) * 40
+    total, min_r2 = _assert_far_field_exact(x, kernel, R)
+    assert min_r2 == 0.0 and math.isfinite(total)
+
+
+@pytest.mark.parametrize("R", [2048.0, None], ids=["window", "own_span"])
+def test_far_field_rows_do_not_depend_on_their_batch(rng, R):
+    # a ragged batch of unsorted rows on both sides of the threshold, one of
+    # them reaching past C_R: each row's values are those of the row alone,
+    # bit for bit, and a long row's do not depend on its order
+    kernel, n0 = riesz_kernel(0.5, 1), _fast._FAR_MIN
+    sizes = [n0 + 1, 0, 300, n0, 2000, n0 - 1, 1, n0, 2000, 7]
+    rows = [rng.uniform(-1024.0, 1024.0, n) for n in sizes]
+    rows[3] *= 1.25
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    sums, min_r2 = _fast.pair_sums(np.concatenate(rows)[:, None], offsets, kernel, R)
+    for b, x in enumerate(rows):
+        assert _fast.pair_sum(x[:, None], kernel, R) == (sums[b], min_r2[b])
+        if len(x) >= n0:
+            assert _fast.pair_sum(x[::-1, None], kernel, R) == (sums[b], min_r2[b])
+    _assert_far_field_exact(rows[3], kernel, R)
+
+
+def test_basis_on_a_node_is_that_nodes_unit_vector():
+    u = np.array([_fast._NODES[3], 0.1, -1.0, 1.0])
+    basis = _fast._basis(u)
+    assert basis[0].tolist() == np.eye(_fast._CHEB_P)[3].tolist()
+    np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=1e-14)
 
 
 def _banded(points, offsets, reach):

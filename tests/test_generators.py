@@ -243,13 +243,25 @@ class TestSampling:
         (ProcessModel.vibrating_lattice(4), 1e12),
         (ProcessModel.renewal(GapLaw.gamma(2.0)), 1e9),
         (ProcessModel.renewal(GapLaw.uniform_hat(4)), 1e9),
-    ], ids=["block_words", "lattice_cells", "vibrating_words", "gamma_gaps", "hat_gaps"])
+        (ProcessModel.poisson(3), 1e7),
+        (ProcessModel.poisson(1), 2.0**28),
+        (ProcessModel.poisson(2), 1e200),
+    ], ids=["block_words", "lattice_cells", "vibrating_words", "gamma_gaps", "hat_gaps",
+            "poisson_mean_past_numpy", "poisson_words", "poisson_mean_past_floats"])
     def test_a_batch_too_large_is_rejected_before_allocation(self, model, R):
         # each needs far more than 2**27 words: 3 * 10**9 for a block of side
         # 1000 in d = 3 however small the window, 3 * 10**12 for the lattice
-        # cells, and a word per site or gap of a line 10**9 or 10**12 long
+        # cells, and a word per site or gap of a line 10**9 or 10**12 long;
+        # a Poisson window holds about R**d points of d words, 3 * 10**21
+        # (past what numpy's Poisson draw takes), 2**28 or 10**400
         with pytest.raises(DomainError, match="a batch may hold"):
             sample(model, R, 1, Seed(0))
+
+    def test_poisson_bound_counts_every_replica(self):
+        # a batch holds 2**27 words: 128 replicas of 2**20 mean words, not 200
+        assert len(sample(ProcessModel.poisson(1), 2.0**20, 2, Seed(0))) == 2
+        with pytest.raises(DomainError, match="a batch may hold"):
+            sample(ProcessModel.poisson(1), 2.0**20, 200, Seed(0))
 
     def test_side_must_be_positive(self):
         for R in (0.0, -2.0):
