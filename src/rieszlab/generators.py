@@ -38,7 +38,6 @@ from typing import Callable
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy import special
-from scipy.fft import next_fast_len
 
 from .core import (
     ArgumentError,
@@ -366,7 +365,7 @@ def _check_batch(n: int, count: float) -> None:
     """Raise ``DomainError`` when ``n`` rows of ``count`` 8-byte words
     exceed ``_BATCH_LIMIT``."""
     if n * count > _BATCH_LIMIT:
-        raise DomainError(f"the draw needs {n} x {count:.15g} words, more than the "
+        raise DomainError(f"{n} x {count:.15g} words are more than the "
                           f"{_BATCH_LIMIT} a batch may hold")
 
 
@@ -660,8 +659,13 @@ def _rho2_lattice(model: ProcessModel) -> Rho2Analytic:
     if model.d != 1:
         # the energy routes integrate atoms in d = 1 only
         raise NotApplicableError("atomic two-point parts are supported in d = 1 only")
+
+    def atoms_fn(limit: float) -> np.ndarray:
+        _check_batch(1, math.floor(limit))
+        return np.arange(1.0, math.floor(limit) + 1.0)
+
     return Rho2Analytic(1, lambda v: np.zeros_like(np.asarray(v, dtype=float)),
-                        atoms_fn=lambda limit: np.arange(1.0, math.floor(limit) + 1.0))
+                        atoms_fn=atoms_fn)
 
 
 def _rho2_bernoulli(model: ProcessModel) -> Rho2Analytic:
@@ -690,6 +694,7 @@ def _rho2_vibrating(model: ProcessModel) -> Rho2Analytic:
         return out
 
     def nodes_fn(limit: float) -> np.ndarray:
+        _check_batch(4, math.floor(limit + w))
         ms = np.arange(1.0, math.floor(limit + w) + 1.0)
         return np.concatenate([ms - w, ms, ms + w, w - ms])
 
@@ -706,6 +711,29 @@ _RENEWAL_V_LIMIT = 4096
 _RENEWAL_DAMPING = 1e-2
 
 
+def _fft_length(target: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= ``target``: the length pocketfft
+    transforms fastest (scipy's ``next_fast_len`` for complex input)."""
+    best = 1 << (target - 1).bit_length()  # a power of two
+    f11 = 1
+    while f11 < best:
+        f7 = f11
+        while f7 < best:
+            f5 = f7
+            while f5 < best:
+                odd = f5
+                while odd < best:
+                    # lift the odd part 3^b 5^c 7^d 11^e by the fewest doublings
+                    lifted = odd << (-(-target // odd) - 1).bit_length()
+                    if lifted < best:
+                        best = lifted
+                    odd *= 3
+                f5 *= 5
+            f7 *= 7
+        f11 *= 11
+    return best
+
+
 def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     """Renewal density ``u = sum_j f^{*j}`` on a uniform grid of [0, v_max].
 
@@ -714,8 +742,10 @@ def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     keeping mass and first moment per cell (cloud-in-cell), so the lattice
     renewal rate matches the continuous one to O(h^2), where a cell histogram
     would bias it by h/2.  Damping node j by eps^(j/m) keeps the transform F
-    of the deposit inside the unit disk: u = F / (1 - F) is one FFT pass with
-    no singular frequency and, at length 8 (m + 1), a wrap-around of eps^8.
+    of the deposit inside the unit disk: u = F / (1 - F) is one pass of
+    numpy's FFT with no singular frequency, at the smallest 11-smooth length
+    >= 8 (m + 1) (``_fft_length``), whose wrap-around is below eps^8.  The
+    division runs in place on F.
     """
     h = _RENEWAL_STEP
     mixing = 3.0 / gap.std**2 + 10.0 * gap.std
@@ -734,9 +764,12 @@ def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     np.add.at(q, idx, mass[keep] * (1.0 - frac))
     np.add.at(q, idx + 1, mass[keep] * frac)
     damp = _RENEWAL_DAMPING ** (np.arange(m + 1) / m)
-    n = next_fast_len(8 * (m + 1))
+    n = _fft_length(8 * (m + 1))
     F = np.fft.rfft(q[: m + 1] * damp, n)
-    u = np.fft.irfft(F / (1.0 - F), n)[: m + 1] / (damp * h)
+    den = np.subtract(1.0, F)
+    np.divide(F, den, out=F)  # F / (1 - F), holding one complex array less
+    del den
+    u = np.fft.irfft(F, n)[: m + 1] / (damp * h)
     vals = np.maximum(u, 0.0)  # clear the FFT round-off floor
     # node 0: the head is dominated by the gap density itself; pick the value
     # that preserves the integral of the interpolant over the first cell

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 from .core import ArgumentError, DivergenceError, DomainError, Kernel
+from .generators import _check_batch
 from .quadrature import pwlinear_weights
 
 # subgradient step t is _STEP_SCALE / (max|w| n_half sqrt(t + 1)); a Dykstra
@@ -31,7 +31,9 @@ _DYKSTRA_TOL = 1e-10
 class Discretization:
     """Symmetric uniform grid on [-v_max, v_max] (step a power of two keeps
     reference profiles exactly on nodes) plus the tent parameter R and the
-    implied cosine-transform frequency grid."""
+    implied cosine-transform frequency grid.  A grid of more than
+    ``generators._BATCH_LIMIT`` nodes raises ``DomainError`` before any array
+    is allocated."""
 
     v_max: float
     step: float
@@ -41,6 +43,7 @@ class Discretization:
         if not (self.step > 0.0 and self.v_max > 0.0):
             raise DomainError("grid requires positive step and extent")
         n = self.v_max / self.step
+        _check_batch(1, 2.0 * n + 1.0)  # before any grid or transform allocates
         if abs(n - round(n)) > 1e-9:
             raise ArgumentError("v_max must be an integer multiple of step")
         object.__setattr__(self, "R", float(self.R))
@@ -60,17 +63,25 @@ class Discretization:
         return self.step * np.arange(self.n_half + 1)
 
 
+def _dct1(x: np.ndarray, norm: str = "backward") -> np.ndarray:
+    """DCT-I of ``x`` as the real FFT of its even extension ``[x, x[-2:0:-1]]``,
+    which is how pocketfft computes it (scipy's ``dct``/``idct`` of type 1,
+    bit for bit); ``norm="forward"`` divides by the length 2 (n - 1)."""
+    x = np.asarray(x, dtype=float)
+    return np.fft.rfft(np.concatenate([x, x[-2:0:-1]]), norm=norm).real
+
+
 def cosine_transform(disc: Discretization, half_values: np.ndarray) -> np.ndarray:
     """Samples of ``int T2(v) cos(2 pi xi v) dv`` on the frequency grid,
     trapezoid-accurate (DCT-I of the half profile scaled by the step).
 
     Applying the transform twice scales the input by ``2 * n_half * step**2``
     (the DCT-I involution constant times the squared step)."""
-    return disc.step * sfft.dct(np.asarray(half_values, dtype=float), type=1)
+    return disc.step * _dct1(half_values)
 
 
 def inverse_cosine_transform(disc: Discretization, freq_values: np.ndarray) -> np.ndarray:
-    return sfft.idct(np.asarray(freq_values, dtype=float), type=1) / disc.step
+    return _dct1(freq_values, norm="forward") / disc.step
 
 
 @dataclass

@@ -1,6 +1,9 @@
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -234,6 +237,36 @@ class TestCommands:
         assert (out / "neighbors_k01.csv").exists()
 
 
+def test_commands_run_without_scipy_fft(tmp_path):
+    # numpy's FFT serves the renewal grid and the LP transforms; scipy.fft
+    # is never loaded, not at import and not by the commands that transform
+    specs = {
+        "lp": {"kernel": {"family": "riesz", "s": 0.5}, "v_max": 2.0, "step": 2**-6,
+               "iterations": 5},
+        "freemin": {"kernel": {"family": "riesz", "s": 0.5}, "beta": 1.0,
+                    "theta_grid": [1.0, 2.0, 4.0], "R_list": [64, 128]},
+        "energy": {"model": {"variant": "renewal", "gap": {"law": "gamma", "theta": 2.0}},
+                   "kernel": {"family": "log1d"}, "R_list": [64, 128], "route": "rho2"},
+    }
+    code = ["import sys", "from rieszlab.cli import main",
+            "assert 'scipy.fft' not in sys.modules"]
+    for command, spec in specs.items():
+        cfg = _write(tmp_path, f"{command}.json", spec)
+        code.append(f"try:\n    main([{command!r}, '--config', {cfg!r}, '--out', "
+                    f"{str(tmp_path / command)!r}], standalone_mode=False)\n"
+                    "except SystemExit as e:\n    assert not e.code, e.code")
+    code.append("print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", "\n".join(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    for command in specs:
+        assert (tmp_path / command / f"{command}.json").exists()
+
+
 class TestDeterminism:
     def test_byte_identical_across_runs(self, tmp_path, runner):
         cfg = _write(tmp_path, "e.json", {
@@ -429,6 +462,13 @@ class TestSpecLayer:
         ("generate", {"model": {"variant": "bernoulli_block", "k": 1000, "d": 3}, "R": 1},
          "a batch may hold"),
         ("generate", {"model": {"variant": "poisson", "d": 3}, "R": 1e7}, "a batch may hold"),
+        ("energy", {"kernel": {"family": "riesz", "s": 0.5}, "R_list": [2**36, 2**37],
+                    "route": "series"}, "a batch may hold"),
+        ("energy", {"model": {"variant": "vibrating_lattice", "k": 4},
+                    "kernel": {"family": "riesz", "s": 0.5}, "R_list": [2**25, 2**26],
+                    "route": "rho2"}, "a batch may hold"),
+        ("lp", {"kernel": {"family": "riesz", "s": 0.5}, "v_max": 4.0, "step": 2.0**-28},
+         "a batch may hold"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
@@ -436,7 +476,8 @@ class TestSpecLayer:
             "generate_long_integer_side", "rho2_zero_rung", "pinsker_negative_rung",
             "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
             "crystal_negative_x_max", "renewal_too_narrow", "block_too_large",
-            "poisson_too_large"])
+            "poisson_too_large", "series_too_long", "vibrating_rho2_too_long",
+            "lp_grid_too_large"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
                                                    needle):
         _reject(runner, tmp_path, command, spec, needle)

@@ -476,6 +476,28 @@ class TestRho2Analytic:
         with pytest.raises(NotApplicableError, match="supported in d = 1 only"):
             rho2_analytic(ProcessModel.lattice(2))
 
+    @pytest.mark.parametrize("model, positions", [
+        (ProcessModel.lattice(1), lambda r2, limit: r2.atoms_upto(limit)),
+        (ProcessModel.vibrating_lattice(4), lambda r2, limit: r2.nodes_upto(limit)),
+    ], ids=["lattice_atoms", "vibrating_nodes"])
+    def test_ladder_too_long_is_rejected_before_allocation(self, model, positions):
+        # a unit atom per integer up to 2**37, or four nodes per integer up to
+        # 2**26, is more than 2**27 words; the rung of 2**18 stays far below
+        import tracemalloc
+
+        r2 = rho2_analytic(model)
+        assert positions(r2, 2.0**18).size >= 2**18
+        for limit in (2.0**26 if model.variant is Variant.VIBRATING_LATTICE else 2.0**28,
+                      2.0**37):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DomainError, match="a batch may hold"):
+                    positions(r2, limit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16
+
     def test_renewal_exponential_is_flat(self):
         r2 = rho2_analytic(ProcessModel.renewal(GapLaw.exponential()))
         v = np.linspace(0.05, 30.0, 777)
@@ -529,6 +551,47 @@ class TestRho2Analytic:
             monkeypatch.setattr(GapLaw, name, spy)
         grid, _, _ = generators._renewal_density_grid(gap)
         assert max(args) <= grid[-1] + generators._RENEWAL_STEP
+
+    def test_fft_length_is_scipys_next_fast_len(self):
+        # scipy serves as the oracle here only: the package uses numpy's FFT
+        from scipy.fft import next_fast_len
+
+        for target in range(1, 2**16 + 1):
+            assert generators._fft_length(target) == next_fast_len(target), target
+        for v_max in range(32, generators._RENEWAL_V_LIMIT + 1):
+            target = 8 * (int(v_max / generators._RENEWAL_STEP) + 1)
+            assert generators._fft_length(target) == next_fast_len(target), v_max
+
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.75), GapLaw.gamma(2.0), GapLaw.gamma(32.0),
+                                     GapLaw.uniform_hat(3)],
+                             ids=["gamma0.75", "gamma2", "gamma32", "hat3"])
+    def test_renewal_grid_divides_in_place_bit_for_bit(self, gap, monkeypatch):
+        # the spectrum the inverse FFT reads is F / (1 - F) out of place, bit
+        # for bit, at scipy's fast length, and the grid is its inverse FFT
+        from scipy.fft import next_fast_len
+
+        spectra, inverses = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def rfft_spy(a, n):
+            spectra.append(rfft(a, n))
+            return spectra[-1].copy()
+
+        def irfft_spy(a, n):
+            inverses.append((a.copy(), n))
+            return irfft(a, n)
+
+        monkeypatch.setattr(np.fft, "rfft", rfft_spy)
+        monkeypatch.setattr(np.fft, "irfft", irfft_spy)
+        grid, vals, _ = generators._renewal_density_grid(gap)
+        monkeypatch.undo()
+        (F,), ((divided, n),) = spectra, inverses
+        m = len(grid) - 1
+        assert n == next_fast_len(8 * (m + 1))
+        assert np.array_equal(divided, F / (1.0 - F))
+        damp = generators._RENEWAL_DAMPING ** (np.arange(m + 1) / m)
+        u = np.fft.irfft(F / (1.0 - F), n)[: m + 1] / (damp * grid[1])
+        assert np.array_equal(vals[1:], np.maximum(u, 0.0)[1:])
 
     def test_renewal_grid_rejects_narrow_gap_laws(self):
         # the grid would outgrow memory; reject before allocating it

@@ -33,6 +33,23 @@ class TestDiscretization:
         with pytest.raises(DomainError):
             Discretization(v_max=4.0, step=2.0**-6, R=2.0)
 
+    @pytest.mark.parametrize("v_max, step", [(4.0, 2.0**-28), (2.0**40, 1.0),
+                                             (1e10, 1e-300)],
+                             ids=["fine_step", "wide_grid", "node_count_past_floats"])
+    def test_grid_too_large_is_rejected_before_allocation(self, v_max, step):
+        # 2 n_half + 1 nodes past 2**27 words raise before any grid exists,
+        # also when v_max / step overflows to inf
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="a batch may hold"):
+                Discretization(v_max=v_max, step=step, R=v_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_grids_symmetric(self, disc):
         g = disc.grid
         np.testing.assert_allclose(g, -g[::-1], atol=0)
@@ -65,6 +82,18 @@ class TestTransform:
         x = rng.normal(size=disc.n_half + 1)
         back = inverse_cosine_transform(disc, cosine_transform(disc, x))
         np.testing.assert_allclose(back, x, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_half", [1, 2, 3, 5, 7, 64, 100, 127, 128, 129, 255, 1000, 1023,
+                                    4096, 5000])
+def test_transforms_are_scipys_dct1_bit_for_bit(n_half):
+    # scipy serves as the oracle here only: the package uses numpy's FFT
+    from scipy.fft import dct, idct
+
+    d = Discretization(v_max=n_half * 2.0**-3, step=2.0**-3, R=n_half * 2.0**-3)
+    x = np.random.default_rng(n_half).normal(size=n_half + 1)
+    assert np.array_equal(cosine_transform(d, x), d.step * dct(x, type=1))
+    assert np.array_equal(inverse_cosine_transform(d, x), idct(x, type=1) / d.step)
 
 
 class TestEvaluateCandidate:
