@@ -28,7 +28,7 @@ from collections.abc import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Kernel
+from .core import Kernel, _check_batch, _replica_histogram, _replica_ids
 
 # entries per coordinate in a block of pair_sums.  Timed at 2**13..2**17 on
 # the energy workloads' sets (n = 64, 128, 512, 2048 in d = 1, Poisson n ~ 256
@@ -292,8 +292,7 @@ def _band_diagonals(points: np.ndarray, offsets: np.ndarray, reach: float
     differences ``pts[i + k] - pts[i]``, shape ``(d, N - k)``.  The walk
     stops at the first diagonal with an empty band, which is exact: within a
     replica the sorted gaps only grow with k."""
-    replica = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
-    pts, replica = sort_batch(points, replica)
+    pts, replica = sort_batch(points, _replica_ids(offsets))
     coords = np.ascontiguousarray(pts.T)
     for k in range(1, len(replica)):
         diff = coords[:, k:] - coords[:, :-k]
@@ -307,7 +306,9 @@ def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bi
                      R: float) -> np.ndarray:
     """Tent-corrected weights of signed 1d separations, both pair orders, one
     row per replica ``points[offsets[j]:offsets[j + 1], 0]``."""
-    acc = np.zeros((offsets.size - 1) * n_bins)
+    n = offsets.size - 1
+    _check_batch(n, n_bins)
+    acc = np.zeros((n, n_bins))
     bw = 2.0 * v_max / n_bins
     # sorted, every separation v in the band is >= 0; |v| < v_max decides,
     # on the superset of pairs in the band
@@ -316,8 +317,7 @@ def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bi
         v = diff[0, near]
         idx = np.floor((v + v_max) / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += np.bincount(rows[near] * n_bins + idx, 1.0 / (R - v), minlength=acc.size)
-    acc = acc.reshape(-1, n_bins)
+        acc += _replica_histogram(rows[near], idx, n, n_bins, 1.0 / (R - v))
     # the pair order j, i has separation -v and lands in the mirrored bin
     return acc + acc[:, ::-1]
 
@@ -326,7 +326,9 @@ def bin_pairs_radial(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bi
                      R: float) -> np.ndarray:
     """Tent-corrected radial pair weights (ordered pairs), one row per
     replica ``points[offsets[j]:offsets[j + 1]]``."""
-    acc = np.zeros((offsets.size - 1) * n_bins)
+    n = offsets.size - 1
+    _check_batch(n, n_bins)
+    acc = np.zeros((n, n_bins))
     bw = v_max / n_bins
     reach = v_max * (1.0 + 1e-9)
     for rows, band, diff in _band_diagonals(points, offsets, reach):
@@ -343,5 +345,5 @@ def bin_pairs_radial(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bi
             tent *= R - np.abs(c[near])
         idx = np.floor(r / bw).astype(np.int64)
         np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += np.bincount(rows[near] * n_bins + idx, 2.0 / tent, minlength=acc.size)
-    return acc.reshape(-1, n_bins)
+        acc += _replica_histogram(rows[near], idx, n, n_bins, 2.0 / tent)
+    return acc

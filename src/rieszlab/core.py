@@ -5,9 +5,11 @@ power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
 window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
 names by its side R, and every energy is a limit over an increasing ladder of
 sides R (``ladder``).  ``Replicas`` holds the replicas of one rung as one
-batch, ``in_window`` is the one closed-window test, ``counts_in_cube`` gives
-every window count, and ``mean_stderr`` reduces every estimate over replicas.
-All operations are pure functions of their arguments, so safe in parallel.
+batch, a ``PointConfiguration`` is a batch of one, ``_check_batch`` bounds
+every batch array, ``in_window`` is the one closed-window test,
+``counts_in_cube`` gives every window count, ``_replica_histogram`` every
+(replica, bin) histogram, and ``mean_stderr`` reduces every estimate over
+replicas.  All operations are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -141,43 +143,14 @@ def _window_points(points, R: float) -> np.ndarray:
     return np.ascontiguousarray(pts)
 
 
-class PointConfiguration:
-    """Finite point set inside the centred cube C_R of side ``R``.
-
-    Points are stored as an ``(n, d)`` float64 array, d its column count.
-    Membership is checked with closed intervals and exact comparison;
-    duplicate points are permitted at construction but make any pair energy
-    infinite, so the energy routes reject them (``energy.hint_R`` raises
-    ``SingularConfigurationError``).
-    """
-
-    __slots__ = ("R", "points")
-
-    def __init__(self, points, R: float):
-        self.R = _side(R)
-        self.points = _window_points(points, self.R)
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"PointConfiguration(n={self.n}, d={self.d}, R={self.R})"
-
-
 class Replicas:
     """The replicas of one rung as one ragged batch inside C_R.
 
     ``points`` holds every replica's points, replica j in the rows
-    ``offsets[j]:offsets[j + 1]``; ``counts`` are the rows per replica.  As
-    for a ``PointConfiguration``, ``n`` is the total number of points, while
-    ``len(batch)`` is the number of replicas.  ``batch[j]`` is replica j as a
-    ``PointConfiguration``.  The points are checked once for the whole batch,
-    as a configuration's are.
+    ``offsets[j]:offsets[j + 1]``; ``counts`` are the rows per replica, ``n``
+    is the total number of points and ``len(batch)`` the number of replicas.
+    ``batch[j]`` is replica j as a ``PointConfiguration``.  The points are
+    checked once for the whole batch: d in [1, 3] columns, no NaN, inside C_R.
     """
 
     __slots__ = ("R", "points", "offsets")
@@ -212,7 +185,18 @@ class Replicas:
         return PointConfiguration(self.points[self.offsets[j]:self.offsets[j + 1]], self.R)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Replicas(len={len(self)}, n={self.n}, d={self.d}, R={self.R})"
+        return f"{type(self).__name__}(len={len(self)}, n={self.n}, d={self.d}, R={self.R})"
+
+
+class PointConfiguration(Replicas):
+    """Finite point set inside the centred cube C_R of side ``R``: a batch of
+    one replica, offsets ``[0, n]``.  Duplicate points are permitted but make
+    any pair energy infinite, so ``energy.hint_R`` rejects them."""
+
+    __slots__ = ()
+
+    def __init__(self, points, R: float):
+        super().__init__(points, [0, len(np.atleast_1d(points))], R)
 
 
 def ladder(R_list) -> list[float]:
@@ -236,7 +220,7 @@ def mean_stderr(per) -> tuple[np.ndarray, np.ndarray]:
     return per.mean(axis=0), per.std(axis=0, ddof=1) / math.sqrt(len(per))
 
 
-def in_cube(config: PointConfiguration | Replicas, R: float) -> np.ndarray:
+def in_cube(config: Replicas, R: float) -> np.ndarray:
     """Mask of the points of ``config`` (a configuration or a batch) inside
     the centered cube of side R (closed faces)."""
     if R > config.R:
@@ -244,9 +228,33 @@ def in_cube(config: PointConfiguration | Replicas, R: float) -> np.ndarray:
     return in_window(config.points, R / 2.0)
 
 
-def points_in_cube(config: PointConfiguration, R: float) -> np.ndarray:
-    """Points of ``config`` inside the centered cube of side R (closed faces)."""
-    return config.points[in_cube(config, R)]
+# the most 8-byte words one batch array may hold (1 GiB): a draw, grid or
+# histogram that needs more raises DomainError before numpy is asked for it
+_BATCH_LIMIT = 2**27
+
+
+def _check_batch(n: int, count: float) -> None:
+    """Raise ``DomainError`` when ``n`` rows of ``count`` 8-byte words
+    exceed ``_BATCH_LIMIT``."""
+    if n * count > _BATCH_LIMIT:
+        # an int count from a spec may be past the float range
+        size = f"{count:.15g}" if isinstance(count, float) else count
+        raise DomainError(f"{n} x {size} words are more than the "
+                          f"{_BATCH_LIMIT} a batch may hold")
+
+
+def _replica_ids(offsets: np.ndarray) -> np.ndarray:
+    """The replica of each row of a batch with row offsets ``offsets``."""
+    return np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+
+
+def _replica_histogram(rows: np.ndarray, bins: np.ndarray, n: int, width: int,
+                       weights: np.ndarray | None = None) -> np.ndarray:
+    """The ``(n, width)`` histogram of the pairs (replica ``rows``, ``bins``),
+    one row per replica, each cell adding its ``weights`` (or 1) in their
+    order; checked against ``_BATCH_LIMIT`` before it allocates."""
+    _check_batch(n, width)
+    return np.bincount(rows * width + bins, weights, minlength=n * width).reshape(n, width)
 
 
 def counts_in_cube(batch: Replicas, R: float, tiles: int) -> np.ndarray:
@@ -254,10 +262,8 @@ def counts_in_cube(batch: Replicas, R: float, tiles: int) -> np.ndarray:
     slabs, along the first axis, of the centered cube of side R (closed
     faces).  A slab boundary counts in the upper slab, the upper face in the last."""
     inside = in_cube(batch, R)
-    replica = np.repeat(np.arange(len(batch)), batch.counts)[inside]
+    _check_batch(len(batch), tiles)  # before the slab edges
     edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
     tile = np.clip(np.searchsorted(edges, batch.points[inside, 0], side="right") - 1,
                    0, tiles - 1)
-    cells = np.bincount(replica * tiles + tile, minlength=len(batch) * tiles)
-    return cells.reshape(len(batch), tiles)
-
+    return _replica_histogram(_replica_ids(batch.offsets)[inside], tile, len(batch), tiles)

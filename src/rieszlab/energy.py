@@ -32,9 +32,9 @@ from .core import (
     Kernel,
     PointConfiguration,
     SingularConfigurationError,
+    in_cube,
     ladder,
     mean_stderr,
-    points_in_cube,
 )
 from .generators import ProcessModel, Rho2Analytic, Seed, rho2_analytic, sample
 
@@ -125,7 +125,7 @@ def hint_R(config: PointConfiguration, R: float, kernel: Kernel) -> float:
     centered cube of side R."""
     if kernel.d != config.d:
         raise ArgumentError("kernel and configuration dimensions differ")
-    pts = points_in_cube(config, R)
+    pts = config.points[in_cube(config, R)]
     energy, singular = _window_energies(pts, np.array([0, len(pts)]), R, kernel,
                                         quadrature.background_pair_integral(kernel, R))
     if singular[0]:

@@ -17,6 +17,7 @@ from .core import (
     Kernel,
     NotApplicableError,
     Replicas,
+    _check_batch,
     _require_replicas,
     _side,
     counts_in_cube,
@@ -95,13 +96,13 @@ def estimate_rho2(samples: Replicas, bins: GridSpec) -> CorrelationEstimate:
     if not bins.v_max < R:
         raise DomainError("v_max must be smaller than the window side R")
 
+    n_bins = bins.n_bins + (bins.n_bins % 2 if d == 1 else 0)
+    _check_batch(len(samples), n_bins)  # the per-replica rows, before any grid
     if d == 1:
-        n_bins = bins.n_bins + (bins.n_bins % 2)
         bw = 2.0 * bins.v_max / n_bins
         centers = -bins.v_max + bw * (np.arange(n_bins) + 0.5)
         kernel, norm, mode = _fast.bin_pairs_signed, bw, "signed"
     else:
-        n_bins = bins.n_bins
         bw = bins.v_max / n_bins
         centers = bw * (np.arange(n_bins) + 0.5)
         edges = bw * np.arange(n_bins + 1)

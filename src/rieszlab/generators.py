@@ -23,8 +23,9 @@ renewal draw keeps ``Generator.standard_gamma`` for gamma gaps; hat gap i is
 vibrating and renewal draws read a bound on the words a replica can need, and
 when a replica needs more they read the whole batch again with a larger bound:
 a longer read extends each replica's row bit for bit, so the points do not
-depend on the bound.  A batch that would need more than ``_BATCH_LIMIT``
-words raises ``DomainError`` before it is allocated.
+depend on the bound.  A batch that would need more than
+``core._BATCH_LIMIT`` words raises ``DomainError`` before it is allocated,
+and so does a batch of more seed words than that.
 """
 
 from __future__ import annotations
@@ -40,10 +41,12 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 from .core import (
+    _BATCH_LIMIT,
     ArgumentError,
     DomainError,
     NotApplicableError,
     Replicas,
+    _check_batch,
     _side,
     in_window,
 )
@@ -356,19 +359,6 @@ def _stream(state: np.ndarray) -> np.random.PCG64:
     return np.random.PCG64(_SeedWords(state))
 
 
-# the most 8-byte words one batch array of a draw may hold (1 GiB): a window
-# or block that needs more raises DomainError before numpy is asked for it
-_BATCH_LIMIT = 2**27
-
-
-def _check_batch(n: int, count: float) -> None:
-    """Raise ``DomainError`` when ``n`` rows of ``count`` 8-byte words
-    exceed ``_BATCH_LIMIT``."""
-    if n * count > _BATCH_LIMIT:
-        raise DomainError(f"{n} x {count:.15g} words are more than the "
-                          f"{_BATCH_LIMIT} a batch may hold")
-
-
 def _batch(n: int, count: int, dtype=np.float64) -> np.ndarray:
     """An empty ``(n, count)`` array of 8-byte ``dtype``, one row per replica,
     checked against ``_BATCH_LIMIT``."""
@@ -597,6 +587,7 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed) -> Replicas:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
     n = int(n)
+    _check_batch(n, 4)  # the n rows of 4 seed words, before the hash runs
     states = _seed_states(seed.master, seed.replica, n)
     pts, counts = _DRAWS[model.variant](model, R, states)
     return Replicas(pts, np.concatenate([[0], np.cumsum(counts)]), R)

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArgumentError, DivergenceError, DomainError, Kernel
-from .generators import _check_batch
+from .core import ArgumentError, DivergenceError, DomainError, Kernel, _check_batch
 from .quadrature import pwlinear_weights
 
 # subgradient step t is _STEP_SCALE / (max|w| n_half sqrt(t + 1)); a Dykstra
@@ -32,7 +31,7 @@ class Discretization:
     """Symmetric uniform grid on [-v_max, v_max] (step a power of two keeps
     reference profiles exactly on nodes) plus the tent parameter R and the
     implied cosine-transform frequency grid.  A grid of more than
-    ``generators._BATCH_LIMIT`` nodes raises ``DomainError`` before any array
+    ``core._BATCH_LIMIT`` nodes raises ``DomainError`` before any array
     is allocated."""
 
     v_max: float
@@ -152,8 +151,10 @@ def _project_band(disc: Discretization, half: np.ndarray) -> np.ndarray:
     return inverse_cosine_transform(disc, that)
 
 
-def _dykstra(disc: Discretization, half: np.ndarray) -> tuple[np.ndarray, float, list[float]]:
-    """Alternating clipped projections with Dykstra correction terms."""
+def _dykstra(disc: Discretization, half: np.ndarray, iteration: int | None = None) -> np.ndarray:
+    """Alternating clipped projections with Dykstra correction terms; raises
+    ``DivergenceError`` when the result still violates a constraint by more
+    than 1e-6 (``iteration`` names the descent step in the message)."""
     x = half.copy()
     p = np.zeros_like(x)
     q = np.zeros_like(x)
@@ -168,9 +169,11 @@ def _dykstra(disc: Discretization, half: np.ndarray) -> tuple[np.ndarray, float,
         if viol <= _DYKSTRA_TOL:
             break
     that = cosine_transform(disc, x)
-    total = max(max(0.0, -1.0 - float(np.min(x))),
-                max(0.0, -1.0 - float(np.min(that))))
-    return x, total, trace
+    if max(0.0, -1.0 - float(np.min(x)), -1.0 - float(np.min(that))) > 1e-6:
+        where = "" if iteration is None else f" at iteration {iteration}"
+        raise DivergenceError(
+            f"projection loop failed to converge{where}; violation trace: {trace}")
+    return x
 
 
 def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int) -> CandidateT2:
@@ -185,23 +188,12 @@ def minimize_t2(disc: Discretization, kernel: Kernel, iterations: int) -> Candid
     def full_from_half(half: np.ndarray) -> np.ndarray:
         return np.concatenate([half[::-1], half[1:]])
 
-    half = _half_profile(disc, hardcore_candidate(disc))
-    half, viol, trace = _dykstra(disc, half)
-    if viol > 1e-6:
-        raise DivergenceError(
-            f"projection loop failed to converge; violation trace: {trace}"
-        )
+    half = _dykstra(disc, _half_profile(disc, hardcore_candidate(disc)))
     best_half = half.copy()
     best_obj = float(w @ half)
     x = half.copy()
     for t in range(iterations):
-        x = x - step0 / math.sqrt(t + 1.0) * w
-        x, viol, trace = _dykstra(disc, x)
-        if viol > 1e-6:
-            raise DivergenceError(
-                f"projection loop failed to converge at iteration {t}; "
-                f"violation trace: {trace}"
-            )
+        x = _dykstra(disc, x - step0 / math.sqrt(t + 1.0) * w, t)
         obj = float(w @ x)
         if obj < best_obj:
             best_obj = obj

@@ -24,6 +24,9 @@ from .core import (
     DomainError,
     Kernel,
     Replicas,
+    _check_batch,
+    _replica_histogram,
+    _replica_ids,
     _require_replicas,
     in_cube,
     ladder,
@@ -101,13 +104,14 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
         raise DomainError("x_max must be smaller than the window length L")
     if not (step > 0.0 and x_max >= 0.0):
         raise DomainError("the neighbor grid needs step > 0 and x_max >= 0")
-    n_bins = int(round(x_max / step)) + 1
     _require_replicas(len(samples))
+    _check_batch(len(samples), x_max / step + 1.0)  # the per-replica rows, before any grid
+    n_bins = int(round(x_max / step)) + 1
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
-    replica = np.repeat(np.arange(len(samples)), samples.counts)[inside]
-    pts, replica = _fast.sort_batch(samples.points[inside], replica)
+    pts, replica = _fast.sort_batch(samples.points[inside],
+                                    _replica_ids(samples.offsets)[inside])
     x = pts[:, 0]
     densities = []
     for order in orders:
@@ -115,9 +119,9 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
         keep = (replica[order:] == replica[:-order]) & (gaps < min(x_max + step / 2.0, L))
         gaps, rows = gaps[keep], replica[order:][keep]
         idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, n_bins - 1)
-        per = np.bincount(rows * n_bins + idx, 1.0 / (L * (1.0 - gaps / L) * step),
-                          minlength=len(samples) * n_bins)
-        values, stderr = mean_stderr(per.reshape(len(samples), n_bins))
+        per = _replica_histogram(rows, idx, len(samples), n_bins,
+                                 1.0 / (L * (1.0 - gaps / L) * step))
+        values, stderr = mean_stderr(per)
         densities.append(NeighborDensity(
             k=order, centers=step * np.arange(n_bins), values=values, stderr=stderr, step=step,
             total_mass=float(values.sum() * step), n_replicas=len(samples),

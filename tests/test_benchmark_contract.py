@@ -2,7 +2,7 @@
 runs every experiment and reports every per-layer metric of BENCHMARK.json.
 
 A traced pass leaves a metric out when its hooked function, a counted
-argument (``pts``, ``x``, ``nodes``), ``PointConfiguration.n`` or the
+argument (``pts``, ``x``, ``nodes``), ``Replicas.n`` or the
 manifest's ``error_counters.discarded_replicas`` is gone, so a rename in the
 package breaks the benchmark's result; these tests catch that in the suite.
 """

@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,27 @@ from rieszlab._io import config_from_csv
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def address_space_cap():
+    """Cap this process's address space at 2 GiB above its current size, so a
+    missing input bound fails at once with numpy's MemoryError (exit 1)
+    instead of taking the host's memory; the old limit is restored after.
+    Without ``/proc/self/statm`` the test runs uncapped."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        yield
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + 2**31
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def _write(tmp_path, name, obj):
@@ -88,6 +110,17 @@ class TestValidation:
         res = runner.invoke(main, ["energy", "--config", cfg, "--out", str(tmp_path / "m")])
         assert res.exit_code == 3
         assert "validation error" not in res.output
+
+    def test_lp_projection_failure_exits_3(self, tmp_path, runner, monkeypatch):
+        # no projection rounds and a long first step leave the iterate below -1
+        monkeypatch.setattr("rieszlab.lpx._DYKSTRA_ROUNDS", 0)
+        monkeypatch.setattr("rieszlab.lpx._STEP_SCALE", 8.0)
+        cfg = _write(tmp_path, "c.json", {"kernel": {"family": "riesz", "s": 0.5},
+                                          "iterations": 3})
+        res = runner.invoke(main, ["lp", "--config", cfg, "--out", str(tmp_path / "l")])
+        assert res.exit_code == 3
+        assert "projection loop failed to converge at iteration 0" in res.output
+        assert not (tmp_path / "l" / "lp.json").exists()
 
     def test_threads_option_removed(self, tmp_path, runner):
         cfg = _write(tmp_path, "c.json", {
@@ -469,6 +502,14 @@ class TestSpecLayer:
                     "route": "rho2"}, "a batch may hold"),
         ("lp", {"kernel": {"family": "riesz", "s": 0.5}, "v_max": 4.0, "step": 2.0**-28},
          "a batch may hold"),
+        ("rho2", {"model": {"variant": "poisson"}, "R": 8, "n_replicas": 2, "v_max": 1,
+                  "n_bins": 10**14}, "a batch may hold"),
+        ("neighbors", {"model": GAMMA_TWO, "L": 8, "x_max": 1, "step": 1e-14},
+         "a batch may hold"),
+        ("pinsker", {"model": GAMMA_TWO, "R_list": [2, 4], "n_replicas": 20,
+                     "tile_count": 10**14}, "a batch may hold"),
+        ("generate", {"model": {"variant": "lattice"}, "R": 0.5, "n_replicas": 2**28},
+         "a batch may hold"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
@@ -477,9 +518,10 @@ class TestSpecLayer:
             "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
             "crystal_negative_x_max", "renewal_too_narrow", "block_too_large",
             "poisson_too_large", "series_too_long", "vibrating_rho2_too_long",
-            "lp_grid_too_large"])
-    def test_library_rejection_leaves_no_directory(self, tmp_path, runner, command, spec,
-                                                   needle):
+            "lp_grid_too_large", "rho2_bins_too_many", "neighbors_step_too_fine",
+            "pinsker_tiles_too_many", "generate_replicas_too_many"])
+    def test_library_rejection_leaves_no_directory(self, tmp_path, runner, address_space_cap,
+                                                   command, spec, needle):
         _reject(runner, tmp_path, command, spec, needle)
         assert not (tmp_path / "out").exists()
 

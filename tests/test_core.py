@@ -17,11 +17,18 @@ from rieszlab import (
     sample,
 )
 from rieszlab import quadrature
-from rieszlab.core import counts_in_cube, in_cube, in_window, mean_stderr, points_in_cube
+from rieszlab.core import (_check_batch, _replica_histogram, counts_in_cube, in_cube,
+                           in_window, mean_stderr)
 
 
 def _count(cfg, R):
-    return points_in_cube(cfg, R).shape[0]
+    return np.count_nonzero(in_cube(cfg, R))
+
+
+# a configuration is a batch of one replica, so both constructors check alike
+ONE_REPLICA = pytest.mark.parametrize(
+    "make", [PointConfiguration, lambda pts, R: Replicas(pts, [0, len(pts)], R)],
+    ids=["configuration", "batch_of_one"])
 
 
 class TestKernel:
@@ -73,25 +80,30 @@ class TestPsiWeight:
 
 
 class TestConfigurationsAndDiscrepancy:
-    def test_membership_closed_exact(self):
-        PointConfiguration(np.array([[1.0], [-1.0]]), 2.0)  # faces included
+    @ONE_REPLICA
+    def test_membership_closed_exact(self, make):
+        make(np.array([[1.0], [-1.0]]), 2.0)  # faces included
         with pytest.raises(DomainError):
-            PointConfiguration(np.array([[1.0000001]]), 2.0)
+            make(np.array([[1.0000001]]), 2.0)
         with pytest.raises(ArgumentError):
-            PointConfiguration(np.array([[np.nan]]), 2.0)
+            make(np.array([[np.nan]]), 2.0)
 
-    def test_side_must_be_positive(self):
+    @ONE_REPLICA
+    def test_side_must_be_positive(self, make):
         pts = np.zeros((0, 1))
         for R in (0.0, -1.0, float("nan")):
             with pytest.raises(DomainError, match="window side must be positive"):
-                PointConfiguration(pts, R)
+                make(pts, R)
 
-    def test_dimension_from_columns(self):
-        assert PointConfiguration(np.zeros((3, 2)), 1.0).d == 2
-        assert PointConfiguration(np.zeros(3), 1.0).d == 1
-        assert PointConfiguration(np.zeros((0, 3)), 1.0).d == 3
+    @ONE_REPLICA
+    def test_dimension_from_columns(self, make):
+        assert make(np.zeros((3, 2)), 1.0).d == 2
+        assert make(np.zeros(3), 1.0).d == 1
+        assert make(np.zeros((0, 3)), 1.0).d == 3
         with pytest.raises(ArgumentError):
-            PointConfiguration(np.zeros((2, 4)), 1.0)
+            make(np.zeros((2, 4)), 1.0)
+        with pytest.raises(ArgumentError):
+            make(np.zeros((2, 1, 1)), 1.0)
 
     def test_empty_window_count(self):
         cfg = PointConfiguration(np.empty((0, 1)), 4.0)
@@ -112,7 +124,7 @@ class TestConfigurationsAndDiscrepancy:
     def test_window_larger_than_config_rejected(self):
         cfg = PointConfiguration(np.array([[0.0]]), 2.0)
         with pytest.raises(DomainError):
-            points_in_cube(cfg, 3.0)
+            in_cube(cfg, 3.0)
 
     def test_tile_additivity(self):
         # counts over a partition into tiles reproduce the whole-window count
@@ -140,6 +152,8 @@ class TestReplicas:
     def test_index_gives_a_configuration(self):
         batch = self._batch()
         assert isinstance(batch[2], PointConfiguration)
+        # a batch of one replica
+        assert len(batch[2]) == 1 and batch[2].offsets.tolist() == [0, 3]
         np.testing.assert_array_equal(batch[2].points, self.POINTS[1:])
         assert batch[1].n == 0 and batch[-1].n == 0 and batch[-4].n == 1
         assert batch[2].R == 2.0
@@ -168,6 +182,22 @@ class TestReplicas:
                                                           [1, 0, 1, 1], [0, 0, 0, 0]]
         with pytest.raises(DomainError):
             counts_in_cube(batch, 3.0, 1)
+
+    @pytest.mark.parametrize("tiles", [2**25 + 1, 10**14, 10**400],
+                             ids=["past_the_limit", "huge", "past_floats"])
+    def test_counts_too_many_are_rejected_before_allocation(self, tiles,
+                                                            rejected_before_allocation):
+        # 4 replicas of more than 2**25 slabs are more than 2**27 words
+        batch = self._batch()
+        rejected_before_allocation(lambda: counts_in_cube(batch, 2.0, tiles))
+
+    def test_batch_limit(self, rejected_before_allocation):
+        _check_batch(2, 2**26)
+        for n, count in ((2, 2**26 + 1), (1, math.inf), (10**400, 4)):
+            with pytest.raises(DomainError, match="a batch may hold"):
+                _check_batch(n, count)
+        one = np.zeros(1, dtype=np.int64)
+        rejected_before_allocation(lambda: _replica_histogram(one, one, 2, 2**26 + 1))
 
 
 class TestWindowRule:

@@ -21,7 +21,7 @@ from rieszlab import (
     sample,
     tv_lower_bound,
 )
-from rieszlab.core import mean_stderr, points_in_cube
+from rieszlab.core import in_cube, mean_stderr
 from rieszlab.estimators import DlogCurve
 
 
@@ -78,7 +78,7 @@ class TestBatchAgainstReplicaLoop:
             edges = np.linspace(-R / 2.0, R / 2.0, tiles + 1)
             out = {}
             for cfg in batch:
-                x = points_in_cube(cfg, R)[:, 0]
+                x = cfg.points[in_cube(cfg, R), 0]
                 idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, tiles - 1)
                 key = tuple(np.bincount(idx, minlength=tiles).tolist())
                 out[key] = out.get(key, 0.0) + 1.0 / len(batch)
@@ -92,7 +92,7 @@ class TestBatchAgainstReplicaLoop:
     def test_identity_check_counts_the_window(self):
         batch = _ragged(ProcessModel.poisson(1), 2.0, 200, 13)
         chk = discrepancy_identity_check(batch, 1.5)
-        counts = np.array([points_in_cube(cfg, 1.5).shape[0] for cfg in batch], dtype=float)
+        counts = np.array([np.count_nonzero(in_cube(cfg, 1.5)) for cfg in batch], dtype=float)
         assert chk.lhs == float((counts**2).mean() - counts.mean() - 1.5**2)
 
 
@@ -130,6 +130,13 @@ class TestEstimateRho2:
             estimate_rho2(replicas(ProcessModel.poisson(1), 16.0, 1), GridSpec(4.0, 8))
         with pytest.raises(ArgumentError, match="at least 2 replicas"):
             estimate_rho2([], GridSpec(4.0, 8))
+
+
+    @pytest.mark.parametrize("d", [1, 2], ids=["signed", "radial"])
+    def test_grid_too_large_is_rejected_before_allocation(self, d, rejected_before_allocation):
+        # 2 replicas of 10**14 bins, in the per-replica rows or the centres
+        samples = sample(ProcessModel.poisson(d), 8.0, 2, Seed(0))
+        rejected_before_allocation(lambda: estimate_rho2(samples, GridSpec(1.0, 10**14)))
 
 
 class TestVarianceCurve:
@@ -297,6 +304,12 @@ class TestTotalVariation:
         for a, b in ((p1, q), (p, q1), ([], q)):
             with pytest.raises(ArgumentError, match="at least 2 replicas"):
                 tv_lower_bound(a, b, 4.0, 2)
+
+
+    def test_tiles_too_many_are_rejected_before_allocation(self, rejected_before_allocation):
+        p = sample(ProcessModel.renewal(GapLaw.gamma(2.0)), 4.0, 20, Seed(0))
+        q = sample(ProcessModel.poisson(1), 4.0, 20, Seed(1))
+        rejected_before_allocation(lambda: tv_lower_bound(p, q, 4.0, 10**14))
 
 
 class TestPinskerCheck:

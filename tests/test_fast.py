@@ -283,6 +283,15 @@ def test_pair_sums_memory_is_bounded(rng, sets, n, d):
     assert peak < 8 * _fast._SUM_BUDGET * d * 8 + points.nbytes
 
 
+@pytest.mark.parametrize("kernel", [_fast.bin_pairs_signed, _fast.bin_pairs_radial],
+                         ids=["signed", "radial"])
+def test_binning_rows_too_large_are_rejected_before_allocation(kernel, rng,
+                                                               rejected_before_allocation):
+    points = rng.uniform(-4, 4, size=(20, 1))
+    rejected_before_allocation(
+        lambda: kernel(points, np.array([0, 10, 20]), 1.0, 10**14, 8.0))
+
+
 FAR_KERNELS = [log_kernel(1), riesz_kernel(0.25, 1), riesz_kernel(0.5, 1),
                riesz_kernel(0.75, 1)]
 FAR_IDS = ["log1d", "riesz0.25", "riesz0.5", "riesz0.75"]

@@ -257,6 +257,12 @@ class TestSampling:
         with pytest.raises(DomainError, match="a batch may hold"):
             sample(model, R, 1, Seed(0))
 
+    def test_seed_words_too_many_are_rejected_before_allocation(self,
+                                                                rejected_before_allocation):
+        # 2**28 replicas of 4 seed words each, however small the window
+        rejected_before_allocation(
+            lambda: sample(ProcessModel.lattice(1), 0.5, 2**28, Seed(0)))
+
     def test_poisson_bound_counts_every_replica(self):
         # a batch holds 2**27 words: 128 replicas of 2**20 mean words, not 200
         assert len(sample(ProcessModel.poisson(1), 2.0**20, 2, Seed(0))) == 2

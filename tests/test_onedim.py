@@ -20,7 +20,7 @@ from rieszlab import (
     sample,
 )
 from rieszlab import onedim
-from rieszlab.core import mean_stderr, points_in_cube
+from rieszlab.core import in_cube, mean_stderr
 
 # quadrature-oracle values for the triangular gap laws, frozen; they agree
 # with 1/2 + log(k/2) to rounding
@@ -147,7 +147,7 @@ class TestKthNeighborDensity:
         nd, = kth_neighbor_density(batch, [k], L, x_max, step)
         per = np.zeros((len(batch), len(nd.centers)))
         for i, cfg in enumerate(batch):
-            x = np.sort(points_in_cube(cfg, L)[:, 0])
+            x = np.sort(cfg.points[in_cube(cfg, L), 0])
             gaps = x[k:] - x[:-k]
             gaps = gaps[gaps < min(x_max + step / 2.0, L)]
             idx = np.clip(np.rint(gaps / step).astype(np.int64), 0, len(nd.centers) - 1)
@@ -174,6 +174,14 @@ class TestKthNeighborDensity:
         for few in ([], samples):
             with pytest.raises(ArgumentError, match="at least 2 replicas"):
                 kth_neighbor_density(few, [1], 16.0, 4.0)
+
+
+    @pytest.mark.parametrize("step", [1e-14, 5e-324], ids=["fine", "count_past_floats"])
+    def test_grid_too_large_is_rejected_before_allocation(self, step,
+                                                          rejected_before_allocation):
+        # x_max / step bins per replica: 10**14, or inf once it overflows
+        batch = sample(ProcessModel.poisson(1), 8.0, 2, Seed(0))
+        rejected_before_allocation(lambda: kth_neighbor_density(batch, [1], 8.0, 1.0, step))
 
 
 class TestCrystallizationGap:
