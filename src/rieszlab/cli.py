@@ -121,6 +121,27 @@ HEADERS = {  # the header of every CSV a command writes, by kind
 }
 
 
+class Plot(NamedTuple):
+    settings: tuple  # gnuplot lines before the plot
+    curves: tuple  # (columns, style, title) of each curve of the CSV
+    slope: str | None = None  # companion JSON key labelled as the fitted slope
+    asymptote: str | None = None  # companion JSON key drawn as a dashed line
+
+
+PLOTS = {  # the figure of each plottable CSV kind
+    "variance": Plot(("set logscale xy", "set xlabel 'R'",
+                      "set ylabel 'mean squared discrepancy'"),
+                     (("1:2:3", "yerrorlines", "variance"),), slope="fitted_exponent"),
+    "rho2": Plot(("set xlabel 'v'", "set ylabel 'pair correlation minus one'"),
+                 (("1:2:3", "yerrorlines", "rho2 - 1"),)),
+    "energy": Plot(("set xlabel 'R'", "set ylabel 'energy per volume'", "set logscale x"),
+                   (("1:2:3", "yerrorlines", "ladder"),), asymptote="extrapolated"),
+    "freemin": Plot(("set xlabel 'theta'", "set ylabel 'free energy'", "set logscale x"),
+                    (("1:4", "linespoints", "f"), ("1:2", "linespoints", "energy"),
+                     ("1:3", "linespoints", "entropy rate"))),
+}
+
+
 def _fields(result, *leave_out: str) -> dict:
     """A result dataclass as a JSON object, without the fields ``leave_out``."""
     return {k: v for k, v in asdict(result).items() if k not in leave_out}
@@ -393,13 +414,10 @@ def run(spec: dict) -> dict:
 # plot script emission
 # ---------------------------------------------------------------------------
 
-_PLOT_HEADERS = {kind: list(HEADERS[kind]) for kind in ("variance", "rho2", "energy", "freemin")}
-
-
 def emit_plot_script(csv_path, kind: str, out_path, extra: dict | None = None) -> Path:
     """Write a gnuplot script reproducing the standard figure for ``kind``;
     ``extra`` is the companion JSON report (slope and asymptote labels)."""
-    if kind not in _PLOT_HEADERS:
+    if kind not in PLOTS:
         raise ValidationFailure(f"unknown plot kind {kind!r}")
     extra = {} if extra is None else extra
     if not isinstance(extra, dict):
@@ -416,32 +434,18 @@ def emit_plot_script(csv_path, kind: str, out_path, extra: dict | None = None) -
     if not first or not body:
         raise ValidationFailure(f"{csv_path}: empty CSV")
     header = first.split(",")
-    if header != _PLOT_HEADERS[kind]:
+    if header != list(HEADERS[kind]):
         raise ValidationFailure(
-            f"{csv_path}: header {header} does not match {_PLOT_HEADERS[kind]}")
-    name = csv_path.name
-    lines = ["set datafile separator ','", f"# kind: {kind}"]
-    if kind == "variance":
-        lines += ["set logscale xy", "set xlabel 'R'", "set ylabel 'mean squared discrepancy'"]
-        if extra.get("fitted_exponent") is not None:
-            lines.append(f"set label 'fitted slope {fmt(extra['fitted_exponent'])}' "
-                         "at graph 0.1, 0.9")
-        lines.append(f"plot '{name}' skip 1 using 1:2:3 with yerrorlines title 'variance'")
-    elif kind == "rho2":
-        lines += ["set xlabel 'v'", "set ylabel 'pair correlation minus one'",
-                  f"plot '{name}' skip 1 using 1:2:3 with yerrorlines title 'rho2 - 1'"]
-    elif kind == "energy":
-        lines += ["set xlabel 'R'", "set ylabel 'energy per volume'", "set logscale x"]
-        pieces = [f"'{name}' skip 1 using 1:2:3 with yerrorlines title 'ladder'"]
-        if extra.get("extrapolated") is not None:
-            pieces.append(f"{fmt(extra['extrapolated'])} with lines dashtype 2 "
-                          "title 'extrapolated'")
-        lines.append("plot " + ", ".join(pieces))
-    else:
-        lines += ["set xlabel 'theta'", "set ylabel 'free energy'", "set logscale x",
-                  f"plot '{name}' skip 1 using 1:4 with linespoints title 'f',"
-                  f" '{name}' skip 1 using 1:2 with linespoints title 'energy',"
-                  f" '{name}' skip 1 using 1:3 with linespoints title 'entropy rate'"]
+            f"{csv_path}: header {header} does not match {list(HEADERS[kind])}")
+    plot, name = PLOTS[kind], csv_path.name
+    lines = ["set datafile separator ','", f"# kind: {kind}", *plot.settings]
+    curves = [f"'{name}' skip 1 using {columns} with {style} title '{title}'"
+              for columns, style, title in plot.curves]
+    if extra.get(plot.slope) is not None:
+        lines.append(f"set label 'fitted slope {fmt(extra[plot.slope])}' at graph 0.1, 0.9")
+    if extra.get(plot.asymptote) is not None:
+        curves.append(f"{fmt(extra[plot.asymptote])} with lines dashtype 2 title 'extrapolated'")
+    lines.append("plot " + ", ".join(curves))
     out_path = Path(out_path)
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return out_path
@@ -486,7 +490,7 @@ for _name, _command in COMMANDS.items():
 
 @main.command(name="plot", help="Emit a gnuplot script for a result CSV.")
 @click.option("--csv", "csv_path", type=click.Path(), required=True)
-@click.option("--kind", type=click.Choice(list(_PLOT_HEADERS)), required=True)
+@click.option("--kind", type=click.Choice(list(PLOTS)), required=True)
 @click.option("--json", "json_path", type=click.Path(), default=None,
               help="companion JSON report (adds asymptote/slope annotations)")
 @click.option("--out", "out_path", type=click.Path(), required=True)

@@ -1,6 +1,10 @@
 """Samplers for the concrete stationary processes and their analytic
 two-point correlation functions.
 
+A model variant is one row of ``_VARIANTS``: its parameter besides d, its
+dimensions, draw and rho2 builder.  A ``ProcessModel`` or ``GapLaw`` that
+lacks its parameter or sets one it does not take raises ``ArgumentError``.
+
 All models have intensity 1.  ``sample(model, R, n, seed)`` is the one
 sampler and the one seed schedule: it draws n replicas as one ``Replicas``
 batch, replica j from stream ``Seed(seed.master, seed.replica + j)``, so a
@@ -34,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -61,6 +65,14 @@ class GapLawKind(Enum):
     UNIFORM_HAT = "uniform_hat"
 
 
+def _check_params(record, name: str, fields: tuple[str, ...], takes: str | None) -> None:
+    """``ArgumentError`` unless ``takes`` is the one of ``fields`` that ``record`` sets."""
+    for field in fields:
+        given = getattr(record, field) is not None
+        if given != (field == takes):
+            raise ArgumentError(f"{name} {'takes no' if given else 'requires'} {field}")
+
+
 @dataclass(frozen=True)
 class GapLaw:
     """Mean-1 law of the i.i.d. gaps of a renewal process.
@@ -76,12 +88,13 @@ class GapLaw:
     k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is GapLawKind.GAMMA:
-            if self.theta is None or not self.theta > 0:
+        takes = "theta" if self.kind is GapLawKind.GAMMA else "k"
+        _check_params(self, f"{self.kind.value} gap law", ("theta", "k"), takes)
+        if takes == "theta":
+            if not self.theta > 0:
                 raise DomainError("Gamma gap law requires shape theta > 0")
-        elif self.kind is GapLawKind.UNIFORM_HAT:
-            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
-                raise DomainError("UniformHat gap law requires integer k >= 2")
+        elif not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
+            raise DomainError("UniformHat gap law requires integer k >= 2")
 
     @staticmethod
     def exponential() -> "GapLaw":
@@ -95,25 +108,25 @@ class GapLaw:
     def uniform_hat(k: int) -> "GapLaw":
         return GapLaw(GapLawKind.UNIFORM_HAT, k=k)
 
+    def describe(self) -> str:
+        if self.kind is GapLawKind.UNIFORM_HAT:
+            return f"uniform_hat,k={self.k}"
+        return "exponential" if self.theta == 1.0 else f"gamma,theta={self.theta:g}"
+
     @property
     def std(self) -> float:
-        if self.kind is GapLawKind.GAMMA:
-            return self.theta**-0.5
-        return math.sqrt(2.0 / 3.0) / self.k
+        return self.theta**-0.5 if self.kind is GapLawKind.GAMMA else math.sqrt(2.0 / 3.0) / self.k
 
     @property
     def head_exponent(self) -> float:
         """Power alpha with density ~ x**alpha as x -> 0 (0 when bounded)."""
-        if self.kind is GapLawKind.GAMMA:
-            return self.theta - 1.0
-        return 0.0
+        return self.theta - 1.0 if self.kind is GapLawKind.GAMMA else 0.0
 
     def density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind is GapLawKind.UNIFORM_HAT:
             w = 2.0 / self.k
-            out = np.maximum(0.0, 1.0 - np.abs(x - 1.0) / w) / w
-            return out
+            return np.maximum(0.0, 1.0 - np.abs(x - 1.0) / w) / w
         theta = self.theta
         out = np.zeros_like(x)
         pos = x > 0.0
@@ -177,24 +190,12 @@ class ProcessModel:
     gap: GapLaw | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or not (1 <= self.d <= 3):
-            raise ArgumentError(f"dimension must be an integer in [1, 3], got {self.d!r}")
-        v = self.variant
-        if v is Variant.BERNOULLI_BLOCK:
-            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-                raise DomainError("block model requires integer block side k >= 1")
-        elif v is Variant.VIBRATING_LATTICE:
-            if self.d != 1:
-                raise ArgumentError("vibrating lattice is one-dimensional")
-            if self.k is None or not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-                raise DomainError("vibrating lattice requires integer k >= 1")
-        elif v is Variant.RENEWAL:
-            if self.d != 1:
-                raise ArgumentError("renewal models are one-dimensional")
-            if self.gap is None:
-                raise ArgumentError("renewal model requires a gap law")
-        elif self.k is not None or self.gap is not None:
-            raise ArgumentError(f"{v.value} model takes no extra parameters")
+        row, name = _VARIANTS[self.variant], self.variant.value
+        if not (isinstance(self.d, int) and self.d in row.dims):
+            raise ArgumentError(f"{name} models take d in {list(row.dims)}, got {self.d!r}")
+        _check_params(self, f"{name} model", ("k", "gap"), row.param)
+        if row.param == "k" and not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+            raise DomainError(f"{name} model requires integer k >= 1, got {self.k!r}")
 
     @staticmethod
     def poisson(d: int = 1) -> "ProcessModel":
@@ -217,18 +218,11 @@ class ProcessModel:
         return ProcessModel(Variant.RENEWAL, 1, gap=gap)
 
     def describe(self) -> str:
-        if self.variant is Variant.BERNOULLI_BLOCK:
-            return f"bernoulli_block(k={self.k},d={self.d})"
-        if self.variant is Variant.VIBRATING_LATTICE:
-            return f"vibrating_lattice(k={self.k})"
-        if self.variant is Variant.RENEWAL:
-            g = self.gap
-            if g.kind is GapLawKind.UNIFORM_HAT:
-                return f"renewal(uniform_hat,k={g.k})"
-            if g.theta == 1.0:
-                return "renewal(exponential)"
-            return f"renewal(gamma,theta={g.theta:g})"
-        return f"{self.variant.value}(d={self.d})"
+        """``variant(parameter,d=...)``, d only for a variant of several dimensions."""
+        row = _VARIANTS[self.variant]
+        parts = [self.gap.describe() if self.gap else f"k={self.k}"] if row.param else []
+        parts += [f"d={self.d}"] if len(row.dims) > 1 else []
+        return f"{self.variant.value}({','.join(parts)})"
 
 
 @dataclass(frozen=True)
@@ -563,15 +557,6 @@ def _draw_renewal(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np
     return _select(rows, in_window(rows, half))
 
 
-_DRAWS = {
-    Variant.POISSON: _draw_poisson,
-    Variant.LATTICE: _draw_lattice,
-    Variant.BERNOULLI_BLOCK: _draw_bernoulli,
-    Variant.VIBRATING_LATTICE: _draw_vibrating,
-    Variant.RENEWAL: _draw_renewal,
-}
-
-
 def sample(model: ProcessModel, R: float, n: int, seed: Seed) -> Replicas:
     """The ``n`` replicas of ``model`` in the centred cube of side ``R`` as
     one batch; replica j draws from ``Seed(seed.master, seed.replica + j)``,
@@ -589,7 +574,7 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed) -> Replicas:
     n = int(n)
     _check_batch(n, 4)  # the n rows of 4 seed words, before the hash runs
     states = _seed_states(seed.master, seed.replica, n)
-    pts, counts = _DRAWS[model.variant](model, R, states)
+    pts, counts = _VARIANTS[model.variant].draw(model, R, states)
     return Replicas(pts, np.concatenate([[0], np.cumsum(counts)]), R)
 
 
@@ -802,17 +787,26 @@ def rho2_hardcore() -> Rho2Analytic:
     return Rho2Analytic(1, cont, nodes_fn=lambda limit: np.array([0.5 - t / 2.0, 0.5 + t / 2.0]))
 
 
-_RHO2 = {
-    Variant.POISSON: _rho2_poisson,
-    Variant.LATTICE: _rho2_lattice,
-    Variant.BERNOULLI_BLOCK: _rho2_bernoulli,
-    Variant.VIBRATING_LATTICE: _rho2_vibrating,
-    Variant.RENEWAL: _rho2_renewal,
-}
-
-
 def rho2_analytic(model: ProcessModel) -> Rho2Analytic:
     """Analytic (or numerically convolved, for renewal gaps) two-point
     correlation of ``model``, normalized so that Poisson gives identically 1.
     """
-    return _RHO2[model.variant](model)
+    return _VARIANTS[model.variant].rho2(model)
+
+
+class _VariantRow(NamedTuple):
+    param: str | None  # the field it takes besides d: "k", "gap" or none
+    dims: tuple[int, ...]  # the dimensions it has
+    draw: Callable  # (model, R, seed words of the batch) -> (points, counts)
+    rho2: Callable  # model -> Rho2Analytic
+
+
+# a model variant is one row: ProcessModel's checks and describe, sample and
+# rho2_analytic read nothing else about it
+_VARIANTS = {
+    Variant.POISSON: _VariantRow(None, (1, 2, 3), _draw_poisson, _rho2_poisson),
+    Variant.LATTICE: _VariantRow(None, (1, 2, 3), _draw_lattice, _rho2_lattice),
+    Variant.BERNOULLI_BLOCK: _VariantRow("k", (1, 2, 3), _draw_bernoulli, _rho2_bernoulli),
+    Variant.VIBRATING_LATTICE: _VariantRow("k", (1,), _draw_vibrating, _rho2_vibrating),
+    Variant.RENEWAL: _VariantRow("gap", (1,), _draw_renewal, _rho2_renewal),
+}

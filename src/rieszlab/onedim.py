@@ -97,9 +97,6 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
     their order along the line, as a loop over replicas would add them.  The
     densities of every order come from that one sort, in the order of ``k``.
     """
-    orders = list(k)
-    if not orders or min(orders) < 1:
-        raise ArgumentError("neighbor order k must be at least 1")
     if not x_max < L:
         raise DomainError("x_max must be smaller than the window length L")
     if not (step > 0.0 and x_max >= 0.0):
@@ -107,6 +104,10 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
     _require_replicas(len(samples))
     _check_batch(len(samples), x_max / step + 1.0)  # the per-replica rows, before any grid
     n_bins = int(round(x_max / step)) + 1
+    _check_batch(len(k), n_bins)  # one density per order, before the orders are listed
+    orders = list(k)
+    if not orders or min(orders) < 1:
+        raise ArgumentError("neighbor order k must be at least 1")
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
@@ -136,9 +137,9 @@ def crystallization_gap(densities: list[NeighborDensity], s_exponent: float,
     if not 0.0 <= s_exponent < 1.0:
         raise DomainError("s_exponent must lie in [0, 1)")
     by_k = {d.k: d for d in densities}
-    missing = [k for k in range(1, k_max + 1) if k not in by_k]
-    if missing:
-        raise ArgumentError(f"missing neighbor densities for k = {missing}")
+    if not 1 <= k_max <= len(by_k) or any(k not in by_k for k in range(1, k_max + 1)):
+        raise ArgumentError(f"k_max = {k_max} needs the neighbor densities of k = 1 to "
+                            f"{k_max}, got k = {sorted(by_k)}")
     total = 0.0
     for k in range(1, k_max + 1):
         d = by_k[k]

@@ -198,6 +198,36 @@ class TestCommands:
         assert f"plot '{kind}.csv'" in script
         assert ("fitted slope" in script) == (kind == "variance")
 
+    @pytest.mark.parametrize("kind, script", [
+        ("variance", "set logscale xy\nset xlabel 'R'\nset ylabel 'mean squared discrepancy'\n"
+                     "{label}plot 'variance.csv' skip 1 using 1:2:3 with yerrorlines "
+                     "title 'variance'\n"),
+        ("rho2", "set xlabel 'v'\nset ylabel 'pair correlation minus one'\n"
+                 "plot 'rho2.csv' skip 1 using 1:2:3 with yerrorlines title 'rho2 - 1'\n"),
+        ("energy", "set xlabel 'R'\nset ylabel 'energy per volume'\nset logscale x\n"
+                   "plot 'energy.csv' skip 1 using 1:2:3 with yerrorlines title 'ladder'"
+                   "{asymptote}\n"),
+        ("freemin", "set xlabel 'theta'\nset ylabel 'free energy'\nset logscale x\n"
+                    "plot 'freemin.csv' skip 1 using 1:4 with linespoints title 'f', "
+                    "'freemin.csv' skip 1 using 1:2 with linespoints title 'energy', "
+                    "'freemin.csv' skip 1 using 1:3 with linespoints title 'entropy rate'\n"),
+    ])
+    @pytest.mark.parametrize("companion", [False, True], ids=["bare", "companion"])
+    def test_plot_script_text_is_pinned(self, tmp_path, kind, script, companion):
+        # each kind's script, byte for byte, without and with a companion JSON
+        # that carries both annotations (each kind draws only its own)
+        from rieszlab.cli import HEADERS, emit_plot_script
+
+        csv = tmp_path / f"{kind}.csv"
+        csv.write_text(",".join(HEADERS[kind]) + "\n" + ",".join("1" * len(HEADERS[kind])) + "\n")
+        extra = {"fitted_exponent": 0.123456789, "extrapolated": -1.5} if companion else None
+        out = emit_plot_script(csv, kind, tmp_path / "fig.gp", extra)
+        label = "set label 'fitted slope 0.123456789' at graph 0.1, 0.9\n" if companion else ""
+        asymptote = ", -1.5 with lines dashtype 2 title 'extrapolated'" if companion else ""
+        want = f"set datafile separator ','\n# kind: {kind}\n" + script.format(
+            label=label, asymptote=asymptote)
+        assert out.read_bytes() == want.encode()
+
     def test_plot_rejects_wrong_header(self, tmp_path, runner):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
@@ -510,6 +540,10 @@ class TestSpecLayer:
                      "tile_count": 10**14}, "a batch may hold"),
         ("generate", {"model": {"variant": "lattice"}, "R": 0.5, "n_replicas": 2**28},
          "a batch may hold"),
+        ("neighbors", {"model": GAMMA_TWO, "L": 32, "n_replicas": 2, "k_max": 10**12},
+         "a batch may hold"),
+        ("crystal", {"model": GAMMA_TWO, "L": 32, "n_replicas": 2, "k_max": 10**12},
+         "a batch may hold"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
@@ -519,7 +553,8 @@ class TestSpecLayer:
             "crystal_negative_x_max", "renewal_too_narrow", "block_too_large",
             "poisson_too_large", "series_too_long", "vibrating_rho2_too_long",
             "lp_grid_too_large", "rho2_bins_too_many", "neighbors_step_too_fine",
-            "pinsker_tiles_too_many", "generate_replicas_too_many"])
+            "pinsker_tiles_too_many", "generate_replicas_too_many", "neighbors_k_max_too_many",
+            "crystal_k_max_too_many"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, address_space_cap,
                                                    command, spec, needle):
         _reject(runner, tmp_path, command, spec, needle)
@@ -670,3 +705,37 @@ class TestSpecLayer:
                 clause = [c for c in clauses if f"`{name}`" in c]
                 assert len(clause) == 1, name
                 assert set(re.findall(r"`(\w+)`", clause[0])) - set(cases) == set(keys), name
+
+
+# the generate spec of every model form and the description its CSVs carry
+MODEL_FORMS = [
+    ({"variant": "poisson", "d": 2}, "poisson(d=2)"),
+    ({"variant": "lattice"}, "lattice(d=1)"),
+    ({"variant": "bernoulli_block", "k": 4}, "bernoulli_block(k=4,d=1)"),
+    ({"variant": "vibrating_lattice", "k": 8}, "vibrating_lattice(k=8)"),
+    ({"variant": "renewal", "gap": {"law": "exponential"}}, "renewal(exponential)"),
+    ({"variant": "renewal", "gap": {"law": "gamma", "theta": 2}}, "renewal(gamma,theta=2)"),
+    ({"variant": "renewal", "gap": {"law": "uniform_hat", "k": 3}}, "renewal(uniform_hat,k=3)"),
+]
+
+
+def test_every_variant_is_spelled_in_each_place(tmp_path):
+    # a variant added in one place only fails here: it needs one row of the
+    # variant table, a schema entry with that row's keys, and a pinned
+    # description, which the generate CSVs carry as their model line
+    from rieszlab.cli import MODEL
+    from rieszlab.generators import Variant, _VARIANTS
+
+    assert list(_VARIANTS) == list(Variant)
+    cases, _ = MODEL["variant"]
+    assert set(cases) == {v.value for v in Variant}
+    for variant, row in _VARIANTS.items():
+        keys = {row.param} - {None} | ({"d"} if len(row.dims) > 1 else set())
+        assert set(cases[variant.value][0]) == keys, variant
+    assert {spec["variant"] for spec, _ in MODEL_FORMS} == set(cases)
+    for j, (spec, described) in enumerate(MODEL_FORMS):
+        manifest = run({"command": "generate", "model": spec, "R": 4, "seed": 3,
+                        "out": str(tmp_path / str(j))})
+        assert _validate(manifest["spec"])[1]["model"].describe() == described
+        lines = (tmp_path / str(j) / "config_0000.csv").read_text().splitlines()
+        assert lines[2:4] == [f"# model={described}", "# seed=3:0"], spec

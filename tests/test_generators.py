@@ -55,6 +55,32 @@ class TestValidation:
                 factory(k)
         assert ProcessModel.bernoulli_block(np.int64(2)) == ProcessModel.bernoulli_block(2)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ProcessModel(Variant.BERNOULLI_BLOCK, 1, k=2, gap=GapLaw.gamma(2.0)), "gap"),
+        (lambda: ProcessModel(Variant.VIBRATING_LATTICE, 1, k=4, gap=GapLaw.gamma(2.0)), "gap"),
+        (lambda: ProcessModel(Variant.POISSON, 1, gap=GapLaw.gamma(2.0)), "gap"),
+        (lambda: ProcessModel(Variant.RENEWAL, 1, k=5, gap=GapLaw.gamma(2.0)), "k"),
+        (lambda: GapLaw(GapLawKind.UNIFORM_HAT, theta=2.0, k=3), "theta"),
+        (lambda: GapLaw(GapLawKind.GAMMA, theta=2.0, k=3), "k"),
+    ], ids=["block_gap", "vibrating_gap", "poisson_gap", "renewal_k", "hat_theta", "gamma_k"])
+    def test_stray_parameter_rejected(self, make, field):
+        # a parameter the variant or gap-law kind does not take is an error,
+        # named in the message, not a field that is ignored
+        with pytest.raises(ArgumentError, match=f"takes no {field}$"):
+            make()
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: ProcessModel(Variant.BERNOULLI_BLOCK, 2), "k"),
+        (lambda: ProcessModel(Variant.VIBRATING_LATTICE, 1), "k"),
+        (lambda: GapLaw(GapLawKind.GAMMA), "theta"),
+        (lambda: GapLaw(GapLawKind.UNIFORM_HAT), "k"),
+    ], ids=["block_k", "vibrating_k", "gamma_theta", "hat_k"])
+    def test_missing_parameter_rejected(self, make, field):
+        # a missing parameter is an argument error; a k out of range stays a
+        # domain error (test_gap_laws)
+        with pytest.raises(ArgumentError, match=f"requires {field}$"):
+            make()
+
     def test_gap_law_normalization(self):
         from scipy import integrate
 

@@ -183,6 +183,13 @@ class TestKthNeighborDensity:
         batch = sample(ProcessModel.poisson(1), 8.0, 2, Seed(0))
         rejected_before_allocation(lambda: kth_neighbor_density(batch, [1], 8.0, 1.0, step))
 
+    def test_orders_too_many_are_rejected_before_listing(self, rejected_before_allocation):
+        # one density of 33 bins per order: 10**12 orders are rejected before
+        # the range is listed
+        batch = sample(ProcessModel.poisson(1), 8.0, 2, Seed(0))
+        rejected_before_allocation(
+            lambda: kth_neighbor_density(batch, range(1, 10**12 + 1), 8.0, 1.0))
+
 
 class TestCrystallizationGap:
     def _densities(self, replicas, model, k_max=8, n=300, master=311):
@@ -208,6 +215,15 @@ class TestCrystallizationGap:
         dens = self._densities(replicas, ProcessModel.poisson(1), k_max=3, n=20)
         with pytest.raises(ArgumentError):
             crystallization_gap(dens[:2] + dens[2:], 0.5, 5)
+        with pytest.raises(ArgumentError, match=r"got k = \[1, 3\]"):
+            crystallization_gap([dens[0], dens[2]], 0.5, 2)
+
+    @pytest.mark.parametrize("k_max", [0, 10**12])
+    def test_k_max_is_checked_against_the_densities(self, replicas, k_max):
+        # before any order is listed: 10**12 orders are not looped over
+        dens = self._densities(replicas, ProcessModel.poisson(1), k_max=3, n=20)
+        with pytest.raises(ArgumentError, match="needs the neighbor densities"):
+            crystallization_gap(dens, 0.5, k_max)
 
 
 SCAN_GRID = [0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0]
