@@ -14,7 +14,6 @@ from .core import (
     DivergenceError,
     DomainError,
     Kernel,
-    KernelFamily,
     NotApplicableError,
     PointConfiguration,
     Replicas,

@@ -184,7 +184,7 @@ def _energy(a: dict, outfile) -> dict:
     kernel = rep.kernel
     write_json(outfile("energy.json"), {
         **_fields(rep, "kernel", "entries", "n_discarded"),
-        "kernel": {"family": kernel.family.value, "d": kernel.d, "s": kernel.s},
+        "kernel": {"family": kernel.family, "d": kernel.d, "s": kernel.s},
         "entries": [{"R": R, "value": v, "stderr": s} for R, v, s in rep.entries]})
     return {"discarded_replicas": rep.n_discarded}
 

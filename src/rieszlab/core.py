@@ -1,22 +1,23 @@
 """Kernels, point configurations, window counts and the replica reduction.
 
-The pairwise interaction is ``-log|x|`` in dimension 1 or 2, or the inverse
-power ``|x|**-s`` with ``max(0, d-2) <= s < d``.  Following the paper, every
-window is the centred cube ``C_R = [-R/2, R/2]^d``, which a configuration
-names by its side R, and every energy is a limit over an increasing ladder of
-sides R (``ladder``).  ``Replicas`` holds the replicas of one rung as one
-batch, a ``PointConfiguration`` is a batch of one, ``_check_batch`` bounds
-every batch array, ``in_window`` is the one closed-window test,
-``counts_in_cube`` gives every window count, ``_replica_histogram`` every
-(replica, bin) histogram, and ``mean_stderr`` reduces every estimate over
-replicas.  All operations are pure functions of their arguments.
+The pairwise interaction ``Kernel(d, s)`` is named, as in the paper, by its
+dimension d and exponent s alone: ``-log|x|`` when s is None, in dimension 1
+or 2, or the inverse power ``|x|**-s`` with ``max(0, d-2) <= s < d``.
+Following the paper, every window is the centred cube ``C_R = [-R/2, R/2]^d``,
+which a configuration names by its side R, and every energy is a limit over
+an increasing ladder of sides R (``ladder``).  ``Replicas`` holds the
+replicas of one rung as one batch, a ``PointConfiguration`` is a batch of
+one, ``_check_batch`` bounds every batch array, ``in_window`` is the one
+closed-window test, ``counts_in_cube`` gives every window count,
+``_replica_histogram`` every (replica, bin) histogram, and ``mean_stderr``
+reduces every estimate over replicas; ``_is_int`` is the one test of every
+integer field.  All operations are pure functions of their arguments.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -41,52 +42,43 @@ class DivergenceError(RuntimeError):
     """A quadrature or limit was diagnosed as divergent; no value is reported."""
 
 
-class KernelFamily(Enum):
-    LOG1D = "log1d"
-    LOG2D = "log2d"
-    RIESZ = "riesz"
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer (``int`` or a numpy integer), not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Radial interaction kernel.
-
-    ``LOG1D``/``LOG2D`` are the logarithmic kernels in d=1 and d=2; ``RIESZ``
-    is ``|x|**-s`` and requires ``max(0, d-2) <= s < d`` with ``s > 0`` in
-    dimensions 1 and 2 (``s = 0`` is not a synonym for the log kernels here).
+    """Radial interaction kernel in dimension ``d``: ``-log|x|`` when ``s``
+    is None, in d = 1 or 2, else ``|x|**-s`` with ``max(0, d-2) <= s < d``
+    and ``s > 0`` (``s = 0`` is not a synonym for the log kernel here).
     """
 
-    family: KernelFamily
     d: int
     s: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or not (1 <= self.d <= 3):
+        if not (_is_int(self.d) and 1 <= self.d <= 3):
             raise ArgumentError(f"dimension must be an integer in [1, 3], got {self.d!r}")
-        if self.family is KernelFamily.LOG1D:
-            if self.d != 1:
-                raise ArgumentError("log kernel in variant LOG1D requires d = 1")
-            if self.s is not None:
-                raise ArgumentError("log kernels carry no exponent")
-        elif self.family is KernelFamily.LOG2D:
-            if self.d != 2:
-                raise ArgumentError("log kernel in variant LOG2D requires d = 2")
-            if self.s is not None:
-                raise ArgumentError("log kernels carry no exponent")
-        else:
-            if self.s is None:
-                raise ArgumentError("Riesz kernel requires an exponent s")
-            lo = max(0.0, self.d - 2.0)
-            if not (lo <= self.s < self.d):
-                raise DomainError(
-                    f"Riesz exponent must satisfy max(0, d-2) <= s < d, got s={self.s}, d={self.d}"
-                )
-            if self.d <= 2 and self.s <= 0.0:
-                raise DomainError("Riesz exponent must be positive in dimensions 1 and 2")
+        object.__setattr__(self, "d", int(self.d))  # a plain int, whose powers stay exact
+        if self.s is None:
+            if self.d == 3:
+                raise ArgumentError("log kernels take d = 1 or 2")
+        elif not max(0.0, self.d - 2.0) <= self.s < self.d:
+            raise DomainError(
+                f"Riesz exponent must satisfy max(0, d-2) <= s < d, got s={self.s}, d={self.d}"
+            )
+        elif self.s <= 0.0:  # d <= 2 here, as s >= 1 in d = 3
+            raise DomainError("Riesz exponent must be positive in dimensions 1 and 2")
 
     @property
     def is_log(self) -> bool:
-        return self.family is not KernelFamily.RIESZ
+        return self.s is None
+
+    @property
+    def family(self) -> str:
+        """The kernel's tag in a spec: "log1d", "log2d" or "riesz"."""
+        return f"log{self.d}d" if self.is_log else "riesz"
 
     def g(self, r):
         """Evaluate the kernel at radius ``r`` (vectorized, r > 0 assumed)."""
@@ -105,11 +97,11 @@ class Kernel:
 
 
 def log_kernel(d: int = 1) -> Kernel:
-    return Kernel(KernelFamily.LOG1D if d == 1 else KernelFamily.LOG2D, d)
+    return Kernel(d)
 
 
 def riesz_kernel(s: float, d: int = 1) -> Kernel:
-    return Kernel(KernelFamily.RIESZ, d, float(s))
+    return Kernel(d, float(s))
 
 
 def _side(R) -> float:

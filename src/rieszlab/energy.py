@@ -162,11 +162,12 @@ def wint_monte_carlo(model: ProcessModel, kernel: Kernel, R_list, n_replicas: in
     discarded = 0
     planned = n_replicas * len(R_list)
     for i, R in enumerate(R_list):
-        bb = quadrature.background_pair_integral(kernel, R)
         vals = []
         for j0 in range(0, n_replicas, _REPLICA_BLOCK):
             block = sample(model, R, min(_REPLICA_BLOCK, n_replicas - j0),
                            Seed(seed.master, seed.replica + i * n_replicas + j0))
+            if j0 == 0:  # after the first block's bound, which rejects too large a window
+                bb = quadrature.background_pair_integral(kernel, R)
             # a replica drawn in C_R lies inside it, so all its points count
             energies, singular = _window_energies(block.points, block.offsets, R, kernel, bb)
             for j in np.flatnonzero(singular):

@@ -18,6 +18,7 @@ from .core import (
     NotApplicableError,
     Replicas,
     _check_batch,
+    _is_int,
     _require_replicas,
     _side,
     counts_in_cube,
@@ -36,7 +37,7 @@ class GridSpec:
     n_bins: int
 
     def __post_init__(self) -> None:
-        if not (self.v_max > 0.0 and self.n_bins >= 2):
+        if not (self.v_max > 0.0 and _is_int(self.n_bins) and self.n_bins >= 2):
             raise DomainError("grid spec requires v_max > 0 and n_bins >= 2")
 
 

@@ -51,6 +51,7 @@ from .core import (
     NotApplicableError,
     Replicas,
     _check_batch,
+    _is_int,
     _side,
     in_window,
 )
@@ -93,7 +94,7 @@ class GapLaw:
         if takes == "theta":
             if not self.theta > 0:
                 raise DomainError("Gamma gap law requires shape theta > 0")
-        elif not (isinstance(self.k, (int, np.integer)) and self.k >= 2):
+        elif not (_is_int(self.k) and self.k >= 2):
             raise DomainError("UniformHat gap law requires integer k >= 2")
 
     @staticmethod
@@ -191,10 +192,11 @@ class ProcessModel:
 
     def __post_init__(self) -> None:
         row, name = _VARIANTS[self.variant], self.variant.value
-        if not (isinstance(self.d, int) and self.d in row.dims):
+        if not (_is_int(self.d) and self.d in row.dims):
             raise ArgumentError(f"{name} models take d in {list(row.dims)}, got {self.d!r}")
+        object.__setattr__(self, "d", int(self.d))  # a plain int, whose powers stay exact
         _check_params(self, f"{name} model", ("k", "gap"), row.param)
-        if row.param == "k" and not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
+        if row.param == "k" and not (_is_int(self.k) and self.k >= 1):
             raise DomainError(f"{name} model requires integer k >= 1, got {self.k!r}")
 
     @staticmethod
@@ -241,7 +243,7 @@ class Seed:
     def __post_init__(self) -> None:
         for name in ("master", "replica"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ArgumentError(f"seed {name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if self.replica < 0:
@@ -457,6 +459,7 @@ def _draw_poisson(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np
 
 def _draw_lattice(model: ProcessModel, R: float, states) -> tuple[np.ndarray, np.ndarray]:
     half, d = R / 2.0, model.d
+    _check_batch(len(states), _span_cells(R)**d * d)  # before the int64 grid bounds
     u = _uniform(_words(states, d), 0.0, 1.0)
     lo = np.ceil(-half - u).astype(np.int64)
     size = np.floor(half - u).astype(np.int64) - lo + 1
@@ -569,7 +572,7 @@ def sample(model: ProcessModel, R: float, n: int, seed: Seed) -> Replicas:
     clipping, like the window checks, runs once for the whole batch.
     """
     R = _side(R)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ArgumentError(f"the number of replicas must be a positive integer, got {n!r}")
     n = int(n)
     _check_batch(n, 4)  # the n rows of 4 seed words, before the hash runs
@@ -725,10 +728,10 @@ def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     """
     h = _RENEWAL_STEP
     mixing = 3.0 / gap.std**2 + 10.0 * gap.std
-    v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
-    if v_max > _RENEWAL_V_LIMIT:
+    if not mixing <= _RENEWAL_V_LIMIT:  # before the ceil, which takes no inf
         raise DomainError(f"renewal gap law too narrow: its density grid needs "
-                          f"v_max = {v_max} > {_RENEWAL_V_LIMIT}")
+                          f"v_max = {np.ceil(mixing):.0f} > {_RENEWAL_V_LIMIT}")
+    v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
     m = int(round(v_max / h))
     edges = np.arange(m + 2) * h
     mass = np.diff(gap.cdf(edges))

@@ -37,7 +37,7 @@ import itertools
 
 import numpy as np
 
-from .core import ArgumentError, Kernel, KernelFamily, in_window
+from .core import ArgumentError, Kernel, in_window
 
 # point-background panels: nodes per chunk, which bounds the temporaries for
 # any number of points, and the Gauss-Legendre order and largest width
@@ -301,7 +301,7 @@ def point_background(kernel: Kernel, pts: np.ndarray, R: float) -> np.ndarray:
         raise ArgumentError("points must lie in the closed window")
     if d == 1:
         return point_background_1d(kernel, pts[:, 0], R)
-    if kernel.family is KernelFamily.LOG2D:
+    if kernel.is_log:
         return -_log_boxes_2d(-R / 2.0 - pts, R / 2.0 - pts)
     signs = np.array(list(itertools.product((1.0, -1.0), repeat=d)))
     perms = np.array(list(itertools.permutations(range(d))))

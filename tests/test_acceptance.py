@@ -81,7 +81,7 @@ def test_c02_route_agreement():
                     + qd.extrapolation_error)
         rel = diff / abs(qd.extrapolated)
         ok &= diff <= combined and rel <= 0.05
-        tag = f"{model.describe()}/{kernel.family.value}"
+        tag = f"{model.describe()}/{kernel.family}"
         details.append(f"{tag} rel={100 * rel:.1f}%")
     _report(2, ok, "; ".join(details))
 

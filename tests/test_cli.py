@@ -544,6 +544,22 @@ class TestSpecLayer:
          "a batch may hold"),
         ("crystal", {"model": GAMMA_TWO, "L": 32, "n_replicas": 2, "k_max": 10**12},
          "a batch may hold"),
+        ("generate", {"model": {"variant": "lattice"}, "R": 1e19}, "a batch may hold"),
+        ("generate", {"model": {"variant": "lattice"}, "R": 1e20}, "a batch may hold"),
+        ("generate", {"model": {"variant": "lattice", "d": 2}, "R": 1e300}, "a batch may hold"),
+        ("energy", {"model": {"variant": "renewal", "gap": {"law": "gamma", "theta": 1e308}},
+                    "kernel": {"family": "log1d"}, "R_list": [128, 256], "route": "rho2"},
+         "renewal gap law too narrow"),
+        ("freemin", {"kernel": {"family": "riesz", "s": 0.5}, "beta": 1.0,
+                     "theta_grid": [1.0, 1e308], "R_list": [64, 128]},
+         "renewal gap law too narrow"),
+        ("energy", {"model": {"variant": "poisson", "d": 2}, "kernel": {"family": "log2d"},
+                    "R_list": [1e100, 2e100], "n_replicas": 30, "route": "mc"},
+         "a batch may hold"),
+        ("energy", {"model": {"variant": "poisson", "d": 3},
+                    "kernel": {"family": "riesz", "s": 1.5, "d": 3},
+                    "R_list": [1e80, 2e80], "n_replicas": 30, "route": "mc"},
+         "a batch may hold"),
     ], ids=["short_decade", "few_replicas", "non_increasing", "one_replica", "one_bin",
             "lattice_2d_rho2", "neighbors_one_replica", "crystal_one_replica",
             "pinsker_one_replica", "generate_zero_side", "neighbors_negative_side",
@@ -554,7 +570,10 @@ class TestSpecLayer:
             "poisson_too_large", "series_too_long", "vibrating_rho2_too_long",
             "lp_grid_too_large", "rho2_bins_too_many", "neighbors_step_too_fine",
             "pinsker_tiles_too_many", "generate_replicas_too_many", "neighbors_k_max_too_many",
-            "crystal_k_max_too_many"])
+            "crystal_k_max_too_many", "lattice_side_1e19", "lattice_side_1e20",
+            "lattice_2d_side_1e300", "renewal_gamma_shape_past_floats",
+            "freemin_gamma_shape_past_floats", "mc_log2d_background_past_floats",
+            "mc_riesz_3d_background_past_floats"])
     def test_library_rejection_leaves_no_directory(self, tmp_path, runner, address_space_cap,
                                                    command, spec, needle):
         _reject(runner, tmp_path, command, spec, needle)
@@ -739,3 +758,42 @@ def test_every_variant_is_spelled_in_each_place(tmp_path):
         assert _validate(manifest["spec"])[1]["model"].describe() == described
         lines = (tmp_path / str(j) / "config_0000.csv").read_text().splitlines()
         assert lines[2:4] == [f"# model={described}", "# seed=3:0"], spec
+
+
+KERNEL_FORMS = [  # a kernel spec, the kernel it builds, and its lines in energy.json
+    ({"family": "log1d"}, ("log1d", 1, None), ('"d": 1,', '"family": "log1d",', '"s": null')),
+    ({"family": "log2d"}, ("log2d", 2, None), ('"d": 2,', '"family": "log2d",', '"s": null')),
+    ({"family": "riesz", "s": 0.5}, ("riesz", 1, 0.5),
+     ('"d": 1,', '"family": "riesz",', '"s": 0.5')),
+    ({"family": "riesz", "s": 1.0, "d": 2}, ("riesz", 2, 1.0),
+     ('"d": 2,', '"family": "riesz",', '"s": 1.0')),
+    ({"family": "riesz", "s": 1.5, "d": 3}, ("riesz", 3, 1.5),
+     ('"d": 3,', '"family": "riesz",', '"s": 1.5')),
+]
+
+
+def test_every_kernel_is_spelled_in_each_place(tmp_path):
+    # a kernel is its dimension d and exponent s (None for the log kernel);
+    # its family tag is derived from them, and energy.json writes the three
+    # as pinned here
+    from rieszlab import ArgumentError, DomainError, Kernel, riesz_kernel
+    from rieszlab.cli import KERNEL
+
+    cases, _ = KERNEL["family"]
+    assert {spec["family"] for spec, _, _ in KERNEL_FORMS} == set(cases)
+    for j, (spec, (family, d, s), lines) in enumerate(KERNEL_FORMS):
+        out = tmp_path / str(j)
+        manifest = run({"command": "energy", "kernel": spec, "route": "rho2",
+                        "model": {"variant": "poisson", "d": d}, "R_list": [8, 16],
+                        "out": str(out)})
+        kernel = _validate(manifest["spec"])[1]["kernel"]
+        assert (kernel.family, kernel.d, kernel.s) == (family, d, s)
+        pinned = '  "kernel": {\n' + "".join(f"    {line}\n" for line in lines) + "  },\n"
+        assert pinned in (out / "energy.json").read_text(), spec
+    for bad in (3, True):  # no log kernel in d = 3; a bool is no dimension
+        with pytest.raises(ArgumentError):
+            Kernel(bad)
+    with pytest.raises(DomainError):
+        Kernel(2, 2.0)  # s < d
+    with pytest.raises(DomainError):
+        riesz_kernel(0.0, 1)  # s = 0 is not the log kernel

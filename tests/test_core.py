@@ -6,8 +6,8 @@ import pytest
 from rieszlab import (
     ArgumentError,
     DomainError,
+    GridSpec,
     Kernel,
-    KernelFamily,
     PointConfiguration,
     ProcessModel,
     Replicas,
@@ -50,9 +50,7 @@ class TestKernel:
 
     def test_validity_constraints(self):
         with pytest.raises(ArgumentError):
-            Kernel(KernelFamily.LOG1D, 2)
-        with pytest.raises(ArgumentError):
-            Kernel(KernelFamily.LOG2D, 1)
+            Kernel(3)  # no log kernel in d = 3
         with pytest.raises(DomainError):
             riesz_kernel(0.0, 1)  # s = 0 is not a log synonym
         with pytest.raises(DomainError):
@@ -66,6 +64,33 @@ class TestKernel:
         for k in (log_kernel(1), riesz_kernel(0.7, 1)):
             g = k.g(r)
             assert np.all(np.diff(g) < 0)
+
+
+class TestIntegerFields:
+    # one predicate (core._is_int) serves every integer field: a bool or a
+    # float with a fractional part is refused with the field's own error
+    @pytest.mark.parametrize("make, error, needle", [
+        (lambda: Kernel(True), ArgumentError, "dimension must be an integer"),
+        (lambda: riesz_kernel(0.5, True), ArgumentError, "dimension must be an integer"),
+        (lambda: ProcessModel.poisson(True), ArgumentError, "take d in"),
+        (lambda: ProcessModel.bernoulli_block(2, True), ArgumentError, "take d in"),
+        (lambda: ProcessModel.bernoulli_block(True), DomainError, "integer k >= 1"),
+        (lambda: ProcessModel.vibrating_lattice(True), DomainError, "integer k >= 1"),
+        (lambda: sample(ProcessModel.poisson(1), 4.0, True, Seed(0)), ArgumentError,
+         "number of replicas"),
+        (lambda: GridSpec(4.0, 2.5), DomainError, "n_bins >= 2"),
+    ], ids=["kernel_d_bool", "riesz_d_bool", "poisson_d_bool", "block_d_bool", "block_k_bool",
+            "vibrating_k_bool", "replicas_bool", "n_bins_fraction"])
+    def test_rejected(self, make, error, needle):
+        with pytest.raises(error, match=needle):
+            make()
+
+    def test_numpy_integers_are_integers(self):
+        assert ProcessModel.bernoulli_block(np.int64(2), np.int32(2)) == \
+            ProcessModel.bernoulli_block(2, 2)
+        assert riesz_kernel(1.0, np.int64(2)) == riesz_kernel(1.0, 2)
+        assert type(ProcessModel.poisson(np.int64(2)).d) is type(log_kernel(np.int64(2)).d) is int
+        assert GridSpec(4.0, np.int64(8)).n_bins == 8
 
 
 class TestPsiWeight:

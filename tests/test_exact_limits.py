@@ -48,7 +48,7 @@ def _energy(model, kernel, route, R_list):
 
 def _row_id(row) -> str:
     model, kernel, route = row[:3]
-    name = kernel.family.value if kernel.is_log else f"riesz{kernel.s:g}"
+    name = kernel.family if kernel.is_log else f"riesz{kernel.s:g}"
     return f"{model.describe()}/{name}/{route}"
 
 

@@ -272,14 +272,19 @@ class TestSampling:
         (ProcessModel.poisson(3), 1e7),
         (ProcessModel.poisson(1), 2.0**28),
         (ProcessModel.poisson(2), 1e200),
+        (ProcessModel.lattice(1), 1e19),
+        (ProcessModel.lattice(1), 1e20),
+        (ProcessModel.lattice(2), 1e300),
     ], ids=["block_words", "lattice_cells", "vibrating_words", "gamma_gaps", "hat_gaps",
-            "poisson_mean_past_numpy", "poisson_words", "poisson_mean_past_floats"])
+            "poisson_mean_past_numpy", "poisson_words", "poisson_mean_past_floats",
+            "lattice_side_1e19", "lattice_side_1e20", "lattice_2d_side_1e300"])
     def test_a_batch_too_large_is_rejected_before_allocation(self, model, R):
         # each needs far more than 2**27 words: 3 * 10**9 for a block of side
         # 1000 in d = 3 however small the window, 3 * 10**12 for the lattice
         # cells, and a word per site or gap of a line 10**9 or 10**12 long;
         # a Poisson window holds about R**d points of d words, 3 * 10**21
-        # (past what numpy's Poisson draw takes), 2**28 or 10**400
+        # (past what numpy's Poisson draw takes), 2**28 or 10**400; a lattice
+        # window past 2**63 cells a side is rejected before its int64 bounds
         with pytest.raises(DomainError, match="a batch may hold"):
             sample(model, R, 1, Seed(0))
 
