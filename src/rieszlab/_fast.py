@@ -13,10 +13,17 @@ where g is smooth, through ``_CHEB_P`` Chebyshev nodes per box, whose
 interpolation error (3 + 2 sqrt 2)^-p is below 1e-16: with m the box sums
 of the basis at the points, the far field is m . G m for the block-Toeplitz
 G of g between the nodes, one FFT along the boxes.  The binning kernels
-keep only separations below ``v_max``: they sort a whole batch by
-(replica, first coordinate) and walk its diagonals, adding one
-``bincount`` over (replica, bin) per diagonal.  Every sum runs in an order
-set by the points of its own set or replica, without BLAS, so results are
+keep only separations below ``v_max``.  They sort each replica by its first
+coordinate in one padded ``argsort`` for the whole batch, and in d >= 2 copy
+each point into windows of two adjacent strips of the second coordinate, so
+that a pair within ``v_max`` meets in one window (cell lists; Allen &
+Tildesley, *Computer Simulation of Liquids*, 1987).  Each row then counts
+the later rows of its window within ``v_max`` in the first coordinate, and
+diagonal k reads only the rows whose count reaches k; each diagonal adds
+one ``bincount`` over (replica, bin).  Besides the output, a walk holds a
+few words per copy and a diagonal's arrays, bounded by ``_BAND_ROWS``
+entries unless one replica is larger.  Every sum runs in an order set by
+the points of its own set or replica, without BLAS, so results are
 reproducible and a replica's row is the same in any batch.
 """
 
@@ -56,6 +63,17 @@ _THETA = [(2 * a + 1) * math.pi / (2 * _CHEB_P) for a in range(_CHEB_P)]
 # import, 0.4 MiB of resident memory
 _NODES = np.array([math.cos(t) for t in _THETA])
 _WEIGHTS = np.array([(-1) ** a * math.sin(t) for a, t in enumerate(_THETA)])
+
+# the binning walk's diagonals take blocks of whole replicas of about
+# _BAND_ROWS copies.  Timed at 2**14, 2**15, 2**16 and unblocked on the
+# correlation_stats rho2 batches (d = 1 and 2) and on Poisson in d = 2 and 3:
+# the times tie within a shared 2-vCPU host's noise, and 2**14 keeps the
+# d = 2 batch's tracemalloc peak at its window set-up (2.2 MiB, against 3.0
+# at 2**15 and 4.2 unblocked)
+_BAND_ROWS = 2**14
+# at most 2**20 strips: a strip index is then off by rounding less than the
+# 1e-9 of v_max by which a strip is wider than the widest pair it must hold
+_MAX_STRIPS = 2**20
 
 
 def _g_sum(r2: np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -277,42 +295,157 @@ def pair_sum(pts: np.ndarray, kernel: Kernel, R: float | None = None) -> tuple[f
     return float(sums[0]), float(min_r2[0])
 
 
-def sort_batch(points: np.ndarray, replica: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(N, d)`` rows ``points`` and their replica ids ``replica``,
-    sorted by (replica, first coordinate); ties keep their order."""
-    along = np.lexsort((points[:, 0], replica))
-    return points[along], replica[along]
+def sort_batch(x: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts the values ``x`` by (group, value)
+    when the ids ``group`` never decrease: ``np.lexsort((x, group))`` bit for
+    bit.  Each run of equal ids is one row of a table padded with NaN, which
+    sorts after every value, and one stable ``argsort`` along the rows sorts
+    every run at once.  A batch so ragged that the padding would outgrow the
+    values goes to ``np.lexsort`` itself."""
+    n = x.size
+    new = np.ones(n, bool)
+    np.not_equal(group[1:], group[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    del new
+    lengths = np.diff(starts, append=n)
+    width = int(lengths.max(initial=0))
+    if starts.size * width > 2 * n:
+        return np.lexsort((x, group))
+    table = np.full((starts.size, width), np.nan)
+    at = np.repeat(width * np.arange(starts.size) - starts, lengths)
+    at += np.arange(n)
+    table.ravel()[at] = x
+    del at
+    order = table.argsort(axis=1, kind="stable")
+    del table
+    order += starts[:, None]
+    return order[np.arange(width) < lengths[:, None]]
 
 
-def _band_diagonals(points: np.ndarray, offsets: np.ndarray, reach: float
+def _strips(R: float, reach: float, d: int) -> int:
+    """How many strips of width at least ``reach`` cut the second coordinate
+    of C_R: ``floor(R / reach)``, at most ``_MAX_STRIPS``; 1 (no cut) in
+    d = 1, for an infinite side, and where fewer than three fit, since two
+    strips make one window."""
+    strips = min(int(R // reach), _MAX_STRIPS) if d > 1 and 0.0 < reach < R < math.inf else 1
+    return strips if strips > 2 else 1
+
+
+def _counted_band(x: np.ndarray, group: np.ndarray, reach: float) -> np.ndarray:
+    """For each row i of the values ``x``, sorted within each run of equal
+    ids ``group`` (which never decrease): how many later rows j of its run
+    have ``x[j] <= x[i] + reach``.  Rounding may count a few rows past
+    ``reach``, never fewer, and never a row of another run.  Unsigned, in the
+    narrowest dtype that holds the largest count."""
+    n = x.size
+    if n == 0:
+        return np.zeros(0, np.uint8)
+    # one search over keys that rise through the runs: run g is shifted by
+    # g * gap.  Every key is within 2 u K of its exact value (u the unit
+    # roundoff, K the largest key), so a margin of 4 u K or more keeps every
+    # row within reach, and a gap of 2 (top + room) keeps each query below
+    # the next run's keys
+    top = float(np.abs(x).max()) + reach
+    room = 8.0 * np.spacing(4.0 * (float(group[-1]) + 2.0) * top)
+    key = group * (2.0 * (top + room))
+    key += x
+    cnt = np.searchsorted(key, key + (reach + room), side="right")
+    del key
+    cnt -= np.arange(1, n + 1)
+    return cnt.astype(np.min_scalar_type(int(cnt.max())))
+
+
+def _windows(points: np.ndarray, offsets: np.ndarray, reach: float, R: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+    """The copies of a batch's points that the band walk reads, sorted by
+    (replica, window, first coordinate): their coordinates, shape ``(d, m)``,
+    their replica, the mask of the copies marked upper (None without
+    strips), and their counted band (``_counted_band``).
+
+    Without strips (``_strips``) each replica is one window and each point
+    one copy.  With S strips, window w < S - 1 holds the strips w and w + 1:
+    a point of an inner strip s has a copy in window s - 1, marked upper, and
+    one in window s; a point of strip 0 or S - 1 has one copy, unmarked.  A
+    pair of points in the same or adjacent strips then meets in exactly one
+    window where its copies are not both upper (the window of its lower
+    strip, or the last window), and every pair of a replica within ``reach``
+    of each other lies in the same or adjacent strips."""
+    d = points.shape[1]
+    replica = _replica_ids(offsets)
+    src = sort_batch(points[:, 0], replica)
+    strips = _strips(R, reach, d)
+    upper = None
+    if strips > 1:
+        windows = strips - 1
+        strip = np.clip(np.floor((points[src, 1] + R / 2) / (R / strips)), 0, windows)
+        strip = strip.astype(np.intp)
+        inner = (strip > 0) & (strip < windows)
+        copies = inner + 1
+        # the (replica, window) id of each copy, in x order within a replica
+        group = (replica * windows + np.minimum(strip, windows - 1)).astype(
+            np.min_scalar_type((offsets.size - 1) * windows))
+        group = np.repeat(group, copies)
+        src = np.repeat(src, copies)
+        first = (np.cumsum(copies) - copies)[inner]
+        del strip, inner, copies
+        group[first] -= 1
+        upper = np.zeros(src.size, bool)
+        upper[first] = True
+        del first
+        # stable, so x stays sorted within each group
+        regroup = np.argsort(group, kind="stable")
+        src, group, upper = src[regroup], group[regroup], upper[regroup]
+        del regroup
+        replica = group // windows
+    else:
+        group = replica
+    coords = np.empty((d, src.size))
+    for c in range(d):
+        np.take(points[:, c], src, out=coords[c])
+    del src
+    return coords, replica, upper, _counted_band(coords[0], group, reach)
+
+
+def _band_diagonals(points: np.ndarray, offsets: np.ndarray, reach: float, R: float
                     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per diagonal k = 1, 2, ... of the batch sorted by ``sort_batch``: the
-    replica of each i, the ``band`` mask of the pairs (i, i + k) of one
-    replica with first coordinates at most ``reach`` apart, and the
-    differences ``pts[i + k] - pts[i]``, shape ``(d, N - k)``.  The walk
-    stops at the first diagonal with an empty band, which is exact: within a
-    replica the sorted gaps only grow with k."""
-    pts, replica = sort_batch(points, _replica_ids(offsets))
-    coords = np.ascontiguousarray(pts.T)
-    for k in range(1, len(replica)):
-        diff = coords[:, k:] - coords[:, :-k]
-        band = (replica[k:] == replica[:-k]) & (diff[0] <= reach)
-        if not band.any():
-            return
-        yield replica[:-k], band, diff
+    """Per block of whole replicas and diagonal k = 1 .. the block's largest
+    counted band, over the copies of ``_windows``: the replica of each i, the
+    ``band`` mask of the pairs (i, i + k) in i's counted band whose copies
+    are not both upper, and the differences ``pts[i + k] - pts[i]``, shape
+    ``(d, m - k)``.  Every pair of a replica at most ``reach`` apart is in
+    exactly one band.  A block holds the replicas whose
+    first copy lies in the same stretch of ``_BAND_ROWS`` copies, so the
+    arrays of a diagonal are bounded unless one replica is larger."""
+    coords, replica, upper, cnt = _windows(points, offsets, reach, R)
+    starts = np.searchsorted(replica, np.arange(offsets.size - 1))
+    edges = starts[np.flatnonzero(np.diff(starts // _BAND_ROWS, prepend=-1))].tolist()
+    for a, b in zip(edges, edges[1:] + [replica.size]):
+        pts, rows, band_of = coords[:, a:b], replica[a:b], cnt[a:b]
+        for k in range(1, int(band_of.max(initial=0)) + 1):
+            band = band_of[:-k] >= k
+            if upper is not None:
+                band &= ~(upper[a:b - k] & upper[a + k:b])
+            yield rows[:-k], band, pts[:, k:] - pts[:, :-k]
 
 
 def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,
                      R: float) -> np.ndarray:
     """Tent-corrected weights of signed 1d separations, both pair orders, one
-    row per replica ``points[offsets[j]:offsets[j + 1], 0]``."""
+    row per replica ``points[offsets[j]:offsets[j + 1], 0]``.
+
+    The points are sorted once per replica (``sort_batch``) and walked along
+    the diagonals of their counted band (``_band_diagonals``); each diagonal
+    adds one ``bincount`` over (replica, bin), so a replica's row is the same
+    bytes in any batch.  Besides its output it holds about three words per
+    point and, per diagonal, a few arrays of at most ``_BAND_ROWS`` entries
+    or one replica's points."""
     n = offsets.size - 1
     _check_batch(n, n_bins)
     acc = np.zeros((n, n_bins))
     bw = 2.0 * v_max / n_bins
     # sorted, every separation v in the band is >= 0; |v| < v_max decides,
     # on the superset of pairs in the band
-    for rows, band, diff in _band_diagonals(points, offsets, v_max * (1.0 + 1e-9)):
+    for rows, band, diff in _band_diagonals(points, offsets, v_max * (1.0 + 1e-9), R):
         near = np.flatnonzero(band & (diff[0] < v_max))
         v = diff[0, near]
         idx = np.floor((v + v_max) / bw).astype(np.int64)
@@ -325,13 +458,23 @@ def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bi
 def bin_pairs_radial(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,
                      R: float) -> np.ndarray:
     """Tent-corrected radial pair weights (ordered pairs), one row per
-    replica ``points[offsets[j]:offsets[j + 1]]``."""
+    replica ``points[offsets[j]:offsets[j + 1]]``.
+
+    In d >= 2 the second coordinate is cut into strips at least ``v_max``
+    wide and each replica into windows of two adjacent strips
+    (``_windows``), about two copies per point, so the walk reads the pairs
+    within ``v_max`` in the first coordinate inside one window, not across
+    the whole replica; each diagonal adds one ``bincount`` over (replica,
+    bin), and the windows depend on ``R`` and ``v_max`` alone, so a
+    replica's row is the same bytes in any batch.  Besides its output it
+    holds about d + 2 words per copy and, per diagonal, a few arrays of at
+    most ``_BAND_ROWS`` entries per coordinate or one replica's copies."""
     n = offsets.size - 1
     _check_batch(n, n_bins)
     acc = np.zeros((n, n_bins))
     bw = v_max / n_bins
     reach = v_max * (1.0 + 1e-9)
-    for rows, band, diff in _band_diagonals(points, offsets, reach):
+    for rows, band, diff in _band_diagonals(points, offsets, reach, R):
         r2 = diff[0] * diff[0]
         for c in diff[1:]:
             r2 += c * c

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -230,7 +231,7 @@ def _check_batch(n: int, count: float) -> None:
     exceed ``_BATCH_LIMIT``."""
     if n * count > _BATCH_LIMIT:
         # an int count from a spec may be past the float range
-        size = f"{count:.15g}" if isinstance(count, float) else count
+        size = f"{count:.15g}" if isinstance(count, float) else f"{Decimal(count):.15g}"
         raise DomainError(f"{n} x {size} words are more than the "
                           f"{_BATCH_LIMIT} a batch may hold")
 
@@ -244,9 +245,11 @@ def _replica_histogram(rows: np.ndarray, bins: np.ndarray, n: int, width: int,
                        weights: np.ndarray | None = None) -> np.ndarray:
     """The ``(n, width)`` histogram of the pairs (replica ``rows``, ``bins``),
     one row per replica, each cell adding its ``weights`` (or 1) in their
-    order; checked against ``_BATCH_LIMIT`` before it allocates."""
+    order; checked against ``_BATCH_LIMIT`` before it allocates.  ``rows``
+    may have any integer dtype: the cell index is formed in int64."""
     _check_batch(n, width)
-    return np.bincount(rows * width + bins, weights, minlength=n * width).reshape(n, width)
+    return np.bincount(rows.astype(np.int64) * width + bins, weights,
+                       minlength=n * width).reshape(n, width)
 
 
 def counts_in_cube(batch: Replicas, R: float, tiles: int) -> np.ndarray:

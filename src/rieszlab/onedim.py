@@ -111,9 +111,8 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
-    pts, replica = _fast.sort_batch(samples.points[inside],
-                                    _replica_ids(samples.offsets)[inside])
-    x = pts[:, 0]
+    x, replica = samples.points[inside, 0], _replica_ids(samples.offsets)[inside]
+    x = x[_fast.sort_batch(x, replica)]
     densities = []
     for order in orders:
         gaps = x[order:] - x[:-order]

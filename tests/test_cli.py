@@ -579,6 +579,14 @@ class TestSpecLayer:
         _reject(runner, tmp_path, command, spec, needle)
         assert not (tmp_path / "out").exists()
 
+    def test_word_count_past_floats_is_shown_short(self, tmp_path, runner):
+        # the d = 2 lattice at R = 1e300 counts its words as an int of 601
+        # digits, shown to 15 significant digits like a float count
+        res = _reject(runner, tmp_path, "generate", {"model": {"variant": "lattice", "d": 2},
+                                                     "R": 1e300},
+                      "1 x 2.00000000000000e+600 words are more than")
+        assert len(res.output) < 120, res.output
+
     @pytest.mark.parametrize("route_keys", [
         {"route": "series"},
         {"route": "rho2", "model": {"variant": "poisson"}},

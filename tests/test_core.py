@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,11 @@ class TestReplicas:
         for n, count in ((2, 2**26 + 1), (1, math.inf), (10**400, 4)):
             with pytest.raises(DomainError, match="a batch may hold"):
                 _check_batch(n, count)
+        # an int count, even past the float range, to 15 significant digits
+        for count, shown in ((2**27 + 1, "134217729"), (10**15 + 1, "1.00000000000000e+15"),
+                             (10**400 + 1, "1.00000000000000e+400")):
+            with pytest.raises(DomainError, match=rf"^1 x {re.escape(shown)} words "):
+                _check_batch(1, count)
         one = np.zeros(1, dtype=np.int64)
         rejected_before_allocation(lambda: _replica_histogram(one, one, 2, 2**26 + 1))
 

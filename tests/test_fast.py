@@ -405,14 +405,17 @@ def test_basis_on_a_node_is_that_nodes_unit_vector():
     np.testing.assert_allclose(basis.sum(axis=1), 1.0, rtol=1e-14)
 
 
-def _banded(points, offsets, reach):
-    # (replica, separation, index distance) of every pair in the band of the
-    # walk, sorted, and the number of diagonals walked
+def _banded(points, offsets, reach, R):
+    # (replica, separation, index distance) of every pair in the counted band
+    # of the d = 1 walk, sorted, and the number of diagonals walked; the
+    # batch is one block, so diagonal k leaves k copies out of its band
+    assert len(points) <= _fast._BAND_ROWS
     found, diagonals = [], 0
-    for k, (rows, band, diff) in enumerate(
-            _fast._band_diagonals(points, offsets, reach), start=1):
+    for rows, band, diff in _fast._band_diagonals(points, offsets, reach, R):
+        k = len(points) - len(band)
         found += zip(rows[band], diff[0, band], [k] * int(band.sum()))
-        diagonals = k
+        diagonals += 1
+        assert diagonals == k
     return sorted(found), diagonals
 
 
@@ -430,7 +433,7 @@ def test_band_walk_is_bounded_and_complete(rng):
         near = xs[j] - xs[i] <= 1.0
         ref += zip([r] * int(near.sum()), (xs[j] - xs[i])[near], j[near] - i[near])
     points = np.concatenate([x, x[::7]])[:, None]
-    found, diagonals = _banded(points, np.array([0, 800, 800 + len(x[::7])]), 1.0)
+    found, diagonals = _banded(points, np.array([0, 800, 800 + len(x[::7])]), 1.0, 2000.0)
     assert found == sorted(ref)
     assert diagonals == max(k for _, _, k in ref)
 
@@ -547,3 +550,67 @@ def test_ragged_batch_matches_naive(rng, d):
             np.testing.assert_allclose(row, naive(pts, v_max, n_bins, R), rtol=1e-12, atol=0.0)
             assert row.tobytes() == kernel(pts, _one(pts), v_max, n_bins, R)[0].tobytes()
         assert not got[[0, 1, 4]].any() and got[[2, 3, 5]].any(axis=1).all()
+
+
+@pytest.mark.parametrize("sizes", [[0, 5, 0, 7, 7, 1, 0], [40] * 9, [300, 2, 0, 1, 250], [0, 0]],
+                         ids=["padded_empty_replicas", "padded_equal", "ragged", "empty"])
+def test_sort_batch_is_lexsort(rng, sizes):
+    # grouped batches with empty replicas, values tied within a replica and
+    # across replicas, and signed zeros, read as the strided first column the
+    # kernels pass: the padded table's permutation (or, for the ragged batch,
+    # lexsort's own) is lexsort's, bit for bit
+    replica = np.repeat(np.arange(len(sizes)), sizes)
+    pts = rng.integers(-3, 4, size=(replica.size, 2)).astype(float)
+    pts[::7, 0] = -0.0
+    x = pts[:, 0]
+    assert np.array_equal(_fast.sort_batch(x, replica), np.lexsort((x, replica)))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("ratio,fit,strips", [(1.5, 1, 1), (2.5, 2, 1), (3.0, 2, 1), (3.5, 3, 3),
+                                              (8.0, 7, 7)])
+def test_strip_windows_match_naive(rng, d, ratio, fit, strips):
+    # R / v_max of 1.5, 2.5, 3, 3.5 and 8 fit 1, 2, 2, 3 and 7 strips at
+    # least reach = v_max (1 + 1e-9) wide (three strips of exactly v_max
+    # would be one rounding from too narrow); fewer than three make one
+    # window.  Points lie on every strip edge (y = +-R/2 among them), each
+    # with a partner just under v_max above it and one just under v_max
+    # below it (across the edge), and some coincide
+    v_max = 2.0
+    R, reach = ratio * v_max, v_max * (1.0 + 1e-9)
+    assert int(R // reach) == fit and _fast._strips(R, reach, d) == strips
+    assert _fast._strips(math.inf, reach, d) == 1
+    edges = -R / 2 + (R / fit) * np.arange(fit + 1)
+    e = edges.size
+    pts = rng.uniform(-R / 2, R / 2, size=(120, d))
+    pts[:e, 1] = edges
+    for m, sign in [(1, 1.0), (2, -1.0)]:
+        pts[m * e:(m + 1) * e, 0] = pts[:e, 0]
+        pts[m * e:(m + 1) * e, 1] = np.clip(edges + sign * np.nextafter(v_max, 0.0), -R / 2, R / 2)
+    pts[100:104] = pts[2]
+    pts[104:106] = pts[e - 1]
+    got = _fast.bin_pairs_radial(pts, _one(pts), v_max, 12, R)[0]
+    np.testing.assert_allclose(got, _naive_radial(pts, v_max, 12, R), rtol=1e-12, atol=0.0)
+    assert got.sum() > 0.0
+
+
+@pytest.mark.parametrize("kernel,d,v_max", [(_fast.bin_pairs_signed, 1, 64.0),
+                                            (_fast.bin_pairs_radial, 2, 4.0),
+                                            (_fast.bin_pairs_radial, 3, 3.0)],
+                         ids=["signed", "radial_2d", "radial_3d"])
+def test_binning_memory_is_bounded(rng, kernel, d, v_max):
+    # the sorted copies (at most two per point) take d + 4 words or fewer
+    # each while the band is counted, and a diagonal's arrays at most about
+    # _BAND_ROWS entries per coordinate each, whatever the number of points
+    # or replicas: the 25 to 64 pairs per point within v_max here, held at
+    # once, would take 13 to 32 MiB
+    reps, n = 32, 2048
+    R = n ** (1.0 / d)
+    points = rng.uniform(-R / 2, R / 2, size=(reps * n, d))
+    tracemalloc.start()
+    try:
+        kernel(points, n * np.arange(reps + 1), v_max, 16, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * points.nbytes + 16 * _fast._BAND_ROWS * d * 8
