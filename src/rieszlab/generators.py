@@ -119,6 +119,15 @@ class GapLaw:
         return self.theta**-0.5 if self.kind is GapLawKind.GAMMA else math.sqrt(2.0 / 3.0) / self.k
 
     @property
+    def upper_end(self) -> float:
+        """A point past which the law holds at most 2^-60 of its mass, so that
+        its ``cdf`` there rounds to 1: the hat's support end 1 + 2/k, or the
+        Gamma law's 2^-60 upper quantile."""
+        if self.kind is GapLawKind.UNIFORM_HAT:
+            return 1.0 + 2.0 / self.k
+        return float(special.gammainccinv(self.theta, 2.0**-60)) / self.theta
+
+    @property
     def head_exponent(self) -> float:
         """Power alpha with density ~ x**alpha as x -> 0 (0 when bounded)."""
         return self.theta - 1.0 if self.kind is GapLawKind.GAMMA else 0.0
@@ -685,11 +694,13 @@ def _rho2_vibrating(model: ProcessModel) -> Rho2Analytic:
 _RENEWAL_V_MAX = 32.0
 _RENEWAL_STEP = 2.0**-8
 _RENEWAL_V_LIMIT = 4096
-# damping eps of the grid's series: its wrap-around is eps^8 = 1e-16, and
-# undamping scales the round-off by at most 1/eps (grid error below 1e-13)
+# damping eps of the grid's series: the transform's wrap-around, eps^3 of the
+# plateau, is subtracted in closed form, and undamping scales the round-off
+# by at most 1/eps (grid error below 1e-13)
 _RENEWAL_DAMPING = 1e-2
 
 
+@functools.lru_cache
 def _fft_length(target: int) -> int:
     """The smallest 2^a 3^b 5^c 7^d 11^e >= ``target``: the length pocketfft
     transforms fastest (scipy's ``next_fast_len`` for complex input)."""
@@ -713,27 +724,35 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Renewal density ``u = sum_j f^{*j}`` on a uniform grid of [0, v_max].
+def _renewal_plateau(q: np.ndarray) -> tuple[float, float]:
+    """The renewal sequence ``u = q + q * u`` of a deposit q that holds mass
+    at most 1 tends to ``c lam^k`` (Feller, vol. II, ch. XI): lam is the root
+    near 1 of ``sum_j q_j lam^-j = 1``, exactly 1 when q holds full mass, and
+    ``c = 1 / sum_j j q_j lam^-j``.  Returns (lam, c)."""
+    j = np.nonzero(q)[0]
+    qj = q[j]
+    # Newton's method for z = 1/lam on sum_j q_j z^j - 1, which is convex and
+    # increasing in z: from z = 1 the first step overshoots the root and the
+    # others descend to it; Gamma shapes above 0.02 reach it to rounding in
+    # four steps, and the narrowest shapes the grid admits (near 1e-5) in six
+    z = 1.0
+    for _ in range(6):
+        p = qj * z**j
+        z -= (p.sum() - 1.0) * z / (j @ p)
+    p = qj * z**j
+    return 1.0 / z, 1.0 / (j @ p)
 
-    Gaps are positive, so u solves the causal renewal equation u = f + f * u
-    and needs the gap law on [0, v_max] only.  It is deposited onto the nodes
-    keeping mass and first moment per cell (cloud-in-cell), so the lattice
-    renewal rate matches the continuous one to O(h^2), where a cell histogram
-    would bias it by h/2.  Damping node j by eps^(j/m) keeps the transform F
-    of the deposit inside the unit disk: u = F / (1 - F) is one pass of
-    numpy's FFT with no singular frequency, at the smallest 11-smooth length
-    >= 8 (m + 1) (``_fft_length``), whose wrap-around is below eps^8.  The
-    division runs in place on F.
+
+def _renewal_deposit(gap: GapLaw, m: int) -> tuple[np.ndarray, float]:
+    """The gap law deposited onto nodes 0 .. m of step h keeping mass and
+    first moment per cell (cloud-in-cell), and the mass of the first cell.
+
+    Mass past node m is dropped.  The law is read up to its ``upper_end``
+    only: past it every cell's mass is 0 in floating point.
     """
     h = _RENEWAL_STEP
-    mixing = 3.0 / gap.std**2 + 10.0 * gap.std
-    if not mixing <= _RENEWAL_V_LIMIT:  # before the ceil, which takes no inf
-        raise DomainError(f"renewal gap law too narrow: its density grid needs "
-                          f"v_max = {np.ceil(mixing):.0f} > {_RENEWAL_V_LIMIT}")
-    v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
-    m = int(round(v_max / h))
-    edges = np.arange(m + 2) * h
+    cells = math.ceil(min((m + 1) * h, gap.upper_end) / h)
+    edges = np.arange(cells + 1) * h
     mass = np.diff(gap.cdf(edges))
     moment = np.diff(gap.partial_mean(edges))
     q = np.zeros(m + 2)
@@ -742,19 +761,49 @@ def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
     frac = np.clip(moment[keep] / mass[keep] / h - idx, 0.0, 1.0)
     np.add.at(q, idx, mass[keep] * (1.0 - frac))
     np.add.at(q, idx + 1, mass[keep] * frac)
+    return q[: m + 1], float(mass[0])
+
+
+def _renewal_density_grid(gap: GapLaw) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Renewal density ``u = sum_j f^{*j}`` on a uniform grid of [0, v_max].
+
+    Gaps are positive, so u solves the causal renewal equation u = f + f * u
+    and needs the gap law on [0, v_max] only.  The law is deposited onto the
+    nodes keeping mass and first moment per cell (``_renewal_deposit``), so
+    the lattice renewal rate matches the continuous one to O(h^2), where a
+    cell histogram would bias it by h/2.  Damping node j by eps^(j/m) keeps
+    the transform F of the deposit inside the unit disk: u = F / (1 - F) is
+    one pass of numpy's FFT with no singular frequency, at the smallest
+    11-smooth length n >= 3 (m + 1) (``_fft_length``).  The division runs in
+    place on F.  Past node m the renewal sequence is its plateau ``c lam^k``
+    (``_renewal_plateau``), so the transform's wrap-around adds
+    ``c lam^k r / (1 - r)`` to node k, with r = eps^(n/m) lam^n; that term
+    is subtracted in closed form.
+    """
+    h = _RENEWAL_STEP
+    mixing = 3.0 / gap.std**2 + 10.0 * gap.std
+    if not mixing <= _RENEWAL_V_LIMIT:  # before the ceil, which takes no inf
+        raise DomainError(f"renewal gap law too narrow: its density grid needs "
+                          f"v_max = {np.ceil(mixing):.0f} > {_RENEWAL_V_LIMIT}")
+    v_max = max(_RENEWAL_V_MAX, math.ceil(mixing))
+    m = int(round(v_max / h))
+    q, first_mass = _renewal_deposit(gap, m)
     damp = _RENEWAL_DAMPING ** (np.arange(m + 1) / m)
-    n = _fft_length(8 * (m + 1))
-    F = np.fft.rfft(q[: m + 1] * damp, n)
+    n = _fft_length(3 * (m + 1))
+    F = np.fft.rfft(q * damp, n)
     den = np.subtract(1.0, F)
     np.divide(F, den, out=F)  # F / (1 - F), holding one complex array less
     del den
-    u = np.fft.irfft(F, n)[: m + 1] / (damp * h)
+    lam, c = _renewal_plateau(q)
+    r = _RENEWAL_DAMPING ** (n / m) * lam**n
+    wrap = c * r / (1.0 - r) * lam ** np.arange(m + 1)
+    u = (np.fft.irfft(F, n)[: m + 1] / damp - wrap) / h
     vals = np.maximum(u, 0.0)  # clear the FFT round-off floor
     # node 0: the head is dominated by the gap density itself; pick the value
     # that preserves the integral of the interpolant over the first cell
-    vals[0] = max(0.0, 2.0 * mass[0] / h - vals[1])
+    vals[0] = max(0.0, 2.0 * first_mass / h - vals[1])
     tail_flat = bool(np.max(np.abs(vals[int(0.9 * m) :] - 1.0)) < 1e-5)
-    return edges[: m + 1], vals, tail_flat
+    return np.arange(m + 1) * h, vals, tail_flat
 
 
 def _rho2_renewal(model: ProcessModel) -> Rho2Analytic:

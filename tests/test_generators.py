@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +18,9 @@ from rieszlab import (
 from rieszlab import generators
 from rieszlab._io import config_from_csv, config_to_csv
 from rieszlab.generators import GapLawKind, Variant, _draw_bernoulli
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import THETA_GRID  # noqa: E402  (the shapes of the benchmark's freemin scan)
 
 ALL_MODELS = [
     ProcessModel.poisson(1),
@@ -465,6 +470,35 @@ class TestSeedStreams:
         assert cold.points.tobytes() == warm.points.tobytes()
 
 
+def _full_deposit(gap, m):
+    """The cloud-in-cell deposit of ``gap`` onto nodes 0 .. m, built from the
+    law's cdf and partial mean on all m + 2 edges of the grid."""
+    h = generators._RENEWAL_STEP
+    edges = np.arange(m + 2) * h
+    mass = np.diff(gap.cdf(edges))
+    moment = np.diff(gap.partial_mean(edges))
+    q = np.zeros(m + 2)
+    idx = np.nonzero(mass > 0.0)[0]
+    frac = np.clip(moment[idx] / mass[idx] / h - idx, 0.0, 1.0)
+    np.add.at(q, idx, mass[idx] * (1.0 - frac))
+    np.add.at(q, idx + 1, mass[idx] * frac)
+    return q[: m + 1]
+
+
+def _spy_gap_law_reads(monkeypatch):
+    """The largest point of each call to ``GapLaw.cdf`` and ``partial_mean``."""
+    args = []
+    for name in ("cdf", "partial_mean"):
+        real = getattr(GapLaw, name)
+
+        def spy(self, x, real=real):
+            args.append(float(np.max(x)))
+            return real(self, x)
+
+        monkeypatch.setattr(GapLaw, name, spy)
+    return args
+
+
 class TestRho2Analytic:
     def test_poisson_flat(self):
         r2 = rho2_analytic(ProcessModel.poisson(1))
@@ -548,46 +582,80 @@ class TestRho2Analytic:
         err = np.abs(r2.continuous_part(v) - (1.0 - np.exp(-4.0 * v)))
         assert err.max() < 1e-4
 
-    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.4), GapLaw.gamma(0.75), GapLaw.gamma(2.0),
-                                     GapLaw.gamma(8.0), GapLaw.uniform_hat(2),
-                                     GapLaw.uniform_hat(3)],
-                             ids=["gamma0.4", "gamma0.75", "gamma2", "gamma8", "hat2", "hat3"])
+    @pytest.mark.parametrize(
+        "gap",
+        [GapLaw.gamma(0.2), GapLaw.gamma(0.4), GapLaw.gamma(0.75), GapLaw.gamma(1.0),
+         GapLaw.gamma(2.0), GapLaw.gamma(8.0), GapLaw.gamma(32.0), GapLaw.gamma(48.0),
+         GapLaw.uniform_hat(2), GapLaw.uniform_hat(3), GapLaw.uniform_hat(8)],
+        ids=["gamma0.2", "gamma0.4", "gamma0.75", "gamma1", "gamma2", "gamma8", "gamma32",
+             "gamma48", "hat2", "hat3", "hat8"])
     def test_renewal_grid_solves_the_recursion(self, gap):
         # the same cloud-in-cell deposit q, then u = q + q * u solved node by
-        # node: (1 - q_0) u_n = q_n + sum_{0 < j <= n} q_j u_{n - j}
+        # node: (1 - q_0) u_n = q_n + sum_{0 < j <= n} q_j u_{n - j}; the
+        # deposit's trailing zeros are left out of the filter, which they do
+        # not change
         from scipy import signal
 
         grid, vals, _ = generators._renewal_density_grid(gap)
         h, m = grid[1], len(grid) - 1
-        edges = np.arange(m + 2) * h
-        mass = np.diff(gap.cdf(edges))
-        moment = np.diff(gap.partial_mean(edges))
-        q = np.zeros(m + 2)
-        idx = np.nonzero(mass > 0.0)[0]
-        frac = np.clip(moment[idx] / mass[idx] / h - idx, 0.0, 1.0)
-        np.add.at(q, idx, mass[idx] * (1.0 - frac))
-        np.add.at(q, idx + 1, mass[idx] * frac)
+        q = np.trim_zeros(_full_deposit(gap, m), "b")
         impulse = np.zeros(m + 1)
         impulse[0] = 1.0
-        exact = signal.lfilter(q[: m + 1], np.r_[1.0 - q[0], -q[1 : m + 1]], impulse) / h
+        exact = signal.lfilter(q, np.r_[1.0 - q[0], -q[1:]], impulse) / h
         assert np.max(np.abs(vals[1:] - np.maximum(exact[1:], 0.0))) < 1e-12
+
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(0.2), GapLaw.gamma(0.4), GapLaw.gamma(2.0),
+                                     GapLaw.uniform_hat(3)],
+                             ids=["gamma0.2", "gamma0.4", "gamma2", "hat3"])
+    def test_renewal_plateau_is_the_root_near_one(self, gap):
+        # lam solves sum_j q_j lam^-j = 1 (found here by bracketing), and c is
+        # 1 / sum_j j q_j lam^-j; a deposit of full mass has lam = 1 exactly
+        from scipy import optimize
+
+        m = int(generators._RENEWAL_V_MAX / generators._RENEWAL_STEP)
+        q = _full_deposit(gap, m)
+        j = np.arange(m + 1)
+        lam, c = generators._renewal_plateau(q)
+        if q.sum() == 1.0:
+            assert lam == 1.0
+        else:
+            root = optimize.brentq(lambda x: q @ x ** -j - 1.0, 0.99, 1.0 + 1e-9, xtol=1e-16)
+            assert abs(lam - root) < 1e-15
+        assert abs(c * (j * q @ lam ** -j) - 1.0) < 1e-13
 
     @pytest.mark.parametrize("gap", [GapLaw.gamma(0.4), GapLaw.gamma(2.0), GapLaw.gamma(32.0),
                                      GapLaw.uniform_hat(4)],
                              ids=["gamma0.4", "gamma2", "gamma32", "hat4"])
     def test_renewal_grid_reads_gap_law_up_to_v_max(self, gap, monkeypatch):
         # gaps are positive, so the density on [0, v_max] needs the law there only
-        args = []
-        for name in ("cdf", "partial_mean"):
-            real = getattr(GapLaw, name)
-
-            def spy(self, x, real=real):
-                args.append(float(np.max(x)))
-                return real(self, x)
-
-            monkeypatch.setattr(GapLaw, name, spy)
+        args = _spy_gap_law_reads(monkeypatch)
         grid, _, _ = generators._renewal_density_grid(gap)
         assert max(args) <= grid[-1] + generators._RENEWAL_STEP
+
+    @pytest.mark.parametrize("gap", [GapLaw.gamma(32.0), GapLaw.uniform_hat(4)],
+                             ids=["gamma32", "hat4"])
+    def test_renewal_grid_reads_gap_law_only_where_it_has_mass(self, gap, monkeypatch):
+        # past Gamma's 2^-60 upper quantile, or the hat's support, every cell's
+        # mass is 0 in floating point, so the law is not read there
+        from scipy import stats
+
+        if gap.kind is GapLawKind.GAMMA:
+            end = stats.gamma.isf(2.0**-60, gap.theta, scale=1.0 / gap.theta)
+        else:
+            end = 1.0 + 2.0 / gap.k
+        args = _spy_gap_law_reads(monkeypatch)
+        generators._renewal_density_grid(gap)
+        assert max(args) <= end + generators._RENEWAL_STEP
+
+    @pytest.mark.parametrize("theta", THETA_GRID)
+    def test_renewal_deposit_is_the_full_deposit_bit_for_bit(self, theta):
+        # the cells left unread would have deposited exactly nothing
+        gap = GapLaw.gamma(theta)
+        grid, _, _ = generators._renewal_density_grid(gap)
+        m = len(grid) - 1
+        q, first_mass = generators._renewal_deposit(gap, m)
+        assert np.array_equal(q, _full_deposit(gap, m))
+        assert first_mass == gap.cdf(grid[1]) - gap.cdf(0.0)
 
     def test_fft_length_is_scipys_next_fast_len(self):
         # scipy serves as the oracle here only: the package uses numpy's FFT
@@ -596,7 +664,7 @@ class TestRho2Analytic:
         for target in range(1, 2**16 + 1):
             assert generators._fft_length(target) == next_fast_len(target), target
         for v_max in range(32, generators._RENEWAL_V_LIMIT + 1):
-            target = 8 * (int(v_max / generators._RENEWAL_STEP) + 1)
+            target = 3 * (int(v_max / generators._RENEWAL_STEP) + 1)
             assert generators._fft_length(target) == next_fast_len(target), v_max
 
     @pytest.mark.parametrize("gap", [GapLaw.gamma(0.75), GapLaw.gamma(2.0), GapLaw.gamma(32.0),
@@ -605,6 +673,7 @@ class TestRho2Analytic:
     def test_renewal_grid_divides_in_place_bit_for_bit(self, gap, monkeypatch):
         # the spectrum the inverse FFT reads is F / (1 - F) out of place, bit
         # for bit, at scipy's fast length, and the grid is its inverse FFT
+        # less the closed-form wrap-around of the plateau
         from scipy.fft import next_fast_len
 
         spectra, inverses = [], []
@@ -624,10 +693,14 @@ class TestRho2Analytic:
         monkeypatch.undo()
         (F,), ((divided, n),) = spectra, inverses
         m = len(grid) - 1
-        assert n == next_fast_len(8 * (m + 1))
+        assert n == next_fast_len(3 * (m + 1))
         assert np.array_equal(divided, F / (1.0 - F))
-        damp = generators._RENEWAL_DAMPING ** (np.arange(m + 1) / m)
-        u = np.fft.irfft(F / (1.0 - F), n)[: m + 1] / (damp * grid[1])
+        eps = generators._RENEWAL_DAMPING
+        damp = eps ** (np.arange(m + 1) / m)
+        lam, c = generators._renewal_plateau(_full_deposit(gap, m))
+        r = eps ** (n / m) * lam**n
+        wrap = c * r / (1.0 - r) * lam ** np.arange(m + 1)
+        u = (np.fft.irfft(F / (1.0 - F), n)[: m + 1] / damp - wrap) / grid[1]
         assert np.array_equal(vals[1:], np.maximum(u, 0.0)[1:])
 
     def test_renewal_grid_rejects_narrow_gap_laws(self):
