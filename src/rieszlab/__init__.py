@@ -29,7 +29,6 @@ from .generators import (
     Seed,
     Variant,
     rho2_analytic,
-    rho2_hardcore,
     sample,
 )
 from .estimators import (

@@ -219,7 +219,7 @@ def _far_sum(x: np.ndarray, box: np.ndarray, lo: float, h: float,
 
 
 def pair_sums(points: np.ndarray, offsets: np.ndarray, kernel: Kernel,
-              R: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+              R: float) -> tuple[np.ndarray, np.ndarray]:
     """Per point set ``points[offsets[j]:offsets[j + 1]]`` of the ``(N, d)``
     array ``points``: the sum of ``kernel.g`` over its unordered pairs and
     its minimal squared pair distance.
@@ -234,7 +234,7 @@ def pair_sums(points: np.ndarray, offsets: np.ndarray, kernel: Kernel,
 
     A d = 1 set of at least ``_FAR_MIN`` points is sorted and cut into B
     equal boxes of about ``_BOX_POINTS`` points (at most ``_MAX_BOXES``)
-    spanning C_R, or its own span when ``R`` is None or it reaches past C_R.
+    spanning C_R, or C_R widened to the set's span when it reaches past C_R.
     Pairs in the same or adjacent boxes are summed directly
     (``_near_sum``), the rest through p = ``_CHEB_P`` Chebyshev nodes per
     box and one FFT (``_far_sum``), within about (3 + 2 sqrt 2)^-p <= 1e-16
@@ -273,12 +273,12 @@ def pair_sums(points: np.ndarray, offsets: np.ndarray, kernel: Kernel,
             group = members[k:k + rows]
             x = coords[:, offsets[group, None] + np.arange(n)]
             sums[group], min_r2[group] = _circular_sums(x, w, arena, kernel)
-    # the far-field blocks of the last box cut; with R given, sets of nearby
-    # sizes share one cut
+    # the far-field blocks of the last box cut; sets of nearby sizes share
+    # one cut
     cut = transfer = None
     for j in long_sets:
         x = np.sort(coords[0, offsets[j]:offsets[j + 1]])
-        lo, hi = (x[0], x[-1]) if R is None else (min(-R / 2, x[0]), max(R / 2, x[-1]))
+        lo, hi = min(-R / 2, x[0]), max(R / 2, x[-1])
         boxes = min(_MAX_BOXES, round(x.size / _BOX_POINTS))
         h = (hi - lo) / boxes or 1.0
         if cut != (h, boxes):
@@ -289,8 +289,10 @@ def pair_sums(points: np.ndarray, offsets: np.ndarray, kernel: Kernel,
     return sums, min_r2
 
 
-def pair_sum(pts: np.ndarray, kernel: Kernel, R: float | None = None) -> tuple[float, float]:
-    """``pair_sums`` of the single point set ``pts``."""
+def pair_sum(pts: np.ndarray, kernel: Kernel, R: float) -> tuple[float, float]:
+    """``pair_sums`` of the single point set ``pts``.  No library code calls
+    it: it stays only as the function that perfbench's tracer hooks, until
+    that hook moves to ``pair_sums``."""
     sums, min_r2 = pair_sums(pts, np.array([0, len(pts)]), kernel, R)
     return float(sums[0]), float(min_r2[0])
 

@@ -243,8 +243,8 @@ def tv_lower_bound(samples_p: Replicas, samples_q: Replicas,
     density estimation is involved.  Tiles are slabs along the first axis.
     """
     window_R = _side(window_R)
-    if tile_count < 1:
-        raise ArgumentError("tile_count must be at least 1")
+    if not (_is_int(tile_count) and tile_count >= 1):
+        raise ArgumentError(f"tile_count must be an integer of at least 1, got {tile_count!r}")
     _require_replicas(min(len(samples_p), len(samples_q)))
     if min(samples_p.R, samples_q.R) < window_R:
         raise DomainError("samples were drawn on a window smaller than requested")

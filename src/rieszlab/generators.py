@@ -132,23 +132,6 @@ class GapLaw:
         """Power alpha with density ~ x**alpha as x -> 0 (0 when bounded)."""
         return self.theta - 1.0 if self.kind is GapLawKind.GAMMA else 0.0
 
-    def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind is GapLawKind.UNIFORM_HAT:
-            w = 2.0 / self.k
-            return np.maximum(0.0, 1.0 - np.abs(x - 1.0) / w) / w
-        theta = self.theta
-        out = np.zeros_like(x)
-        pos = x > 0.0
-        xp = x[pos]
-        out[pos] = np.exp(
-            theta * math.log(theta)
-            - special.gammaln(theta)
-            + (theta - 1.0) * np.log(xp)
-            - theta * xp
-        )
-        return out
-
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.kind is GapLawKind.UNIFORM_HAT:
@@ -820,23 +803,6 @@ def _rho2_renewal(model: ProcessModel) -> Rho2Analytic:
 
     return Rho2Analytic(1, cont, nodes_fn=lambda limit: nodes,
                         head_exponent=gap.head_exponent, tail_flat=tail_flat)
-
-
-_HARDCORE_TRANSITION = 2.0**-20
-
-
-def rho2_hardcore() -> Rho2Analytic:
-    """Pair correlation ``1 - 1_B`` of the hypothetical hardcore benchmark,
-    with B the ball of unit volume (d = 1: [-1/2, 1/2]).  The jump at 1/2 is
-    smoothed over ``_HARDCORE_TRANSITION`` so the piecewise-linear profile
-    stays exact to O(transition^2) under the energy quadratures."""
-    t = _HARDCORE_TRANSITION
-
-    def cont(v):
-        v = np.abs(np.asarray(v, dtype=float))
-        return np.clip((v - 0.5) / t + 0.5, 0.0, 1.0)
-
-    return Rho2Analytic(1, cont, nodes_fn=lambda limit: np.array([0.5 - t / 2.0, 0.5 + t / 2.0]))
 
 
 def rho2_analytic(model: ProcessModel) -> Rho2Analytic:

@@ -25,6 +25,7 @@ from .core import (
     Kernel,
     Replicas,
     _check_batch,
+    _is_int,
     _replica_histogram,
     _replica_ids,
     _require_replicas,
@@ -106,8 +107,8 @@ def kth_neighbor_density(samples: Replicas, k: Sequence[int], L: float, x_max: f
     n_bins = int(round(x_max / step)) + 1
     _check_batch(len(k), n_bins)  # one density per order, before the orders are listed
     orders = list(k)
-    if not orders or min(orders) < 1:
-        raise ArgumentError("neighbor order k must be at least 1")
+    if not orders or not all(_is_int(order) and order >= 1 for order in orders):
+        raise ArgumentError("neighbor order k must be an integer of at least 1")
     if samples.d != 1:
         raise ArgumentError("neighbor densities are one-dimensional")
     inside = in_cube(samples, L)
@@ -135,6 +136,8 @@ def crystallization_gap(densities: list[NeighborDensity], s_exponent: float,
     the k-th neighbor density, the quantitative distance to the lattice."""
     if not 0.0 <= s_exponent < 1.0:
         raise DomainError("s_exponent must lie in [0, 1)")
+    if not _is_int(k_max):
+        raise ArgumentError(f"k_max must be an integer, got {k_max!r}")
     by_k = {d.k: d for d in densities}
     if not 1 <= k_max <= len(by_k) or any(k not in by_k for k in range(1, k_max + 1)):
         raise ArgumentError(f"k_max = {k_max} needs the neighbor densities of k = 1 to "

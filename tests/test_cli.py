@@ -302,7 +302,10 @@ class TestCommands:
 
 def test_commands_run_without_scipy_fft(tmp_path):
     # numpy's FFT serves the renewal grid and the LP transforms; scipy.fft
-    # is never loaded, not at import and not by the commands that transform
+    # is never loaded, not at import and not by the commands that transform.
+    # Nor are scipy.optimize and scipy.stats, which serve only as test
+    # references: importing scipy.optimize alone takes about 0.2 s
+    unloaded = ("scipy.fft", "scipy.optimize", "scipy.stats")
     specs = {
         "lp": {"kernel": {"family": "riesz", "s": 0.5}, "v_max": 2.0, "step": 2**-6,
                "iterations": 5},
@@ -311,14 +314,14 @@ def test_commands_run_without_scipy_fft(tmp_path):
         "energy": {"model": {"variant": "renewal", "gap": {"law": "gamma", "theta": 2.0}},
                    "kernel": {"family": "log1d"}, "R_list": [64, 128], "route": "rho2"},
     }
-    code = ["import sys", "from rieszlab.cli import main",
-            "assert 'scipy.fft' not in sys.modules"]
+    loaded = f"sorted(m for m in sys.modules if m.startswith({unloaded!r}))"
+    code = ["import sys", "from rieszlab.cli import main", f"assert not {loaded}, {loaded}"]
     for command, spec in specs.items():
         cfg = _write(tmp_path, f"{command}.json", spec)
         code.append(f"try:\n    main([{command!r}, '--config', {cfg!r}, '--out', "
                     f"{str(tmp_path / command)!r}], standalone_mode=False)\n"
                     "except SystemExit as e:\n    assert not e.code, e.code")
-    code.append("print(sorted(m for m in sys.modules if m.startswith('scipy.fft')))")
+    code.append(f"print({loaded})")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -19,12 +19,12 @@ from rieszlab import (
     PointConfiguration,
     ProcessModel,
     Replicas,
+    Rho2Analytic,
     Seed,
     SingularConfigurationError,
     hint_R,
     log_kernel,
     rho2_analytic,
-    rho2_hardcore,
     richardson,
     riesz_kernel,
     sample,
@@ -49,6 +49,21 @@ def block_limit(kernel, k):
         return math.log(k) - 1.5
     s = kernel.s
     return -2.0 * k ** (-s) / ((1.0 - s) * (2.0 - s))
+
+
+# the pair correlation 1 - 1_[-1/2, 1/2] of the hardcore benchmark, its jump
+# at 1/2 a ramp between two nodes 2^-20 apart, so that the piecewise-linear
+# profile stays exact to O(2^-40) under the energy quadratures
+HARDCORE_RAMP = 2.0**-20
+
+
+def hardcore_rho2():
+    t = HARDCORE_RAMP
+
+    def cont(v):
+        return np.clip((np.abs(np.asarray(v, dtype=float)) - 0.5) / t + 0.5, 0.0, 1.0)
+
+    return Rho2Analytic(1, cont, nodes_fn=lambda limit: np.array([0.5 - t / 2.0, 0.5 + t / 2.0]))
 
 
 class TestBackgroundIntegrals:
@@ -465,7 +480,7 @@ LADDER_MODELS = {
     "vibrating8": lambda: rho2_analytic(ProcessModel.vibrating_lattice(8)),
     "block4": lambda: rho2_analytic(ProcessModel.bernoulli_block(4, 1)),
     "lattice": lambda: rho2_analytic(ProcessModel.lattice(1)),
-    "hardcore": rho2_hardcore,
+    "hardcore": hardcore_rho2,
 }
 # rungs on a node of the top rung (4 and 64 lie on the block, lattice and
 # renewal grids) and off it, inside and past the renewal grids
@@ -598,7 +613,7 @@ class TestMonteCarloRoute:
 
         calls = []
 
-        def flaky_pair_sums(points, offsets, kernel, R=None):
+        def flaky_pair_sums(points, offsets, kernel, R):
             min_r2 = []
             for _ in offsets[1:]:
                 calls.append(kernel)
@@ -913,7 +928,7 @@ class TestMonteCarloMultiD:
 class TestPlainEnergy:
     def test_hardcore_value(self):
         # the deficit -1 on [0, 1/2] has the tent-free limit 2 int_0^(1/2) log v dv
-        rep = wint_from_rho2(rho2_hardcore(), K_LOG, [64.0, 128.0, 256.0, 512.0])
+        rep = wint_from_rho2(hardcore_rho2(), K_LOG, [64.0, 128.0, 256.0, 512.0])
         assert rep.extrapolated == pytest.approx(-1.0 - math.log(2.0), abs=1e-12)
 
 
@@ -938,5 +953,5 @@ class TestOrderings:
             rep = wint_from_rho2(rho2_analytic(ProcessModel.bernoulli_block(k, 1)),
                                  K_LOG, [64.0, 128.0, 256.0, 512.0])
             assert rep.extrapolated >= hc - 1e-9
-        hc_rep = wint_from_rho2(rho2_hardcore(), K_LOG, [64.0, 128.0, 256.0, 512.0])
+        hc_rep = wint_from_rho2(hardcore_rho2(), K_LOG, [64.0, 128.0, 256.0, 512.0])
         assert hc_rep.extrapolated == pytest.approx(hc, abs=1e-12)

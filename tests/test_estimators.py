@@ -306,6 +306,12 @@ class TestTotalVariation:
                 tv_lower_bound(a, b, 4.0, 2)
 
 
+    @pytest.mark.parametrize("tile_count", [2.0, True, 0], ids=["float", "bool", "zero"])
+    def test_tile_count_must_be_a_positive_integer(self, replicas, tile_count):
+        samples = replicas(ProcessModel.poisson(1), 8.0, 20, master=65)
+        with pytest.raises(ArgumentError, match="tile_count must be an integer of at least 1"):
+            tv_lower_bound(samples, samples, 8.0, tile_count)
+
     def test_tiles_too_many_are_rejected_before_allocation(self, rejected_before_allocation):
         p = sample(ProcessModel.renewal(GapLaw.gamma(2.0)), 4.0, 20, Seed(0))
         q = sample(ProcessModel.poisson(1), 4.0, 20, Seed(1))

@@ -9,7 +9,9 @@ its route covers it today: ``|value - exact| <= extrapolation_error``.
 
 import math
 
+import mpmath
 import pytest
+from scipy import special
 
 from rieszlab import GapLaw, ProcessModel, log_kernel, rho2_analytic, riesz_kernel
 from rieszlab.energy import wint_from_rho2
@@ -23,6 +25,23 @@ GAMMA_TWO = ProcessModel.renewal(GapLaw.gamma(2.0))
 BLOCK_SOURCE = "closed form: int over [-k, k] of the tent deficit times the kernel"
 # Gamma(2) gaps (shape and rate 2) have the renewal density 1 - exp(-4 v)
 GAMMA_SOURCE = "closed form: -int exp(-4|v|) g(v) dv, the Gamma(2) renewal deficit"
+# lattice points moved by independent uniforms U on [-1/k, 1/k]
+VIBRATING_SOURCE = ("closed form: the lattice sum of the transform of |v|^-s against the "
+                    "squared sinc of U, by residues mod k, less E|U - U'|^-s")
+
+
+def vibrating_limit(k, s):
+    """W of the vibrating lattice of parameter k under |v|^-s: the transform
+    C |2 pi xi|^(s - 1), C = 2 Gamma(1 - s) sin(pi s / 2), summed over the
+    nonzero integers m against sinc^2(2 pi m / k), whose terms of m = r mod k
+    sum to Hurwitz zeta values, less the mean of |U - U'|^-s over the
+    triangle of half-width 2/k."""
+    c = 2.0 * special.gamma(1.0 - s) * math.sin(math.pi * s / 2.0)
+    residues = sum(math.sin(2.0 * math.pi * r / k) ** 2 * special.zeta(3.0 - s, r / k)
+                   for r in range(1, k + 1))
+    lattice_sum = (2.0 * c * (2.0 * math.pi) ** (s - 1.0) * (k / (2.0 * math.pi)) ** 2
+                   * k ** (s - 3.0) * residues)
+    return lattice_sum - 2.0 * (k / 2.0) ** s / ((1.0 - s) * (2.0 - s))
 
 LIMITS = [
     *[(ProcessModel.bernoulli_block(k), log_kernel(1), "rho2", BLOCK_LADDER,
@@ -38,6 +57,8 @@ LIMITS = [
      GAMMA_SOURCE),
     (ProcessModel.poisson(1), log_kernel(1), "rho2", BLOCK_LADDER, 0.0,
      "rho2 = 1: no deficit"),
+    *[(ProcessModel.vibrating_lattice(k), riesz_kernel(s), "rho2", BLOCK_LADDER,
+       vibrating_limit(k, s), VIBRATING_SOURCE) for s in (0.25, 0.5, 0.75) for k in (4, 8, 16)],
 ]
 
 
@@ -57,3 +78,12 @@ def _row_id(row) -> str:
 def test_reported_error_covers_the_exact_limit(model, kernel, route, R_list, exact, source):
     rep = _energy(model, kernel, route, R_list)
     assert abs(rep.extrapolated - exact) <= rep.extrapolation_error, source
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_vibrating_limit_nears_the_lattice_at_rate_two(s):
+    # the rate that acceptance c06 fits from the route, here from the closed
+    # form: W(k) - 2 zeta(s), the excess over the lattice, falls like k^-2
+    lattice = 2.0 * float(mpmath.zeta(s))
+    rate = math.log2((vibrating_limit(8, s) - lattice) / (vibrating_limit(16, s) - lattice))
+    assert abs(rate - 2.0) <= 0.05

@@ -9,6 +9,9 @@ import pytest
 from rieszlab import _fast, log_kernel, riesz_kernel
 
 N_MULTI_BLOCK = 300  # spans several blocks of _fast._SUM_BUDGET pairs
+# the side of C_R passed with point sets drawn in [-10, 10]; it shapes only
+# the box cut of d = 1 sets of at least _fast._FAR_MIN points
+SIDE = 20.0
 
 
 def _kernel(family, s):
@@ -79,7 +82,8 @@ def blocks(monkeypatch):
 def test_multi_block_size_spans_several_blocks(blocks):
     # the 150 circular diagonals of 301 entries each fill two blocks
     assert N_MULTI_BLOCK // 2 * (N_MULTI_BLOCK + 1) > _fast._SUM_BUDGET
-    _fast.pair_sum(np.arange(N_MULTI_BLOCK, dtype=float)[:, None], riesz_kernel(0.5, 1))
+    _fast.pair_sum(np.arange(N_MULTI_BLOCK, dtype=float)[:, None], riesz_kernel(0.5, 1),
+                   float(N_MULTI_BLOCK))
     assert [b.shape for b in blocks] == [(1, 75 * (N_MULTI_BLOCK + 1))] * 2
 
 
@@ -93,7 +97,7 @@ def _one(pts):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_sum_matches_naive(rng, n, family, s, d):
     pts = rng.uniform(-10, 10, size=(n, d))
-    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s), SIDE)
     ref_total, ref_min = _naive_pair_sum(pts, family, s)
     assert total == pytest.approx(ref_total, rel=1e-12, abs=1e-300)
     assert min_r2 == pytest.approx(ref_min, rel=1e-12)
@@ -128,7 +132,7 @@ def test_bin_pairs_radial_matches_naive(rng, n, d):
 @pytest.mark.parametrize("family,s", [(0, 0.0), (1, 0.5)])
 def test_coincident_pair_is_left_out(family, s):
     pts = np.array([[1.0], [1.0], [2.0], [4.0]])
-    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s), SIDE)
     assert min_r2 == 0.0
     assert math.isfinite(total)
     ref_total, _ = _naive_pair_sum(pts, family, s)
@@ -138,7 +142,7 @@ def test_coincident_pair_is_left_out(family, s):
 def test_coincident_pair_in_a_later_block(rng):
     pts = rng.uniform(-10, 10, size=(N_MULTI_BLOCK, 2))
     pts[-1] = pts[-2]
-    total, min_r2 = _fast.pair_sum(pts, riesz_kernel(0.5, 1))
+    total, min_r2 = _fast.pair_sum(pts, riesz_kernel(0.5, 1), SIDE)
     assert min_r2 == 0.0
     assert total == pytest.approx(_naive_pair_sum(pts, 1, 0.5)[0], rel=1e-12)
 
@@ -168,7 +172,7 @@ def test_pair_sums_match_exact_sum(rng, kernel):
     batch = [rng.uniform(-10, 10, size=(n, kernel.d)) for n in sizes]
     batch[4][5] = batch[4][2]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    sums, min_r2 = _fast.pair_sums(np.concatenate(batch), offsets, kernel)
+    sums, min_r2 = _fast.pair_sums(np.concatenate(batch), offsets, kernel, SIDE)
     for b, pts in enumerate(batch):
         assert sums[b] == pytest.approx(_exact_pair_sum(pts, kernel), rel=1e-13, abs=1e-300)
         if len(pts) > 1:
@@ -177,7 +181,7 @@ def test_pair_sums_match_exact_sum(rng, kernel):
                                               rel=1e-15)
         else:
             assert min_r2[b] == math.inf
-        assert _fast.pair_sum(pts, kernel) == (sums[b], min_r2[b])
+        assert _fast.pair_sum(pts, kernel, SIDE) == (sums[b], min_r2[b])
     assert min_r2[4] == 0.0 and math.isfinite(sums[4])
 
 
@@ -226,7 +230,7 @@ def test_full_walk_keeps_its_block_schedule(rng, blocks, shape):
     pts = rng.uniform(-10, 10, size=shape).reshape(shape[0], -1, shape[-1])
     d, m, n = pts.shape
     _fast.pair_sums(pts.transpose(1, 2, 0).reshape(-1, d), n * np.arange(m + 1),
-                    riesz_kernel(0.5, 1))
+                    riesz_kernel(0.5, 1), SIDE)
     ref = list(_frozen_circular_walk(pts, _fast._SUM_BUDGET))
     assert len(blocks) == len(ref)
     for g, r in zip(blocks, ref):
@@ -243,7 +247,7 @@ def test_circular_walk_visits_every_pair_once(rng, blocks, family, s, d):
     for n, m in [(n, 3) for n in range(2, 13)] + [(401, 1), (402, 1)]:
         blocks.clear()
         sets = rng.uniform(-10, 10, size=(m, n, d))
-        _fast.pair_sums(sets.reshape(-1, d), n * np.arange(m + 1), _kernel(family, s))
+        _fast.pair_sums(sets.reshape(-1, d), n * np.arange(m + 1), _kernel(family, s), SIDE)
         assert all(len(b) == m for b in blocks) and len(blocks) == (3 if n > 400 else 1)
         for row, pts in zip(np.concatenate(blocks, axis=1), sets):
             i, j = np.triu_indices(n, 1)
@@ -260,7 +264,7 @@ def test_coincident_pair_on_half_or_wrapped_diagonal(rng, n, i, j, family, s, d)
     # walked from i = 8 to 8 + 2 mod 9 = 1
     pts = rng.uniform(-10, 10, size=(n, d))
     pts[j] = pts[i]
-    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s))
+    total, min_r2 = _fast.pair_sum(pts, _kernel(family, s), SIDE)
     assert min_r2 == 0.0 and math.isfinite(total)
     assert total == pytest.approx(_naive_pair_sum(pts, family, s)[0], rel=1e-12)
 
@@ -276,7 +280,7 @@ def test_pair_sums_memory_is_bounded(rng, sets, n, d):
     points = rng.uniform(-10, 10, size=(sets * n, d))
     tracemalloc.start()
     try:
-        _fast.pair_sums(points, n * np.arange(sets + 1), log_kernel(1))
+        _fast.pair_sums(points, n * np.arange(sets + 1), log_kernel(1), SIDE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -380,12 +384,11 @@ def test_far_field_leaves_a_coincident_pair_out(rng, kernel, where):
     assert min_r2 == 0.0 and math.isfinite(total)
 
 
-@pytest.mark.parametrize("R", [2048.0, None], ids=["window", "own_span"])
-def test_far_field_rows_do_not_depend_on_their_batch(rng, R):
+def test_far_field_rows_do_not_depend_on_their_batch(rng):
     # a ragged batch of unsorted rows on both sides of the threshold, one of
     # them reaching past C_R: each row's values are those of the row alone,
     # bit for bit, and a long row's do not depend on its order
-    kernel, n0 = riesz_kernel(0.5, 1), _fast._FAR_MIN
+    kernel, n0, R = riesz_kernel(0.5, 1), _fast._FAR_MIN, 2048.0
     sizes = [n0 + 1, 0, 300, n0, 2000, n0 - 1, 1, n0, 2000, 7]
     rows = [rng.uniform(-1024.0, 1024.0, n) for n in sizes]
     rows[3] *= 1.25

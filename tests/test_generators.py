@@ -87,13 +87,20 @@ class TestValidation:
             make()
 
     def test_gap_law_normalization(self):
-        from scipy import integrate
+        from scipy import integrate, stats
 
-        for law in (GapLaw.exponential(), GapLaw.gamma(3.0), GapLaw.uniform_hat(4)):
-            mass, _ = integrate.quad(lambda t: float(law.density(np.array([t]))[0]), 0, 40)
-            mean, _ = integrate.quad(lambda t: t * float(law.density(np.array([t]))[0]), 0, 40)
-            assert mass == pytest.approx(1.0, abs=1e-9)
-            assert mean == pytest.approx(1.0, abs=1e-9)
+        # scipy.stats' laws of mean 1: Gamma(theta) at rate theta, and the
+        # triangle of half-width 2/k = 1/2 about 1
+        laws = [(GapLaw.exponential(), stats.expon()),
+                (GapLaw.gamma(3.0), stats.gamma(3.0, scale=1.0 / 3.0)),
+                (GapLaw.uniform_hat(4), stats.triang(0.5, loc=0.5, scale=1.0))]
+        x = np.linspace(0.0, 4.0, 33)
+        for law, ref in laws:
+            np.testing.assert_allclose(law.cdf(x), ref.cdf(x), rtol=0.0, atol=1e-14)
+            first_moment = [integrate.quad(lambda t: t * ref.pdf(t), 0.0, b,
+                                           points=[0.5, 1.0, 1.5])[0] for b in x[1:]]
+            np.testing.assert_allclose(law.partial_mean(x[1:]), first_moment, rtol=0.0,
+                                       atol=1e-12)
             assert float(law.cdf(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-12)
             assert float(law.partial_mean(np.array([40.0]))[0]) == pytest.approx(1.0, abs=1e-12)
 

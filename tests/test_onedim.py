@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import special, stats
 
 from rieszlab import (
     ArgumentError,
@@ -90,7 +90,7 @@ class TestKthNeighborDensity:
         gap = GapLaw.gamma(4.0)
         samples = replicas(ProcessModel.renewal(gap), 48.0, 600, master=303)
         nd, = kth_neighbor_density(samples, [1], 48.0, 6.0, step=1.0 / 8.0)
-        pdf = gap.density(nd.centers)
+        pdf = stats.gamma(4.0, scale=0.25).pdf(nd.centers)  # shape and rate 4
         good = nd.stderr > 1e-9
         dev = np.abs(nd.values - pdf)[good] / nd.stderr[good]
         assert np.mean(dev < 4.0) > 0.97
@@ -125,7 +125,8 @@ class TestKthNeighborDensity:
         samples = replicas(ProcessModel.poisson(1), 16.0, 5)
         with pytest.raises(DomainError):
             kth_neighbor_density(samples, [1], 16.0, 16.0)
-        for k in ([0], [], [2, 0]):
+        # a float order would slice the sorted points, a bool label a density
+        for k in ([0], [], [2, 0], [2.0], [True], [1, 2.5]):
             with pytest.raises(ArgumentError):
                 kth_neighbor_density(samples, k, 16.0, 4.0)
         for x_max, step in [(-2.0, 1.0 / 32.0), (4.0, 0.0), (4.0, -0.5)]:
@@ -223,6 +224,12 @@ class TestCrystallizationGap:
         # before any order is listed: 10**12 orders are not looped over
         dens = self._densities(replicas, ProcessModel.poisson(1), k_max=3, n=20)
         with pytest.raises(ArgumentError, match="needs the neighbor densities"):
+            crystallization_gap(dens, 0.5, k_max)
+
+    @pytest.mark.parametrize("k_max", [2.0, True], ids=["float", "bool"])
+    def test_k_max_must_be_an_integer(self, replicas, k_max):
+        dens = self._densities(replicas, ProcessModel.poisson(1), k_max=3, n=20)
+        with pytest.raises(ArgumentError, match="k_max must be an integer"):
             crystallization_gap(dens, 0.5, k_max)
 
 
