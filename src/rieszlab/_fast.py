@@ -12,10 +12,13 @@ summed directly along the sorted diagonals (i, i + k), and the others,
 where g is smooth, through ``_CHEB_P`` Chebyshev nodes per box, whose
 interpolation error (3 + 2 sqrt 2)^-p is below 1e-16: with m the box sums
 of the basis at the points, the far field is m . G m for the block-Toeplitz
-G of g between the nodes, one FFT along the boxes.  The binning kernels
-keep only separations below ``v_max``.  They sort each replica by its first
-coordinate in one padded ``argsort`` for the whole batch, and in d >= 2 copy
-each point into windows of two adjacent strips of the second coordinate, so
+G of g between the nodes, one FFT along the boxes.  One binning walk,
+``bin_pairs_radial``, serves every d, and ``bin_pairs_signed`` is its d = 1
+rows halved and mirrored about 0.  It keeps only separations 0 < r <
+``v_max``, so coincident pairs are left out in every d, as ``pair_sums``
+leaves them out.  It sorts each replica by its first coordinate in one
+padded ``argsort`` for the whole batch, and in d >= 2 copies each point
+into windows of two adjacent strips of the second coordinate, so
 that a pair within ``v_max`` meets in one window (cell lists; Allen &
 Tildesley, *Computer Simulation of Liquids*, 1987).  Each row then counts
 the later rows of its window within ``v_max`` in the first coordinate, and
@@ -432,29 +435,16 @@ def _band_diagonals(points: np.ndarray, offsets: np.ndarray, reach: float, R: fl
 
 def bin_pairs_signed(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,
                      R: float) -> np.ndarray:
-    """Tent-corrected weights of signed 1d separations, both pair orders, one
-    row per replica ``points[offsets[j]:offsets[j + 1], 0]``.
-
-    The points are sorted once per replica (``sort_batch``) and walked along
-    the diagonals of their counted band (``_band_diagonals``); each diagonal
-    adds one ``bincount`` over (replica, bin), so a replica's row is the same
-    bytes in any batch.  Besides its output it holds about three words per
-    point and, per diagonal, a few arrays of at most ``_BAND_ROWS`` entries
-    or one replica's points."""
-    n = offsets.size - 1
-    _check_batch(n, n_bins)
-    acc = np.zeros((n, n_bins))
-    bw = 2.0 * v_max / n_bins
-    # sorted, every separation v in the band is >= 0; |v| < v_max decides,
-    # on the superset of pairs in the band
-    for rows, band, diff in _band_diagonals(points, offsets, v_max * (1.0 + 1e-9), R):
-        near = np.flatnonzero(band & (diff[0] < v_max))
-        v = diff[0, near]
-        idx = np.floor((v + v_max) / bw).astype(np.int64)
-        np.clip(idx, 0, n_bins - 1, out=idx)
-        acc += _replica_histogram(rows[near], idx, n, n_bins, 1.0 / (R - v))
-    # the pair order j, i has separation -v and lands in the mirrored bin
-    return acc + acc[:, ::-1]
+    """Tent-corrected weights of signed 1d separations on ``n_bins`` (even)
+    bins of [-v_max, v_max], both pair orders, one row per replica
+    ``points[offsets[j]:offsets[j + 1], 0]``: the radial rows of
+    ``n_bins // 2`` bins (``bin_pairs_radial``), halved, since each order
+    of a pair lands on its own side of 0, and mirrored about 0.  A
+    separation v lands in bin n_bins // 2 + floor(|v| / bw) or its mirror,
+    and coincident pairs are left out, as in every d."""
+    half = bin_pairs_radial(points, offsets, v_max, n_bins // 2, R)
+    half *= 0.5
+    return np.concatenate([half[:, ::-1], half], axis=1)
 
 
 def bin_pairs_radial(points: np.ndarray, offsets: np.ndarray, v_max: float, n_bins: int,

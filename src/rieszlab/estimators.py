@@ -97,7 +97,10 @@ def estimate_rho2(samples: Replicas, bins: GridSpec) -> CorrelationEstimate:
     if not bins.v_max < R:
         raise DomainError("v_max must be smaller than the window side R")
 
-    n_bins = bins.n_bins + (bins.n_bins % 2 if d == 1 else 0)
+    n_bins = bins.n_bins
+    if d == 1 and n_bins % 2:
+        raise ArgumentError(f"n_bins must be even in d = 1, where the bins mirror about 0, "
+                            f"got {n_bins}")
     _check_batch(len(samples), n_bins)  # the per-replica rows, before any grid
     if d == 1:
         bw = 2.0 * bins.v_max / n_bins
@@ -190,14 +193,15 @@ class DlogCurve:
     @classmethod
     def from_variance(cls, entries, d: int, c_log: float) -> "DlogCurve":
         """The ``(R, mean D_R^2, stderr)`` entries of a variance curve in
-        dimension d, scaled by ``c_log * log R / R^d``, with their trend;
+        dimension d, scaled by ``c_log * log R / R^d`` (the stderr by its
+        absolute value, as that factor is negative below R = 1), with their trend;
         ``c_log`` > 0, as the trend fits the scaled values' logarithms."""
         if not c_log > 0.0:
             raise DomainError(f"c_log must be positive, got {c_log}")
         scaled = []
         for R, mean, stderr in entries:
             scale = c_log * math.log(R) / R**d
-            scaled.append((R, mean * scale, stderr * scale))
+            scaled.append((R, mean * scale, stderr * abs(scale)))
         return cls(scaled, _classify_trend(scaled), c_log)
 
 

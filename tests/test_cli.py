@@ -537,6 +537,8 @@ class TestSpecLayer:
          "a batch may hold"),
         ("rho2", {"model": {"variant": "poisson"}, "R": 8, "n_replicas": 2, "v_max": 1,
                   "n_bins": 10**14}, "a batch may hold"),
+        ("rho2", {"model": {"variant": "bernoulli_block", "k": 4}, "R": 32, "n_replicas": 5,
+                  "v_max": 4, "n_bins": 7}, "n_bins must be even in d = 1"),
         ("neighbors", {"model": GAMMA_TWO, "L": 8, "x_max": 1, "step": 1e-14},
          "a batch may hold"),
         ("pinsker", {"model": GAMMA_TWO, "R_list": [2, 4], "n_replicas": 20,
@@ -571,7 +573,8 @@ class TestSpecLayer:
             "pinsker_zero_rung", "series_negative_rungs", "neighbors_zero_step",
             "crystal_negative_x_max", "renewal_too_narrow", "block_too_large",
             "poisson_too_large", "series_too_long", "vibrating_rho2_too_long",
-            "lp_grid_too_large", "rho2_bins_too_many", "neighbors_step_too_fine",
+            "lp_grid_too_large", "rho2_bins_too_many", "rho2_odd_bins_1d",
+            "neighbors_step_too_fine",
             "pinsker_tiles_too_many", "generate_replicas_too_many", "neighbors_k_max_too_many",
             "crystal_k_max_too_many", "lattice_side_1e19", "lattice_side_1e20",
             "lattice_2d_side_1e300", "renewal_gamma_shape_past_floats",

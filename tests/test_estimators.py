@@ -132,6 +132,15 @@ class TestEstimateRho2:
             estimate_rho2([], GridSpec(4.0, 8))
 
 
+    def test_odd_bins_rejected_in_1d(self, replicas):
+        # d = 1 bins mirror about 0; an odd count was raised to the next even one
+        samples = replicas(ProcessModel.bernoulli_block(4), 32.0, 5)
+        with pytest.raises(ArgumentError, match="n_bins must be even in d = 1"):
+            estimate_rho2(samples, GridSpec(4.0, 7))
+        assert estimate_rho2(samples, GridSpec(4.0, 8)).values.size == 8
+        assert estimate_rho2(replicas(ProcessModel.poisson(2), 8.0, 5),
+                             GridSpec(2.0, 7)).values.size == 7
+
     @pytest.mark.parametrize("d", [1, 2], ids=["signed", "radial"])
     def test_grid_too_large_is_rejected_before_allocation(self, d, rejected_before_allocation):
         # 2 replicas of 10**14 bins, in the per-replica rows or the centres
@@ -241,6 +250,16 @@ class TestDlog:
         assert DlogCurve.from_variance(variance.entries, 1, 1.0).trend == "bounded->0"
         poisson = dlog_estimate(ProcessModel.poisson(1), log_kernel(1), R_list, 400, Seed(3))
         assert poisson.trend == "diverging"
+
+    def test_stderr_stays_nonnegative_below_one(self):
+        # c_log log R / R^d is negative for R < 1: the stderr scales by its
+        # absolute value, the mean by the factor itself
+        entries = [(0.5, 0.4, 0.3), (1.0, 1.2, 0.2), (2.0, 2.0, 0.5), (8.0, 8.0, 1.0)]
+        curve = DlogCurve.from_variance(entries, 1, 1.0)
+        for (R, mean, stderr), (_, value, scaled) in zip(entries, curve.entries):
+            factor = math.log(R) / R
+            assert value == mean * factor and scaled == stderr * abs(factor) >= 0.0
+        assert curve.entries[0][1] < 0.0 < curve.entries[0][2]
 
     def test_decade_with_one_positive_value_rejected(self):
         entries = [(1.0, 0.0, 0.0), (2.0, 0.0, 0.0), (4.0, 0.0, 0.0), (10.0, 3.0, 1.0)]

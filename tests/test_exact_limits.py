@@ -11,7 +11,6 @@ import math
 
 import mpmath
 import pytest
-from scipy import special
 
 from rieszlab import GapLaw, ProcessModel, log_kernel, rho2_analytic, riesz_kernel
 from rieszlab.energy import wint_from_rho2
@@ -28,20 +27,35 @@ GAMMA_SOURCE = "closed form: -int exp(-4|v|) g(v) dv, the Gamma(2) renewal defic
 # lattice points moved by independent uniforms U on [-1/k, 1/k]
 VIBRATING_SOURCE = ("closed form: the lattice sum of the transform of |v|^-s against the "
                     "squared sinc of U, by residues mod k, less E|U - U'|^-s")
+VIBRATING_LOG_SOURCE = "the s-derivative at s = 0 of the vibrating-lattice Riesz closed form"
+
+
+def _vibrating_energy(k, s):
+    """W of the vibrating lattice of parameter k under |v|^-s, in mpmath: the
+    transform C |2 pi xi|^(s - 1), C = 2 Gamma(1 - s) sin(pi s / 2), summed
+    over the nonzero integers m against sinc^2(2 pi m / k), whose terms of
+    m = r mod k sum to Hurwitz zeta values, less the mean of |U - U'|^-s over
+    the triangle of half-width 2/k."""
+    pi = mpmath.pi
+    c = 2 * mpmath.gamma(1 - s) * mpmath.sin(pi * s / 2)
+    k = mpmath.mpf(k)
+    residues = mpmath.fsum(mpmath.sin(2 * pi * r / k) ** 2 * mpmath.zeta(3 - s, r / k)
+                           for r in range(1, int(k) + 1))
+    lattice_sum = 2 * c * (2 * pi) ** (s - 1) * (k / (2 * pi)) ** 2 * k ** (s - 3) * residues
+    return lattice_sum - 2 * (k / 2) ** s / ((1 - s) * (2 - s))
 
 
 def vibrating_limit(k, s):
-    """W of the vibrating lattice of parameter k under |v|^-s: the transform
-    C |2 pi xi|^(s - 1), C = 2 Gamma(1 - s) sin(pi s / 2), summed over the
-    nonzero integers m against sinc^2(2 pi m / k), whose terms of m = r mod k
-    sum to Hurwitz zeta values, less the mean of |U - U'|^-s over the
-    triangle of half-width 2/k."""
-    c = 2.0 * special.gamma(1.0 - s) * math.sin(math.pi * s / 2.0)
-    residues = sum(math.sin(2.0 * math.pi * r / k) ** 2 * special.zeta(3.0 - s, r / k)
-                   for r in range(1, k + 1))
-    lattice_sum = (2.0 * c * (2.0 * math.pi) ** (s - 1.0) * (k / (2.0 * math.pi)) ** 2
-                   * k ** (s - 3.0) * residues)
-    return lattice_sum - 2.0 * (k / 2.0) ** s / ((1.0 - s) * (2.0 - s))
+    """``_vibrating_energy`` at 40 digits, as a float."""
+    with mpmath.workdps(40):
+        return float(_vibrating_energy(k, mpmath.mpf(s)))
+
+
+def vibrating_log_limit(k):
+    """W of the vibrating lattice under -log|v|, the s-derivative at 0 of
+    its Riesz energy, at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.diff(lambda s: _vibrating_energy(k, s), 0))
 
 LIMITS = [
     *[(ProcessModel.bernoulli_block(k), log_kernel(1), "rho2", BLOCK_LADDER,
@@ -59,6 +73,8 @@ LIMITS = [
      "rho2 = 1: no deficit"),
     *[(ProcessModel.vibrating_lattice(k), riesz_kernel(s), "rho2", BLOCK_LADDER,
        vibrating_limit(k, s), VIBRATING_SOURCE) for s in (0.25, 0.5, 0.75) for k in (4, 8, 16)],
+    *[(ProcessModel.vibrating_lattice(k), log_kernel(1), "rho2", BLOCK_LADDER,
+       vibrating_log_limit(k), VIBRATING_LOG_SOURCE) for k in (4, 8)],
 ]
 
 

@@ -33,15 +33,15 @@ def _naive_pair_sum(pts, family, s):
 
 
 def _naive_signed(x, v_max, n_bins, R):
-    # each unordered pair is binned at its separation |v| >= 0 and mirrored,
-    # as if x were sorted; order matters only on a bin edge
+    # each unordered pair at separation 0 < |v| < v_max is binned at
+    # n_bins / 2 + floor(|v| / bw) and mirrored about 0
     acc = np.zeros(n_bins)
     bw = 2.0 * v_max / n_bins
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
             v = abs(x[j] - x[i])
-            if v < v_max:
-                idx = min(max(math.floor((v + v_max) / bw), 0), n_bins - 1)
+            if 0.0 < v < v_max:
+                idx = n_bins // 2 + min(math.floor(v / bw), n_bins // 2 - 1)
                 acc[idx] += 1.0 / (R - v)
                 acc[n_bins - 1 - idx] += 1.0 / (R - v)
     return acc
@@ -189,6 +189,17 @@ def test_coincident_pair_is_not_binned():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     got = _fast.bin_pairs_radial(pts, _one(pts), 4.0, 8, 16.0)[0]
     np.testing.assert_allclose(got, _naive_radial(pts, 4.0, 8, 16.0), rtol=1e-12, atol=0.0)
+
+
+def test_coincident_pair_is_not_binned_in_1d():
+    # the pair at 0.5 is left out of both central bins, as in every d; only
+    # the two pairs 1.5 apart are binned, in bins 4 +- 1 of width 1
+    x = np.array([0.5, 0.5, 2.0])
+    got = _fast.bin_pairs_signed(x[:, None], _one(x), 4.0, 8, 16.0)[0]
+    np.testing.assert_allclose(got, _naive_signed(x, 4.0, 8, 16.0), rtol=1e-12, atol=0.0)
+    assert got[3] == got[4] == 0.0
+    assert got[2] == got[5] == 2.0 / (16.0 - 1.5)
+    assert got.sum() == 4.0 / (16.0 - 1.5)
 
 
 def _squared_radii(diff):
@@ -500,8 +511,8 @@ def _rowwise_signed(x, v_max, n_bins, R):
     bw = 2.0 * v_max / n_bins
     for i in range(len(x)):
         v = np.abs(x[i + 1:] - x[i])
-        v = v[v < v_max]
-        idx = np.clip(np.floor((v + v_max) / bw).astype(np.int64), 0, n_bins - 1)
+        v = v[(v > 0.0) & (v < v_max)]
+        idx = n_bins // 2 + np.minimum(np.floor(v / bw).astype(np.int64), n_bins // 2 - 1)
         np.add.at(acc, idx, 1.0 / (R - v))
         np.add.at(acc, n_bins - 1 - idx, 1.0 / (R - v))
     return acc
